@@ -4,7 +4,8 @@
 a hierarchy of uniformly refined meshes), measures errors against a named
 exact profile, evaluates the invariant battery on the converged states, and
 writes ``report.json`` plus per-level and per-element CSV files.  Exit code
-0 on success, 2 on solver divergence, 3 on an invariant violation.
+0 on success, 2 on solver divergence, 3 on an invariant violation, 4 on a
+config or mesh error.
 
 ``polyfr verify <config> --suite <name>`` runs one of the randomized
 verification batteries (conservation, correction-admissibility, entropy-cs,
@@ -36,6 +37,7 @@ import numpy as np
 
 from . import entropy as entropy_mod
 from . import residual as residual_mod
+from .approximation import UnsupportedSpace
 from .discretization import BoundaryData, Discretization
 from .mesh import Mesh, MeshError, load_mesh, refine_uniform
 from .physics import (
@@ -106,6 +108,17 @@ def load_config(path) -> dict:
     for key in ("mesh", "law", "degree"):
         if key not in cfg:
             raise ConfigError(f"config misses required key {key!r}")
+    variant = cfg.get("variant", "fr")
+    if variant not in residual_mod.VARIANTS:
+        raise ConfigError(
+            f"unknown variant {variant!r}; choose from {residual_mod.VARIANTS}"
+        )
+    try:
+        law_by_name(cfg["law"], cfg.get("law_params"))
+        numerical_flux(cfg.get("flux", "rusanov"))
+        int(cfg["degree"])
+    except (TypeError, ValueError) as exc:  # UnsupportedLaw is a ValueError
+        raise ConfigError(f"invalid config {path}: {exc}") from exc
     return cfg
 
 
@@ -116,15 +129,18 @@ def _boundary_data(cfg: dict) -> BoundaryData:
 
 def _solver_config(cfg: dict) -> SolverConfig:
     s = dict(cfg.get("solver", {}))
-    return SolverConfig(
-        cfl=float(s.get("cfl", 0.4)),
-        max_iters=int(s.get("max_iters", 20000)),
-        residual_tol=float(s.get("residual_tol", 1e-10)),
-        variant=cfg.get("variant", "fr"),
-        flux=cfg.get("flux", "rusanov"),
-        local_dt=bool(s.get("local_dt", True)),
-        jump_coeff=float(s.get("jump_coeff", 0.1)),
-    )
+    try:
+        return SolverConfig(
+            cfl=float(s.get("cfl", 0.4)),
+            max_iters=int(s.get("max_iters", 20000)),
+            residual_tol=float(s.get("residual_tol", 1e-10)),
+            variant=cfg.get("variant", "fr"),
+            flux=cfg.get("flux", "rusanov"),
+            local_dt=bool(s.get("local_dt", True)),
+            jump_coeff=float(s.get("jump_coeff", 0.1)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid solver settings: {exc}") from exc
 
 
 def _mesh_path(cfg: dict, config_path) -> Path:
@@ -135,17 +151,25 @@ def _mesh_path(cfg: dict, config_path) -> Path:
 
 
 def _build_disc(cfg: dict, mesh: Mesh) -> Discretization:
-    return Discretization(
-        mesh,
-        int(cfg["degree"]),
-        vol_order=cfg.get("volume_order"),
-        edge_order=cfg.get("edge_order"),
-        correction=cfg.get("correction", "auto"),
-    )
+    try:
+        return Discretization(
+            mesh,
+            int(cfg["degree"]),
+            vol_order=cfg.get("volume_order"),
+            edge_order=cfg.get("edge_order"),
+            correction=cfg.get("correction", "auto"),
+        )
+    except UnsupportedSpace as exc:
+        raise ConfigError(f"unsupported discretization: {exc}") from exc
 
 
-def defect_battery(disc: Discretization, law, u, flux_kind: str, bc) -> dict:
-    """Invariant defects evaluated at one state; keys match the report."""
+def defect_battery(disc: Discretization, law, u, flux_kind: str, bc,
+                   jump_coeff: float = 0.1) -> dict:
+    """Invariant defects evaluated at one state; keys match the report.
+
+    ``jump_coeff`` is the ``st`` dissipation scale the eq44 margin is
+    measured for.
+    """
     fr = residual_mod.compute_residuals(disc, law, u, "fr", flux_kind, bc)
     out = {
         "eq5": float(residual_mod.element_conservation_defects(fr).max()),
@@ -157,7 +181,7 @@ def defect_battery(disc: Discretization, law, u, flux_kind: str, bc) -> dict:
     try:
         cs = entropy_mod.cs_residuals(disc, law, u, fr)
         out["eq32"] = float(np.abs(entropy_mod.entropy_error(disc, law, u, cs)).max())
-        st = entropy_mod.st_residuals(disc, law, u, cs)
+        st = entropy_mod.st_residuals(disc, law, u, cs, jump_coeff=jump_coeff)
         margin = -entropy_mod.entropy_error(disc, law, u, st)
         out["eq44"] = float(max(0.0, -margin.min()))
     except entropy_mod.DegenerateEntropyCorrection as exc:
@@ -183,10 +207,11 @@ def defect_battery(disc: Discretization, law, u, flux_kind: str, bc) -> dict:
     g0 = disc.groups[0]
     if disc.degree == 1 and len(disc.groups) == 1 and g0.kind == "triangle":
         graph = disc.dof_graph()
+        vnodes = entropy_mod.entropy_nodes(disc, law, u)
         margins = []
         for eid in range(disc.mesh.n_elements):
             rep = entropy_mod.appendix_decomposition(
-                disc, law, u, fr, eid, graph.elements[eid]
+                disc, law, u, fr, eid, graph.elements[eid], vnodes=vnodes
             )
             margins.append(rep.stability_margin)
         out["ck_bdk_min"] = float(min(margins))
@@ -227,6 +252,9 @@ def run(config_path, output_dir=None, seed: int = 0, tol_scale: float = 1.0) -> 
     levels = int(cfg.get("study", {}).get("levels", 1) or 1)
 
     mesh = load_mesh(_mesh_path(cfg, config_path))
+    missing = sorted(set(mesh.boundary_tags.values()) - set(bc.profiles))
+    if missing:
+        raise ConfigError(f"no boundary data for mesh tags {missing}")
     report = {
         "case": cfg.get("case", Path(config_path).stem),
         "seed": int(seed),
@@ -266,19 +294,18 @@ def run(config_path, output_dir=None, seed: int = 0, tol_scale: float = 1.0) -> 
         fr = residual_mod.compute_residuals(disc, law, u, "fr", solver_cfg.flux, bc)
         e_fr = entropy_mod.entropy_error(disc, law, u, fr)
         entry["entropy_defect_max"] = float(np.abs(e_fr).max())
-        defects = defect_battery(disc, law, u, solver_cfg.flux, bc)
+        defects = defect_battery(disc, law, u, solver_cfg.flux, bc, solver_cfg.jump_coeff)
         entry["defects"] = defects
         report["levels"].append(entry)
         _merge_defects(report["defects"], defects)
+        cons = residual_mod.element_conservation_defects(fr)
         for eid in range(mesh.n_elements):
             per_elem_rows.append(
                 {
                     "level": level,
                     "element": eid,
                     "entropy_defect": float(e_fr[eid]),
-                    "conservation_defect": float(
-                        residual_mod.element_conservation_defects(fr)[eid]
-                    ),
+                    "conservation_defect": float(cons[eid]),
                 }
             )
     for a, b in zip(errors, errors[1:]):
@@ -342,6 +369,7 @@ def verify(config_path, suite: str, seed: int = 0, tol_scale: float = 1.0,
         raise ConfigError(f"unknown suite {suite!r}; choose from {SUITES}")
     cfg = load_config(config_path)
     law = law_by_name(cfg["law"], cfg.get("law_params"))
+    jump_coeff = _solver_config(cfg).jump_coeff
     mesh = load_mesh(_mesh_path(cfg, config_path))
     disc = _build_disc(cfg, mesh)
     rng = np.random.default_rng(seed)
@@ -408,7 +436,9 @@ def verify(config_path, suite: str, seed: int = 0, tol_scale: float = 1.0,
         worst = 0.0
         for _ in range(draws):
             u = random_state()
-            st = residual_mod.compute_residuals(disc, law, u, "st", flux_kind, random_bc())
+            st = residual_mod.compute_residuals(
+                disc, law, u, "st", flux_kind, random_bc(), jump_coeff=jump_coeff
+            )
             margin = -entropy_mod.entropy_error(disc, law, u, st)
             worst = min(worst, float(margin.min()))
         add("eq44", worst, 1e-11 * tol_scale, larger_ok=True)
@@ -437,6 +467,7 @@ def verify(config_path, suite: str, seed: int = 0, tol_scale: float = 1.0,
             ident_worst = max(ident_worst, d / sc)
             if disc.degree == 1 and disc.groups[0].kind == "triangle":
                 graph = disc.dof_graph()
+                vnodes = entropy_mod.entropy_nodes(disc, law, u)
                 for eid in range(mesh.n_elements):
                     split = residual_mod.flux_split(disc, law, u, fr, eid)
                     nd = disc.n_dof_elem[eid]
@@ -450,7 +481,7 @@ def verify(config_path, suite: str, seed: int = 0, tol_scale: float = 1.0,
                             ),
                         )
                     rep = entropy_mod.appendix_decomposition(
-                        disc, law, u, fr, eid, graph.elements[eid], split
+                        disc, law, u, fr, eid, graph.elements[eid], split, vnodes
                     )
                     ck_worst = max(ck_worst, abs(rep.c_k - rep.c_k_graph))
         add("eq26", decomp_worst, 1e-11 * tol_scale)

@@ -276,8 +276,10 @@ def check_admissibility(field: CorrectionField, trace_tol: float = 1e-11,
 
 class RTCorrectionBackend:
     """Per-element tables turning interface mismatches into RT correction
-    fields.  Requires the edge quadrature points to coincide with the RT
-    flux points (the default Gauss choice)."""
+    fields: ``r_table``, ``div_table`` (nd, m), ``vol_table`` (m, 2) and
+    ``trace_tables`` (one (nq_e, m) block per local edge).  Requires the
+    edge quadrature points to coincide with the RT flux points (the default
+    Gauss choice)."""
 
     def __init__(self, basis: RTBasis, space: ElementSpace,
                  vol_rule: QuadratureRule, edge_rules: list[QuadratureRule]):
@@ -327,7 +329,9 @@ class NeumannCorrectionBackend:
     pinned, at degree+1 points, to the low-degree interpolant of the
     mismatch data, which keeps edge integrals against the solution basis
     exact.  The solve is linear in the data, so the two solution operators
-    are precomputed.
+    are precomputed, and the free field's operator is precomposed into the
+    same mismatch-space tables the RT backend exposes (``r_table``,
+    ``div_table``, ``vol_table``, ``trace_tables``).
     """
 
     def __init__(self, space: ElementSpace, vol_rule: QuadratureRule,
@@ -360,14 +364,27 @@ class NeumannCorrectionBackend:
         # moment/divergence tables against the field basis
         phi = space.eval(vol_rule.points)
         w = vol_rule.weights
-        self._r_table = -self._a_mom  # r_sigma = -oint grad(phi) . field
+        self._r_coef = -self._a_mom  # r_sigma = -oint grad(phi) . field
         db = self._basis_div(vol_rule.points)
-        self._div_table = np.einsum("q,qd,qm->dm", w, phi, db)
-        self._vol_table = np.einsum("q,qmx->mx", w, self._basis_at(vol_rule.points))
-        self._edge_trace = [
+        self._div_coef = np.einsum("q,qd,qm->dm", w, phi, db)
+        self._vol_coef = np.einsum("q,qmx->mx", w, self._basis_at(vol_rule.points))
+        self._trace_coef = [
             self._basis_at(rule.points) @ nrm
             for rule, nrm in zip(edge_rules, self._edge_normals)
         ]
+
+        # the free field is linear in the stacked mismatch data,
+        # coeffs = p_tr @ blockdiag(interp_ops) @ alpha; precomposed, it
+        # yields the same alpha-space tables as the RT backend
+        cols, off = [], 0
+        for op in self._interp_ops:
+            cols.append(self._p_tr[:, off : off + len(op)] @ op)
+            off += len(op)
+        free = np.hstack(cols)  # (ncoef, n_alpha)
+        self.r_table = self._r_coef @ free
+        self.div_table = self._div_coef @ free
+        self.vol_table = free.T @ self._vol_coef
+        self.trace_tables = [tab @ free for tab in self._trace_coef]
 
     def _build_operators(self, degree: int):
         exps = _monomial_exponents(degree)
@@ -468,13 +485,13 @@ class NeumannCorrectionBackend:
         coeffs = self._s_tr @ b_tr + self._s_mom @ target_r  # (ncoef, p)
         res_tr = np.abs(self._a_tr @ coeffs - b_tr).max(initial=0.0)
         res_mom = np.abs(self._a_mom @ coeffs - target_r).max(initial=0.0)
-        traces = [tab @ coeffs for tab in self._edge_trace]
+        traces = [tab @ coeffs for tab in self._trace_coef]
         return CorrectionField(
             traces=traces,
             alpha=[np.asarray(a, dtype=float) for a in alpha],
-            r_sigma=self._r_table @ coeffs,
-            div_moments=self._div_table @ coeffs,
-            volume_integral=coeffs.T @ self._vol_table,
+            r_sigma=self._r_coef @ coeffs,
+            div_moments=self._div_coef @ coeffs,
+            volume_integral=coeffs.T @ self._vol_coef,
             solve_residual=float(max(res_tr, res_mom)),
         )
 
@@ -494,12 +511,12 @@ class NeumannCorrectionBackend:
         ])
         coeffs = self._p_tr @ b_tr
         res_tr = np.abs(self._a_tr @ coeffs - b_tr).max(initial=0.0)
-        traces = [tab @ coeffs for tab in self._edge_trace]
+        traces = [tab @ coeffs for tab in self._trace_coef]
         return CorrectionField(
             traces=traces,
             alpha=[np.asarray(a, dtype=float) for a in alpha],
-            r_sigma=self._r_table @ coeffs,
-            div_moments=self._div_table @ coeffs,
-            volume_integral=coeffs.T @ self._vol_table,
+            r_sigma=self._r_coef @ coeffs,
+            div_moments=self._div_coef @ coeffs,
+            volume_integral=coeffs.T @ self._vol_coef,
             solve_residual=float(res_tr),
         )

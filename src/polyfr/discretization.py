@@ -1,10 +1,14 @@
 """Mesh-level discretization state: batched basis/quadrature tables, the
-global DOF layout, interface traces, and per-element correction backends.
+global DOF layout, interface traces, and per-group correction tables.
 
 Elements are grouped by family (kind, vertex count, dof count) so residual
 evaluation reduces to a handful of einsums per group plus vectorized flux
-calls over all mesh edges at once.  DOFs are element-local (broken space):
-the global index of local DOF ``i`` of element ``e`` is ``offset[e] + i``.
+calls over all mesh edges at once.  Both correction backends are linear in
+the interface mismatch, so each group stores its correction as stacked
+tables acting on the mismatch values; the per-element backends stay only as
+references and for prescribed interior moments.  DOFs are element-local
+(broken space): the global index of local DOF ``i`` of element ``e`` is
+``offset[e] + i``.
 
 Quadrature orders default to volume 2k and edge 2k+1, strictly above the
 minimal orders the error analysis needs, so quadrature never masks scheme
@@ -78,18 +82,26 @@ class ElementGroup:
     dstrong: np.ndarray  # (nE, nd, nd, 2): oint phi_s grad(phi_t) dx
     mass_diag: np.ndarray  # (nE, nd) positive lumped measures, sum to |K|
     nsigma: np.ndarray  # (nE, nd, 2): -oint_{dK} phi_s n dgamma
-    # edge incidence: one row per (element, local edge)
+    # edge incidence: one row per (element, local edge), element-ordered
+    # (row = loc * n_local_edges + k)
     inc_elem: np.ndarray  # index into this group's element axis
     inc_edge: np.ndarray  # mesh edge id
     inc_side: np.ndarray  # 0 if element is left of the edge, 1 if right
     n_local_edges: int
     dof_idx: np.ndarray | None = None  # (nE, nd) global DOF indices
-    correction_kind: str = "rt"
-    rt_r: np.ndarray | None = None  # (nE, nd, m)
-    rt_div: np.ndarray | None = None
-    rt_vol: np.ndarray | None = None  # (nE, m, 2)
-    rt_backends: list[corr.RTCorrectionBackend] = field(default_factory=list)
-    neumann: list[corr.NeumannCorrectionBackend] | None = None
+    # incidence rows flattened per element, m = n_local_edges * nq_e
+    inc_sign: np.ndarray | None = None  # (nE, m) +1 left, -1 right
+    inc_w: np.ndarray | None = None  # (nE, m) edge quadrature weights
+    inc_wtrace: np.ndarray | None = None  # (nE, m, nd) w * phi_s trace
+    inc_ntrace: np.ndarray | None = None  # (nE, m, nd, 2) phi_s * outward n
+    # correction tables acting on the outward mismatch alpha (nE, m, p)
+    corr_r: np.ndarray | None = None  # (nE, nd, m): r_sigma
+    corr_div: np.ndarray | None = None  # (nE, nd, m): oint phi_s div
+    corr_vol: np.ndarray | None = None  # (nE, m, 2): oint field dx
+    corr_trace: np.ndarray | None = None  # (nE, m, m): normal traces
+    # per-element backends: the tables' reference, and the solver for
+    # prescribed interior moments
+    backends: list = field(default_factory=list)
     boost_order: int = 0
 
     @property
@@ -148,6 +160,9 @@ class Discretization:
         self.interior_edge_ids = np.array(
             [e.id for e in mesh.edges if not e.is_boundary], dtype=int
         )
+        # right neighbour, or the left element itself on boundary edges
+        self.edge_other = np.where(self.edge_right >= 0, self.edge_right, self.edge_left)
+        self.edge_normal_q = np.repeat(self.edge_normal[:, None, :], nq, axis=1)
 
     def _space_for(self, coords: np.ndarray) -> ElementSpace:
         n = len(coords)
@@ -253,6 +268,8 @@ class Discretization:
                         self.edge_phi_left[edge_id, :, : g.n_dof] = phi
                     else:
                         self.edge_phi_right[edge_id, :, : g.n_dof] = phi
+        for g in self.groups:
+            self._attach_incidence(g)
 
         self.boundary_tag = {
             int(eid): self.mesh.boundary_tags[int(eid)] for eid in self.boundary_edge_ids
@@ -346,6 +363,25 @@ class Discretization:
         self._attach_correction(group, vol_rules)
         return group
 
+    def _attach_incidence(self, g: ElementGroup) -> None:
+        # state-independent parts of the per-element edge terms
+        shape = (g.n_elements, g.n_local_edges * self.nq_edge)
+        left = g.inc_side == 0
+        sign = np.where(left, 1.0, -1.0)
+        trace = np.where(
+            left[:, None, None],
+            self.edge_phi_left[g.inc_edge],
+            self.edge_phi_right[g.inc_edge],
+        )[:, :, : g.n_dof]
+        w = self.edge_w[g.inc_edge]
+        normal = sign[:, None] * self.edge_normal[g.inc_edge]
+        g.inc_sign = np.repeat(sign, self.nq_edge).reshape(shape)
+        g.inc_w = w.reshape(shape)
+        g.inc_wtrace = (w[:, :, None] * trace).reshape(shape + (g.n_dof,))
+        g.inc_ntrace = np.einsum("rqd,rx->rqdx", trace, normal).reshape(
+            shape + (g.n_dof, 2)
+        )
+
     def _attach_edge_geometry(self, group: ElementGroup) -> None:
         mesh = self.mesh
         for i, eid in enumerate(group.elem_ids):
@@ -368,7 +404,6 @@ class Discretization:
             mode = "rt" if group.kind == "triangle" else "neumann"
         if mode == "rt" and (group.kind != "triangle" or self.nq_edge != self.degree + 1):
             mode = "neumann"
-        group.correction_kind = mode
 
         mesh = self.mesh
         edge_rule_of = lambda eid: edge_quadrature(
@@ -377,41 +412,34 @@ class Discretization:
             self.edge_order,
         )
 
-        if mode == "rt":
-            nE, nd = group.n_elements, group.n_dof
-            m = 3 * (self.degree + 1)
-            group.rt_r = np.zeros((nE, nd, m))
-            group.rt_div = np.zeros((nE, nd, m))
-            group.rt_vol = np.zeros((nE, m, 2))
-            group.rt_backends = []
-            for i, eid in enumerate(group.elem_ids):
-                elem = mesh.elements[eid]
-                coords = mesh.element_coords(eid)
-                flux_points = [edge_rule_of(k).points for k in elem.edge_ids]
-                basis = corr.RTBasis(self.degree, coords, flux_points=flux_points)
-                rules = [edge_rule_of(k) for k in elem.edge_ids]
-                backend = corr.RTCorrectionBackend(
-                    basis, group.spaces[i], vol_rules[i], rules
+        backends = []
+        for i, eid in enumerate(group.elem_ids):
+            elem = mesh.elements[eid]
+            rules = [edge_rule_of(k) for k in elem.edge_ids]
+            if mode == "rt":
+                basis = corr.RTBasis(
+                    self.degree, mesh.element_coords(eid),
+                    flux_points=[r.points for r in rules],
                 )
-                group.rt_backends.append(backend)
-                group.rt_r[i] = backend.r_table
-                group.rt_div[i] = backend.div_table
-                group.rt_vol[i] = backend.vol_table
-        else:
-            group.neumann = []
-            for i, eid in enumerate(group.elem_ids):
-                elem = mesh.elements[eid]
-                rules = [edge_rule_of(k) for k in elem.edge_ids]
+                backends.append(
+                    corr.RTCorrectionBackend(basis, group.spaces[i], vol_rules[i], rules)
+                )
+            else:
                 normals = []
                 for k in elem.edge_ids:
                     edge = mesh.edges[k]
                     sign = 1.0 if edge.left_element == eid else -1.0
                     normals.append(sign * edge.normal)
-                group.neumann.append(
+                backends.append(
                     corr.NeumannCorrectionBackend(
                         group.spaces[i], vol_rules[i], rules, normals
                     )
                 )
+        group.backends = backends
+        group.corr_r = np.stack([b.r_table for b in backends])
+        group.corr_div = np.stack([b.div_table for b in backends])
+        group.corr_vol = np.stack([b.vol_table for b in backends])
+        group.corr_trace = np.stack([np.vstack(b.trace_tables) for b in backends])
 
     # ------------------------------------------------------------------
     # state handling
@@ -465,8 +493,7 @@ class Discretization:
         boundary edges are copies of uL (the element's own trace).
         """
         uL = np.einsum("eqd,edp->eqp", self.edge_phi_left, padded_u[self.edge_left])
-        right = np.where(self.edge_right >= 0, self.edge_right, self.edge_left)
-        uR = np.einsum("eqd,edp->eqp", self.edge_phi_right, padded_u[right])
+        uR = np.einsum("eqd,edp->eqp", self.edge_phi_right, padded_u[self.edge_other])
         if len(self.boundary_edge_ids):
             uR[self.boundary_edge_ids] = uL[self.boundary_edge_ids]
         return uL, uR
@@ -492,8 +519,3 @@ class Discretization:
     def element_space(self, eid: int) -> ElementSpace:
         g = self.groups[self.elem_group[eid]]
         return g.spaces[self.elem_local[eid]]
-
-    def element_measures(self, eid: int) -> tuple[float, float, float]:
-        g = self.groups[self.elem_group[eid]]
-        loc = self.elem_local[eid]
-        return float(g.areas[loc]), float(g.perimeters[loc]), float(g.diameters[loc])

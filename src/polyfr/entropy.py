@@ -19,7 +19,7 @@ functional, and the element-split diagnostics on the DOF graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -105,21 +105,7 @@ def cs_residuals(disc: Discretization, law: ConservationLaw, u: np.ndarray,
     """Entropy-conservative variant: residuals plus the tau correction."""
     e_vals = entropy_error(disc, law, u, fr_set)
     tau = tau_all(disc, law, u, e_vals)
-    out = ResidualSet(
-        variant="cs",
-        flux_kind=fr_set.flux_kind,
-        phi=fr_set.phi + tau,
-        boundary_phi=fr_set.boundary_phi,
-        r_sigma=fr_set.r_sigma,
-        fhat_star=fr_set.fhat_star,
-        fhat_bc=fr_set.fhat_bc,
-        ghat=fr_set.ghat,
-        bflux_int=fr_set.bflux_int,
-        gbal=fr_set.gbal,
-        bres_rhs=fr_set.bres_rhs,
-        alpha=fr_set.alpha,
-    )
-    return out
+    return replace(fr_set, variant="cs", phi=fr_set.phi + tau)
 
 
 def st_residuals(disc: Discretization, law: ConservationLaw, u: np.ndarray,
@@ -136,20 +122,7 @@ def st_residuals(disc: Discretization, law: ConservationLaw, u: np.ndarray,
         speeds = law.max_wave_speed(padded[g.elem_ids, :nd]).max(axis=1)
         delta = jump_coeff * g.diameters * np.maximum(speeds, 0.0)
         psi[g.elem_ids, :nd] = delta[:, None, None] * dev
-    return ResidualSet(
-        variant="st",
-        flux_kind=cs_set.flux_kind,
-        phi=cs_set.phi + psi,
-        boundary_phi=cs_set.boundary_phi,
-        r_sigma=cs_set.r_sigma,
-        fhat_star=cs_set.fhat_star,
-        fhat_bc=cs_set.fhat_bc,
-        ghat=cs_set.ghat,
-        bflux_int=cs_set.bflux_int,
-        gbal=cs_set.gbal,
-        bres_rhs=cs_set.bres_rhs,
-        alpha=cs_set.alpha,
-    )
+    return replace(cs_set, variant="st", phi=cs_set.phi + psi)
 
 
 def entropy_balance_defects(disc: Discretization, law: ConservationLaw,
@@ -222,20 +195,7 @@ def entropy_conservative_residuals(disc: Discretization, law: ConservationLaw,
         nd = disc.n_dof_elem[eid]
         phi[eid, :nd] += fld.r_sigma
         r_sigma[eid, :nd] = fld.r_sigma
-    return ResidualSet(
-        variant="fr",
-        flux_kind=flux_kind,
-        phi=phi,
-        boundary_phi=ref.boundary_phi,
-        r_sigma=r_sigma,
-        fhat_star=ref.fhat_star,
-        fhat_bc=ref.fhat_bc,
-        ghat=ref.ghat,
-        bflux_int=ref.bflux_int,
-        gbal=ref.gbal,
-        bres_rhs=ref.bres_rhs,
-        alpha=ref.alpha,
-    )
+    return replace(ref, variant="fr", phi=phi, r_sigma=r_sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +327,8 @@ class ElementSplitReport:
 def appendix_decomposition(disc: Discretization, law: ConservationLaw,
                            u: np.ndarray, rset: ResidualSet, eid: int,
                            graph: ElementDofGraph,
-                           split: FluxSplit | None = None) -> ElementSplitReport:
+                           split: FluxSplit | None = None,
+                           vnodes: np.ndarray | None = None) -> ElementSplitReport:
     """Element/boundary split of the entropy-stability functional on a
     linear triangle.
 
@@ -378,14 +339,18 @@ def appendix_decomposition(disc: Discretization, law: ConservationLaw,
     the reported equivalence.  The un-halved pairwise sum minus the
     boundary part reproduces sum <v, Phi> - oint g_hat exactly when the
     entropy flux averages the interpolated potential.
+
+    ``vnodes`` takes the mesh-wide :func:`entropy_nodes` of ``u``, so a loop
+    over elements computes them once.
     """
     if split is None:
         split = flux_split(disc, law, u, rset, eid)
+    if vnodes is None:
+        vnodes = entropy_nodes(disc, law, u)
     g = disc.groups[disc.elem_group[eid]]
     loc = disc.elem_local[eid]
     nd = g.n_dof
-    padded = disc.padded_states(u)
-    vn = entropy_nodes(disc, law, u)[eid, :nd]  # (nd, p)
+    vn = vnodes[eid, :nd]  # (nd, p)
     theta = law.potential(vn)  # (nd, 2)
 
     pair_sum = 0.0
@@ -423,7 +388,7 @@ def appendix_decomposition(disc: Discretization, law: ConservationLaw,
                 if side == 0
                 else disc.edge_phi_left[edge_id][:, :nd_o]
             )
-            v_o = entropy_nodes(disc, law, u)[other, :nd_o]
+            v_o = vnodes[other, :nd_o]
             theta_other = tr_other @ law.potential(v_o)
             v_other = tr_other @ v_o
         else:

@@ -37,7 +37,6 @@ class ConservationLaw:
     entropy_vars: Callable  # u -> (..., p)
     entropy_flux: Callable  # u -> (..., 2)
     potential: Callable  # v (..., p) -> (..., 2)
-    u_from_entropy_vars: Callable  # v -> u
     wave_speed: Callable  # (u, n) -> (...), spectral radius of d(f.n)/du
     max_wave_speed: Callable  # u -> (...), bound over all unit directions
     flux_jac: Callable = None  # u (..., p) -> (..., p, p, 2)
@@ -74,9 +73,6 @@ def linear_advection(a) -> ConservationLaw:
     def potential(v):
         return 0.5 * np.asarray(v)[..., 0, None] ** 2 * a
 
-    def u_from_v(v):
-        return np.asarray(v, dtype=float).copy()
-
     def wave_speed(u, n):
         n = np.asarray(n, dtype=float)
         return np.broadcast_to(np.abs(n @ a), np.asarray(u).shape[:-1]).copy()
@@ -97,7 +93,7 @@ def linear_advection(a) -> ConservationLaw:
 
     return ConservationLaw(
         name="advection", p=1, flux=flux, entropy=entropy, entropy_vars=entropy_vars,
-        entropy_flux=entropy_flux, potential=potential, u_from_entropy_vars=u_from_v,
+        entropy_flux=entropy_flux, potential=potential,
         wave_speed=wave_speed, max_wave_speed=max_speed, ec_flux=ec,
         flux_jac=flux_jac,
     )
@@ -125,9 +121,6 @@ def burgers_2d() -> ConservationLaw:
         th = np.asarray(v)[..., 0] ** 3 / 6.0
         return np.stack([th, th], axis=-1)
 
-    def u_from_v(v):
-        return np.asarray(v, dtype=float).copy()
-
     def wave_speed(u, n):
         n = np.asarray(n, dtype=float)
         return np.abs(np.asarray(u)[..., 0] * (n[..., 0] + n[..., 1]))
@@ -152,7 +145,7 @@ def burgers_2d() -> ConservationLaw:
 
     return ConservationLaw(
         name="burgers", p=1, flux=flux, entropy=entropy, entropy_vars=entropy_vars,
-        entropy_flux=entropy_flux, potential=potential, u_from_entropy_vars=u_from_v,
+        entropy_flux=entropy_flux, potential=potential,
         wave_speed=wave_speed, max_wave_speed=max_speed, ec_flux=ec,
         flux_jac=flux_jac,
     )
@@ -185,9 +178,6 @@ def exp_advection(a) -> ConservationLaw:
         v0 = np.asarray(v)[..., 0, None]
         return v0 * (np.log(v0) - 1.0) * a
 
-    def u_from_v(v):
-        return np.log(np.asarray(v, dtype=float))
-
     def wave_speed(u, n):
         n = np.asarray(n, dtype=float)
         return np.broadcast_to(np.abs(n @ a), np.asarray(u).shape[:-1]).copy()
@@ -216,7 +206,7 @@ def exp_advection(a) -> ConservationLaw:
     return ConservationLaw(
         name="exp-advection", p=1, flux=flux, entropy=entropy,
         entropy_vars=entropy_vars, entropy_flux=entropy_flux, potential=potential,
-        u_from_entropy_vars=u_from_v, wave_speed=wave_speed, max_wave_speed=max_speed,
+        wave_speed=wave_speed, max_wave_speed=max_speed,
         admissible_box=(-2.0, 2.0), ec_flux=ec, flux_jac=flux_jac,
     )
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .correction import CorrectionField, NeumannCorrectionBackend
 from .discretization import BoundaryData, Discretization
 from .physics import (
     ConservationLaw,
@@ -68,10 +69,6 @@ class ResidualSet:
         return self.boundary_phi[eid, :nd]
 
 
-def _edge_normals_q(disc: Discretization) -> np.ndarray:
-    return np.repeat(disc.edge_normal[:, None, :], disc.nq_edge, axis=1)
-
-
 def interface_fluxes(disc, law, u, flux_kind, bc=None):
     """Single-valued interface fluxes and the entropy flux at edge points.
 
@@ -83,26 +80,26 @@ def interface_fluxes(disc, law, u, flux_kind, bc=None):
     """
     padded = disc.padded_states(u)
     uL, uR = disc.edge_traces(padded)
-    nq = _edge_normals_q(disc)
+    nq = disc.edge_normal_q
     flux = numerical_flux(flux_kind)
+    ii, bi = disc.interior_edge_ids, disc.boundary_edge_ids
 
-    fhat_star = normal_flux(law, uL, nq)
-    ghat = (law.entropy_flux(uL) * nq).sum(-1)
-    ii = disc.interior_edge_ids
+    fhat_star = np.empty(uL.shape)
+    ghat = np.empty(uL.shape[:2])
     if len(ii):
-        fhat_star[ii] = flux(law, uL[ii], uR[ii], nq[ii])
-        ghat[ii] = entropy_numerical_flux(law, fhat_star[ii], uL[ii], uR[ii], nq[ii])
+        uLi, uRi, nqi = uL[ii], uR[ii], nq[ii]
+        fi = flux(law, uLi, uRi, nqi)
+        fhat_star[ii] = fi
+        ghat[ii] = entropy_numerical_flux(law, fi, uLi, uRi, nqi)
+    uLb, nqb = uL[bi], nq[bi]
+    fhat_star[bi] = normal_flux(law, uLb, nqb)
+    ghat[bi] = (law.entropy_flux(uLb) * nqb).sum(-1)
 
     fhat_bc = None
     if bc is not None:
-        if isinstance(bc, np.ndarray):
-            ub = bc
-        else:
-            ub = disc.boundary_values(bc)
+        ub = bc if isinstance(bc, np.ndarray) else disc.boundary_values(bc)
         fhat_bc = np.zeros_like(fhat_star)
-        bi = disc.boundary_edge_ids
-        if len(bi):
-            fhat_bc[bi] = flux(law, uL[bi], ub[bi], nq[bi])
+        fhat_bc[bi] = flux(law, uLb, ub[bi], nqb)
     return fhat_star, fhat_bc, ghat, uL, uR
 
 
@@ -113,22 +110,26 @@ def compute_residuals(
     variant: str = "fr",
     flux_kind: str = "rusanov",
     bc: BoundaryData | np.ndarray | None = None,
+    jump_coeff: float = 0.1,
 ) -> ResidualSet:
-    """Evaluate one residual variant over the whole mesh."""
-    if variant in ("cs", "st"):
-        from . import entropy as _entropy
+    """Evaluate one residual variant over the whole mesh.
 
-        fr = compute_residuals(disc, law, u, "fr", flux_kind, bc)
-        out = _entropy.cs_residuals(disc, law, u, fr)
-        if variant == "st":
-            out = _entropy.st_residuals(disc, law, u, out)
-        return out
-    if variant not in ("dg", "dg-interp", "fr", "fr-strong"):
+    ``cs`` and ``st`` correct the ``fr`` residuals; ``jump_coeff`` scales
+    the dissipation of ``st``.
+    """
+    if variant not in VARIANTS:
         raise ValueError(f"unknown residual variant {variant!r}")
+    base = "fr" if variant in ("cs", "st") else variant
 
+    # Incidence rows are element-ordered, so per-element edge sums are
+    # reshapes: every (nE, m, ...) array below holds the n_local_edges * nq_e
+    # edge points of each element, edge by edge.
     n_elem = disc.mesh.n_elements
     p = disc.p
-    fhat_star, fhat_bc, ghat, uL, uR = interface_fluxes(disc, law, u, flux_kind, bc)
+    fhat_star, fhat_bc, ghat, _, _ = interface_fluxes(disc, law, u, flux_kind, bc)
+    if fhat_bc is not None:
+        dbc = fhat_bc - fhat_star
+        dbc[disc.interior_edge_ids] = 0.0
 
     phi = np.zeros((n_elem, disc.nd_max, p))
     bphi = np.zeros_like(phi)
@@ -138,108 +139,49 @@ def compute_residuals(
     brhs = np.zeros((n_elem, p))
     alphas: list[np.ndarray] = []
 
-    group_states = disc.element_states(u)
-    w_edges = disc.edge_w
-
-    for gi, g in enumerate(disc.groups):
-        U = group_states[gi]  # (nE, nd, p)
-        F = law.flux(U)  # (nE, nd, p, 2)
+    for g, U in zip(disc.groups, disc.element_states(u)):
         nd = g.n_dof
-        rows_e = g.inc_elem
-        rows_edge = g.inc_edge
-        rows_sign = np.where(g.inc_side == 0, 1.0, -1.0)
+        shape = g.inc_w.shape
+        F = law.flux(U)  # (nE, nd, p, 2)
 
-        phi_rows = np.where(
-            (g.inc_side == 0)[:, None, None],
-            disc.edge_phi_left[rows_edge][:, :, :nd],
-            disc.edge_phi_right[rows_edge][:, :, :nd],
-        )
-        w_rows = w_edges[rows_edge]
-        fstar_rows = fhat_star[rows_edge]
+        # outward single-valued flux and the interface mismatch
+        fs = g.inc_sign[..., None] * fhat_star[g.inc_edge].reshape(shape + (p,))
+        alpha = fs - np.einsum("emdx,edpx->emp", g.inc_ntrace, F)
+        alphas.append(alpha)
 
-        # interface mismatch seen from this element (outward orientation)
-        fh_trace = np.einsum("rqd,rdpx->rqpx", phi_rows, F[rows_e])
-        n_rows = disc.edge_normal[rows_edge]
-        fhn = np.einsum("rqpx,rx->rqp", fh_trace, n_rows)
-        alpha_rows = rows_sign[:, None, None] * (fstar_rows - fhn)
-        n_rows_q = g.n_local_edges * disc.nq_edge
-        alpha_g = np.zeros((g.n_elements, n_rows_q, p))
-        slot = np.arange(len(rows_e)) % g.n_local_edges
-        for k in range(g.n_local_edges):
-            sel = slot == k
-            alpha_g[rows_e[sel], k * disc.nq_edge : (k + 1) * disc.nq_edge] = alpha_rows[sel]
-        alphas.append(alpha_g)
-
-        # boundary flux integral and edge residual contribution
-        edge_term = np.einsum("rqd,rq,rqp->rdp", phi_rows, w_rows, fstar_rows)
-        edge_term *= rows_sign[:, None, None]
-        phi_g = np.zeros((g.n_elements, nd, p))
-        np.add.at(phi_g, rows_e, edge_term)
-        bflux_g = np.zeros((g.n_elements, p))
-        np.add.at(
-            bflux_g,
-            rows_e,
-            rows_sign[:, None] * np.einsum("rq,rqp->rp", w_rows, fstar_rows),
-        )
-        gbal_g = np.zeros(g.n_elements)
-        np.add.at(
-            gbal_g, rows_e, rows_sign * np.einsum("rq,rq->r", w_rows, ghat[rows_edge])
+        phi_g = np.einsum("emd,emp->edp", g.inc_wtrace, fs)
+        bflux[g.elem_ids] = np.einsum("em,emp->ep", g.inc_w, fs)
+        gbal[g.elem_ids] = np.einsum(
+            "em,em->e", g.inc_w, g.inc_sign * ghat[g.inc_edge].reshape(shape)
         )
 
-        # redistribution vectors from the correction backend
-        if variant in ("fr", "fr-strong"):
-            if g.correction_kind == "rt":
-                r_g = np.einsum("edm,emp->edp", g.rt_r, alpha_g)
-                divmom_g = np.einsum("edm,emp->edp", g.rt_div, alpha_g)
-            else:
-                r_g = np.zeros((g.n_elements, nd, p))
-                divmom_g = np.zeros((g.n_elements, nd, p))
-                for i in range(g.n_elements):
-                    alist = [
-                        alpha_g[i, k * disc.nq_edge : (k + 1) * disc.nq_edge]
-                        for k in range(g.n_local_edges)
-                    ]
-                    fld = g.neumann[i].free_field(alist)
-                    r_g[i] = fld.r_sigma
-                    divmom_g[i] = fld.div_moments
-        else:
-            r_g = np.zeros((g.n_elements, nd, p))
-            divmom_g = None
-
-        # volume terms per variant
-        if variant == "dg":
+        if base == "dg":
             uq = np.einsum("eqd,edp->eqp", g.vol_phi, U)
             fq = law.flux(uq)
             phi_g -= np.einsum("eq,eqdx,eqpx->edp", g.vol_w, g.vol_grad, fq)
-        elif variant in ("dg-interp", "fr"):
+        elif base == "dg-interp":
             phi_g -= np.einsum("edtx,etpx->edp", g.stiff, F)
-            if variant == "fr":
+        else:
+            r_g = np.einsum("edm,emp->edp", g.corr_r, alpha)
+            r_all[g.elem_ids, :nd] = r_g
+            if base == "fr":
+                phi_g -= np.einsum("edtx,etpx->edp", g.stiff, F)
                 phi_g += r_g
-        else:  # fr-strong: oint phi div(f^h + grad_psi)
-            phi_g = np.einsum("edtx,etpx->edp", g.dstrong, F) + divmom_g
-
-        # boundary-face residuals (weak Dirichlet data)
-        if fhat_bc is not None:
-            is_b = disc.edge_right[rows_edge] < 0
-            if is_b.any():
-                diff = (fhat_bc[rows_edge] - fstar_rows)[is_b]
-                bterm = np.einsum(
-                    "rqd,rq,rqp->rdp", phi_rows[is_b], w_rows[is_b], diff
+            else:  # fr-strong: oint phi div(f^h + grad_psi)
+                phi_g = np.einsum("edtx,etpx->edp", g.dstrong, F) + np.einsum(
+                    "edm,emp->edp", g.corr_div, alpha
                 )
-                bphi_g = np.zeros((g.n_elements, nd, p))
-                np.add.at(bphi_g, rows_e[is_b], bterm)
-                brhs_g = np.zeros((g.n_elements, p))
-                np.add.at(brhs_g, rows_e[is_b], np.einsum("rq,rqp->rp", w_rows[is_b], diff))
-                bphi[g.elem_ids, :nd] = bphi_g
-                brhs[g.elem_ids] = brhs_g
-
         phi[g.elem_ids, :nd] = phi_g
-        r_all[g.elem_ids, :nd] = r_g
-        bflux[g.elem_ids] = bflux_g
-        gbal[g.elem_ids] = gbal_g
 
-    return ResidualSet(
-        variant=variant,
+        # boundary-face residuals (weak Dirichlet data); boundary rows have
+        # the element on the left, so they carry no sign
+        if fhat_bc is not None:
+            d = dbc[g.inc_edge].reshape(shape + (p,))
+            bphi[g.elem_ids, :nd] = np.einsum("emd,emp->edp", g.inc_wtrace, d)
+            brhs[g.elem_ids] = np.einsum("em,emp->ep", g.inc_w, d)
+
+    out = ResidualSet(
+        variant=base,
         flux_kind=flux_kind,
         phi=phi,
         boundary_phi=bphi,
@@ -252,6 +194,13 @@ def compute_residuals(
         bres_rhs=brhs,
         alpha=alphas,
     )
+    if variant != base:
+        from . import entropy as _entropy
+
+        out = _entropy.cs_residuals(disc, law, u, out)
+        if variant == "st":
+            out = _entropy.st_residuals(disc, law, u, out, jump_coeff=jump_coeff)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +298,7 @@ def global_identity_check(
         gradv = np.einsum("eqdx,edp->eqpx", g.vol_grad, V)
         vol -= float(np.einsum("eq,eqpx,eqpx->", g.vol_w, gradv, fq))
 
-    nq = _edge_normals_q(disc)
-    vL = np.einsum("eqd,edp->eqp", disc.edge_phi_left, vpad[disc.edge_left])
-    right = np.where(disc.edge_right >= 0, disc.edge_right, disc.edge_left)
-    vR = np.einsum("eqd,edp->eqp", disc.edge_phi_right, vpad[right])
+    vL, vR = disc.edge_traces(vpad)
     if len(disc.boundary_edge_ids):
         vR[disc.boundary_edge_ids] = 0.0  # single-sided on the domain boundary
     edge_term = float(
@@ -429,45 +375,27 @@ def flux_split(disc: Discretization, law: ConservationLaw, u: np.ndarray,
     volume integral of the reconstructed flux contracted with the
     control-volume interface normals.
     """
-    g = disc.groups[disc.elem_group[eid]]
+    gi = disc.elem_group[eid]
+    g = disc.groups[gi]
     if g.kind != "triangle" or disc.degree != 1:
         raise ValueError("residual splitting is implemented for linear triangles")
     loc = disc.elem_local[eid]
     nd = g.n_dof
     phi = rset.phi[eid, :nd]
 
-    rows = np.nonzero(g.inc_elem == loc)[0]
-    fb = np.zeros((nd, disc.p))
-    for rrow in rows:
-        edge_id = g.inc_edge[rrow]
-        sign = 1.0 if g.inc_side[rrow] == 0 else -1.0
-        tr = (
-            disc.edge_phi_left[edge_id][:, :nd]
-            if g.inc_side[rrow] == 0
-            else disc.edge_phi_right[edge_id][:, :nd]
-        )
-        fb += sign * np.einsum(
-            "qd,q,qp->dp", tr, disc.edge_w[edge_id], rset.fhat_star[edge_id]
-        )
+    edges = g.inc_edge[loc * g.n_local_edges : (loc + 1) * g.n_local_edges]
+    fs = g.inc_sign[loc][:, None] * rset.fhat_star[edges].reshape(-1, disc.p)
+    fb = g.inc_wtrace[loc].T @ fs  # (nd, p): oint phi_s fhat_star, outward
 
     rho = phi - fb
     pair_flux = {
         (a, b): (rho[a] - rho[b]) / nd for a in range(nd) for b in range(a + 1, nd)
     }
 
-    U = disc.element_states(u)[disc.elem_group[eid]][loc]
+    U = np.asarray(u, dtype=float).reshape(disc.n_dofs, -1)[g.dof_idx[loc]]
     F = law.flux(U)  # (nd, p, 2)
     fh_int = np.einsum("q,qd,dpx->px", g.vol_w[loc], g.vol_phi[loc], F)
-    alpha = rset.alpha[disc.elem_group[eid]][loc]
-    if g.correction_kind == "rt":
-        fh_int = fh_int + np.einsum("mp,mx->px", alpha, g.rt_vol[loc])
-    else:
-        alist = [
-            alpha[k * disc.nq_edge : (k + 1) * disc.nq_edge]
-            for k in range(g.n_local_edges)
-        ]
-        fld = g.neumann[loc].free_field(alist)
-        fh_int = fh_int + fld.volume_integral
+    fh_int += rset.alpha[gi][loc].T @ g.corr_vol[loc]
     return FluxSplit(
         elem_id=eid,
         pair_flux=pair_flux,
@@ -481,31 +409,37 @@ def correction_fields(disc: Discretization, rset: ResidualSet,
                       target_r: np.ndarray | None = None) -> list:
     """Materialize the per-element correction fields behind a residual set.
 
-    With ``target_r`` (shape (n_elem, nd_max, p), rows summing to zero per
-    element) the fields are re-solved with those prescribed interior
-    moments via the constrained backend; otherwise the plain conservative
-    fields (cardinal members / zero moments) are returned.
+    Without ``target_r`` the fields come from the group tables the residual
+    evaluation applies (cardinal members / minimum-norm fields).  With
+    ``target_r`` (shape (n_elem, nd_max, p), rows summing to zero per
+    element) they are re-solved with those prescribed interior moments via
+    the constrained backend.
     """
-    fields = []
-    for eid in range(disc.mesh.n_elements):
-        gi = disc.elem_group[eid]
-        g = disc.groups[gi]
-        loc = disc.elem_local[eid]
-        alpha = rset.alpha[gi][loc]
-        alist = [
-            alpha[k * disc.nq_edge : (k + 1) * disc.nq_edge]
-            for k in range(g.n_local_edges)
-        ]
+    fields = [None] * disc.mesh.n_elements
+    for g, alpha in zip(disc.groups, rset.alpha):
+        split = (g.n_elements, g.n_local_edges, disc.nq_edge, alpha.shape[-1])
+        alist = alpha.reshape(split)
         if target_r is not None:
-            if g.correction_kind != "neumann":
-                raise ValueError(
-                    "prescribed interior moments need the constrained backend"
-                )
-            fields.append(g.neumann[loc].solve(alist, target_r[eid, : g.n_dof]))
-        elif g.correction_kind == "rt":
-            fields.append(g.rt_backends[loc].field(alist))
-        else:
-            fields.append(g.neumann[loc].free_field(alist))
+            for loc, eid in enumerate(g.elem_ids):
+                backend = g.backends[loc]
+                if not isinstance(backend, NeumannCorrectionBackend):
+                    raise ValueError(
+                        "prescribed interior moments need the constrained backend"
+                    )
+                fields[eid] = backend.solve(list(alist[loc]), target_r[eid, : g.n_dof])
+            continue
+        traces = np.einsum("emn,enp->emp", g.corr_trace, alpha).reshape(split)
+        r = np.einsum("edm,emp->edp", g.corr_r, alpha)
+        div = np.einsum("edm,emp->edp", g.corr_div, alpha)
+        vol = np.einsum("emp,emx->epx", alpha, g.corr_vol)
+        for loc, eid in enumerate(g.elem_ids):
+            fields[eid] = CorrectionField(
+                traces=list(traces[loc]),
+                alpha=list(alist[loc]),
+                r_sigma=r[loc],
+                div_moments=div[loc],
+                volume_integral=vol[loc],
+            )
     return fields
 
 

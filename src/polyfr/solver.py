@@ -86,12 +86,9 @@ def _dt_over_mu(disc: Discretization, law: ConservationLaw, u: np.ndarray,
 
 def residual_vector(disc: Discretization, law: ConservationLaw, u: np.ndarray,
                     config: SolverConfig, bc) -> tuple[np.ndarray, float]:
-    if config.variant == "st":
-        fr = compute_residuals(disc, law, u, "fr", config.flux, bc)
-        cs = entropy_mod.cs_residuals(disc, law, u, fr)
-        rset = entropy_mod.st_residuals(disc, law, u, cs, jump_coeff=config.jump_coeff)
-    else:
-        rset = compute_residuals(disc, law, u, config.variant, config.flux, bc)
+    rset = compute_residuals(
+        disc, law, u, config.variant, config.flux, bc, jump_coeff=config.jump_coeff
+    )
     R = assemble_global(disc, rset)
     gap = float(
         np.einsum(

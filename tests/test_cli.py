@@ -5,7 +5,9 @@ from pathlib import Path
 import pytest
 
 from polyfr import cli
+from polyfr import entropy as en
 from polyfr import mesh as pm
+from polyfr import residual as rs
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 
@@ -156,3 +158,66 @@ def test_cli_entrypoint_verify(tmp_path, capsys):
     assert rc == 0
     assert "PASS" in out
     assert (tmp_path / "v" / "verify_tadmor.json").exists()
+
+
+def _edited_shipped_case(tmp_path, name, **overrides):
+    cfg = json.loads((CASES / name).read_text(encoding="utf-8"))
+    cfg["mesh"] = str(CASES / cfg["mesh"])
+    cfg.update(overrides)
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    return path
+
+
+BAD_CONFIGS = {
+    "variant": {"variant": "upwind"},
+    "law": {"law": "euler"},
+    "flux": {"flux": "roe"},
+    "degree": {"degree": 7},
+}
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("key", list(BAD_CONFIGS))
+def test_config_errors_exit_4(tmp_path, capsys, command, key):
+    path = _edited_shipped_case(tmp_path, "burgers_verify.json", **BAD_CONFIGS[key])
+    argv = [command, str(path), "--output-dir", str(tmp_path / "o")]
+    if command == "verify":
+        argv += ["--suite", "tadmor"]
+    assert cli.main(argv) == 4
+    assert "config error" in capsys.readouterr().err
+
+
+def test_missing_boundary_tag_exits_4(tmp_path, capsys):
+    path = _edited_shipped_case(tmp_path, "burgers_verify.json", boundary={})
+    assert cli.main(["run", str(path), "--output-dir", str(tmp_path / "o")]) == 4
+    assert "boundary" in capsys.readouterr().err
+
+
+def test_run_eq44_uses_configured_jump_coeff(tmp_path, monkeypatch):
+    path = _write_case(
+        tmp_path, solver={"cfl": 0.8, "max_iters": 4000, "residual_tol": 1e-11,
+                          "jump_coeff": 0.5},
+    )
+    seen, solved = [], []
+    st_residuals, solve_steady = en.st_residuals, cli.solve_steady
+
+    def spy_st(*args, **kwargs):
+        seen.append(kwargs.get("jump_coeff"))
+        return st_residuals(*args, **kwargs)
+
+    def spy_solve(disc, law, config, bc, initial=None):
+        u, trace = solve_steady(disc, law, config, bc, initial=initial)
+        solved.append((disc, law, bc, u))
+        return u, trace
+
+    monkeypatch.setattr(en, "st_residuals", spy_st)
+    monkeypatch.setattr(cli, "solve_steady", spy_solve)
+    report = cli.run(path, tmp_path / "out")
+    assert seen and all(c == 0.5 for c in seen)
+
+    disc, law, bc, u = solved[0]
+    fr = rs.compute_residuals(disc, law, u, "fr", "rusanov", bc)
+    st = st_residuals(disc, law, u, en.cs_residuals(disc, law, u, fr), jump_coeff=0.5)
+    margin = -en.entropy_error(disc, law, u, st)
+    assert report["levels"][0]["defects"]["eq44"] == max(0.0, -float(margin.min()))

@@ -1,0 +1,135 @@
+"""Per-group correction tables against the per-element backends, and the
+table-driven residuals against the per-element formula."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from polyfr import correction as co
+from polyfr import mesh as pm
+from polyfr import physics as ph
+from polyfr import residual as rs
+from polyfr.discretization import Discretization
+
+CASES = Path(__file__).resolve().parent.parent / "cases"
+
+
+def _skewed_quads():
+    base = pm.structured_quads(3)
+    v = base.vertices.copy()
+    inner = np.all((v > 1e-9) & (v < 1 - 1e-9), axis=1)
+    v[inner] += np.random.default_rng(4).uniform(-0.08, 0.08, size=(inner.sum(), 2))
+    return pm.mesh_from_arrays(v, [e.vertex_ids for e in base.elements])
+
+
+def _hexagon_ring():
+    # a hexagon inside a ring of trapezoids, one of them split into two
+    # triangles: three element groups sharing interior edges
+    ang = np.pi / 3 * np.arange(6)
+    ring = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    verts = np.vstack([0.5 * ring, ring])
+    elems = [list(range(6)), [0, 1, 7], [0, 7, 6]]
+    elems += [[i, (i + 1) % 6, 6 + (i + 1) % 6, 6 + i] for i in range(1, 6)]
+    return pm.mesh_from_arrays(verts, elems)
+
+
+MESHES = {
+    "tri-k1": lambda: (pm.structured_triangles(3), 1),
+    "tri-k2": lambda: (pm.structured_triangles(2), 2),
+    "quad16": lambda: (pm.load_mesh(CASES / "quad_16.mesh.json"), 1),
+    "skew-quad": lambda: (_skewed_quads(), 1),
+    "hexagon": lambda: (pm.load_mesh(CASES / "hexagon.mesh.json"), 1),
+    "hexagon-ring": lambda: (_hexagon_ring(), 1),
+}
+
+
+def _reference_field(backend, alist):
+    if isinstance(backend, co.RTCorrectionBackend):
+        return backend.field(alist)
+    return backend.free_field(alist)
+
+
+def _term_scales(backend, alist):
+    """|A| |B| |alpha| bound of the products the reference field sums, per
+    output (r_sigma, div moments, volume integral transposed, traces).
+
+    The two evaluation orders differ by round-off of this size; relative to
+    the output they can differ by more, since the Neumann solve operator
+    has large entries that cancel (on skewed quads the reference itself is
+    off by 2e-13 of its output against an extended-precision evaluation).
+    """
+    if isinstance(backend, co.RTCorrectionBackend):
+        coef = np.abs(np.vstack(alist))
+        tabs = (backend.r_table, backend.div_table, backend.vol_table.T,
+                np.vstack(backend.trace_tables))
+    else:
+        b_tr = np.vstack([np.abs(op) @ np.abs(a) for op, a in zip(backend._interp_ops, alist)])
+        coef = np.abs(backend._p_tr) @ b_tr
+        tabs = (backend._r_coef, backend._div_coef, backend._vol_coef.T,
+                np.vstack(backend._trace_coef))
+    return [np.abs(tab) @ coef for tab in tabs]
+
+
+@pytest.mark.parametrize("name", list(MESHES))
+def test_group_tables_match_per_element_backends(name):
+    mesh, k = MESHES[name]()
+    disc = Discretization(mesh, k)
+    rng = np.random.default_rng(17)
+    nq = disc.nq_edge
+    for g in disc.groups:
+        want_kind = co.RTCorrectionBackend if g.kind == "triangle" else co.NeumannCorrectionBackend
+        assert all(isinstance(b, want_kind) for b in g.backends)
+        m = g.n_local_edges * nq
+        alpha = rng.standard_normal((g.n_elements, m, 2))
+        r = np.einsum("edm,emp->edp", g.corr_r, alpha)
+        div = np.einsum("edm,emp->edp", g.corr_div, alpha)
+        vol = np.einsum("emp,emx->epx", alpha, g.corr_vol)
+        traces = np.einsum("emn,enp->emp", g.corr_trace, alpha)
+        for loc, backend in enumerate(g.backends):
+            alist = list(alpha[loc].reshape(-1, nq, 2))
+            ref = _reference_field(backend, alist)
+            pairs = (
+                (r[loc], ref.r_sigma),
+                (div[loc], ref.div_moments),
+                (vol[loc].T, ref.volume_integral.T),
+                (traces[loc], np.concatenate(ref.traces)),
+            )
+            for (got, want), scale in zip(pairs, _term_scales(backend, alist)):
+                assert np.abs(got - want).max() <= 1e-13 * scale.max()
+
+
+@pytest.mark.parametrize("name", list(MESHES))
+def test_fr_residuals_match_per_element_formula(name):
+    mesh, k = MESHES[name]()
+    disc = Discretization(mesh, k)
+    law = ph.burgers_2d()
+    rng = np.random.default_rng(23)
+    u = law.random_states(rng, disc.n_dofs).reshape(disc.n_dofs, 1)
+    bc = rng.uniform(-2, 2, size=(len(mesh.edges), disc.nq_edge, 1))
+    fr = rs.compute_residuals(disc, law, u, "fr", "rusanov", bc)
+    strong = rs.compute_residuals(disc, law, u, "fr-strong", "rusanov", bc)
+    padded = disc.padded_states(u)
+    for eid in range(mesh.n_elements):
+        g = disc.groups[disc.elem_group[eid]]
+        loc = disc.elem_local[eid]
+        nd = g.n_dof
+        F = law.flux(padded[eid, :nd])  # (nd, p, 2)
+        edge_term = np.zeros((nd, 1))
+        alist = []
+        for edge_id in mesh.elements[eid].edge_ids:
+            left = disc.edge_left[edge_id] == eid
+            sign = 1.0 if left else -1.0
+            tr = (disc.edge_phi_left if left else disc.edge_phi_right)[edge_id][:, :nd]
+            fstar = fr.fhat_star[edge_id]
+            edge_term += sign * tr.T @ (disc.edge_w[edge_id][:, None] * fstar)
+            fhn = np.einsum("qd,dpx,x->qp", tr, F, disc.edge_normal[edge_id])
+            alist.append(sign * (fstar - fhn))
+        fld = _reference_field(g.backends[loc], alist)
+        want_fr = edge_term - np.einsum("dtx,tpx->dp", g.stiff[loc], F) + fld.r_sigma
+        want_strong = np.einsum("dtx,tpx->dp", g.dstrong[loc], F) + fld.div_moments
+        for got, want in ((fr.phi[eid, :nd], want_fr), (strong.phi[eid, :nd], want_strong)):
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        assert np.abs(fr.r_sigma[eid, :nd] - fld.r_sigma).max() <= 1e-12 * max(
+            1.0, np.abs(fld.r_sigma).max()
+        )
