@@ -389,7 +389,9 @@ class PolygonSpace(ElementSpace):
     def __init__(self, vertices, degree):
         super().__init__(vertices, degree)
         if degree != 1:
-            raise UnsupportedSpace("polygon elements support degree 1 only")
+            raise UnsupportedSpace(
+                f"{len(self.vertices)}-gon elements support degree 1 only (got {degree})"
+            )
         n = len(self.vertices)
         self.dof_coords = self.vertices.copy()
         self.sub_triangulation = [(0, i, i + 1) for i in range(1, n - 1)]
@@ -472,8 +474,6 @@ def space_for_coords(coords: np.ndarray, degree: int) -> ElementSpace:
     n = len(coords)
     if n == 3:
         return TriangleSpace(coords, degree)
-    if n == 4 and degree > 1:
-        return QuadSpace(coords, degree)
     if n == 4:
         return QuadSpace(coords, degree)
     return PolygonSpace(coords, degree)

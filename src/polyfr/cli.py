@@ -113,10 +113,12 @@ def load_config(path) -> dict:
         raise ConfigError(
             f"unknown variant {variant!r}; choose from {residual_mod.VARIANTS}"
         )
+    degree = cfg["degree"]
+    if not isinstance(degree, int) or isinstance(degree, bool):
+        raise ConfigError(f"degree must be an integer, got {degree!r}")
     try:
         law_by_name(cfg["law"], cfg.get("law_params"))
         numerical_flux(cfg.get("flux", "rusanov"))
-        int(cfg["degree"])
     except (TypeError, ValueError) as exc:  # UnsupportedLaw is a ValueError
         raise ConfigError(f"invalid config {path}: {exc}") from exc
     return cfg
@@ -154,7 +156,7 @@ def _build_disc(cfg: dict, mesh: Mesh) -> Discretization:
     try:
         return Discretization(
             mesh,
-            int(cfg["degree"]),
+            cfg["degree"],
             vol_order=cfg.get("volume_order"),
             edge_order=cfg.get("edge_order"),
             correction=cfg.get("correction", "auto"),
@@ -163,14 +165,12 @@ def _build_disc(cfg: dict, mesh: Mesh) -> Discretization:
         raise ConfigError(f"unsupported discretization: {exc}") from exc
 
 
-def defect_battery(disc: Discretization, law, u, flux_kind: str, bc,
-                   jump_coeff: float = 0.1) -> dict:
+def defect_battery(disc: Discretization, law, u, fr, jump_coeff: float = 0.1) -> dict:
     """Invariant defects evaluated at one state; keys match the report.
 
-    ``jump_coeff`` is the ``st`` dissipation scale the eq44 margin is
-    measured for.
+    ``fr`` is the ``fr`` residual set of ``u``; ``jump_coeff`` is the ``st``
+    dissipation scale the eq44 margin is measured for.
     """
-    fr = residual_mod.compute_residuals(disc, law, u, "fr", flux_kind, bc)
     out = {
         "eq5": float(residual_mod.element_conservation_defects(fr).max()),
         "eq6": float(residual_mod.boundary_conservation_defects(fr).max()),
@@ -191,14 +191,14 @@ def defect_battery(disc: Discretization, law, u, flux_kind: str, bc,
         out["eq44"] = None
         out["degenerate_correction"] = str(exc)
 
-    # interface dissipation functional over interior edges
-    padded = disc.padded_states(u)
-    uL, uR = disc.edge_traces(padded)
+    # interface dissipation functional of the numerical flux over interior
+    # edges, where fhat_star is that flux
+    uL, uR = disc.edge_traces(disc.padded_states(u))
     ii = disc.interior_edge_ids
     if len(ii):
-        nq = np.repeat(disc.edge_normal[ii][:, None, :], disc.nq_edge, axis=1)
-        flux = numerical_flux(flux_kind)
-        checks = tadmor_edge_check(law, uL[ii], uR[ii], nq, flux(law, uL[ii], uR[ii], nq))
+        checks = tadmor_edge_check(
+            law, uL[ii], uR[ii], disc.edge_normal_q[ii], fr.fhat_star[ii]
+        )
         out["tadmor_max"] = float(checks.max())
     else:
         out["tadmor_max"] = 0.0
@@ -221,13 +221,9 @@ def defect_battery(disc: Discretization, law, u, flux_kind: str, bc,
 def _merge_defects(acc: dict, defects: dict) -> None:
     # worst case across levels; the element-split margin keeps its minimum
     for key in DEFECT_KEYS:
-        new = defects.get(key)
-        old = acc.get(key)
-        if key == "ck_bdk_min":
-            known = [x for x in (old, new) if x is not None]
-            acc[key] = min(known) if known else None
-        else:
-            acc[key] = max(old or 0.0, new) if new is not None else old
+        known = [x for x in (acc.get(key), defects.get(key)) if x is not None]
+        worst = min if key == "ck_bdk_min" else max
+        acc[key] = worst(known) if known else None
 
 
 def _check_defects(defects: dict, tol_scale: float) -> None:
@@ -294,7 +290,7 @@ def run(config_path, output_dir=None, seed: int = 0, tol_scale: float = 1.0) -> 
         fr = residual_mod.compute_residuals(disc, law, u, "fr", solver_cfg.flux, bc)
         e_fr = entropy_mod.entropy_error(disc, law, u, fr)
         entry["entropy_defect_max"] = float(np.abs(e_fr).max())
-        defects = defect_battery(disc, law, u, solver_cfg.flux, bc, solver_cfg.jump_coeff)
+        defects = defect_battery(disc, law, u, fr, solver_cfg.jump_coeff)
         entry["defects"] = defects
         report["levels"].append(entry)
         _merge_defects(report["defects"], defects)

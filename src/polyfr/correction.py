@@ -97,7 +97,8 @@ class RTBasis:
         self.edge_normals = []
         self.edge_lengths = []
         self.flux_points = []
-        t, _ = gauss_legendre_01(p + 1)
+        if flux_points is None:
+            t, _ = gauss_legendre_01(p + 1)
         for e in range(3):
             v0, v1 = self.vertices[e], self.vertices[(e + 1) % 3]
             tang = v1 - v0

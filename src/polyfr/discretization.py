@@ -3,7 +3,11 @@ global DOF layout, interface traces, and per-group correction tables.
 
 Elements are grouped by family (kind, vertex count, dof count) so residual
 evaluation reduces to a handful of einsums per group plus vectorized flux
-calls over all mesh edges at once.  Both correction backends are linear in
+calls over all mesh edges at once.  Each edge quadrature rule is built once
+per mesh, and the basis traces are evaluated once per incidence row (one
+element, one local edge); the per-edge trace tables, the incidence tables,
+the boundary vectors ``nsigma`` and the correction backends' edge rules all
+come from these.  Both correction backends are linear in
 the interface mismatch, so each group stores its correction as stacked
 tables acting on the mismatch values; the per-element backends stay only as
 references and for prescribed interior moments.  DOFs are element-local
@@ -29,11 +33,10 @@ import numpy as np
 from . import correction as corr
 from .approximation import (
     ElementSpace,
-    PolygonSpace,
-    QuadSpace,
-    TriangleSpace,
-    UnsupportedSpace,
+    QuadratureRule,
     edge_quadrature,
+    gauss_legendre_01,
+    space_for_coords,
     volume_quadrature,
 )
 from .dofgraph import DofGraph, build_dof_graph
@@ -81,7 +84,6 @@ class ElementGroup:
     stiff: np.ndarray  # (nE, nd, nd, 2): oint grad(phi_s) phi_t dx
     dstrong: np.ndarray  # (nE, nd, nd, 2): oint phi_s grad(phi_t) dx
     mass_diag: np.ndarray  # (nE, nd) positive lumped measures, sum to |K|
-    nsigma: np.ndarray  # (nE, nd, 2): -oint_{dK} phi_s n dgamma
     # edge incidence: one row per (element, local edge), element-ordered
     # (row = loc * n_local_edges + k)
     inc_elem: np.ndarray  # index into this group's element axis
@@ -94,6 +96,7 @@ class ElementGroup:
     inc_w: np.ndarray | None = None  # (nE, m) edge quadrature weights
     inc_wtrace: np.ndarray | None = None  # (nE, m, nd) w * phi_s trace
     inc_ntrace: np.ndarray | None = None  # (nE, m, nd, 2) phi_s * outward n
+    nsigma: np.ndarray | None = None  # (nE, nd, 2): -oint_{dK} phi_s n dgamma
     # correction tables acting on the outward mismatch alpha (nE, m, p)
     corr_r: np.ndarray | None = None  # (nE, nd, m): r_sigma
     corr_div: np.ndarray | None = None  # (nE, nd, m): oint phi_s div
@@ -138,43 +141,24 @@ class Discretization:
     # ------------------------------------------------------------------
     def _build_edges(self) -> None:
         mesh = self.mesh
-        n_edges = len(mesh.edges)
-        nq = self.nq_edge
-        self.edge_pts = np.zeros((n_edges, nq, 2))
-        self.edge_w = np.zeros((n_edges, nq))
-        self.edge_normal = np.zeros((n_edges, 2))
-        self.edge_left = np.full(n_edges, -1, dtype=int)
-        self.edge_right = np.full(n_edges, -1, dtype=int)
-        for e in mesh.edges:
-            v0 = mesh.vertices[e.vertex_ids[0]]
-            v1 = mesh.vertices[e.vertex_ids[1]]
-            rule = edge_quadrature(v0, v1, self.edge_order)
-            self.edge_pts[e.id] = rule.points
-            self.edge_w[e.id] = rule.weights
-            self.edge_normal[e.id] = e.normal
-            self.edge_left[e.id] = e.left_element
-            self.edge_right[e.id] = -1 if e.right_element is None else e.right_element
-        self.boundary_edge_ids = np.array(
-            [e.id for e in mesh.edges if e.is_boundary], dtype=int
+        ends = mesh.vertices[np.array([e.vertex_ids for e in mesh.edges], dtype=int)]
+        # one Gauss rule for all edges, with the arithmetic of edge_quadrature
+        # so that every rule is bit-identical to it
+        t, w = gauss_legendre_01(self.nq_edge)
+        span = ends[:, 1] - ends[:, 0]
+        self.edge_pts = ends[:, :1] + t[None, :, None] * span[:, None, :]
+        self.edge_w = w[None, :] * np.hypot(span[:, 0], span[:, 1])[:, None]
+        self.edge_normal = np.array([e.normal for e in mesh.edges])
+        self.edge_left = np.array([e.left_element for e in mesh.edges], dtype=int)
+        self.edge_right = np.array(
+            [-1 if e.right_element is None else e.right_element for e in mesh.edges],
+            dtype=int,
         )
-        self.interior_edge_ids = np.array(
-            [e.id for e in mesh.edges if not e.is_boundary], dtype=int
-        )
+        self.boundary_edge_ids = np.nonzero(self.edge_right < 0)[0]
+        self.interior_edge_ids = np.nonzero(self.edge_right >= 0)[0]
         # right neighbour, or the left element itself on boundary edges
         self.edge_other = np.where(self.edge_right >= 0, self.edge_right, self.edge_left)
-        self.edge_normal_q = np.repeat(self.edge_normal[:, None, :], nq, axis=1)
-
-    def _space_for(self, coords: np.ndarray) -> ElementSpace:
-        n = len(coords)
-        if n == 3:
-            return TriangleSpace(coords, self.degree)
-        if n == 4:
-            return QuadSpace(coords, self.degree)
-        if self.degree != 1:
-            raise UnsupportedSpace(
-                f"{n}-gon elements support degree 1 only (got {self.degree})"
-            )
-        return PolygonSpace(coords, 1)
+        self.edge_normal_q = np.repeat(self.edge_normal[:, None, :], self.nq_edge, axis=1)
 
     def _boosted_order(self, coords, space, base_order, kind) -> int:
         # raise the quadrature order until basis-product integration by parts
@@ -253,21 +237,9 @@ class Discretization:
             self._pad_mask[eid, :nd] = 1.0
 
         # basis traces on edges, padded to nd_max
-        nq = self.nq_edge
-        n_edges = len(mesh.edges)
-        self.edge_phi_left = np.zeros((n_edges, nq, self.nd_max))
-        self.edge_phi_right = np.zeros((n_edges, nq, self.nd_max))
-        for gi, g in enumerate(self.groups):
-            for loc, eid in enumerate(g.elem_ids):
-                space = g.spaces[loc]
-                for k in range(g.n_local_edges):
-                    row = loc * g.n_local_edges + k
-                    edge_id = g.inc_edge[row]
-                    phi = space.eval(self.edge_pts[edge_id])
-                    if g.inc_side[row] == 0:
-                        self.edge_phi_left[edge_id, :, : g.n_dof] = phi
-                    else:
-                        self.edge_phi_right[edge_id, :, : g.n_dof] = phi
+        shape = (len(mesh.edges), self.nq_edge, self.nd_max)
+        self.edge_phi_left = np.zeros(shape)
+        self.edge_phi_right = np.zeros(shape)
         for g in self.groups:
             self._attach_incidence(g)
 
@@ -282,7 +254,7 @@ class Discretization:
         boost = 0
         for eid in ids:
             coords = mesh.element_coords(eid)
-            space = self._space_for(coords)
+            space = space_for_coords(coords, self.degree)
             spaces.append(space)
             order = self.vol_order
             if kind == "polygon":
@@ -352,51 +324,36 @@ class Discretization:
             stiff=stiff,
             dstrong=dstrong,
             mass_diag=mass_diag,
-            nsigma=np.zeros((nE, nd, 2)),
             inc_elem=np.array(inc_elem, dtype=int),
             inc_edge=np.array(inc_edge, dtype=int),
             inc_side=np.array(inc_side, dtype=int),
             n_local_edges=n_vert,
             boost_order=boost,
         )
-        self._attach_edge_geometry(group)
         self._attach_correction(group, vol_rules)
         return group
 
     def _attach_incidence(self, g: ElementGroup) -> None:
-        # state-independent parts of the per-element edge terms
-        shape = (g.n_elements, g.n_local_edges * self.nq_edge)
+        # the basis traces of every incidence row, evaluated once; they fill
+        # the padded per-edge tables and the state-independent parts of the
+        # per-element edge terms
+        nle, nd = g.n_local_edges, g.n_dof
+        shape = (g.n_elements, nle * self.nq_edge)
+        trace = np.stack([
+            g.spaces[row // nle].eval(self.edge_pts[edge_id])
+            for row, edge_id in enumerate(g.inc_edge)
+        ])  # (rows, nq_e, nd)
         left = g.inc_side == 0
+        self.edge_phi_left[g.inc_edge[left], :, :nd] = trace[left]
+        self.edge_phi_right[g.inc_edge[~left], :, :nd] = trace[~left]
         sign = np.where(left, 1.0, -1.0)
-        trace = np.where(
-            left[:, None, None],
-            self.edge_phi_left[g.inc_edge],
-            self.edge_phi_right[g.inc_edge],
-        )[:, :, : g.n_dof]
         w = self.edge_w[g.inc_edge]
         normal = sign[:, None] * self.edge_normal[g.inc_edge]
         g.inc_sign = np.repeat(sign, self.nq_edge).reshape(shape)
         g.inc_w = w.reshape(shape)
-        g.inc_wtrace = (w[:, :, None] * trace).reshape(shape + (g.n_dof,))
-        g.inc_ntrace = np.einsum("rqd,rx->rqdx", trace, normal).reshape(
-            shape + (g.n_dof, 2)
-        )
-
-    def _attach_edge_geometry(self, group: ElementGroup) -> None:
-        mesh = self.mesh
-        for i, eid in enumerate(group.elem_ids):
-            space = group.spaces[i]
-            elem = mesh.elements[eid]
-            for edge_id in elem.edge_ids:
-                edge = mesh.edges[edge_id]
-                v0 = mesh.vertices[edge.vertex_ids[0]]
-                v1 = mesh.vertices[edge.vertex_ids[1]]
-                rule = edge_quadrature(v0, v1, self.edge_order)
-                sign = 1.0 if edge.left_element == eid else -1.0
-                phi = space.eval(rule.points)
-                group.nsigma[i] -= sign * np.einsum(
-                    "q,qd,x->dx", rule.weights, phi, edge.normal
-                )
+        g.inc_wtrace = (w[:, :, None] * trace).reshape(shape + (nd,))
+        g.inc_ntrace = np.einsum("rqd,rx->rqdx", trace, normal).reshape(shape + (nd, 2))
+        g.nsigma = -np.einsum("em,emdx->edx", g.inc_w, g.inc_ntrace)
 
     def _attach_correction(self, group: ElementGroup, vol_rules) -> None:
         mode = self.correction
@@ -405,31 +362,28 @@ class Discretization:
         if mode == "rt" and (group.kind != "triangle" or self.nq_edge != self.degree + 1):
             mode = "neumann"
 
-        mesh = self.mesh
-        edge_rule_of = lambda eid: edge_quadrature(
-            mesh.vertices[mesh.edges[eid].vertex_ids[0]],
-            mesh.vertices[mesh.edges[eid].vertex_ids[1]],
-            self.edge_order,
-        )
-
+        # the stored edge rules and outward normals, per element edge by edge
+        rows = group.inc_edge.reshape(group.n_elements, group.n_local_edges)
+        sides = group.inc_side.reshape(rows.shape)
         backends = []
         for i, eid in enumerate(group.elem_ids):
-            elem = mesh.elements[eid]
-            rules = [edge_rule_of(k) for k in elem.edge_ids]
+            rules = [
+                QuadratureRule(self.edge_pts[k], self.edge_w[k], self.edge_order)
+                for k in rows[i]
+            ]
             if mode == "rt":
                 basis = corr.RTBasis(
-                    self.degree, mesh.element_coords(eid),
+                    self.degree, self.mesh.element_coords(eid),
                     flux_points=[r.points for r in rules],
                 )
                 backends.append(
                     corr.RTCorrectionBackend(basis, group.spaces[i], vol_rules[i], rules)
                 )
             else:
-                normals = []
-                for k in elem.edge_ids:
-                    edge = mesh.edges[k]
-                    sign = 1.0 if edge.left_element == eid else -1.0
-                    normals.append(sign * edge.normal)
+                normals = [
+                    (1.0 if side == 0 else -1.0) * self.edge_normal[k]
+                    for k, side in zip(rows[i], sides[i])
+                ]
                 backends.append(
                     corr.NeumannCorrectionBackend(
                         group.spaces[i], vol_rules[i], rules, normals
@@ -515,7 +469,3 @@ class Discretization:
                     spaces[eid] = g.spaces[loc]
             self._dof_graph = build_dof_graph(self.mesh, spaces)
         return self._dof_graph
-
-    def element_space(self, eid: int) -> ElementSpace:
-        g = self.groups[self.elem_group[eid]]
-        return g.spaces[self.elem_local[eid]]

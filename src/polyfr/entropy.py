@@ -125,18 +125,6 @@ def st_residuals(disc: Discretization, law: ConservationLaw, u: np.ndarray,
     return replace(cs_set, variant="st", phi=cs_set.phi + psi)
 
 
-def entropy_balance_defects(disc: Discretization, law: ConservationLaw,
-                            u: np.ndarray, rset: ResidualSet) -> np.ndarray:
-    """Per-element <v, Phi> - oint g_hat, scaled by max(1, local magnitudes).
-
-    Zero (to round-off) for the conservative variant; nonnegative for the
-    dissipative one.
-    """
-    e_vals = entropy_error(disc, law, u, rset)
-    scale = np.maximum(1.0, np.abs(rset.gbal))
-    return -e_vals / scale
-
-
 def fr_entropy_condition_check(disc: Discretization, law: ConservationLaw,
                                u: np.ndarray, fr_set: ResidualSet,
                                flux_kind: str | None = None,
@@ -256,8 +244,8 @@ def error_decomposition(disc: Discretization, law: ConservationLaw, u: np.ndarra
             t2 = np.einsum("qd,dp,qtx,tpx->q", val, V, grad, F)
             return t1 + t2
 
-        rule_lo = _vol_rule(coords, vol_order, kind=g.kind if g.kind != "polygon" else "polygon")
-        rule_hi = _vol_rule(coords, vol_order + ref_boost, kind=g.kind if g.kind != "polygon" else "polygon")
+        rule_lo = _vol_rule(coords, vol_order, kind=g.kind)
+        rule_hi = _vol_rule(coords, vol_order + ref_boost, kind=g.kind)
         terms.sur1[eid] = float(
             np.dot(rule_lo.weights, div_vf(rule_lo.points))
             - np.dot(rule_hi.weights, div_vf(rule_hi.points))

@@ -60,14 +60,6 @@ class ResidualSet:
     bres_rhs: np.ndarray  # (n_elem, p): sum of oint_G (fhat_bc - fhat_star)
     alpha: list[np.ndarray] | None = None  # per group, (nE, n_alpha, p)
 
-    def element_residual(self, disc: Discretization, eid: int) -> np.ndarray:
-        nd = disc.n_dof_elem[eid]
-        return self.phi[eid, :nd]
-
-    def boundary_residual(self, disc: Discretization, eid: int) -> np.ndarray:
-        nd = disc.n_dof_elem[eid]
-        return self.boundary_phi[eid, :nd]
-
 
 def interface_fluxes(disc, law, u, flux_kind, bc=None):
     """Single-valued interface fluxes and the entropy flux at edge points.
@@ -224,39 +216,6 @@ def boundary_conservation_defects(rset: ResidualSet) -> np.ndarray:
 def assemble_global(disc: Discretization, rset: ResidualSet) -> np.ndarray:
     """Accumulated per-DOF residual (element plus boundary contributions)."""
     return disc.scatter_padded(rset.phi + rset.boundary_phi)
-
-
-# ---------------------------------------------------------------------------
-# per-element convenience wrappers
-# ---------------------------------------------------------------------------
-
-def dg_element_residual(disc, law, u, eid, flux_kind="rusanov", bc=None,
-                        interpolated_flux=False) -> np.ndarray:
-    variant = "dg-interp" if interpolated_flux else "dg"
-    rset = compute_residuals(disc, law, u, variant, flux_kind, bc)
-    return rset.element_residual(disc, eid)
-
-
-def fr_element_residual_gauss(disc, law, u, eid, flux_kind="rusanov", bc=None):
-    rset = compute_residuals(disc, law, u, "fr", flux_kind, bc)
-    nd = disc.n_dof_elem[eid]
-    return rset.element_residual(disc, eid), rset.r_sigma[eid, :nd]
-
-
-def fr_element_residual_strong(disc, law, u, eid, flux_kind="rusanov", bc=None):
-    rset = compute_residuals(disc, law, u, "fr-strong", flux_kind, bc)
-    return rset.element_residual(disc, eid)
-
-
-def boundary_residual(disc, law, u, eid, flux_kind="rusanov", bc=None) -> np.ndarray:
-    if bc is None:
-        raise BoundaryDataMissing("boundary residuals need Dirichlet data")
-    rset = compute_residuals(disc, law, u, "dg", flux_kind, bc)
-    return rset.boundary_residual(disc, eid)
-
-
-class BoundaryDataMissing(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------

@@ -184,10 +184,7 @@ def manufactured_error(disc: Discretization, u: np.ndarray, exact,
     for eid in range(disc.mesh.n_elements):
         g = disc.groups[disc.elem_group[eid]]
         space = g.spaces[disc.elem_local[eid]]
-        rule = volume_quadrature(
-            disc.mesh.element_coords(eid), order,
-            kind=g.kind if g.kind != "polygon" else "polygon",
-        )
+        rule = volume_quadrature(disc.mesh.element_coords(eid), order, kind=g.kind)
         uh = space.eval(rule.points) @ padded[eid, : g.n_dof]
         ue = np.asarray(exact(rule.points), dtype=float)
         if ue.ndim == 1:

@@ -174,6 +174,7 @@ BAD_CONFIGS = {
     "law": {"law": "euler"},
     "flux": {"flux": "roe"},
     "degree": {"degree": 7},
+    "fractional-degree": {"degree": 1.5},
 }
 
 
@@ -221,3 +222,15 @@ def test_run_eq44_uses_configured_jump_coeff(tmp_path, monkeypatch):
     st = st_residuals(disc, law, u, en.cs_residuals(disc, law, u, fr), jump_coeff=0.5)
     margin = -en.entropy_error(disc, law, u, st)
     assert report["levels"][0]["defects"]["eq44"] == max(0.0, -float(margin.min()))
+
+
+def test_merged_defects_keep_negative_level_values():
+    # Rusanov dissipates, so a level's interface functional can be negative
+    # everywhere; the worst case across levels must not be floored at zero
+    acc = {}
+    for tadmor, eq5, ck in ((-3.4e-4, 1e-15, 0.2), (-1e-3, 2e-15, None)):
+        cli._merge_defects(acc, {"tadmor_max": tadmor, "eq5": eq5, "ck_bdk_min": ck})
+    assert acc["tadmor_max"] == -3.4e-4
+    assert acc["eq5"] == 2e-15
+    assert acc["ck_bdk_min"] == 0.2
+    assert acc["eq32"] is None

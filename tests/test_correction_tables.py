@@ -10,6 +10,7 @@ from polyfr import correction as co
 from polyfr import mesh as pm
 from polyfr import physics as ph
 from polyfr import residual as rs
+from polyfr.approximation import edge_quadrature
 from polyfr.discretization import Discretization
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
@@ -133,3 +134,41 @@ def test_fr_residuals_match_per_element_formula(name):
         assert np.abs(fr.r_sigma[eid, :nd] - fld.r_sigma).max() <= 1e-12 * max(
             1.0, np.abs(fld.r_sigma).max()
         )
+
+
+@pytest.mark.parametrize("name", list(MESHES))
+def test_nsigma_matches_per_element_edge_loop(name):
+    mesh, k = MESHES[name]()
+    disc = Discretization(mesh, k)
+    for g in disc.groups:
+        for loc, eid in enumerate(g.elem_ids):
+            want = np.zeros((g.n_dof, 2))
+            for edge_id in mesh.elements[eid].edge_ids:
+                edge = mesh.edges[edge_id]
+                rule = edge_quadrature(*mesh.vertices[list(edge.vertex_ids)], disc.edge_order)
+                sign = 1.0 if edge.left_element == eid else -1.0
+                phi = g.spaces[loc].eval(rule.points)
+                want -= sign * np.einsum("q,qd,x->dx", rule.weights, phi, edge.normal)
+            assert np.abs(g.nsigma[loc] - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name", list(MESHES))
+def test_backend_edge_rules_are_edge_quadrature(name):
+    # the RT backend keeps only its flux points, the edge rules' points
+    mesh, k = MESHES[name]()
+    disc = Discretization(mesh, k)
+    for g in disc.groups:
+        for eid, backend in zip(g.elem_ids, g.backends):
+            edge_ids = mesh.elements[eid].edge_ids
+            rt = isinstance(backend, co.RTCorrectionBackend)
+            rules = backend.basis.flux_points if rt else backend.edge_rules
+            assert len(rules) == len(edge_ids)
+            for rule, edge_id in zip(rules, edge_ids):
+                ends = mesh.vertices[list(mesh.edges[edge_id].vertex_ids)]
+                want = edge_quadrature(*ends, disc.edge_order)
+                if rt:
+                    assert np.array_equal(rule, want.points)
+                    continue
+                assert np.array_equal(rule.points, want.points)
+                assert np.array_equal(rule.weights, want.weights)
+                assert rule.declared_order == want.declared_order

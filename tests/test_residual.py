@@ -247,28 +247,3 @@ def test_lipschitz_probe_finite_for_burgers():
     rep = rs.lipschitz_hypothesis_probe(disc, law, "fr", 2.0, rng, n_samples=200)
     assert np.isfinite(rep["constant"])
     assert rep["constant"] > 0
-
-
-def test_per_element_wrappers_match_batched_results():
-    disc, law, u, bc = _setup("tri2-k1")
-    full_dg = rs.compute_residuals(disc, law, u, "dg", "rusanov", bc)
-    full_fr = rs.compute_residuals(disc, law, u, "fr", "rusanov", bc)
-    full_st = rs.compute_residuals(disc, law, u, "fr-strong", "rusanov", bc)
-    for eid in range(disc.mesh.n_elements):
-        nd = disc.n_dof_elem[eid]
-        assert np.allclose(
-            rs.dg_element_residual(disc, law, u, eid, bc=bc), full_dg.phi[eid, :nd]
-        )
-        phi, r = rs.fr_element_residual_gauss(disc, law, u, eid, bc=bc)
-        assert np.allclose(phi, full_fr.phi[eid, :nd])
-        assert np.allclose(r, full_fr.r_sigma[eid, :nd])
-        assert np.allclose(
-            rs.fr_element_residual_strong(disc, law, u, eid, bc=bc),
-            full_st.phi[eid, :nd],
-        )
-        assert np.allclose(
-            rs.boundary_residual(disc, law, u, eid, bc=bc),
-            full_dg.boundary_phi[eid, :nd],
-        )
-    with pytest.raises(rs.BoundaryDataMissing):
-        rs.boundary_residual(disc, law, u, 0, bc=None)
