@@ -15,14 +15,11 @@ from .approximation import (
     volume_quadrature,
 )
 from .correction import (
-    AdmissibilityReport,
     CorrectionError,
     CorrectionField,
     NeumannCorrectionBackend,
     RTBasis,
     RTCorrectionBackend,
-    build_rt_triangle_basis,
-    check_admissibility,
 )
 from .discretization import BoundaryData, Discretization
 from .dofgraph import DofGraph, build_dof_graph, element_dof_graph
@@ -65,7 +62,7 @@ from .residual import (
     ResidualSet,
     assemble_global,
     compute_residuals,
-    correction_fields,
+    correction_defects,
     element_conservation_defects,
     flux_split,
     global_identity_check,

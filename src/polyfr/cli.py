@@ -38,7 +38,7 @@ import numpy as np
 from . import entropy as entropy_mod
 from . import residual as residual_mod
 from .approximation import UnsupportedSpace
-from .discretization import BoundaryData, Discretization
+from .discretization import CORRECTIONS, BoundaryData, Discretization
 from .mesh import Mesh, MeshError, load_mesh, refine_uniform
 from .physics import (
     law_by_name,
@@ -113,6 +113,9 @@ def load_config(path) -> dict:
         raise ConfigError(
             f"unknown variant {variant!r}; choose from {residual_mod.VARIANTS}"
         )
+    correction = cfg.get("correction", "auto")
+    if correction not in CORRECTIONS:
+        raise ConfigError(f"unknown correction {correction!r}; choose from {CORRECTIONS}")
     degree = cfg["degree"]
     if not isinstance(degree, int) or isinstance(degree, bool):
         raise ConfigError(f"degree must be an integer, got {degree!r}")
@@ -175,9 +178,9 @@ def defect_battery(disc: Discretization, law, u, fr, jump_coeff: float = 0.1) ->
         "eq5": float(residual_mod.element_conservation_defects(fr).max()),
         "eq6": float(residual_mod.boundary_conservation_defects(fr).max()),
     }
-    fields = residual_mod.correction_fields(disc, fr)
-    out["eq21"] = max(f.trace_defect() for f in fields)
-    out["eq27"] = max(f.r_sum() / f.scale() for f in fields)
+    eq21, eq27 = residual_mod.correction_defects(disc, fr)
+    out["eq21"] = float(eq21.max())
+    out["eq27"] = float(eq27.max())
     try:
         cs = entropy_mod.cs_residuals(disc, law, u, fr)
         out["eq32"] = float(np.abs(entropy_mod.entropy_error(disc, law, u, cs)).max())
@@ -403,18 +406,18 @@ def verify(config_path, suite: str, seed: int = 0, tol_scale: float = 1.0,
                     float(residual_mod.boundary_conservation_defects(rset).max()),
                 )
         for variant in worst:
-            add(f"eq5[{variant}]", worst[variant], 1e-10 * tol_scale)
-            add(f"eq6[{variant}]", worst_b[variant], 1e-10 * tol_scale)
+            add(f"eq5[{variant}]", worst[variant], DEFECT_TOLS["eq5"] * tol_scale)
+            add(f"eq6[{variant}]", worst_b[variant], DEFECT_TOLS["eq6"] * tol_scale)
     elif suite == "correction-admissibility":
         trace_worst = r_worst = 0.0
         for _ in range(draws):
             u = random_state()
             rset = residual_mod.compute_residuals(disc, law, u, "fr", flux_kind, random_bc())
-            for fld in residual_mod.correction_fields(disc, rset):
-                trace_worst = max(trace_worst, fld.trace_defect())
-                r_worst = max(r_worst, fld.r_sum() / fld.scale())
-        add("eq21", trace_worst, 1e-11 * tol_scale)
-        add("eq27", r_worst, 1e-11 * tol_scale)
+            eq21, eq27 = residual_mod.correction_defects(disc, rset)
+            trace_worst = max(trace_worst, float(eq21.max()))
+            r_worst = max(r_worst, float(eq27.max()))
+        add("eq21", trace_worst, DEFECT_TOLS["eq21"] * tol_scale)
+        add("eq27", r_worst, DEFECT_TOLS["eq27"] * tol_scale)
     elif suite == "entropy-cs":
         worst = 0.0
         tau_worst = 0.0
@@ -425,7 +428,7 @@ def verify(config_path, suite: str, seed: int = 0, tol_scale: float = 1.0,
             worst = max(worst, float(np.abs(entropy_mod.entropy_error(disc, law, u, cs)).max()))
             tau = cs.phi - fr.phi
             tau_worst = max(tau_worst, float(np.abs(tau.sum(axis=1)).max()))
-        add("eq32", worst, 1e-10 * tol_scale)
+        add("eq32", worst, DEFECT_TOLS["eq32"] * tol_scale)
         add("tau_sum", tau_worst, 1e-12 * tol_scale * max(
             1.0, abs(law.admissible_box[0]), abs(law.admissible_box[1])))
     elif suite == "entropy-st":
@@ -437,7 +440,7 @@ def verify(config_path, suite: str, seed: int = 0, tol_scale: float = 1.0,
             )
             margin = -entropy_mod.entropy_error(disc, law, u, st)
             worst = min(worst, float(margin.min()))
-        add("eq44", worst, 1e-11 * tol_scale, larger_ok=True)
+        add("eq44", worst, DEFECT_TOLS["eq44"] * tol_scale, larger_ok=True)
     elif suite == "tadmor":
         n = 1000
         uL = law.random_states(rng, n)

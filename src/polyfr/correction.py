@@ -12,11 +12,11 @@ which together keep the distributed residuals conservative.  Two backends
 construct such fields:
 
 ``rt``
-    Cardinal Raviart-Thomas bases on triangles.  Each member is the unique
-    RT field of the requested order with unit normal trace at one edge flux
-    point, zero at the others, and vanishing interior moments.  Flux points
-    coincide with the Gauss points of the edge quadrature, so the trace
-    condition holds exactly at the quadrature points.
+    Cardinal Raviart-Thomas bases on triangles.  Each member is the
+    L2-smallest RT field of the requested order with unit normal trace at
+    one edge flux point and zero at the others.  Flux points coincide with
+    the Gauss points of the edge quadrature, so the trace condition holds
+    exactly at the quadrature points.
 
 ``neumann``
     On arbitrary polygons the field is sought in a vector polynomial space:
@@ -73,15 +73,11 @@ class RTBasis:
     divergence lies in P_p.
 
     The trace conditions leave p*(p+1) interior degrees of freedom per
-    member.  ``interior="min-norm"`` (default) closes them by picking the
-    L2-smallest field, which carries nonzero gradient moments and hence a
-    genuine redistribution; ``interior="zero-moment"`` zeroes the moments
-    against [P_{p-1}]^2, which annihilates every gradient moment and makes
-    the corrected scheme coincide with its interpolated-flux reference.
+    member; they are closed by picking the L2-smallest field, which carries
+    nonzero gradient moments and hence a genuine redistribution.
     """
 
-    def __init__(self, p: int, vertices, flux_points: list[np.ndarray] | None = None,
-                 interior: str = "min-norm"):
+    def __init__(self, p: int, vertices, flux_points: list[np.ndarray] | None = None):
         if not 1 <= p <= 3:
             raise CorrectionError(f"Raviart-Thomas order {p} not supported")
         self.degree = p
@@ -110,7 +106,6 @@ class RTBasis:
             else:
                 self.flux_points.append(np.asarray(flux_points[e], dtype=float))
 
-        n_dim = (p + 1) * (p + 3)
         trace_rows = []
         # edge functionals: normal component at the flux points
         for e in range(3):
@@ -120,46 +115,20 @@ class RTBasis:
         rule = volume_quadrature(self.vertices, 2 * p + 2, kind="triangle")
         raw = self._raw_eval(rule.points)
 
-        if interior == "zero-moment":
-            rows = [tmat]
-            for a, b in _monomial_exponents(p - 1):
-                mono = self._local_mono(rule.points, a, b)
-                for comp in range(2):
-                    rows.append(((rule.weights * mono) @ raw[:, :, comp])[None, :])
-            mat = np.vstack(rows)
-            if mat.shape != (n_dim, n_dim):
-                raise CorrectionError("Raviart-Thomas functional count mismatch")
-            cond = np.linalg.cond(mat)
-            if not np.isfinite(cond) or cond > 1e12:
-                raise CorrectionError(
-                    f"singular dual-functional matrix (cond {cond:.2e}); "
-                    "choose different flux points"
-                )
-            rhs = np.zeros((n_dim, self.n_members))
-            rhs[: self.n_members] = np.eye(self.n_members)
-            self._coeffs = np.linalg.solve(mat, rhs)
-        elif interior == "min-norm":
-            gram = np.einsum("q,qix,qjx->ij", rule.weights, raw, raw)
-            gram_t = np.linalg.solve(gram, tmat.T)  # (n_dim, n_members)
-            tgt = tmat @ gram_t
-            cond = np.linalg.cond(tgt)
-            if not np.isfinite(cond) or cond > 1e12:
-                raise CorrectionError(
-                    f"singular dual-functional matrix (cond {cond:.2e}); "
-                    "choose different flux points"
-                )
-            self._coeffs = gram_t @ np.linalg.solve(tgt, np.eye(self.n_members))
-        else:
-            raise CorrectionError(f"unknown interior completion {interior!r}")
-        self.interior = interior
+        gram = np.einsum("q,qix,qjx->ij", rule.weights, raw, raw)
+        gram_t = np.linalg.solve(gram, tmat.T)  # (n_dim, n_members)
+        tgt = tmat @ gram_t
+        cond = np.linalg.cond(tgt)
+        if not np.isfinite(cond) or cond > 1e12:
+            raise CorrectionError(
+                f"singular dual-functional matrix (cond {cond:.2e}); "
+                "choose different flux points"
+            )
+        self._coeffs = gram_t @ np.linalg.solve(tgt, np.eye(self.n_members))
 
     # raw (non-cardinal) span evaluation -----------------------------------
     def _local(self, points):
         return (np.atleast_2d(points) - self._center) / self._scale
-
-    def _local_mono(self, points, a, b):
-        u = self._local(points)
-        return u[:, 0] ** a * u[:, 1] ** b
 
     def _raw_eval(self, points) -> np.ndarray:
         pts = np.atleast_2d(points)
@@ -204,13 +173,6 @@ class RTBasis:
         return self.eval(points) @ self.edge_normals[edge]
 
 
-def build_rt_triangle_basis(p: int, vertices=None, interior: str = "min-norm") -> RTBasis:
-    """Cardinal RT basis on a triangle with Gauss flux points (p+1 per edge)."""
-    if vertices is None:
-        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    return RTBasis(p, vertices, interior=interior)
-
-
 # ---------------------------------------------------------------------------
 # correction fields
 # ---------------------------------------------------------------------------
@@ -245,34 +207,6 @@ class CorrectionField:
     def scale(self) -> float:
         mags = [np.abs(a).max(initial=0.0) for a in self.alpha]
         return max(1.0, float(max(mags, default=0.0)), float(np.abs(self.r_sigma).max(initial=0.0)))
-
-
-@dataclass
-class AdmissibilityReport:
-    trace_defect: float
-    r_sum_defect: float
-    scale: float
-    trace_tol: float
-    r_tol: float
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.trace_defect <= self.trace_tol * self.scale
-            and self.r_sum_defect <= self.r_tol * self.scale
-        )
-
-
-def check_admissibility(field: CorrectionField, trace_tol: float = 1e-11,
-                        r_tol: float = 1e-11) -> AdmissibilityReport:
-    """Measure the two admissibility defects of a correction field."""
-    return AdmissibilityReport(
-        trace_defect=field.trace_defect(),
-        r_sum_defect=field.r_sum(),
-        scale=field.scale(),
-        trace_tol=trace_tol,
-        r_tol=r_tol,
-    )
 
 
 class RTCorrectionBackend:
@@ -495,12 +429,6 @@ class NeumannCorrectionBackend:
             volume_integral=coeffs.T @ self._vol_coef,
             solve_residual=float(max(res_tr, res_mom)),
         )
-
-    def zero_moment_field(self, alpha: list[np.ndarray]) -> CorrectionField:
-        """Field with all prescribed moments zero: the corrected residuals
-        coincide with their interpolated-flux reference."""
-        p = np.asarray(alpha[0]).shape[-1]
-        return self.solve(alpha, np.zeros((self.n_dof, p)))
 
     def free_field(self, alpha: list[np.ndarray]) -> CorrectionField:
         """Minimum-norm field matching the boundary traces only; its

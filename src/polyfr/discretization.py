@@ -42,6 +42,8 @@ from .approximation import (
 from .dofgraph import DofGraph, build_dof_graph
 from .mesh import Mesh
 
+CORRECTIONS = ("auto", "rt", "neumann")
+
 
 class BoundaryDataError(KeyError):
     pass
@@ -78,7 +80,6 @@ class ElementGroup:
     perimeters: np.ndarray
     diameters: np.ndarray
     vol_w: np.ndarray  # (nE, nq)
-    vol_pts: np.ndarray  # (nE, nq, 2)
     vol_phi: np.ndarray  # (nE, nq, nd)
     vol_grad: np.ndarray  # (nE, nq, nd, 2)
     stiff: np.ndarray  # (nE, nd, nd, 2): oint grad(phi_s) phi_t dx
@@ -105,7 +106,6 @@ class ElementGroup:
     # per-element backends: the tables' reference, and the solver for
     # prescribed interior moments
     backends: list = field(default_factory=list)
-    boost_order: int = 0
 
     @property
     def n_elements(self) -> int:
@@ -124,6 +124,10 @@ class Discretization:
         correction: str = "auto",
         p: int = 1,
     ):
+        if correction not in CORRECTIONS:
+            raise ValueError(
+                f"unknown correction backend {correction!r}; choose from {CORRECTIONS}"
+            )
         self.mesh = mesh
         self.degree = int(degree)
         self.p = int(p)
@@ -251,7 +255,6 @@ class Discretization:
         mesh = self.mesh
         spaces: list[ElementSpace] = []
         vol_rules = []
-        boost = 0
         for eid in ids:
             coords = mesh.element_coords(eid)
             space = space_for_coords(coords, self.degree)
@@ -259,20 +262,17 @@ class Discretization:
             order = self.vol_order
             if kind == "polygon":
                 order = self._boosted_order(coords, space, order, kind)
-                boost = max(boost, order)
             elif kind == "quad" and not self._is_parallelogram(coords):
                 # mapped bases pull back polynomial under the bilinear map;
                 # the extra tensor order covers products with the (higher
                 # degree) correction field
                 order = max(order, 2 * self.degree) + 10
-                boost = max(boost, order)
             vol_rules.append(volume_quadrature(coords, order, kind=kind))
 
         nE = len(ids)
         nd = spaces[0].n_dof
         nq = max(len(r.points) for r in vol_rules)
         vol_w = np.zeros((nE, nq))
-        vol_pts = np.zeros((nE, nq, 2))
         vol_phi = np.zeros((nE, nq, nd))
         vol_grad = np.zeros((nE, nq, nd, 2))
         areas = np.zeros(nE)
@@ -281,11 +281,6 @@ class Discretization:
         for i, (eid, space, rule) in enumerate(zip(ids, spaces, vol_rules)):
             m = len(rule.points)
             vol_w[i, :m] = rule.weights
-            vol_pts[i, :m] = rule.points
-            # unused padded slots keep the first point so flux evaluation of
-            # padded entries stays finite (weights are zero there)
-            if m < nq:
-                vol_pts[i, m:] = rule.points[0]
             vol_phi[i, :m] = space.eval(rule.points)
             vol_grad[i, :m] = space.grad(rule.points)
             elem = mesh.elements[eid]
@@ -318,7 +313,6 @@ class Discretization:
             perimeters=perims,
             diameters=diams,
             vol_w=vol_w,
-            vol_pts=vol_pts,
             vol_phi=vol_phi,
             vol_grad=vol_grad,
             stiff=stiff,
@@ -328,7 +322,6 @@ class Discretization:
             inc_edge=np.array(inc_edge, dtype=int),
             inc_side=np.array(inc_side, dtype=int),
             n_local_edges=n_vert,
-            boost_order=boost,
         )
         self._attach_correction(group, vol_rules)
         return group

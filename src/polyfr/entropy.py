@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .correction import NeumannCorrectionBackend
 from .discretization import Discretization
 from .dofgraph import ElementDofGraph
 from .physics import ConservationLaw, normal_flux
@@ -172,18 +173,18 @@ def entropy_conservative_residuals(disc: Discretization, law: ConservationLaw,
 
     Requires the constrained (``neumann``) correction backend.
     """
-    from .residual import correction_fields
-
     ref = compute_residuals(disc, law, u, "dg-interp", flux_kind, bc)
     targets = entropy_conservative_targets(disc, law, u, ref)
-    fields = correction_fields(disc, ref, target_r=targets)
-    phi = ref.phi.copy()
-    r_sigma = np.zeros_like(phi)
-    for eid, fld in enumerate(fields):
-        nd = disc.n_dof_elem[eid]
-        phi[eid, :nd] += fld.r_sigma
-        r_sigma[eid, :nd] = fld.r_sigma
-    return replace(ref, variant="fr", phi=phi, r_sigma=r_sigma)
+    r_sigma = np.zeros_like(ref.phi)
+    for g, alpha in zip(disc.groups, ref.alpha):
+        alist = alpha.reshape(g.n_elements, g.n_local_edges, disc.nq_edge, -1)
+        for loc, eid in enumerate(g.elem_ids):
+            backend = g.backends[loc]
+            if not isinstance(backend, NeumannCorrectionBackend):
+                raise ValueError("prescribed interior moments need the constrained backend")
+            fld = backend.solve(list(alist[loc]), targets[eid, : g.n_dof])
+            r_sigma[eid, : g.n_dof] = fld.r_sigma
+    return replace(ref, variant="fr", phi=ref.phi + r_sigma, r_sigma=r_sigma)
 
 
 # ---------------------------------------------------------------------------

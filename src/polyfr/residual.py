@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correction import CorrectionField, NeumannCorrectionBackend
 from .discretization import BoundaryData, Discretization
 from .physics import (
     ConservationLaw,
@@ -364,42 +363,25 @@ def flux_split(disc: Discretization, law: ConservationLaw, u: np.ndarray,
     )
 
 
-def correction_fields(disc: Discretization, rset: ResidualSet,
-                      target_r: np.ndarray | None = None) -> list:
-    """Materialize the per-element correction fields behind a residual set.
+def correction_defects(disc: Discretization, rset: ResidualSet) -> tuple[np.ndarray, np.ndarray]:
+    """Per-element admissibility defects of the correction behind ``rset``.
 
-    Without ``target_r`` the fields come from the group tables the residual
-    evaluation applies (cardinal members / minimum-norm fields).  With
-    ``target_r`` (shape (n_elem, nd_max, p), rows summing to zero per
-    element) they are re-solved with those prescribed interior moments via
-    the constrained backend.
+    eq21 is the largest normal-trace mismatch |trace - alpha| at the edge
+    quadrature points; eq27 the largest component of sum_s r_sigma, scaled
+    by max(1, |alpha|, |r_sigma|).  Both read the group tables the residual
+    evaluation applies.  Returns (eq21, eq27), each of shape (n_elem,).
     """
-    fields = [None] * disc.mesh.n_elements
+    eq21 = np.zeros(disc.mesh.n_elements)
+    eq27 = np.zeros(disc.mesh.n_elements)
     for g, alpha in zip(disc.groups, rset.alpha):
-        split = (g.n_elements, g.n_local_edges, disc.nq_edge, alpha.shape[-1])
-        alist = alpha.reshape(split)
-        if target_r is not None:
-            for loc, eid in enumerate(g.elem_ids):
-                backend = g.backends[loc]
-                if not isinstance(backend, NeumannCorrectionBackend):
-                    raise ValueError(
-                        "prescribed interior moments need the constrained backend"
-                    )
-                fields[eid] = backend.solve(list(alist[loc]), target_r[eid, : g.n_dof])
-            continue
-        traces = np.einsum("emn,enp->emp", g.corr_trace, alpha).reshape(split)
-        r = np.einsum("edm,emp->edp", g.corr_r, alpha)
-        div = np.einsum("edm,emp->edp", g.corr_div, alpha)
-        vol = np.einsum("emp,emx->epx", alpha, g.corr_vol)
-        for loc, eid in enumerate(g.elem_ids):
-            fields[eid] = CorrectionField(
-                traces=list(traces[loc]),
-                alpha=list(alist[loc]),
-                r_sigma=r[loc],
-                div_moments=div[loc],
-                volume_integral=vol[loc],
-            )
-    return fields
+        r = rset.r_sigma[g.elem_ids, : g.n_dof]
+        trace = np.einsum("emn,enp->emp", g.corr_trace, alpha)
+        eq21[g.elem_ids] = np.abs(trace - alpha).max(axis=(1, 2))
+        scale = np.maximum(
+            1.0, np.maximum(np.abs(alpha).max(axis=(1, 2)), np.abs(r).max(axis=(1, 2)))
+        )
+        eq27[g.elem_ids] = np.abs(r.sum(axis=1)).max(axis=1) / scale
+    return eq21, eq27
 
 
 # ---------------------------------------------------------------------------

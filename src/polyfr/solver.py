@@ -8,14 +8,14 @@ Euler on the lumped system,
 where mu_sigma is the (positive, diagonal-mass) lumped measure of the DOF
 and dtau_sigma = cfl * mu_sigma / Lambda_K with Lambda_K = 0.5 * (2k + 1) *
 wavespeed * perimeter, the inverse element time scale of the explicit
-stability bound.  Both uniform (global minimum) and per-DOF step modes are
-available; the uniform mode keeps the mass-weighted state sum changing only
-through boundary fluxes, step by step.
+stability bound; the element wave speed is floored at the largest wave speed
+of the Dirichlet data.  Both uniform (global minimum) and per-DOF step modes
+are available; the uniform mode keeps the mass-weighted state sum changing
+only through boundary fluxes, step by step.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +24,13 @@ from . import entropy as entropy_mod
 from .discretization import BoundaryData, Discretization
 from .physics import ConservationLaw
 from .residual import assemble_global, compute_residuals
+
+
+# a state past this magnitude counts as diverged; a relative residual
+# change below STAGNATION_EPS over STAGNATION_WINDOW steps as stagnated
+DIVERGENCE_LIMIT = 1e8
+STAGNATION_WINDOW = 200
+STAGNATION_EPS = 1e-12
 
 
 class SolverDiverged(RuntimeError):
@@ -39,9 +46,6 @@ class SolverConfig:
     flux: str = "rusanov"
     local_dt: bool = True
     jump_coeff: float = 0.1  # dissipation scale of the "st" variant
-    divergence_limit: float = 1e8
-    stagnation_window: int = 200
-    stagnation_eps: float = 1e-12
 
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
@@ -58,7 +62,6 @@ class SolveTrace:
     iterations: int = 0
     converged: bool = False
     stagnated: bool = False
-    wall_time: float = 0.0
 
 
 def lumped_measures(disc: Discretization) -> np.ndarray:
@@ -69,12 +72,20 @@ def lumped_measures(disc: Discretization) -> np.ndarray:
     return mu
 
 
+def _boundary_wave_speed(disc: Discretization, law: ConservationLaw,
+                         ub: np.ndarray) -> float:
+    """Largest wave speed of the Dirichlet values ``ub`` (n_edges, nq_e, p)."""
+    return float(law.max_wave_speed(ub[disc.boundary_edge_ids]).max(initial=0.0))
+
+
 def _dt_over_mu(disc: Discretization, law: ConservationLaw, u: np.ndarray,
-                config: SolverConfig, mu: np.ndarray) -> np.ndarray:
+                config: SolverConfig, mu: np.ndarray,
+                speed_floor: float = 0.0) -> np.ndarray:
+    # the floor keeps the step finite on a zero-speed state (Burgers at rest)
     coef = np.zeros(disc.n_dofs)
     scale = 0.5 * (2 * disc.degree + 1)
     for gi, g in enumerate(disc.groups):
-        speeds = law.max_wave_speed(u[g.dof_idx]).max(axis=1)
+        speeds = np.maximum(law.max_wave_speed(u[g.dof_idx]).max(axis=1), speed_floor)
         lam = np.maximum(scale * speeds * g.perimeters, 1e-14)
         coef[g.dof_idx.reshape(-1)] = np.repeat(config.cfl / lam, g.n_dof)
     if not config.local_dt:
@@ -106,10 +117,12 @@ def pseudo_time_step(disc: Discretization, law: ConservationLaw, u: np.ndarray,
                      mu: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
     """One forward-Euler pseudo-time step; returns the new state and norms."""
     mu = lumped_measures(disc) if mu is None else mu
+    if isinstance(bc, BoundaryData):
+        bc = disc.boundary_values(bc)
     R, gap = residual_vector(disc, law, u, config, bc)
-    coef = _dt_over_mu(disc, law, u, config, mu)
+    coef = _dt_over_mu(disc, law, u, config, mu, _boundary_wave_speed(disc, law, bc))
     u_new = u - coef[:, None] * R
-    if not np.isfinite(u_new).all() or np.abs(u_new).max() > config.divergence_limit:
+    if not np.isfinite(u_new).all() or np.abs(u_new).max() > DIVERGENCE_LIMIT:
         raise SolverDiverged("pseudo-time iteration produced a non-finite state")
     norms = {
         "l2": float(np.sqrt((mu[:, None] * R * R).sum() / mu.sum())),
@@ -128,13 +141,13 @@ def solve_steady(disc: Discretization, law: ConservationLaw,
     catches exact initial data.  Stagnation (no relative progress over a
     trailing window) returns the best iterate with a flag.
     """
-    t0 = time.perf_counter()
     u = disc.zero_states() if initial is None else np.array(initial, dtype=float)
     if u.ndim == 1:
         u = u[:, None]
     mu = lumped_measures(disc)
     if isinstance(bc, BoundaryData):
         bc = disc.boundary_values(bc)  # Dirichlet data is state-independent
+    speed_floor = _boundary_wave_speed(disc, law, bc)
     trace = SolveTrace()
 
     best_u, best_res = u, np.inf
@@ -155,19 +168,18 @@ def solve_steady(disc: Discretization, law: ConservationLaw,
         if res / res0 <= config.residual_tol:
             trace.converged = True
             break
-        w = config.stagnation_window
+        w = STAGNATION_WINDOW
         if it >= w and trace.res_l2[-w] > 0:
-            if abs(trace.res_l2[-w] - res) <= config.stagnation_eps * trace.res_l2[-w]:
+            if abs(trace.res_l2[-w] - res) <= STAGNATION_EPS * trace.res_l2[-w]:
                 trace.stagnated = True
                 break
-        coef = _dt_over_mu(disc, law, u, config, mu)
+        coef = _dt_over_mu(disc, law, u, config, mu, speed_floor)
         u = u - coef[:, None] * R
-        if not np.isfinite(u).all() or np.abs(u).max() > config.divergence_limit:
+        if not np.isfinite(u).all() or np.abs(u).max() > DIVERGENCE_LIMIT:
             raise SolverDiverged(
                 f"pseudo-time iteration diverged after {it + 1} steps"
             )
         trace.iterations = it + 1
-    trace.wall_time = time.perf_counter() - t0
     return (best_u if trace.stagnated else u), trace
 
 

@@ -175,6 +175,7 @@ BAD_CONFIGS = {
     "flux": {"flux": "roe"},
     "degree": {"degree": 7},
     "fractional-degree": {"degree": 1.5},
+    "correction": {"correction": "no-such-backend"},
 }
 
 
@@ -187,6 +188,12 @@ def test_config_errors_exit_4(tmp_path, capsys, command, key):
         argv += ["--suite", "tadmor"]
     assert cli.main(argv) == 4
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["burgers_verify.json", "burgers_hexagon.json"])
+def test_shipped_burgers_cases_run(tmp_path, name):
+    # both start from rest, where the Burgers wave speed is zero
+    assert cli.main(["run", str(CASES / name), "--output-dir", str(tmp_path / "o")]) == 0
 
 
 def test_missing_boundary_tag_exits_4(tmp_path, capsys):

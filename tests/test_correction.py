@@ -4,6 +4,9 @@ import pytest
 from polyfr import approximation as ap
 from polyfr import correction as co
 from polyfr import mesh as pm
+from polyfr import physics as ph
+from polyfr import residual as rs
+from polyfr.discretization import Discretization
 
 RNG = np.random.default_rng(55)
 
@@ -23,7 +26,7 @@ def _edge_rules(coords, order):
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_rt_basis_member_count_and_space_dimension(p):
-    basis = co.build_rt_triangle_basis(p, TRI)
+    basis = co.RTBasis(p, TRI)
     assert basis.n_members == 3 * (p + 1)
     # the construction solves a square system of dimension (p+1)(p+3),
     # verified numerically through its rank
@@ -34,7 +37,7 @@ def test_rt_basis_member_count_and_space_dimension(p):
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_rt_cardinal_trace_matrix_is_identity(p):
-    basis = co.build_rt_triangle_basis(p, TRI)
+    basis = co.RTBasis(p, TRI)
     blocks = [basis.normal_trace(e, basis.flux_points[e]) for e in range(3)]
     mat = np.vstack(blocks)
     assert np.abs(mat - np.eye(basis.n_members)).max() <= 1e-12
@@ -42,7 +45,7 @@ def test_rt_cardinal_trace_matrix_is_identity(p):
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_rt_divergence_and_trace_polynomial_degrees(p):
-    basis = co.build_rt_triangle_basis(p, TRI)
+    basis = co.RTBasis(p, TRI)
     # divergence values fit a total-degree-p polynomial exactly
     pts = RNG.random((25, 2)) * 0.3 + 0.2
     vand = np.stack(
@@ -90,7 +93,6 @@ def test_rt_field_zero_mismatch_gives_zero_field(k):
     assert fld.trace_defect() == 0.0
     assert np.abs(fld.r_sigma).max() == 0.0
     assert np.abs(fld.volume_integral).max() == 0.0
-    assert co.check_admissibility(fld).passed
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -109,14 +111,24 @@ def test_rt_field_matches_trace_and_requadrature_oracle(k):
 
 
 def test_admissibility_flags_corrupted_trace():
-    backend, *_ , rules = _rt_backend(1)
-    alpha = [RNG.normal(size=(len(r.points), 1)) for r in rules]
-    fld = backend.field(alpha)
-    fld.traces = [1.1 * t for t in fld.traces]
-    rep = co.check_admissibility(fld)
-    mag = max(np.abs(np.vstack(alpha)).max(), 1.0)
-    assert rep.trace_defect >= 0.05 * mag
-    assert not rep.passed
+    disc = Discretization(pm.structured_triangles(2), 1)
+    law = ph.burgers_2d()
+    u = law.random_states(RNG, disc.n_dofs).reshape(disc.n_dofs, 1)
+    bc = RNG.uniform(-2, 2, size=(len(disc.mesh.edges), disc.nq_edge, 1))
+    fr = rs.compute_residuals(disc, law, u, "fr", "rusanov", bc)
+    eq21, eq27 = rs.correction_defects(disc, fr)
+    assert eq21.max() <= 1e-11 and eq27.max() <= 1e-11
+    # RT traces are cardinal: scaled by 1.1 they miss alpha by 0.1 |alpha|
+    disc.groups[0].corr_trace = 1.1 * disc.groups[0].corr_trace
+    eq21, _ = rs.correction_defects(disc, fr)
+    mag = np.abs(fr.alpha[0]).max(axis=(1, 2))
+    assert np.all(eq21 >= 0.099 * mag)
+    assert eq21.max() > 1e-11
+    # a redistribution vector that no longer sums to zero shows in eq27
+    fr.r_sigma[3, 0] += 1.0
+    _, eq27 = rs.correction_defects(disc, fr)
+    assert eq27[3] > 1e-3
+    assert np.delete(eq27, 3).max() <= 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +158,7 @@ def test_neumann_constant_trace_has_zero_moment_sum():
     # normal trace leaves the moment sum at zero automatically
     backend, _, _, rules = _neumann_backend(TRI, 1)
     alpha = [np.ones((len(r.points), 1)) for r in rules]
-    fld = backend.zero_moment_field(alpha)
+    fld = backend.solve(alpha, np.zeros((3, 1)))
     assert fld.trace_defect() <= 1e-12
     assert abs(float(fld.r_sigma.sum())) <= 1e-12
 

@@ -1,5 +1,6 @@
-"""Per-group correction tables against the per-element backends, and the
-table-driven residuals against the per-element formula."""
+"""Per-group correction tables against the per-element backends, the
+table-driven residuals against the per-element formula, and the table-driven
+admissibility defects against the per-element fields."""
 
 from pathlib import Path
 
@@ -137,6 +138,28 @@ def test_fr_residuals_match_per_element_formula(name):
 
 
 @pytest.mark.parametrize("name", list(MESHES))
+def test_correction_defects_match_reference_fields(name):
+    mesh, k = MESHES[name]()
+    disc = Discretization(mesh, k)
+    law = ph.burgers_2d()
+    rng = np.random.default_rng(29)
+    u = law.random_states(rng, disc.n_dofs).reshape(disc.n_dofs, 1)
+    bc = rng.uniform(-2, 2, size=(len(mesh.edges), disc.nq_edge, 1))
+    fr = rs.compute_residuals(disc, law, u, "fr", "rusanov", bc)
+    eq21, eq27 = rs.correction_defects(disc, fr)
+    for g, alpha in zip(disc.groups, fr.alpha):
+        for loc, (eid, backend) in enumerate(zip(g.elem_ids, g.backends)):
+            alist = list(alpha[loc].reshape(g.n_local_edges, disc.nq_edge, 1))
+            ref = _reference_field(backend, alist)
+            r_scale, _, _, t_scale = _term_scales(backend, alist)
+            assert abs(eq21[eid] - ref.trace_defect()) <= 1e-13 * t_scale.max()
+            # r_sum adds n_dof terms, each within the table round-off
+            want = ref.r_sum() / ref.scale()
+            assert abs(eq27[eid] - want) <= 1e-13 * g.n_dof * r_scale.max()
+            assert max(eq21[eid], eq27[eid]) <= 1e-11
+
+
+@pytest.mark.parametrize("name", list(MESHES))
 def test_nsigma_matches_per_element_edge_loop(name):
     mesh, k = MESHES[name]()
     disc = Discretization(mesh, k)
@@ -172,3 +195,8 @@ def test_backend_edge_rules_are_edge_quadrature(name):
                 assert np.array_equal(rule.points, want.points)
                 assert np.array_equal(rule.weights, want.weights)
                 assert rule.declared_order == want.declared_order
+
+
+def test_unknown_correction_backend_rejected():
+    with pytest.raises(ValueError, match="no-such-backend"):
+        Discretization(pm.two_triangle_square(), 1, correction="no-such-backend")

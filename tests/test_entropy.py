@@ -191,6 +191,14 @@ def test_entropy_conservative_residuals(mesh, k, correction):
     assert np.abs(rset.r_sigma.sum(axis=1)).max() <= 1e-10
 
 
+def test_entropy_conservative_residuals_need_constrained_backend():
+    law = ph.burgers_2d()
+    disc = Discretization(pm.structured_triangles(2), 1)  # RT backends
+    u = law.random_states(np.random.default_rng(4), disc.n_dofs).reshape(disc.n_dofs, 1)
+    with pytest.raises(ValueError, match="constrained backend"):
+        en.entropy_conservative_residuals(disc, law, u)
+
+
 # ---------------------------------------------------------------------------
 # smoothness decomposition
 # ---------------------------------------------------------------------------

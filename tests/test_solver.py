@@ -46,6 +46,16 @@ def test_constant_state_with_matching_dirichlet_is_fixed_point():
     assert np.abs(u2 - u).max() <= 1e-13
 
 
+def test_burgers_step_from_rest_is_finite():
+    # the zero state has wave speed 0; the step takes the boundary data's
+    disc = Discretization(pm.structured_quads(2), 1)
+    bc = BoundaryData.from_function(lambda pts: np.full(len(pts), 0.5))
+    u0 = disc.zero_states()
+    u, norms = sv.pseudo_time_step(disc, ph.burgers_2d(), u0, sv.SolverConfig(), bc)
+    assert norms["linf"] > 0.0
+    assert 0.0 < np.abs(u).max() <= 0.5
+
+
 def test_exact_initial_data_converges_immediately():
     disc, law, bc = _advection_setup()
     cfg = sv.SolverConfig(residual_tol=1e-12)
