@@ -12,7 +12,9 @@ the interface mismatch, so each group stores its correction as stacked
 tables acting on the mismatch values; the per-element backends stay only as
 references and for prescribed interior moments.  DOFs are element-local
 (broken space): the global index of local DOF ``i`` of element ``e`` is
-``offset[e] + i``.
+``offset[e] + i``, and every nodal quantity (states, residuals,
+redistribution vectors, entropy variables) is one flat (n_dofs, p) array in
+which element ``e`` owns rows ``offset[e] : offset[e] + nd``.
 
 Quadrature orders default to volume 2k and edge 2k+1, strictly above the
 minimal orders the error analysis needs, so quadrature never masks scheme
@@ -42,7 +44,8 @@ from .approximation import (
 from .dofgraph import DofGraph, build_dof_graph
 from .mesh import Mesh
 
-CORRECTIONS = ("auto", "rt", "neumann")
+# "auto": RT on triangles whose edge rule has k+1 points, Neumann elsewhere
+CORRECTIONS = ("auto", "neumann")
 
 
 class BoundaryDataError(KeyError):
@@ -126,7 +129,8 @@ class Discretization:
     ):
         if correction not in CORRECTIONS:
             raise ValueError(
-                f"unknown correction backend {correction!r}; choose from {CORRECTIONS}"
+                f"unknown correction backend {correction!r}; choose from "
+                f"{CORRECTIONS} ('auto' builds RT wherever it applies)"
             )
         self.mesh = mesh
         self.degree = int(degree)
@@ -233,12 +237,15 @@ class Discretization:
             g.dof_idx = (
                 self.dof_offset[g.elem_ids][:, None] + np.arange(g.n_dof)[None, :]
             )
-        self._pad_idx = np.zeros((mesh.n_elements, self.nd_max), dtype=int)
-        self._pad_mask = np.zeros((mesh.n_elements, self.nd_max, 1))
-        for eid in range(mesh.n_elements):
-            nd = self.n_dof_elem[eid]
-            self._pad_idx[eid, :nd] = self.dof_offset[eid] + np.arange(nd)
-            self._pad_mask[eid, :nd] = 1.0
+        # position of each mesh element in the group-by-group element order
+        self._group_rank = np.argsort(np.concatenate([g.elem_ids for g in self.groups]))
+        # each edge side's DOF rows, padded to nd_max with the element's last
+        # row; the padded trace columns are zero, so the padding adds nothing
+        elem_dofs = self.dof_offset[:, None] + np.minimum(
+            np.arange(self.nd_max)[None, :], self.n_dof_elem[:, None] - 1
+        )
+        self.edge_dofs_left = elem_dofs[self.edge_left]
+        self.edge_dofs_other = elem_dofs[self.edge_other]
 
         # basis traces on edges, padded to nd_max
         shape = (len(mesh.edges), self.nq_edge, self.nd_max)
@@ -349,11 +356,11 @@ class Discretization:
         g.nsigma = -np.einsum("em,emdx->edx", g.inc_w, g.inc_ntrace)
 
     def _attach_correction(self, group: ElementGroup, vol_rules) -> None:
-        mode = self.correction
-        if mode == "auto":
-            mode = "rt" if group.kind == "triangle" else "neumann"
-        if mode == "rt" and (group.kind != "triangle" or self.nq_edge != self.degree + 1):
-            mode = "neumann"
+        rt = (
+            self.correction == "auto"
+            and group.kind == "triangle"
+            and self.nq_edge == self.degree + 1
+        )
 
         # the stored edge rules and outward normals, per element edge by edge
         rows = group.inc_edge.reshape(group.n_elements, group.n_local_edges)
@@ -364,7 +371,7 @@ class Discretization:
                 QuadratureRule(self.edge_pts[k], self.edge_w[k], self.edge_order)
                 for k in rows[i]
             ]
-            if mode == "rt":
+            if rt:
                 basis = corr.RTBasis(
                     self.degree, self.mesh.element_coords(eid),
                     flux_points=[r.points for r in rules],
@@ -397,9 +404,7 @@ class Discretization:
     def dof_coords(self) -> np.ndarray:
         coords = np.zeros((self.n_dofs, 2))
         for g in self.groups:
-            for loc, eid in enumerate(g.elem_ids):
-                off = self.dof_offset[eid]
-                coords[off : off + g.n_dof] = g.spaces[loc].dof_coords
+            coords[g.dof_idx] = np.stack([s.dof_coords for s in g.spaces])
         return coords
 
     def interpolate_function(self, fn: Callable) -> np.ndarray:
@@ -418,29 +423,24 @@ class Discretization:
             u = u[:, None]
         return [u[g.dof_idx] for g in self.groups]
 
-    def padded_states(self, u: np.ndarray) -> np.ndarray:
-        """(n_elements, nd_max, p) zero-padded nodal states in mesh order."""
-        u = np.asarray(u, dtype=float)
-        if u.ndim == 1:
-            u = u[:, None]
-        return u[self._pad_idx] * self._pad_mask
+    def element_reduce(self, fn: Callable, *arrays: np.ndarray) -> np.ndarray:
+        """Per-element values (n_elements, ...) of ``fn``, which reduces axis 1
+        of each group's element blocks ``a[g.dof_idx]`` (nE, nd, ...) of the
+        per-DOF ``arrays``.  Blocks keep the summation order of per-element
+        sums and einsums, which ``ufunc.reduceat`` over flat rows does not."""
+        vals = [fn(*(a[g.dof_idx] for a in arrays)) for g in self.groups]
+        return np.concatenate(vals)[self._group_rank]
 
-    def scatter_padded(self, padded: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`padded_states` (sums nothing, just re-packs)."""
-        p = padded.shape[2]
-        u = np.zeros((self.n_dofs, p))
-        for g in self.groups:
-            u[g.dof_idx.reshape(-1)] = padded[g.elem_ids, : g.n_dof].reshape(-1, p)
-        return u
-
-    def edge_traces(self, padded_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Element traces at the edge quadrature points.
+    def edge_traces(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Element traces of the nodal states ``u`` (n_dofs, p) at the edge
+        quadrature points.
 
         Returns (uL, uR) of shape (n_edges, nq_e, p); rows of uR for
         boundary edges are copies of uL (the element's own trace).
         """
-        uL = np.einsum("eqd,edp->eqp", self.edge_phi_left, padded_u[self.edge_left])
-        uR = np.einsum("eqd,edp->eqp", self.edge_phi_right, padded_u[self.edge_other])
+        u = np.asarray(u, dtype=float).reshape(self.n_dofs, -1)
+        uL = np.einsum("eqd,edp->eqp", self.edge_phi_left, u[self.edge_dofs_left])
+        uR = np.einsum("eqd,edp->eqp", self.edge_phi_right, u[self.edge_dofs_other])
         if len(self.boundary_edge_ids):
             uR[self.boundary_edge_ids] = uL[self.boundary_edge_ids]
         return uL, uR
@@ -456,9 +456,8 @@ class Discretization:
     # ------------------------------------------------------------------
     def dof_graph(self) -> DofGraph:
         if self._dof_graph is None:
-            spaces = [None] * self.mesh.n_elements
-            for g in self.groups:
-                for loc, eid in enumerate(g.elem_ids):
-                    spaces[eid] = g.spaces[loc]
+            spaces = [
+                self.groups[gi].spaces[loc] for gi, loc in zip(self.elem_group, self.elem_local)
+            ]
             self._dof_graph = build_dof_graph(self.mesh, spaces)
         return self._dof_graph

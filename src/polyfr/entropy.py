@@ -41,19 +41,17 @@ class DegenerateEntropyCorrection(ValueError):
 def entropy_error(disc: Discretization, law: ConservationLaw, u: np.ndarray,
                   rset: ResidualSet) -> np.ndarray:
     """Per-element entropy error of a residual set, shape (n_elem,)."""
-    vpad = entropy_nodes(disc, law, u)
-    pairing = np.einsum("edp,edp->e", vpad, rset.phi)
-    return rset.gbal - pairing
+    return rset.gbal - _pairing(disc, entropy_nodes(disc, law, u), rset.phi)
+
+
+def _pairing(disc: Discretization, v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per-element sum_s <v_s, x_s> of two per-DOF arrays, shape (n_elem,)."""
+    return disc.element_reduce(lambda a, b: np.einsum("edp,edp->e", a, b), v, x)
 
 
 def entropy_nodes(disc: Discretization, law: ConservationLaw, u: np.ndarray) -> np.ndarray:
-    """Nodal entropy variables, zero-padded like the residual arrays."""
-    padded = disc.padded_states(u)
-    v = law.entropy_vars(padded)
-    for g in disc.groups:  # clear padding artifacts (entropy_vars(0) may be nonzero)
-        nd = g.n_dof
-        v[g.elem_ids, nd:] = 0.0
-    return v
+    """Nodal entropy variables, shape (n_dofs, p) like the residual arrays."""
+    return law.entropy_vars(np.asarray(u, dtype=float).reshape(disc.n_dofs, -1))
 
 
 def tau_correction(vnodes: np.ndarray, e_value: float,
@@ -78,12 +76,11 @@ def tau_correction(vnodes: np.ndarray, e_value: float,
 
 def tau_all(disc: Discretization, law: ConservationLaw, u: np.ndarray,
             e_values: np.ndarray) -> np.ndarray:
-    """Batched conservative corrections, padded, shape (n_elem, nd_max, p)."""
-    vpad = entropy_nodes(disc, law, u)
-    tau = np.zeros_like(vpad)
+    """Batched conservative corrections, shape (n_dofs, p)."""
+    vn = entropy_nodes(disc, law, u)
+    tau = np.zeros_like(vn)
     for g in disc.groups:
-        nd = g.n_dof
-        v = vpad[g.elem_ids, :nd]
+        v = vn[g.dof_idx]
         dev = v - v.mean(axis=1, keepdims=True)
         denom = np.einsum("edp,edp->e", dev, dev)
         scale = np.maximum(1.0, np.abs(v).max(axis=(1, 2)) ** 2)
@@ -97,7 +94,7 @@ def tau_all(disc: Discretization, law: ConservationLaw, u: np.ndarray,
                 f"constant state (element {eid})"
             )
         coef = np.where(degenerate, 0.0, e_g / np.where(degenerate, 1.0, denom))
-        tau[g.elem_ids, :nd] = coef[:, None, None] * dev
+        tau[g.dof_idx] = coef[:, None, None] * dev
     return tau
 
 
@@ -113,16 +110,14 @@ def st_residuals(disc: Discretization, law: ConservationLaw, u: np.ndarray,
                  cs_set: ResidualSet, jump_coeff: float = 0.1) -> ResidualSet:
     """Entropy-dissipative variant: add delta * (v_s - v_mean) with
     delta = jump_coeff * h_K * max wave speed >= 0."""
-    vpad = entropy_nodes(disc, law, u)
-    psi = np.zeros_like(vpad)
-    padded = disc.padded_states(u)
-    for g in disc.groups:
-        nd = g.n_dof
-        v = vpad[g.elem_ids, :nd]
+    vn = entropy_nodes(disc, law, u)
+    psi = np.zeros_like(vn)
+    for g, U in zip(disc.groups, disc.element_states(u)):
+        v = vn[g.dof_idx]
         dev = v - v.mean(axis=1, keepdims=True)
-        speeds = law.max_wave_speed(padded[g.elem_ids, :nd]).max(axis=1)
+        speeds = law.max_wave_speed(U).max(axis=1)
         delta = jump_coeff * g.diameters * np.maximum(speeds, 0.0)
-        psi[g.elem_ids, :nd] = delta[:, None, None] * dev
+        psi[g.dof_idx] = delta[:, None, None] * dev
     return replace(cs_set, variant="st", phi=cs_set.phi + psi)
 
 
@@ -140,10 +135,9 @@ def fr_entropy_condition_check(disc: Discretization, law: ConservationLaw,
     kind = flux_kind or fr_set.flux_kind
     ref = compute_residuals(disc, law, u, "dg-interp", kind, bc)
     e_ref = entropy_error(disc, law, u, ref)
-    vpad = entropy_nodes(disc, law, u)
-    v_dot_r = np.einsum("edp,edp->e", vpad, fr_set.r_sigma)
-    margin = v_dot_r - e_ref
-    direct = np.einsum("edp,edp->e", vpad, fr_set.phi) - fr_set.gbal
+    vn = entropy_nodes(disc, law, u)
+    margin = _pairing(disc, vn, fr_set.r_sigma) - e_ref
+    direct = _pairing(disc, vn, fr_set.phi) - fr_set.gbal
     return {"margin": margin, "direct": direct, "e_reference": e_ref}
 
 
@@ -178,12 +172,10 @@ def entropy_conservative_residuals(disc: Discretization, law: ConservationLaw,
     r_sigma = np.zeros_like(ref.phi)
     for g, alpha in zip(disc.groups, ref.alpha):
         alist = alpha.reshape(g.n_elements, g.n_local_edges, disc.nq_edge, -1)
-        for loc, eid in enumerate(g.elem_ids):
-            backend = g.backends[loc]
+        for loc, (backend, dofs) in enumerate(zip(g.backends, g.dof_idx)):
             if not isinstance(backend, NeumannCorrectionBackend):
                 raise ValueError("prescribed interior moments need the constrained backend")
-            fld = backend.solve(list(alist[loc]), targets[eid, : g.n_dof])
-            r_sigma[eid, : g.n_dof] = fld.r_sigma
+            r_sigma[dofs] = backend.solve(list(alist[loc]), targets[dofs]).r_sigma
     return replace(ref, variant="fr", phi=ref.phi + r_sigma, r_sigma=r_sigma)
 
 
@@ -223,16 +215,16 @@ def error_decomposition(disc: Discretization, law: ConservationLaw, u: np.ndarra
         sur1=np.zeros(n_elem), sur2=np.zeros(n_elem), sur3=np.zeros(n_elem),
         bo=np.zeros(n_elem), co=np.zeros(n_elem),
     )
-    padded = disc.padded_states(u)
-    vpad = entropy_nodes(disc, law, u)
+    u = np.asarray(u, dtype=float).reshape(disc.n_dofs, -1)
+    vn = entropy_nodes(disc, law, u)
 
     for eid in range(n_elem):
         g = disc.groups[disc.elem_group[eid]]
         loc = disc.elem_local[eid]
         space = g.spaces[loc]
-        nd = g.n_dof
-        U = padded[eid, :nd]
-        V = vpad[eid, :nd]
+        dofs = g.dof_idx[loc]
+        U = u[dofs]
+        V = vn[dofs]
         F = law.flux(U)  # (nd, p, 2)
         coords = disc.mesh.element_coords(eid)
 
@@ -292,7 +284,7 @@ def error_decomposition(disc: Discretization, law: ConservationLaw, u: np.ndarra
                 bo += s * float(np.dot(rule.weights, integrand))
         terms.bo[eid] = bo
 
-        terms.co[eid] = float(np.einsum("dp,dp->", vpad[eid, :nd], rset.r_sigma[eid, :nd]))
+        terms.co[eid] = float(np.einsum("dp,dp->", V, rset.r_sigma[dofs]))
     return terms
 
 
@@ -339,7 +331,8 @@ def appendix_decomposition(disc: Discretization, law: ConservationLaw,
     g = disc.groups[disc.elem_group[eid]]
     loc = disc.elem_local[eid]
     nd = g.n_dof
-    vn = vnodes[eid, :nd]  # (nd, p)
+    dofs = g.dof_idx[loc]
+    vn = vnodes[dofs]  # (nd, p)
     theta = law.potential(vn)  # (nd, 2)
 
     pair_sum = 0.0
@@ -377,7 +370,8 @@ def appendix_decomposition(disc: Discretization, law: ConservationLaw,
                 if side == 0
                 else disc.edge_phi_left[edge_id][:, :nd_o]
             )
-            v_o = vnodes[other, :nd_o]
+            off = disc.dof_offset[other]
+            v_o = vnodes[off : off + nd_o]
             theta_other = tr_other @ law.potential(v_o)
             v_other = tr_other @ v_o
         else:
@@ -396,7 +390,7 @@ def appendix_decomposition(disc: Discretization, law: ConservationLaw,
 
     c_k = 0.5 * pair_sum + bnd_theta
     c_k_graph = 0.5 * (pair_sum - pair_theta)
-    phi = rset.phi[eid, :nd]
+    phi = rset.phi[dofs]
     entropy_gap = float(np.einsum("dp,dp->", vn, phi)) - ghat_pot
     return ElementSplitReport(
         c_k=c_k,

@@ -48,9 +48,11 @@ class ResidualSet:
 
     variant: str
     flux_kind: str
-    phi: np.ndarray  # (n_elem, nd_max, p) element residuals, zero-padded
-    boundary_phi: np.ndarray  # (n_elem, nd_max, p) boundary-face residuals
-    r_sigma: np.ndarray  # (n_elem, nd_max, p)
+    # nodal fields are flat per-DOF arrays (n_dofs, p): element e owns rows
+    # disc.dof_offset[e] : disc.dof_offset[e] + nd
+    phi: np.ndarray  # (n_dofs, p) element residuals Phi_sigma^K
+    boundary_phi: np.ndarray  # (n_dofs, p) boundary-face residuals
+    r_sigma: np.ndarray  # (n_dofs, p) redistribution vectors
     fhat_star: np.ndarray  # (n_edges, nq_e, p) element-side single-valued flux
     fhat_bc: np.ndarray | None  # boundary-coupled flux values (boundary rows)
     ghat: np.ndarray  # (n_edges, nq_e) numerical entropy flux
@@ -69,8 +71,7 @@ def interface_fluxes(disc, law, u, flux_kind, bc=None):
     without boundary data), and the matching numerical entropy flux built
     from averaged entropy variables.
     """
-    padded = disc.padded_states(u)
-    uL, uR = disc.edge_traces(padded)
+    uL, uR = disc.edge_traces(u)
     nq = disc.edge_normal_q
     flux = numerical_flux(flux_kind)
     ii, bi = disc.interior_edge_ids, disc.boundary_edge_ids
@@ -122,7 +123,7 @@ def compute_residuals(
         dbc = fhat_bc - fhat_star
         dbc[disc.interior_edge_ids] = 0.0
 
-    phi = np.zeros((n_elem, disc.nd_max, p))
+    phi = np.zeros((disc.n_dofs, p))
     bphi = np.zeros_like(phi)
     r_all = np.zeros_like(phi)
     bflux = np.zeros((n_elem, p))
@@ -131,7 +132,6 @@ def compute_residuals(
     alphas: list[np.ndarray] = []
 
     for g, U in zip(disc.groups, disc.element_states(u)):
-        nd = g.n_dof
         shape = g.inc_w.shape
         F = law.flux(U)  # (nE, nd, p, 2)
 
@@ -154,7 +154,7 @@ def compute_residuals(
             phi_g -= np.einsum("edtx,etpx->edp", g.stiff, F)
         else:
             r_g = np.einsum("edm,emp->edp", g.corr_r, alpha)
-            r_all[g.elem_ids, :nd] = r_g
+            r_all[g.dof_idx] = r_g
             if base == "fr":
                 phi_g -= np.einsum("edtx,etpx->edp", g.stiff, F)
                 phi_g += r_g
@@ -162,13 +162,13 @@ def compute_residuals(
                 phi_g = np.einsum("edtx,etpx->edp", g.dstrong, F) + np.einsum(
                     "edm,emp->edp", g.corr_div, alpha
                 )
-        phi[g.elem_ids, :nd] = phi_g
+        phi[g.dof_idx] = phi_g
 
         # boundary-face residuals (weak Dirichlet data); boundary rows have
         # the element on the left, so they carry no sign
         if fhat_bc is not None:
             d = dbc[g.inc_edge].reshape(shape + (p,))
-            bphi[g.elem_ids, :nd] = np.einsum("emd,emp->edp", g.inc_wtrace, d)
+            bphi[g.dof_idx] = np.einsum("emd,emp->edp", g.inc_wtrace, d)
             brhs[g.elem_ids] = np.einsum("em,emp->ep", g.inc_w, d)
 
     out = ResidualSet(
@@ -198,23 +198,26 @@ def compute_residuals(
 # conservation accounting
 # ---------------------------------------------------------------------------
 
-def element_conservation_defects(rset: ResidualSet) -> np.ndarray:
+def _sum_defects(disc: Discretization, phi: np.ndarray, want: np.ndarray) -> np.ndarray:
+    total = disc.element_reduce(lambda x: x.sum(axis=1), phi)
+    scale = np.maximum(1.0, disc.element_reduce(lambda x: np.abs(x).max(axis=(1, 2)), phi))
+    return np.abs(total - want).max(axis=1) / scale
+
+
+def element_conservation_defects(disc: Discretization, rset: ResidualSet) -> np.ndarray:
     """Per-element defect of (sum of residuals - boundary flux integral),
     scaled by max(1, per-element residual magnitude)."""
-    total = rset.phi.sum(axis=1)
-    scale = np.maximum(1.0, np.abs(rset.phi).max(axis=(1, 2)))
-    return np.abs(total - rset.bflux_int).max(axis=1) / scale
+    return _sum_defects(disc, rset.phi, rset.bflux_int)
 
 
-def boundary_conservation_defects(rset: ResidualSet) -> np.ndarray:
-    total = rset.boundary_phi.sum(axis=1)
-    scale = np.maximum(1.0, np.abs(rset.boundary_phi).max(axis=(1, 2)))
-    return np.abs(total - rset.bres_rhs).max(axis=1) / scale
+def boundary_conservation_defects(disc: Discretization, rset: ResidualSet) -> np.ndarray:
+    """The element defect's counterpart for the boundary-face residuals."""
+    return _sum_defects(disc, rset.boundary_phi, rset.bres_rhs)
 
 
 def assemble_global(disc: Discretization, rset: ResidualSet) -> np.ndarray:
     """Accumulated per-DOF residual (element plus boundary contributions)."""
-    return disc.scatter_padded(rset.phi + rset.boundary_phi)
+    return rset.phi + rset.boundary_phi
 
 
 # ---------------------------------------------------------------------------
@@ -238,25 +241,22 @@ def global_identity_check(
     boundary), and the intra-element redistribution differences against the
     pointwise-flux reference residuals.  Returns (defect, scale).
     """
-    vpad = disc.padded_states(v)
-    lhs = float(np.sum(vpad * (rset.phi + rset.boundary_phi)))
+    v = np.asarray(v, dtype=float).reshape(disc.n_dofs, -1)
+    lhs = float(np.sum(v * (rset.phi + rset.boundary_phi)))
 
     ref = rset if rset.variant == "dg" else compute_residuals(
         disc, law, u, "dg", rset.flux_kind, bc
     )
 
-    group_states = disc.element_states(u)
     vol = 0.0
-    for gi, g in enumerate(disc.groups):
-        U = group_states[gi]
-        nd = g.n_dof
-        V = vpad[g.elem_ids, :nd]
+    for g, U in zip(disc.groups, disc.element_states(u)):
+        V = v[g.dof_idx]
         uq = np.einsum("eqd,edp->eqp", g.vol_phi, U)
         fq = law.flux(uq)
         gradv = np.einsum("eqdx,edp->eqpx", g.vol_grad, V)
         vol -= float(np.einsum("eq,eqpx,eqpx->", g.vol_w, gradv, fq))
 
-    vL, vR = disc.edge_traces(vpad)
+    vL, vR = disc.edge_traces(v)
     if len(disc.boundary_edge_ids):
         vR[disc.boundary_edge_ids] = 0.0  # single-sided on the domain boundary
     edge_term = float(
@@ -275,10 +275,10 @@ def global_identity_check(
         )
 
     redist = 0.0
-    for gi, g in enumerate(disc.groups):
+    for g in disc.groups:
         nd = g.n_dof
-        V = vpad[g.elem_ids, :nd]
-        W = (rset.phi - ref.phi)[g.elem_ids, :nd]
+        V = v[g.dof_idx]
+        W = (rset.phi - ref.phi)[g.dof_idx]
         sum_v = V.sum(axis=1, keepdims=True)
         sum_w = W.sum(axis=1, keepdims=True)
         # (1/#K) sum_{s,s'} (v_s - v_s') w_s = sum_s v_s w_s - mean(v).sum(w)
@@ -339,7 +339,7 @@ def flux_split(disc: Discretization, law: ConservationLaw, u: np.ndarray,
         raise ValueError("residual splitting is implemented for linear triangles")
     loc = disc.elem_local[eid]
     nd = g.n_dof
-    phi = rset.phi[eid, :nd]
+    phi = rset.phi[g.dof_idx[loc]]
 
     edges = g.inc_edge[loc * g.n_local_edges : (loc + 1) * g.n_local_edges]
     fs = g.inc_sign[loc][:, None] * rset.fhat_star[edges].reshape(-1, disc.p)
@@ -374,7 +374,7 @@ def correction_defects(disc: Discretization, rset: ResidualSet) -> tuple[np.ndar
     eq21 = np.zeros(disc.mesh.n_elements)
     eq27 = np.zeros(disc.mesh.n_elements)
     for g, alpha in zip(disc.groups, rset.alpha):
-        r = rset.r_sigma[g.elem_ids, : g.n_dof]
+        r = rset.r_sigma[g.dof_idx]
         trace = np.einsum("emn,enp->emp", g.corr_trace, alpha)
         eq21[g.elem_ids] = np.abs(trace - alpha).max(axis=(1, 2))
         scale = np.maximum(
@@ -424,11 +424,11 @@ def lipschitz_hypothesis_probe(
     for _ in range(n_samples):
         u = rng.uniform(-bound, bound, size=(disc.n_dofs, disc.p))
         rset = compute_residuals(disc, law, u, variant, flux_kind)
+        mags = disc.element_reduce(lambda x: np.abs(x).max(axis=(1, 2)), rset.phi)
         for eid, idx in enumerate(patches):
             w = u[idx]
             spread = float(np.abs(w[:, None, :] - w[None, :, :]).sum())
-            nd = disc.n_dof_elem[eid]
-            mag = float(np.abs(rset.phi[eid, :nd]).max())
+            mag = float(mags[eid])
             if spread > 1e-13:
                 worst = max(worst, mag / spread)
             else:

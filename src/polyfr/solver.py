@@ -102,11 +102,7 @@ def residual_vector(disc: Discretization, law: ConservationLaw, u: np.ndarray,
     )
     R = assemble_global(disc, rset)
     gap = float(
-        np.einsum(
-            "edp,edp->",
-            entropy_mod.entropy_nodes(disc, law, u),
-            rset.phi,
-        )
+        np.einsum("dp,dp->", entropy_mod.entropy_nodes(disc, law, u), rset.phi)
         - rset.gbal.sum()
     )
     return R, gap
@@ -190,14 +186,14 @@ def manufactured_error(disc: Discretization, u: np.ndarray, exact,
     from .approximation import volume_quadrature
 
     order = order if order is not None else 2 * disc.degree + 2
-    padded = disc.padded_states(u)
+    u = np.asarray(u, dtype=float).reshape(disc.n_dofs, -1)
     l2 = 0.0
     linf = 0.0
     for eid in range(disc.mesh.n_elements):
         g = disc.groups[disc.elem_group[eid]]
-        space = g.spaces[disc.elem_local[eid]]
+        loc = disc.elem_local[eid]
         rule = volume_quadrature(disc.mesh.element_coords(eid), order, kind=g.kind)
-        uh = space.eval(rule.points) @ padded[eid, : g.n_dof]
+        uh = g.spaces[loc].eval(rule.points) @ u[g.dof_idx[loc]]
         ue = np.asarray(exact(rule.points), dtype=float)
         if ue.ndim == 1:
             ue = ue[:, None]

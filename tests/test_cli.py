@@ -39,6 +39,7 @@ def test_run_linear_exact_case(tmp_path):
     assert level["converged"]
     assert level["l2_error"] <= 1e-8
     assert report["orders"] == []  # single level: order column empty
+    assert report["converged"]
     assert (tmp_path / "out" / "report.json").exists()
     assert (tmp_path / "out" / "levels.csv").exists()
     assert (tmp_path / "out" / "diagnostics.csv").exists()
@@ -176,6 +177,7 @@ BAD_CONFIGS = {
     "degree": {"degree": 7},
     "fractional-degree": {"degree": 1.5},
     "correction": {"correction": "no-such-backend"},
+    "correction-rt": {"correction": "rt"},  # "auto" builds RT wherever it applies
 }
 
 
@@ -194,6 +196,20 @@ def test_config_errors_exit_4(tmp_path, capsys, command, key):
 def test_shipped_burgers_cases_run(tmp_path, name):
     # both start from rest, where the Burgers wave speed is zero
     assert cli.main(["run", str(CASES / name), "--output-dir", str(tmp_path / "o")]) == 0
+
+
+def test_unconverged_run_warns_and_flags_report(tmp_path, capsys):
+    path = _edited_shipped_case(
+        tmp_path, "advection_sine_k1.json",
+        solver={"cfl": 0.6, "max_iters": 20, "residual_tol": 1e-10}, study={"levels": 1},
+    )
+    out = tmp_path / "o"
+    assert cli.main(["run", str(path), "--output-dir", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "warning: level 0 did not converge: 20 iterations, residual" in err
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["converged"] is False
+    assert report["levels"][0]["converged"] is False
 
 
 def test_missing_boundary_tag_exits_4(tmp_path, capsys):

@@ -125,7 +125,7 @@ def test_admissibility_flags_corrupted_trace():
     assert np.all(eq21 >= 0.099 * mag)
     assert eq21.max() > 1e-11
     # a redistribution vector that no longer sums to zero shows in eq27
-    fr.r_sigma[3, 0] += 1.0
+    fr.r_sigma[disc.dof_offset[3]] += 1.0
     _, eq27 = rs.correction_defects(disc, fr)
     assert eq27[3] > 1e-3
     assert np.delete(eq27, 3).max() <= 1e-11

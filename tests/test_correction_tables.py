@@ -111,12 +111,12 @@ def test_fr_residuals_match_per_element_formula(name):
     bc = rng.uniform(-2, 2, size=(len(mesh.edges), disc.nq_edge, 1))
     fr = rs.compute_residuals(disc, law, u, "fr", "rusanov", bc)
     strong = rs.compute_residuals(disc, law, u, "fr-strong", "rusanov", bc)
-    padded = disc.padded_states(u)
     for eid in range(mesh.n_elements):
         g = disc.groups[disc.elem_group[eid]]
         loc = disc.elem_local[eid]
         nd = g.n_dof
-        F = law.flux(padded[eid, :nd])  # (nd, p, 2)
+        dofs = g.dof_idx[loc]
+        F = law.flux(u[dofs])  # (nd, p, 2)
         edge_term = np.zeros((nd, 1))
         alist = []
         for edge_id in mesh.elements[eid].edge_ids:
@@ -130,9 +130,9 @@ def test_fr_residuals_match_per_element_formula(name):
         fld = _reference_field(g.backends[loc], alist)
         want_fr = edge_term - np.einsum("dtx,tpx->dp", g.stiff[loc], F) + fld.r_sigma
         want_strong = np.einsum("dtx,tpx->dp", g.dstrong[loc], F) + fld.div_moments
-        for got, want in ((fr.phi[eid, :nd], want_fr), (strong.phi[eid, :nd], want_strong)):
+        for got, want in ((fr.phi[dofs], want_fr), (strong.phi[dofs], want_strong)):
             assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
-        assert np.abs(fr.r_sigma[eid, :nd] - fld.r_sigma).max() <= 1e-12 * max(
+        assert np.abs(fr.r_sigma[dofs] - fld.r_sigma).max() <= 1e-12 * max(
             1.0, np.abs(fld.r_sigma).max()
         )
 
@@ -200,3 +200,9 @@ def test_backend_edge_rules_are_edge_quadrature(name):
 def test_unknown_correction_backend_rejected():
     with pytest.raises(ValueError, match="no-such-backend"):
         Discretization(pm.two_triangle_square(), 1, correction="no-such-backend")
+
+
+def test_rt_correction_value_rejected():
+    # "auto" already builds RT wherever it applies; "rt" only duplicated it
+    with pytest.raises(ValueError, match="'rt'.*'auto' builds RT"):
+        Discretization(pm.two_triangle_square(), 1, correction="rt")

@@ -1,0 +1,116 @@
+"""Property-based invariant checks on perturbed meshes.
+
+Hypothesis draws a mesh (structured triangles or quads with jittered
+interior vertices, k = 1..3, or a randomly rotated hexagon ring with three
+element families), a law, a numerical flux and a random state, then checks
+the invariant battery with the gates of ``polyfr verify`` for all six
+residual variants.  eq21 is not checked here: on jittered quads the
+constrained backend's trace solve is nearly singular, and at large states
+its round-off passes the 1e-11 gate.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polyfr import cli
+from polyfr import entropy as en
+from polyfr import mesh as pm
+from polyfr import physics as ph
+from polyfr import residual as rs
+from polyfr.correction import CorrectionError
+from polyfr.discretization import Discretization
+
+N_CELLS = 3  # structured meshes are N_CELLS x N_CELLS squares, h = 1 / N_CELLS
+
+LAWS = {
+    "advection": lambda: ph.linear_advection([1.0, 0.5]),
+    "burgers": ph.burgers_2d,
+    "exp-advection": lambda: ph.exp_advection([0.6, -0.8]),
+}
+
+
+def _jittered(base: pm.Mesh, rng: np.random.Generator, amount: float = 0.15) -> pm.Mesh:
+    """``base`` with each interior vertex coordinate moved by up to amount * h."""
+    v = base.vertices.copy()
+    inner = np.all((v > 1e-9) & (v < 1 - 1e-9), axis=1)
+    v[inner] += amount / N_CELLS * rng.uniform(-1.0, 1.0, size=(inner.sum(), 2))
+    return pm.mesh_from_arrays(v, [e.vertex_ids for e in base.elements])
+
+
+def _hexagon_ring(rng: np.random.Generator) -> pm.Mesh:
+    # a hexagon inside a ring of trapezoids, one of them split into two
+    # triangles (as in test_correction_tables), rotated, outer radii varied
+    ang = np.pi / 3 * np.arange(6) + rng.uniform(0.0, 2 * np.pi)
+    ring = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    radii = rng.uniform(0.9, 1.1, size=(6, 1))
+    verts = np.vstack([0.5 * ring, radii * ring])
+    elems = [list(range(6)), [0, 1, 7], [0, 7, 6]]
+    elems += [[i, (i + 1) % 6, 6 + (i + 1) % 6, 6 + i] for i in range(1, 6)]
+    return pm.mesh_from_arrays(verts, elems)
+
+
+@st.composite
+def cases(draw):
+    family = draw(st.sampled_from(["triangles", "quads", "hexagon-ring"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if family == "hexagon-ring":
+        mesh, k = _hexagon_ring(rng), 1
+    else:
+        base = (pm.structured_triangles if family == "triangles" else pm.structured_quads)(N_CELLS)
+        mesh = _jittered(base, rng)
+        k = draw(st.integers(1, 3))
+    law = LAWS[draw(st.sampled_from(sorted(LAWS)))]()
+    flux = draw(st.sampled_from(["central", "rusanov", "tadmor_ec"]))
+    return mesh, k, law, flux, rng
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cases())
+def test_invariants_on_perturbed_meshes(case):
+    mesh, k, law, flux, rng = case
+    disc = Discretization(mesh, k)
+    u = law.random_states(rng, disc.n_dofs).reshape(disc.n_dofs, law.p)
+    bc = rng.uniform(*law.admissible_box, size=(len(mesh.edges), disc.nq_edge, law.p))
+    tols = cli.DEFECT_TOLS
+
+    for variant in rs.VARIANTS:
+        rset = rs.compute_residuals(disc, law, u, variant, flux, bc)
+        assert rs.element_conservation_defects(disc, rset).max() <= tols["eq5"], variant
+        assert rs.boundary_conservation_defects(disc, rset).max() <= tols["eq6"], variant
+        if variant == "fr":
+            _, eq27 = rs.correction_defects(disc, rset)
+            assert eq27.max() <= tols["eq27"]
+            v = rng.normal(size=(disc.n_dofs, law.p))
+            defect, scale = rs.global_identity_check(disc, law, u, v, rset, bc)
+            assert defect <= 1e-9 * scale  # eq31, the gate of verify --suite identities
+        elif variant == "cs":
+            assert np.abs(en.entropy_error(disc, law, u, rset)).max() <= tols["eq32"]
+        elif variant == "st":
+            assert (-en.entropy_error(disc, law, u, rset)).min() >= -tols["eq44"]
+
+
+def _near_square(eps):
+    return [[0.0, 0.0], [1.0, 0.0], [1.0 + eps, 1.0 + eps / 2], [0.0, 1.0]]
+
+
+# an element the generator above produced at k = 3: its edges 0-1 and 2-3
+# have slopes -0.131 and -0.129
+NEAR_TRAPEZOID = [[0.6949417, 0.37310211], [1.0, 0.33333333],
+                  [1.0, 0.66666667], [0.64491802, 0.71294232]]
+
+
+@pytest.mark.xfail(raises=CorrectionError, strict=True,
+                   reason="nearly parallel opposite edges: the trace solve is nearly singular")
+@pytest.mark.parametrize("coords,k", [
+    (_near_square(1e-6), 1), (_near_square(1e-5), 2), (_near_square(1e-4), 3),
+    (NEAR_TRAPEZOID, 3),
+])
+def test_nearly_parallel_quad_edges_build(coords, k):
+    # on a quad with parallel opposite edges the normal-trace rows of the
+    # constrained backend are linearly dependent; nearly parallel, the
+    # dependency becomes a tiny singular value whose round-off amplification
+    # fails the feasibility probe at every field degree
+    Discretization(pm.mesh_from_arrays(np.array(coords), [[0, 1, 2, 3]]), k)
