@@ -5,9 +5,11 @@ a hierarchy of uniformly refined meshes), measures errors against a named
 exact profile, evaluates the invariant battery on the converged states, and
 writes ``report.json`` plus per-level and per-element CSV files.  Exit code
 0 on success, 2 on solver divergence, 3 on an invariant violation, 4 on a
-config or mesh error.  A level that stops without converging (iteration cap
-or stagnation) still exits 0: it prints a warning on stderr, and the report
-records ``converged: false`` for the level and at the top level.
+config or mesh error, including a discretization that cannot be built
+(unsupported element space or correction).  A level that stops without
+converging (iteration cap or stagnation) still exits 0: it prints a warning
+on stderr, and the report records ``converged: false`` for the level and at
+the top level.
 
 ``polyfr verify <config> --suite <name>`` runs one of the randomized
 verification batteries (conservation, correction-admissibility, entropy-cs,
@@ -40,8 +42,9 @@ import numpy as np
 from . import entropy as entropy_mod
 from . import residual as residual_mod
 from .approximation import UnsupportedSpace
+from .correction import CorrectionError
 from .discretization import CORRECTIONS, BoundaryData, Discretization
-from .mesh import Mesh, MeshError, load_mesh, refine_uniform
+from .mesh import Mesh, MeshError, is_int, load_mesh, refine_uniform
 from .physics import (
     law_by_name,
     numerical_flux,
@@ -122,8 +125,17 @@ def load_config(path) -> dict:
             "('auto' builds RT wherever it applies)"
         )
     degree = cfg["degree"]
-    if not isinstance(degree, int) or isinstance(degree, bool):
+    if not is_int(degree):
         raise ConfigError(f"degree must be an integer, got {degree!r}")
+    study, solver = cfg.get("study", {}), cfg.get("solver", {})
+    if not isinstance(study, dict) or not isinstance(solver, dict):
+        raise ConfigError("'study' and 'solver' must be JSON objects")
+    for name, value in (("study.levels", study.get("levels", 1)),
+                        ("solver.max_iters", solver.get("max_iters", 1))):
+        if not is_int(value) or value < 1:
+            raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    if not isinstance(solver.get("local_dt", True), bool):
+        raise ConfigError(f"solver.local_dt must be true or false, got {solver['local_dt']!r}")
     try:
         law_by_name(cfg["law"], cfg.get("law_params"))
         numerical_flux(cfg.get("flux", "rusanov"))
@@ -138,15 +150,15 @@ def _boundary_data(cfg: dict) -> BoundaryData:
 
 
 def _solver_config(cfg: dict) -> SolverConfig:
-    s = dict(cfg.get("solver", {}))
+    s = cfg.get("solver", {})
     try:
         return SolverConfig(
             cfl=float(s.get("cfl", 0.4)),
-            max_iters=int(s.get("max_iters", 20000)),
+            max_iters=s.get("max_iters", 20000),
             residual_tol=float(s.get("residual_tol", 1e-10)),
             variant=cfg.get("variant", "fr"),
             flux=cfg.get("flux", "rusanov"),
-            local_dt=bool(s.get("local_dt", True)),
+            local_dt=s.get("local_dt", True),
             jump_coeff=float(s.get("jump_coeff", 0.1)),
         )
     except (TypeError, ValueError) as exc:
@@ -169,7 +181,7 @@ def _build_disc(cfg: dict, mesh: Mesh) -> Discretization:
             edge_order=cfg.get("edge_order"),
             correction=cfg.get("correction", "auto"),
         )
-    except UnsupportedSpace as exc:
+    except (UnsupportedSpace, CorrectionError) as exc:
         raise ConfigError(f"unsupported discretization: {exc}") from exc
 
 
@@ -202,7 +214,7 @@ def defect_battery(disc: Discretization, law, u, fr, jump_coeff: float = 0.1) ->
     # interface dissipation functional of the numerical flux over interior
     # edges, where fhat_star is that flux
     uL, uR = disc.edge_traces(u)
-    ii = disc.interior_edge_ids
+    ii = disc.mesh.interior_edge_ids
     if len(ii):
         checks = tadmor_edge_check(
             law, uL[ii], uR[ii], disc.edge_normal_q[ii], fr.fhat_star[ii]
@@ -253,7 +265,7 @@ def run(config_path, output_dir=None, seed: int = 0, tol_scale: float = 1.0) -> 
     bc = _boundary_data(cfg)
     solver_cfg = _solver_config(cfg)
     exact = _profile(cfg["exact"]) if "exact" in cfg else None
-    levels = int(cfg.get("study", {}).get("levels", 1) or 1)
+    levels = cfg.get("study", {}).get("levels", 1)
 
     mesh = load_mesh(_mesh_path(cfg, config_path))
     missing = sorted(set(mesh.boundary_tags.values()) - set(bc.profiles))
@@ -389,7 +401,7 @@ def verify(config_path, suite: str, seed: int = 0, tol_scale: float = 1.0,
 
     def random_bc():
         lo, hi = law.admissible_box
-        vals = rng.uniform(lo, hi, size=(len(mesh.edges), disc.nq_edge, law.p))
+        vals = rng.uniform(lo, hi, size=(mesh.n_edges, disc.nq_edge, law.p))
         return vals
 
     def add(name, value, tol, larger_ok=False):

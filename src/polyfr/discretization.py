@@ -149,24 +149,16 @@ class Discretization:
     # ------------------------------------------------------------------
     def _build_edges(self) -> None:
         mesh = self.mesh
-        ends = mesh.vertices[np.array([e.vertex_ids for e in mesh.edges], dtype=int)]
+        ends = mesh.vertices[mesh.edge_vertices]
         # one Gauss rule for all edges, with the arithmetic of edge_quadrature
         # so that every rule is bit-identical to it
         t, w = gauss_legendre_01(self.nq_edge)
         span = ends[:, 1] - ends[:, 0]
         self.edge_pts = ends[:, :1] + t[None, :, None] * span[:, None, :]
-        self.edge_w = w[None, :] * np.hypot(span[:, 0], span[:, 1])[:, None]
-        self.edge_normal = np.array([e.normal for e in mesh.edges])
-        self.edge_left = np.array([e.left_element for e in mesh.edges], dtype=int)
-        self.edge_right = np.array(
-            [-1 if e.right_element is None else e.right_element for e in mesh.edges],
-            dtype=int,
-        )
-        self.boundary_edge_ids = np.nonzero(self.edge_right < 0)[0]
-        self.interior_edge_ids = np.nonzero(self.edge_right >= 0)[0]
+        self.edge_w = w[None, :] * mesh.edge_length[:, None]
         # right neighbour, or the left element itself on boundary edges
-        self.edge_other = np.where(self.edge_right >= 0, self.edge_right, self.edge_left)
-        self.edge_normal_q = np.repeat(self.edge_normal[:, None, :], self.nq_edge, axis=1)
+        self.edge_other = np.where(mesh.edge_right >= 0, mesh.edge_right, mesh.edge_left)
+        self.edge_normal_q = np.repeat(mesh.edge_normal[:, None, :], self.nq_edge, axis=1)
 
     def _boosted_order(self, coords, space, base_order, kind) -> int:
         # raise the quadrature order until basis-product integration by parts
@@ -203,40 +195,25 @@ class Discretization:
 
     def _build_groups(self) -> None:
         mesh = self.mesh
-        by_family: dict[tuple, list[int]] = {}
-        for elem in mesh.elements:
-            coords = mesh.element_coords(elem.id)
-            key = ({3: "triangle", 4: "quad"}.get(len(coords), "polygon"), len(coords))
-            by_family.setdefault(key, []).append(elem.id)
-
+        name = {3: "triangle", 4: "quad"}
+        families = sorted(((name.get(n, "polygon"), n), ids, e) for n, ids, _, e in mesh.blocks())
         self.groups: list[ElementGroup] = []
         self.elem_group = np.zeros(mesh.n_elements, dtype=int)
         self.elem_local = np.zeros(mesh.n_elements, dtype=int)
-        for key in sorted(by_family):
-            kind, n_vert = key
-            ids = np.array(by_family[key], dtype=int)
-            group = self._build_group(kind, n_vert, ids)
-            for loc, eid in enumerate(ids):
-                self.elem_group[eid] = len(self.groups)
-                self.elem_local[eid] = loc
-            self.groups.append(group)
+        diams = mesh.element_diameters()
+        for (kind, n_vert), ids, edges in families:
+            self.elem_group[ids] = len(self.groups)
+            self.elem_local[ids] = np.arange(len(ids))
+            self.groups.append(self._build_group(kind, n_vert, ids, edges, diams[ids]))
 
         self.nd_max = max(g.n_dof for g in self.groups)
-        self.n_dof_elem = np.zeros(mesh.n_elements, dtype=int)
-        self.dof_offset = np.zeros(mesh.n_elements, dtype=int)
-        off = 0
-        for elem in mesh.elements:
-            g = self.groups[self.elem_group[elem.id]]
-            self.n_dof_elem[elem.id] = g.n_dof
-            self.dof_offset[elem.id] = off
-            off += g.n_dof
-        self.n_dofs = off
+        self.n_dof_elem = np.array([g.n_dof for g in self.groups])[self.elem_group]
+        self.dof_offset = np.cumsum(self.n_dof_elem) - self.n_dof_elem
+        self.n_dofs = int(self.n_dof_elem.sum())
 
         # gather/scatter index maps (hot path of the pseudo-time iteration)
         for g in self.groups:
-            g.dof_idx = (
-                self.dof_offset[g.elem_ids][:, None] + np.arange(g.n_dof)[None, :]
-            )
+            g.dof_idx = self.dof_offset[g.elem_ids][:, None] + np.arange(g.n_dof)[None, :]
         # position of each mesh element in the group-by-group element order
         self._group_rank = np.argsort(np.concatenate([g.elem_ids for g in self.groups]))
         # each edge side's DOF rows, padded to nd_max with the element's last
@@ -244,21 +221,20 @@ class Discretization:
         elem_dofs = self.dof_offset[:, None] + np.minimum(
             np.arange(self.nd_max)[None, :], self.n_dof_elem[:, None] - 1
         )
-        self.edge_dofs_left = elem_dofs[self.edge_left]
+        self.edge_dofs_left = elem_dofs[mesh.edge_left]
         self.edge_dofs_other = elem_dofs[self.edge_other]
 
         # basis traces on edges, padded to nd_max
-        shape = (len(mesh.edges), self.nq_edge, self.nd_max)
+        shape = (mesh.n_edges, self.nq_edge, self.nd_max)
         self.edge_phi_left = np.zeros(shape)
         self.edge_phi_right = np.zeros(shape)
         for g in self.groups:
             self._attach_incidence(g)
 
-        self.boundary_tag = {
-            int(eid): self.mesh.boundary_tags[int(eid)] for eid in self.boundary_edge_ids
-        }
-
-    def _build_group(self, kind: str, n_vert: int, ids: np.ndarray) -> ElementGroup:
+    def _build_group(self, kind: str, n_vert: int, ids, edges, diams) -> ElementGroup:
+        """The group of elements ``ids`` with ``n_vert`` vertices; ``edges``
+        (nE, n_vert) are their edge ids, local edge by local edge, and
+        ``diams`` their diameters."""
         mesh = self.mesh
         spaces: list[ElementSpace] = []
         vol_rules = []
@@ -282,35 +258,22 @@ class Discretization:
         vol_w = np.zeros((nE, nq))
         vol_phi = np.zeros((nE, nq, nd))
         vol_grad = np.zeros((nE, nq, nd, 2))
-        areas = np.zeros(nE)
-        perims = np.zeros(nE)
-        diams = np.zeros(nE)
-        for i, (eid, space, rule) in enumerate(zip(ids, spaces, vol_rules)):
+        for i, (space, rule) in enumerate(zip(spaces, vol_rules)):
             m = len(rule.points)
             vol_w[i, :m] = rule.weights
             vol_phi[i, :m] = space.eval(rule.points)
             vol_grad[i, :m] = space.grad(rule.points)
-            elem = mesh.elements[eid]
-            areas[i] = elem.area
-            coords = mesh.element_coords(eid)
-            d = coords[:, None, :] - coords[None, :, :]
-            diams[i] = float(np.sqrt((d * d).sum(-1)).max())
-            perims[i] = float(
-                sum(mesh.edges[k].length for k in elem.edge_ids)
-            )
+        areas = mesh.elem_area[ids]
+        # summed edge by edge, in local edge order
+        perims = np.cumsum(mesh.edge_length[edges], axis=1)[:, -1]
 
         stiff = np.einsum("eq,eqdx,eqt->edtx", vol_w, vol_grad, vol_phi)
         dstrong = np.einsum("eq,eqd,eqtx->edtx", vol_w, vol_phi, vol_grad)
         mass = np.einsum("eq,eqd,eqd->ed", vol_w, vol_phi, vol_phi)
         mass_diag = areas[:, None] * mass / mass.sum(axis=1, keepdims=True)
 
-        inc_elem, inc_edge, inc_side = [], [], []
-        for i, eid in enumerate(ids):
-            elem = mesh.elements[eid]
-            for edge_id in elem.edge_ids:
-                inc_elem.append(i)
-                inc_edge.append(edge_id)
-                inc_side.append(0 if mesh.edges[edge_id].left_element == eid else 1)
+        inc_edge = edges.ravel()
+        inc_elem = np.repeat(np.arange(nE), n_vert)
         group = ElementGroup(
             kind=kind,
             n_dof=nd,
@@ -325,9 +288,9 @@ class Discretization:
             stiff=stiff,
             dstrong=dstrong,
             mass_diag=mass_diag,
-            inc_elem=np.array(inc_elem, dtype=int),
-            inc_edge=np.array(inc_edge, dtype=int),
-            inc_side=np.array(inc_side, dtype=int),
+            inc_elem=inc_elem,
+            inc_edge=inc_edge,
+            inc_side=(mesh.edge_left[inc_edge] != ids[inc_elem]).astype(int),
             n_local_edges=n_vert,
         )
         self._attach_correction(group, vol_rules)
@@ -348,7 +311,7 @@ class Discretization:
         self.edge_phi_right[g.inc_edge[~left], :, :nd] = trace[~left]
         sign = np.where(left, 1.0, -1.0)
         w = self.edge_w[g.inc_edge]
-        normal = sign[:, None] * self.edge_normal[g.inc_edge]
+        normal = sign[:, None] * self.mesh.edge_normal[g.inc_edge]
         g.inc_sign = np.repeat(sign, self.nq_edge).reshape(shape)
         g.inc_w = w.reshape(shape)
         g.inc_wtrace = (w[:, :, None] * trace).reshape(shape + (nd,))
@@ -364,7 +327,8 @@ class Discretization:
 
         # the stored edge rules and outward normals, per element edge by edge
         rows = group.inc_edge.reshape(group.n_elements, group.n_local_edges)
-        sides = group.inc_side.reshape(rows.shape)
+        sign = np.where(group.inc_side == 0, 1.0, -1.0)[:, None]
+        outward = (sign * self.mesh.edge_normal[group.inc_edge]).reshape(rows.shape + (2,))
         backends = []
         for i, eid in enumerate(group.elem_ids):
             rules = [
@@ -380,15 +344,9 @@ class Discretization:
                     corr.RTCorrectionBackend(basis, group.spaces[i], vol_rules[i], rules)
                 )
             else:
-                normals = [
-                    (1.0 if side == 0 else -1.0) * self.edge_normal[k]
-                    for k, side in zip(rows[i], sides[i])
-                ]
-                backends.append(
-                    corr.NeumannCorrectionBackend(
-                        group.spaces[i], vol_rules[i], rules, normals
-                    )
-                )
+                backends.append(corr.NeumannCorrectionBackend(
+                    group.spaces[i], vol_rules[i], rules, list(outward[i])
+                ))
         group.backends = backends
         group.corr_r = np.stack([b.r_table for b in backends])
         group.corr_div = np.stack([b.div_table for b in backends])
@@ -441,16 +399,16 @@ class Discretization:
         u = np.asarray(u, dtype=float).reshape(self.n_dofs, -1)
         uL = np.einsum("eqd,edp->eqp", self.edge_phi_left, u[self.edge_dofs_left])
         uR = np.einsum("eqd,edp->eqp", self.edge_phi_right, u[self.edge_dofs_other])
-        if len(self.boundary_edge_ids):
-            uR[self.boundary_edge_ids] = uL[self.boundary_edge_ids]
+        bi = self.mesh.boundary_edge_ids
+        uR[bi] = uL[bi]
         return uL, uR
 
     def boundary_values(self, bc: BoundaryData) -> np.ndarray:
         """Dirichlet data at the quadrature points of every boundary edge,
         shape (n_edges, nq_e, p); non-boundary rows are zero."""
-        out = np.zeros((len(self.mesh.edges), self.nq_edge, bc.p))
-        for eid in self.boundary_edge_ids:
-            out[eid] = bc.evaluate(self.boundary_tag[int(eid)], self.edge_pts[eid])
+        out = np.zeros((self.mesh.n_edges, self.nq_edge, bc.p))
+        for eid, tag in self.mesh.boundary_tags.items():
+            out[eid] = bc.evaluate(tag, self.edge_pts[eid])
         return out
 
     # ------------------------------------------------------------------

@@ -268,18 +268,16 @@ def error_decomposition(disc: Discretization, law: ConservationLaw, u: np.ndarra
         )
 
         bo = 0.0
-        elem = disc.mesh.elements[eid]
-        for edge_id in elem.edge_ids:
-            edge = disc.mesh.edges[edge_id]
-            sgn = 1.0 if edge.left_element == eid else -1.0
-            v0 = disc.mesh.vertices[edge.vertex_ids[0]]
-            v1 = disc.mesh.vertices[edge.vertex_ids[1]]
+        mesh = disc.mesh
+        for edge_id in mesh.element_edges(eid):
+            sgn = 1.0 if mesh.edge_left[edge_id] == eid else -1.0
+            v0, v1 = mesh.vertices[mesh.edge_vertices[edge_id]]
             for rule, s in ((_edge_rule(v0, v1, edge_order), 1.0),
                             (_edge_rule(v0, v1, edge_order + ref_boost), -1.0)):
                 val = space.eval(rule.points)
                 uq = val @ U
                 integrand = np.einsum(
-                    "qp,qp->q", val @ V, normal_flux(law, uq, sgn * edge.normal)
+                    "qp,qp->q", val @ V, normal_flux(law, uq, sgn * mesh.edge_normal[edge_id])
                 )
                 bo += s * float(np.dot(rule.weights, integrand))
         terms.bo[eid] = bo
@@ -354,7 +352,7 @@ def appendix_decomposition(disc: Discretization, law: ConservationLaw,
         side = g.inc_side[rrow]
         sgn = 1.0 if side == 0 else -1.0
         w = disc.edge_w[edge_id]
-        n = sgn * disc.edge_normal[edge_id]
+        n = sgn * disc.mesh.edge_normal[edge_id]
         tr_self = (
             disc.edge_phi_left[edge_id][:, :nd]
             if side == 0
@@ -362,7 +360,7 @@ def appendix_decomposition(disc: Discretization, law: ConservationLaw,
         )
         theta_self = tr_self @ theta  # (nq, 2)
         v_self = tr_self @ vn
-        other = disc.edge_right[edge_id] if side == 0 else disc.edge_left[edge_id]
+        other = (disc.mesh.edge_right if side == 0 else disc.mesh.edge_left)[edge_id]
         if other >= 0:
             nd_o = disc.n_dof_elem[other]
             tr_other = (

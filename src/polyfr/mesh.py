@@ -1,17 +1,25 @@
-"""Conforming 2D polygonal meshes with full edge topology.
+"""Conforming 2D polygonal meshes with full edge topology, held as arrays.
 
-Meshes are plain physical-space entities: vertices, counter-clockwise
-polygonal elements, and oriented edges carrying neighbor links and outward
-unit normals.  The on-disk format is a small JSON document with keys
-``vertices`` (array of [x, y]), ``elements`` (array of arrays of 0-based
-vertex ids) and ``boundary`` (array of ``{"edge": [v0, v1], "tag": str}``).
+A :class:`Mesh` is plain physical-space data: vertices, counter-clockwise
+polygonal elements and oriented edges carrying neighbour links and outward
+unit normals.  Elements are ragged rows in CSR form: element ``e`` owns
+positions ``elem_ptr[e] : elem_ptr[e + 1]`` of ``elem_vertex_ids`` (its
+vertices, counter-clockwise) and of ``elem_edge_ids`` (local edge ``i`` runs
+from local vertex ``i`` to ``i + 1``).  Edges are numbered in the order an
+element-by-element traversal first meets them and keep that first
+traversal's direction, so ``edge_left`` is the element that met them first
+and ``edge_normal`` points out of it; ``edge_right`` is -1 on the boundary.
+
+The on-disk format is a small JSON document with keys ``vertices`` (array
+of [x, y]), ``elements`` (array of arrays of 0-based integer vertex ids) and
+``boundary`` (array of ``{"edge": [v0, v1], "tag": str}``).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,216 +29,259 @@ class MeshError(ValueError):
     """Raised for malformed mesh documents or broken mesh invariants."""
 
 
-@dataclass(frozen=True)
-class Element:
-    id: int
-    vertex_ids: tuple[int, ...]
-    edge_ids: tuple[int, ...]
-    area: float
-    centroid: np.ndarray
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertex_ids)
-
-
-@dataclass(frozen=True)
-class Edge:
-    id: int
-    vertex_ids: tuple[int, int]
-    left_element: int
-    right_element: int | None
-    normal: np.ndarray  # unit, outward from left_element
-    length: float
-    midpoint: np.ndarray
-
-    @property
-    def is_boundary(self) -> bool:
-        return self.right_element is None
-
-
-@dataclass
+@dataclass(eq=False)
 class Mesh:
     vertices: np.ndarray  # (n_vertices, 2)
-    elements: list[Element]
-    edges: list[Edge]
-    boundary_tags: dict[int, str] = field(default_factory=dict)
+    elem_ptr: np.ndarray  # (n_elements + 1,) row offsets of the two arrays below
+    elem_vertex_ids: np.ndarray  # (elem_ptr[-1],) CCW vertex ids per element
+    elem_edge_ids: np.ndarray  # (elem_ptr[-1],) edge from vertex i to vertex i + 1
+    elem_area: np.ndarray  # (n_elements,)
+    edge_vertices: np.ndarray  # (n_edges, 2) in first-traversal direction
+    edge_left: np.ndarray  # (n_edges,) element that traverses the edge first
+    edge_right: np.ndarray  # (n_edges,) the other element, -1 on the boundary
+    edge_normal: np.ndarray  # (n_edges, 2) unit, outward from edge_left
+    edge_length: np.ndarray  # (n_edges,)
+    boundary_edge_ids: np.ndarray  # ids with edge_right == -1, ascending
+    interior_edge_ids: np.ndarray  # the others, ascending
+    boundary_tags: dict[int, str]  # boundary edge id -> tag, by edge id
 
     @property
     def n_elements(self) -> int:
-        return len(self.elements)
+        return len(self.elem_ptr) - 1
+
+    @property
+    def n_edges(self) -> int:
+        return len(self.edge_vertices)
+
+    def element_vertices(self, elem_id: int) -> np.ndarray:
+        return self.elem_vertex_ids[self.elem_ptr[elem_id] : self.elem_ptr[elem_id + 1]]
+
+    def element_edges(self, elem_id: int) -> np.ndarray:
+        return self.elem_edge_ids[self.elem_ptr[elem_id] : self.elem_ptr[elem_id + 1]]
 
     def element_coords(self, elem_id: int) -> np.ndarray:
-        return self.vertices[list(self.elements[elem_id].vertex_ids)]
+        return self.vertices[self.element_vertices(elem_id)]
 
-    def boundary_edges(self) -> list[Edge]:
-        return [e for e in self.edges if e.is_boundary]
+    def blocks(self):
+        """Yield ``(n, elem_ids, vertex_ids, edge_ids)`` per vertex count
+        ``n``, ascending: the elements with ``n`` vertices, in mesh order,
+        and their (m, n) vertex and edge id rows."""
+        for n, ids, pos in _blocks(self.elem_ptr):
+            yield n, ids, self.elem_vertex_ids[pos], self.elem_edge_ids[pos]
 
-    def interior_edges(self) -> list[Edge]:
-        return [e for e in self.edges if not e.is_boundary]
-
-    def total_area(self) -> float:
-        return float(sum(e.area for e in self.elements))
-
-    def boundary_length(self) -> float:
-        return float(sum(e.length for e in self.boundary_edges()))
+    def element_diameters(self) -> np.ndarray:
+        """Largest vertex-to-vertex distance of every element."""
+        diam = np.zeros(self.n_elements)
+        for _, ids, v, _ in self.blocks():
+            c = self.vertices[v]
+            d = c[:, :, None, :] - c[:, None, :, :]
+            diam[ids] = np.sqrt((d * d).sum(-1)).max(axis=(1, 2))
+        return diam
 
     def h_max(self) -> float:
-        h = 0.0
-        for elem in self.elements:
-            coords = self.element_coords(elem.id)
-            d = coords[:, None, :] - coords[None, :, :]
-            h = max(h, float(np.sqrt((d * d).sum(-1)).max()))
-        return h
+        return float(self.element_diameters().max())
 
 
-def shoelace_area(coords: np.ndarray) -> float:
-    """Signed area of a polygon given as an (n, 2) vertex array."""
-    x, y = coords[:, 0], coords[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+def _blocks(ptr: np.ndarray):
+    """As ``Mesh.blocks``, with the (m, n) positions of the rows in place of their ids."""
+    counts = np.diff(ptr)
+    # np.unique(counts) would do, but it imports numpy.ma (+1.7 MB peak RSS)
+    for n in np.flatnonzero(np.bincount(counts)):
+        ids = np.nonzero(counts == n)[0]
+        yield int(n), ids, ptr[ids][:, None] + np.arange(n)
+
+
+def shoelace_area(coords: np.ndarray):
+    """Signed areas of polygons given as (..., n, 2) vertex arrays."""
+    x, y = coords[..., 0], coords[..., 1]
+    xr, yr = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
+    # a stacked row-by-column matmul runs np.dot's kernel on each polygon, so
+    # batched areas equal the one-polygon np.dot formula bit for bit; row
+    # sums do not
+    dot = lambda a, b: (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    return 0.5 * (dot(x, yr) - dot(y, xr))
 
 
 def polygon_centroid(coords: np.ndarray) -> np.ndarray:
-    x, y = coords[:, 0], coords[:, 1]
-    xr, yr = np.roll(x, -1), np.roll(y, -1)
+    """Centroids (..., 2) of polygons given as (..., n, 2) vertex arrays."""
+    x, y = coords[..., 0], coords[..., 1]
+    xr, yr = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
     cross = x * yr - xr * y
-    a = 0.5 * cross.sum()
-    cx = ((x + xr) * cross).sum() / (6.0 * a)
-    cy = ((y + yr) * cross).sum() / (6.0 * a)
-    return np.array([cx, cy])
+    six_a = 6.0 * (0.5 * cross.sum(axis=-1))
+    moments = [((x + xr) * cross).sum(axis=-1), ((y + yr) * cross).sum(axis=-1)]
+    return np.stack(moments, axis=-1) / six_a[..., None]
 
 
-def _edge_key(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
+def is_int(v) -> bool:
+    """True for Python and numpy integers, False for bools and everything else."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-def mesh_from_arrays(
-    vertices,
-    element_vertices,
-    boundary: list[tuple[tuple[int, int], str]] | None = None,
-) -> Mesh:
+def mesh_from_arrays(vertices, element_vertices, boundary=None) -> Mesh:
     """Build a Mesh with full topology from raw vertex/element arrays.
 
-    Elements are normalized to counter-clockwise orientation.  Raises
-    :class:`MeshError` on indices out of range, degenerate (zero-area)
-    elements, edges shared by more than two elements, or hanging-node style
+    ``element_vertices`` is a sequence of integer vertex-id sequences;
+    ``boundary`` an optional sequence of
+    ``((v0, v1), tag)`` entries.  Elements are normalized to counter-clockwise
+    orientation.  Raises :class:`MeshError` on non-finite coordinates,
+    non-integer or out-of-range indices, degenerate (zero-area) elements,
+    edges shared by more than two elements, or hanging-node style
     non-conforming interfaces.
     """
-    vertices = np.asarray(vertices, dtype=float)
+    try:
+        vertices = np.asarray(vertices, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise MeshError(f"vertices must be an (n, 2) array: {exc}") from exc
     if vertices.ndim != 2 or vertices.shape[1] != 2:
         raise MeshError("vertices must be an (n, 2) array")
-    n_vert = len(vertices)
+    bad = np.nonzero(~np.isfinite(vertices).all(axis=1))[0]
+    if len(bad):
+        raise MeshError(f"vertex {bad[0]} has a non-finite coordinate")
+
+    rows = [list(raw) for raw in element_vertices]
+    for e, ids in enumerate(rows):
+        wrong = [v for v in ids if not is_int(v)]
+        if wrong:
+            raise MeshError(f"element {e} has a non-integer vertex id {wrong[0]!r}")
+    ptr = np.concatenate([[0], np.cumsum([len(ids) for ids in rows], dtype=np.int64)])
+    flat = np.array([v for ids in rows for v in ids], dtype=np.int64)
+    pairs, tags = [], []
+    for i, (pair, tag) in enumerate(boundary or []):
+        if not (is_int(pair[0]) and is_int(pair[1])):
+            raise MeshError(f"boundary entry {i} has a non-integer vertex id in {pair!r}")
+        pairs.append((pair[0], pair[1]))
+        tags.append(str(tag))
+    return _build_mesh(vertices, ptr, flat, np.array(pairs, dtype=np.int64).reshape(-1, 2), tags)
+
+
+def _pair_keys(a: np.ndarray, b: np.ndarray, n_vert: int) -> np.ndarray:
+    return np.minimum(a, b) * n_vert + np.maximum(a, b)
+
+
+def _build_mesh(vertices, ptr, flat, pairs, tags) -> Mesh:
+    """The mesh of the element rows ``flat[ptr[e]:ptr[e + 1]]``, with the
+    boundary edges ``pairs`` (k, 2) tagged ``tags``."""
+    n_elem, n_vert = len(ptr) - 1, len(vertices)
     scale = float(np.ptp(vertices, axis=0).max()) or 1.0
+    # element checks, then counter-clockwise rows and their areas
+    counts = np.diff(ptr)
+    elem_of = np.repeat(np.arange(n_elem), counts)
+    order = np.lexsort((flat, elem_of))
+    twice = (np.diff(elem_of[order]) == 0) & (np.diff(flat[order]) == 0)
+    checks = {
+        "has fewer than 3 vertices": counts < 3,
+        "repeats a vertex": np.bincount(elem_of[order][1:][twice], minlength=n_elem) > 0,
+        "references a missing vertex":
+            np.bincount(elem_of[(flat < 0) | (flat >= n_vert)], minlength=n_elem) > 0,
+    }
+    ok = ~np.any(list(checks.values()), axis=0)
 
-    polys: list[list[int]] = []
-    for raw in element_vertices:
-        ids = [int(v) for v in raw]
-        if len(ids) < 3:
-            raise MeshError(f"element {len(polys)} has fewer than 3 vertices")
-        if len(set(ids)) != len(ids):
-            raise MeshError(f"element {len(polys)} repeats a vertex")
-        if any(v < 0 or v >= n_vert for v in ids):
-            raise MeshError(f"element {len(polys)} references a missing vertex")
-        area = shoelace_area(vertices[ids])
-        if area < 0.0:
-            ids = ids[::-1]  # normalize to CCW
-            area = -area
-        if area <= 1e-14 * scale * scale:
-            raise MeshError(f"element {len(polys)} is inverted or degenerate")
-        polys.append(ids)
+    flat, area = flat.copy(), np.zeros(n_elem)
+    for _, ids, pos in _blocks(ptr):
+        ids, pos = ids[ok[ids]], pos[ok[ids]]
+        rows = flat[pos]
+        a = shoelace_area(vertices[rows])
+        flip = a < 0.0
+        rows[flip] = rows[flip, ::-1]
+        a[flip] = shoelace_area(vertices[rows[flip]])
+        flat[pos], area[ids] = rows, a
+    checks["is inverted or degenerate"] = ok & (area <= 1e-14 * scale * scale)
+    failed = np.any(list(checks.values()), axis=0)
+    if failed.any():
+        e = int(np.argmax(failed))
+        raise MeshError(f"element {e} {next(m for m, c in checks.items() if c[e])}")
 
-    # edge topology: each undirected vertex pair is shared by at most 2 elements
-    edge_of_pair: dict[tuple[int, int], int] = {}
-    edges_tmp: list[dict] = []
-    elements: list[Element] = []
-    for eid, ids in enumerate(polys):
-        coords = vertices[ids]
-        edge_ids = []
-        for i in range(len(ids)):
-            a, b = ids[i], ids[(i + 1) % len(ids)]
-            key = _edge_key(a, b)
-            if key not in edge_of_pair:
-                edge_of_pair[key] = len(edges_tmp)
-                edges_tmp.append({"pair": (a, b), "left": eid, "right": None})
-            else:
-                rec = edges_tmp[edge_of_pair[key]]
-                if rec["right"] is not None:
-                    raise MeshError(f"edge {key} shared by more than two elements")
-                if rec["pair"] == (a, b):
-                    raise MeshError(f"edge {key} traversed twice in the same direction")
-                rec["right"] = eid
-            edge_ids.append(edge_of_pair[key])
-        elements.append(
-            Element(
-                id=eid,
-                vertex_ids=tuple(ids),
-                edge_ids=tuple(edge_ids),
-                area=shoelace_area(coords),
-                centroid=polygon_centroid(coords),
-            )
-        )
+    # half-edges in traversal order: local edge i of element e runs from
+    # vertex i to vertex i + 1 (cyclically); edges are numbered by the first
+    # half-edge of their vertex pair
+    nxt = np.arange(1, len(flat) + 1)
+    nxt[ptr[1:] - 1] = ptr[:-1]
+    h0, h1 = flat, flat[nxt]
+    keys = _pair_keys(h0, h1, n_vert)
+    ukeys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    edge_of = rank[inverse.ravel()]
+    n_edges, head = len(first), np.sort(first)
+    edge_vertices = np.stack([h0[head], h1[head]], axis=1)
 
-    edges: list[Edge] = []
-    for k, rec in enumerate(edges_tmp):
-        a, b = rec["pair"]
-        p0, p1 = vertices[a], vertices[b]
-        t = p1 - p0
-        length = float(np.hypot(*t))
-        if length <= 1e-14 * scale:
-            raise MeshError(f"edge ({a}, {b}) has zero length")
-        normal = np.array([t[1], -t[0]]) / length  # outward for CCW traversal
-        edges.append(
-            Edge(
-                id=k,
-                vertex_ids=(a, b),
-                left_element=rec["left"],
-                right_element=rec["right"],
-                normal=normal,
-                length=length,
-                midpoint=0.5 * (p0 + p1),
-            )
-        )
+    # a second traversal must run the other way, a third is one element too
+    # many; the earliest offender is reported
+    later = np.delete(np.arange(len(flat)), first)
+    _, at = np.unique(edge_of[later], return_index=True)
+    second, third = later[at], np.delete(later, at)
+    same = second[h0[second] == edge_vertices[edge_of[second], 0]]
+    offenders = np.concatenate([same, third])
+    if len(offenders):
+        h = offenders.min()
+        what = "shared by more than two elements" if h in third else (
+            "traversed twice in the same direction")
+        raise MeshError(f"edge {tuple(sorted((int(h0[h]), int(h1[h]))))} {what}")
+    edge_right = np.full(n_edges, -1, dtype=np.int64)
+    edge_right[edge_of[second]] = elem_of[second]
 
-    _check_conforming(vertices, edges, scale)
+    t = vertices[edge_vertices[:, 1]] - vertices[edge_vertices[:, 0]]
+    length = np.hypot(t[:, 0], t[:, 1])
+    short = np.nonzero(length <= 1e-14 * scale)[0]
+    if len(short):
+        a, b = edge_vertices[short[0]]
+        raise MeshError(f"edge ({a}, {b}) has zero length")
+    boundary_ids = np.nonzero(edge_right < 0)[0]
+    _check_conforming(vertices, edge_vertices[boundary_ids], scale)
 
-    tags: dict[int, str] = {}
-    if boundary is not None:
-        for pair, tag in boundary:
-            key = _edge_key(int(pair[0]), int(pair[1]))
-            if key not in edge_of_pair:
-                raise MeshError(f"boundary entry references unknown edge {key}")
-            eid = edge_of_pair[key]
-            if edges[eid].right_element is not None:
-                raise MeshError(f"boundary tag on interior edge {key}")
-            tags[eid] = str(tag)
-    for e in edges:
-        if e.is_boundary and e.id not in tags:
-            tags[e.id] = "boundary"
+    # boundary tags: each entry's vertex pair is looked up among the edges;
+    # an id outside the vertex range has no edge, whatever its key
+    want = _pair_keys(pairs[:, 0], pairs[:, 1], n_vert)
+    at = np.searchsorted(ukeys, want)
+    in_range = ((pairs >= 0) & (pairs < n_vert)).all(axis=1)
+    known = in_range & (np.append(ukeys, -1)[at] == want)
+    tagged = np.append(rank, n_edges)[at]
+    bad = np.nonzero(~known | (np.append(edge_right, -1)[tagged] >= 0))[0]
+    if len(bad):
+        what = "boundary tag on interior edge" if known[bad[0]] else (
+            "boundary entry references unknown edge")
+        raise MeshError(f"{what} {tuple(sorted(pairs[bad[0]].tolist()))}")
+    boundary_tags = dict.fromkeys(boundary_ids.tolist(), "boundary")
+    boundary_tags.update(zip(tagged.tolist(), tags))
 
-    return Mesh(vertices=vertices, elements=elements, edges=edges, boundary_tags=tags)
+    return Mesh(
+        vertices=vertices,
+        elem_ptr=ptr,
+        elem_vertex_ids=flat,
+        elem_edge_ids=edge_of,
+        elem_area=area,
+        edge_vertices=edge_vertices,
+        edge_left=elem_of[head],
+        edge_right=edge_right,
+        edge_normal=np.stack([t[:, 1], -t[:, 0]], axis=1) / length[:, None],
+        edge_length=length,
+        boundary_edge_ids=boundary_ids,
+        interior_edge_ids=np.nonzero(edge_right >= 0)[0],
+        boundary_tags=boundary_tags,
+    )
 
 
-def _check_conforming(vertices: np.ndarray, edges: list[Edge], scale: float) -> None:
+def _check_conforming(vertices: np.ndarray, open_edges: np.ndarray, scale: float) -> None:
     # A hanging node shows up as the midpoint of one boundary-like edge lying
-    # strictly inside another; desk-scale O(n^2) scan is fine here.
-    open_edges = [e for e in edges if e.is_boundary]
-    for e in open_edges:
-        for f in open_edges:
-            if e.id == f.id:
-                continue
-            p0 = vertices[f.vertex_ids[0]]
-            p1 = vertices[f.vertex_ids[1]]
-            d = p1 - p0
-            r = e.midpoint - p0
-            cross = d[0] * r[1] - d[1] * r[0]
-            if abs(cross) > 1e-12 * scale * scale:
-                continue
-            t = float(np.dot(r, d) / np.dot(d, d))
-            if 1e-10 < t < 1.0 - 1e-10:
-                raise MeshError(
-                    f"non-conforming interface: edge {e.vertex_ids} lies inside "
-                    f"edge {f.vertex_ids}"
-                )
+    # strictly inside another; every ordered pair is scanned, in row blocks
+    p0, p1 = vertices[open_edges[:, 0]], vertices[open_edges[:, 1]]
+    d = p1 - p0
+    dd = (d * d).sum(-1)
+    mid = 0.5 * (p0 + p1)
+    n = len(open_edges)
+    step = max(1, 2**18 // max(n, 1))
+    for lo in range(0, n, step):
+        r = mid[lo : lo + step, None, :] - p0[None, :, :]
+        cross = d[:, 0] * r[..., 1] - d[:, 1] * r[..., 0]
+        t = (r * d).sum(-1) / dd
+        hit = (np.abs(cross) <= 1e-12 * scale * scale) & (1e-10 < t) & (t < 1.0 - 1e-10)
+        rows = np.arange(len(r))
+        hit[rows, lo + rows] = False
+        e, f = np.nonzero(hit)
+        if len(e):
+            inner, outer = open_edges[lo + e[0]], open_edges[f[0]]
+            raise MeshError(f"non-conforming interface: edge ({inner[0]}, {inner[1]}) "
+                            f"lies inside edge ({outer[0]}, {outer[1]})")
 
 
 def load_mesh(path) -> Mesh:
@@ -255,38 +306,14 @@ def mesh_from_dict(doc: dict) -> Mesh:
     return mesh_from_arrays(doc["vertices"], doc["elements"], boundary)
 
 
-def mesh_to_dict(mesh: Mesh) -> dict:
-    return {
-        "vertices": [[float(x), float(y)] for x, y in mesh.vertices],
-        "elements": [list(e.vertex_ids) for e in mesh.elements],
-        "boundary": [
-            {"edge": list(mesh.edges[eid].vertex_ids), "tag": tag}
-            for eid, tag in sorted(mesh.boundary_tags.items())
-        ],
-    }
-
-
 def save_mesh(mesh: Mesh, path) -> None:
-    Path(path).write_text(json.dumps(mesh_to_dict(mesh), indent=1), encoding="utf-8")
-
-
-class _VertexPool:
-    """Deduplicating vertex store used by the refinement pass."""
-
-    def __init__(self, vertices: np.ndarray):
-        self.coords = [np.asarray(v, dtype=float) for v in vertices]
-        self._mid: dict[tuple[int, int], int] = {}
-
-    def midpoint(self, a: int, b: int) -> int:
-        key = _edge_key(a, b)
-        if key not in self._mid:
-            self._mid[key] = len(self.coords)
-            self.coords.append(0.5 * (self.coords[a] + self.coords[b]))
-        return self._mid[key]
-
-    def append(self, point: np.ndarray) -> int:
-        self.coords.append(np.asarray(point, dtype=float))
-        return len(self.coords) - 1
+    ends = mesh.edge_vertices.tolist()
+    doc = {
+        "vertices": mesh.vertices.tolist(),
+        "elements": [row.tolist() for row in np.split(mesh.elem_vertex_ids, mesh.elem_ptr[1:-1])],
+        "boundary": [{"edge": ends[k], "tag": tag} for k, tag in mesh.boundary_tags.items()],
+    }
+    Path(path).write_text(json.dumps(doc, indent=1), encoding="utf-8")
 
 
 def refine_uniform(mesh: Mesh) -> Mesh:
@@ -296,51 +323,53 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     quadrilaterals through their edge midpoints.  Polygons with more than
     four vertices are fan-triangulated about their centroid first, then each
     fan triangle is quadrisected.
+
+    New vertices follow the old ones: one midpoint per parent edge, by edge
+    id, then per vertex count the quad or polygon centroids and the polygon
+    fan spoke (centroid to vertex) midpoints, element by element.
     """
-    pool = _VertexPool(mesh.vertices)
-    new_elements: list[list[int]] = []
-    new_boundary: list[tuple[tuple[int, int], str]] = []
-
-    boundary_tag_of_pair = {
-        _edge_key(*mesh.edges[eid].vertex_ids): tag
-        for eid, tag in mesh.boundary_tags.items()
-    }
-
-    def split_triangle(a: int, b: int, c: int) -> None:
-        ab, bc, ca = pool.midpoint(a, b), pool.midpoint(b, c), pool.midpoint(c, a)
-        new_elements.extend(
-            [[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]]
-        )
-
-    for elem in mesh.elements:
-        ids = list(elem.vertex_ids)
-        if len(ids) == 3:
-            split_triangle(*ids)
-        elif len(ids) == 4:
-            a, b, c, d = ids
-            ab, bc = pool.midpoint(a, b), pool.midpoint(b, c)
-            cd, da = pool.midpoint(c, d), pool.midpoint(d, a)
-            center = pool.append(polygon_centroid(mesh.element_coords(elem.id)))
-            new_elements.extend(
-                [
-                    [a, ab, center, da],
-                    [ab, b, bc, center],
-                    [center, bc, c, cd],
-                    [da, center, cd, d],
-                ]
-            )
+    verts, counts = mesh.vertices, np.diff(mesh.elem_ptr)
+    ends = verts[mesh.edge_vertices]
+    new_verts = [verts, 0.5 * (ends[:, 0] + ends[:, 1])]
+    top = len(verts) + mesh.n_edges
+    # children per parent: 4 for triangles and quads, 4n for n-gons, each
+    # written into its parent's slice of the flat child-vertex array
+    n_child = np.where(counts > 4, 4 * counts, 4)
+    child_nv = np.where(counts == 4, 4, 3)
+    out_ptr = np.concatenate([[0], np.cumsum(n_child * child_nv)])
+    out = np.zeros(out_ptr[-1], dtype=np.int64)
+    for n, ids, v, edges in mesh.blocks():
+        m = len(verts) + edges  # midpoint of edge v_i -> v_i+1
+        if n == 3:
+            a, b, c = v.T
+            ab, bc, ca = m.T
+            kids = [[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]]
         else:
-            center = pool.append(polygon_centroid(mesh.element_coords(elem.id)))
-            for i in range(len(ids)):
-                split_triangle(ids[i], ids[(i + 1) % len(ids)], center)
+            centre = polygon_centroid(verts[v])
+            new_verts.append(centre)
+            cid, top = top + np.arange(len(ids)), top + len(ids)
+        if n == 4:
+            a, b, c, d = v.T
+            ab, bc, cd, da = m.T
+            kids = [[a, ab, cid, da], [ab, b, bc, cid], [cid, bc, c, cd], [da, cid, cd, d]]
+        elif n > 4:
+            new_verts.append((0.5 * (verts[v] + centre[:, None, :])).reshape(-1, 2))
+            s, top = top + np.arange(v.size).reshape(v.shape), top + v.size
+            v1, s1 = np.roll(v, -1, axis=1), np.roll(s, -1, axis=1)
+            cc = np.broadcast_to(cid[:, None], v.shape)
+            kids = [[v, m, s], [m, v1, s1], [s, s1, cc], [m, s1, s]]
+        # kids[child][corner] holds one id per element (and per fan triangle)
+        kids = np.moveaxis(np.array(kids), (0, 1), (-2, -1)).reshape(len(ids), -1)
+        out[out_ptr[ids][:, None] + np.arange(kids.shape[1])] = kids
 
-    # boundary children: each original boundary edge contributes its two halves
-    for (a, b), tag in boundary_tag_of_pair.items():
-        m = pool.midpoint(a, b)
-        new_boundary.append(((a, m), tag))
-        new_boundary.append(((m, b), tag))
+    # each original boundary edge contributes its two halves
+    tagged = np.array(list(mesh.boundary_tags), dtype=np.int64)
+    (a, b), mid = mesh.edge_vertices[tagged].T, len(verts) + tagged
+    pairs = np.stack([a, mid, mid, b], axis=1).reshape(-1, 2)
+    tags = [t for t in mesh.boundary_tags.values() for _ in range(2)]
 
-    return mesh_from_arrays(np.array(pool.coords), new_elements, new_boundary)
+    child_ptr = np.concatenate([[0], np.cumsum(np.repeat(child_nv, n_child))])
+    return _build_mesh(np.concatenate(new_verts), child_ptr, out, pairs, tags)
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +384,15 @@ def two_triangle_square() -> Mesh:
     )
 
 
+def _grid(nx: int, ny: int):
+    """Vertices of the unit square's nx-by-ny grid, row by row, and the
+    corner ids (a, b, c, d), counter-clockwise from the lower left, of its
+    cells, row by row."""
+    j, i = np.divmod(np.arange((nx + 1) * (ny + 1)), nx + 1)
+    a = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    return np.stack([i / nx, j / ny], axis=1), (a, a + 1, a + nx + 2, a + nx + 1)
+
+
 def structured_triangles(nx: int, ny: int | None = None) -> Mesh:
     """Unit square as an nx-by-ny grid of squares, each split by a diagonal.
 
@@ -362,31 +400,24 @@ def structured_triangles(nx: int, ny: int | None = None) -> Mesh:
     globally preferred direction; element count is 2*nx*ny.
     """
     ny = nx if ny is None else ny
-    verts = [[i / nx, j / ny] for j in range(ny + 1) for i in range(nx + 1)]
-    vid = lambda i, j: j * (nx + 1) + i
-    elems = []
-    for j in range(ny):
-        for i in range(nx):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            if (i + j) % 2 == 0:
-                elems += [[a, b, c], [a, c, d]]
-            else:
-                elems += [[a, b, d], [b, c, d]]
-    return mesh_from_arrays(np.array(verts), elems)
+    verts, (a, b, c, d) = _grid(nx, ny)
+    even = ((np.arange(ny)[:, None] + np.arange(nx)) % 2 == 0).ravel()[:, None]
+    first = np.where(even, np.stack([a, b, c], axis=1), np.stack([a, b, d], axis=1))
+    second = np.where(even, np.stack([a, c, d], axis=1), np.stack([b, c, d], axis=1))
+    return _build_grid_mesh(verts, np.stack([first, second], axis=1).reshape(-1, 3))
 
 
 def structured_quads(nx: int, ny: int | None = None) -> Mesh:
     """Unit square as an nx-by-ny grid of axis-aligned quadrilaterals."""
     ny = nx if ny is None else ny
-    verts = [[i / nx, j / ny] for j in range(ny + 1) for i in range(nx + 1)]
-    vid = lambda i, j: j * (nx + 1) + i
-    elems = [
-        [vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)]
-        for j in range(ny)
-        for i in range(nx)
-    ]
-    return mesh_from_arrays(np.array(verts), elems)
+    verts, corners = _grid(nx, ny)
+    return _build_grid_mesh(verts, np.stack(corners, axis=1))
+
+
+def _build_grid_mesh(verts: np.ndarray, rows: np.ndarray) -> Mesh:
+    """The untagged mesh of the (m, n) element rows ``rows``."""
+    m, n = rows.shape
+    return _build_mesh(verts, np.arange(m + 1) * n, rows.ravel(), np.empty((0, 2), np.int64), [])
 
 
 def regular_polygon_mesh(n_sides: int, radius: float = 1.0) -> Mesh:

@@ -74,7 +74,7 @@ def interface_fluxes(disc, law, u, flux_kind, bc=None):
     uL, uR = disc.edge_traces(u)
     nq = disc.edge_normal_q
     flux = numerical_flux(flux_kind)
-    ii, bi = disc.interior_edge_ids, disc.boundary_edge_ids
+    ii, bi = disc.mesh.interior_edge_ids, disc.mesh.boundary_edge_ids
 
     fhat_star = np.empty(uL.shape)
     ghat = np.empty(uL.shape[:2])
@@ -121,7 +121,7 @@ def compute_residuals(
     fhat_star, fhat_bc, ghat, _, _ = interface_fluxes(disc, law, u, flux_kind, bc)
     if fhat_bc is not None:
         dbc = fhat_bc - fhat_star
-        dbc[disc.interior_edge_ids] = 0.0
+        dbc[disc.mesh.interior_edge_ids] = 0.0
 
     phi = np.zeros((disc.n_dofs, p))
     bphi = np.zeros_like(phi)
@@ -257,15 +257,14 @@ def global_identity_check(
         vol -= float(np.einsum("eq,eqpx,eqpx->", g.vol_w, gradv, fq))
 
     vL, vR = disc.edge_traces(v)
-    if len(disc.boundary_edge_ids):
-        vR[disc.boundary_edge_ids] = 0.0  # single-sided on the domain boundary
+    bi = disc.mesh.boundary_edge_ids
+    vR[bi] = 0.0  # single-sided on the domain boundary
     edge_term = float(
         np.einsum("eq,eqp->", disc.edge_w, (vL - vR) * rset.fhat_star)
     )
 
     bnd = 0.0
-    if rset.fhat_bc is not None and len(disc.boundary_edge_ids):
-        bi = disc.boundary_edge_ids
+    if rset.fhat_bc is not None and len(bi):
         bnd = float(
             np.einsum(
                 "eq,eqp->",
@@ -406,14 +405,13 @@ def lipschitz_hypothesis_probe(
     do not bound it).  Near-constant patches are skipped and their residual
     size reported separately.
     """
+    mesh = disc.mesh
     patches = []
-    for elem in disc.mesh.elements:
-        members = [elem.id]
-        for eid in elem.edge_ids:
-            edge = disc.mesh.edges[eid]
-            other = edge.right_element if edge.left_element == elem.id else edge.left_element
-            if other is not None and other >= 0:
-                members.append(other)
+    for e in range(mesh.n_elements):
+        edges = mesh.element_edges(e)
+        left = mesh.edge_left[edges]
+        other = np.where(left == e, mesh.edge_right[edges], left)
+        members = [e] + other[other >= 0].tolist()
         idx = np.concatenate(
             [disc.dof_offset[m] + np.arange(disc.n_dof_elem[m]) for m in members]
         )

@@ -75,7 +75,7 @@ def lumped_measures(disc: Discretization) -> np.ndarray:
 def _boundary_wave_speed(disc: Discretization, law: ConservationLaw,
                          ub: np.ndarray) -> float:
     """Largest wave speed of the Dirichlet values ``ub`` (n_edges, nq_e, p)."""
-    return float(law.max_wave_speed(ub[disc.boundary_edge_ids]).max(initial=0.0))
+    return float(law.max_wave_speed(ub[disc.mesh.boundary_edge_ids]).max(initial=0.0))
 
 
 def _dt_over_mu(disc: Discretization, law: ConservationLaw, u: np.ndarray,

@@ -37,7 +37,7 @@ def _report(num, name, ok, detail):
 def _draw(disc, law, rng):
     u = law.random_states(rng, disc.n_dofs).reshape(disc.n_dofs, law.p)
     lo, hi = law.admissible_box
-    bc = rng.uniform(lo, hi, size=(len(disc.mesh.edges), disc.nq_edge, law.p))
+    bc = rng.uniform(lo, hi, size=(disc.mesh.n_edges, disc.nq_edge, law.p))
     return u, bc
 
 
@@ -182,7 +182,7 @@ def test_criterion_6_interface_dissipation_diagnostics():
                 theta_tr = tr @ theta
                 bnd += sgn * float(
                     np.einsum("q,qx,x->", disc.edge_w[edge_id], theta_tr,
-                              disc.edge_normal[edge_id])
+                              disc.mesh.edge_normal[edge_id])
                 )
             nsig = max(nsig, abs(lhs + bnd))
             # graph form of the geometric vectors

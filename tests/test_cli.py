@@ -178,6 +178,10 @@ BAD_CONFIGS = {
     "fractional-degree": {"degree": 1.5},
     "correction": {"correction": "no-such-backend"},
     "correction-rt": {"correction": "rt"},  # "auto" builds RT wherever it applies
+    "negative-levels": {"study": {"levels": -1}},
+    "fractional-levels": {"study": {"levels": 1.5}},
+    "fractional-max-iters": {"solver": {"max_iters": 2.7}},
+    "string-local-dt": {"solver": {"local_dt": "false"}},
 }
 
 
@@ -210,6 +214,39 @@ def test_unconverged_run_warns_and_flags_report(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert report["converged"] is False
     assert report["levels"][0]["converged"] is False
+
+
+def _case_on_mesh_text(tmp_path, mesh_text):
+    (tmp_path / "m.json").write_text(mesh_text, encoding="utf-8")
+    return _edited_shipped_case(tmp_path, "burgers_verify.json", mesh=str(tmp_path / "m.json"))
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_unbuildable_correction_exits_4(tmp_path, capsys, command):
+    # nearly parallel opposite edges: no field degree passes the
+    # correction backend's feasibility probe at k = 1
+    mesh = {"vertices": [[0, 0], [1, 0], [1 + 1e-6, 1 + 5e-7], [0, 1]],
+            "elements": [[0, 1, 2, 3]]}
+    path = _case_on_mesh_text(tmp_path, json.dumps(mesh))
+    argv = [command, str(path), "--output-dir", str(tmp_path / "o")]
+    if command == "verify":
+        argv += ["--suite", "tadmor"]
+    assert cli.main(argv) == 4
+    err = capsys.readouterr().err
+    assert "config error: unsupported discretization" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mesh_text,message", [
+    ('{"vertices": [[0, 0], [1, 0], [0, 1]], "elements": [[0, 1, 2.9]]}',
+     "element 0 has a non-integer vertex id 2.9"),
+    ('{"vertices": [[0, 0], [1, 0], [NaN, 1]], "elements": [[0, 1, 2]]}',
+     "vertex 2 has a non-finite coordinate"),
+])
+def test_bad_mesh_document_exits_4(tmp_path, capsys, mesh_text, message):
+    path = _case_on_mesh_text(tmp_path, mesh_text)
+    assert cli.main(["run", str(path), "--output-dir", str(tmp_path / "o")]) == 4
+    assert message in capsys.readouterr().err
 
 
 def test_missing_boundary_tag_exits_4(tmp_path, capsys):

@@ -114,7 +114,7 @@ def test_admissibility_flags_corrupted_trace():
     disc = Discretization(pm.structured_triangles(2), 1)
     law = ph.burgers_2d()
     u = law.random_states(RNG, disc.n_dofs).reshape(disc.n_dofs, 1)
-    bc = RNG.uniform(-2, 2, size=(len(disc.mesh.edges), disc.nq_edge, 1))
+    bc = RNG.uniform(-2, 2, size=(disc.mesh.n_edges, disc.nq_edge, 1))
     fr = rs.compute_residuals(disc, law, u, "fr", "rusanov", bc)
     eq21, eq27 = rs.correction_defects(disc, fr)
     assert eq21.max() <= 1e-11 and eq27.max() <= 1e-11

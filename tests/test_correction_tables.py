@@ -22,7 +22,7 @@ def _skewed_quads():
     v = base.vertices.copy()
     inner = np.all((v > 1e-9) & (v < 1 - 1e-9), axis=1)
     v[inner] += np.random.default_rng(4).uniform(-0.08, 0.08, size=(inner.sum(), 2))
-    return pm.mesh_from_arrays(v, [e.vertex_ids for e in base.elements])
+    return pm.mesh_from_arrays(v, base.elem_vertex_ids.reshape(base.n_elements, -1))
 
 
 def _hexagon_ring():
@@ -108,7 +108,7 @@ def test_fr_residuals_match_per_element_formula(name):
     law = ph.burgers_2d()
     rng = np.random.default_rng(23)
     u = law.random_states(rng, disc.n_dofs).reshape(disc.n_dofs, 1)
-    bc = rng.uniform(-2, 2, size=(len(mesh.edges), disc.nq_edge, 1))
+    bc = rng.uniform(-2, 2, size=(mesh.n_edges, disc.nq_edge, 1))
     fr = rs.compute_residuals(disc, law, u, "fr", "rusanov", bc)
     strong = rs.compute_residuals(disc, law, u, "fr-strong", "rusanov", bc)
     for eid in range(mesh.n_elements):
@@ -119,13 +119,13 @@ def test_fr_residuals_match_per_element_formula(name):
         F = law.flux(u[dofs])  # (nd, p, 2)
         edge_term = np.zeros((nd, 1))
         alist = []
-        for edge_id in mesh.elements[eid].edge_ids:
-            left = disc.edge_left[edge_id] == eid
+        for edge_id in mesh.element_edges(eid):
+            left = mesh.edge_left[edge_id] == eid
             sign = 1.0 if left else -1.0
             tr = (disc.edge_phi_left if left else disc.edge_phi_right)[edge_id][:, :nd]
             fstar = fr.fhat_star[edge_id]
             edge_term += sign * tr.T @ (disc.edge_w[edge_id][:, None] * fstar)
-            fhn = np.einsum("qd,dpx,x->qp", tr, F, disc.edge_normal[edge_id])
+            fhn = np.einsum("qd,dpx,x->qp", tr, F, mesh.edge_normal[edge_id])
             alist.append(sign * (fstar - fhn))
         fld = _reference_field(g.backends[loc], alist)
         want_fr = edge_term - np.einsum("dtx,tpx->dp", g.stiff[loc], F) + fld.r_sigma
@@ -144,7 +144,7 @@ def test_correction_defects_match_reference_fields(name):
     law = ph.burgers_2d()
     rng = np.random.default_rng(29)
     u = law.random_states(rng, disc.n_dofs).reshape(disc.n_dofs, 1)
-    bc = rng.uniform(-2, 2, size=(len(mesh.edges), disc.nq_edge, 1))
+    bc = rng.uniform(-2, 2, size=(mesh.n_edges, disc.nq_edge, 1))
     fr = rs.compute_residuals(disc, law, u, "fr", "rusanov", bc)
     eq21, eq27 = rs.correction_defects(disc, fr)
     for g, alpha in zip(disc.groups, fr.alpha):
@@ -166,12 +166,14 @@ def test_nsigma_matches_per_element_edge_loop(name):
     for g in disc.groups:
         for loc, eid in enumerate(g.elem_ids):
             want = np.zeros((g.n_dof, 2))
-            for edge_id in mesh.elements[eid].edge_ids:
-                edge = mesh.edges[edge_id]
-                rule = edge_quadrature(*mesh.vertices[list(edge.vertex_ids)], disc.edge_order)
-                sign = 1.0 if edge.left_element == eid else -1.0
+            for edge_id in mesh.element_edges(eid):
+                ends = mesh.vertices[mesh.edge_vertices[edge_id]]
+                rule = edge_quadrature(*ends, disc.edge_order)
+                sign = 1.0 if mesh.edge_left[edge_id] == eid else -1.0
                 phi = g.spaces[loc].eval(rule.points)
-                want -= sign * np.einsum("q,qd,x->dx", rule.weights, phi, edge.normal)
+                want -= sign * np.einsum(
+                    "q,qd,x->dx", rule.weights, phi, mesh.edge_normal[edge_id]
+                )
             assert np.abs(g.nsigma[loc] - want).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -182,12 +184,12 @@ def test_backend_edge_rules_are_edge_quadrature(name):
     disc = Discretization(mesh, k)
     for g in disc.groups:
         for eid, backend in zip(g.elem_ids, g.backends):
-            edge_ids = mesh.elements[eid].edge_ids
+            edge_ids = mesh.element_edges(eid)
             rt = isinstance(backend, co.RTCorrectionBackend)
             rules = backend.basis.flux_points if rt else backend.edge_rules
             assert len(rules) == len(edge_ids)
             for rule, edge_id in zip(rules, edge_ids):
-                ends = mesh.vertices[list(mesh.edges[edge_id].vertex_ids)]
+                ends = mesh.vertices[mesh.edge_vertices[edge_id]]
                 want = edge_quadrature(*ends, disc.edge_order)
                 if rt:
                     assert np.array_equal(rule, want.points)

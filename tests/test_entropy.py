@@ -15,7 +15,7 @@ def _setup(mesh, k, law, seed=0):
     rng = np.random.default_rng(seed)
     u = law.random_states(rng, disc.n_dofs).reshape(disc.n_dofs, law.p)
     lo, hi = law.admissible_box
-    bc = rng.uniform(lo, hi, size=(len(mesh.edges), disc.nq_edge, law.p))
+    bc = rng.uniform(lo, hi, size=(mesh.n_edges, disc.nq_edge, law.p))
     return disc, u, bc
 
 
@@ -28,7 +28,7 @@ def test_entropy_error_vanishes_on_constant_state():
     mesh = pm.structured_triangles(2)
     disc = Discretization(mesh, 1)
     u = np.full((disc.n_dofs, 1), 0.9)
-    bc = np.full((len(mesh.edges), disc.nq_edge, 1), 0.9)
+    bc = np.full((mesh.n_edges, disc.nq_edge, 1), 0.9)
     fr = rs.compute_residuals(disc, law, u, "fr", "rusanov", bc)
     assert np.abs(en.entropy_error(disc, law, u, fr)).max() <= 1e-12
 
@@ -138,7 +138,7 @@ def test_interior_entropy_flux_telescopes_to_physical_boundary():
     fr = rs.compute_residuals(disc, law, u, "fr", "rusanov", bc)
     total = fr.gbal.sum()
     want = 0.0
-    for eid in disc.boundary_edge_ids:
+    for eid in disc.mesh.boundary_edge_ids:
         want += float(np.dot(disc.edge_w[eid], fr.ghat[eid]))
     assert abs(total - want) <= 1e-12 * max(1.0, abs(total))
 
@@ -185,7 +185,7 @@ def test_entropy_conservative_residuals(mesh, k, correction):
     disc = Discretization(mesh, k, correction=correction)
     rng = np.random.default_rng(3)
     u = law.random_states(rng, disc.n_dofs).reshape(disc.n_dofs, 1)
-    bc = rng.uniform(-2, 2, size=(len(mesh.edges), disc.nq_edge, 1))
+    bc = rng.uniform(-2, 2, size=(mesh.n_edges, disc.nq_edge, 1))
     rset = en.entropy_conservative_residuals(disc, law, u, flux_kind="tadmor_ec", bc=bc)
     gap = en.entropy_error(disc, law, u, rset)
     assert np.abs(gap).max() <= 1e-10
@@ -216,7 +216,7 @@ def _decomposition_values(law, k, ns):
         u = disc.interpolate_function(SMOOTH)
         fr = rs.compute_residuals(
             disc, law, u, "fr", "rusanov",
-            np.zeros((len(mesh.edges), disc.nq_edge, 1)),
+            np.zeros((mesh.n_edges, disc.nq_edge, 1)),
         )
         terms = en.error_decomposition(disc, law, u, fr)
         out.append(
@@ -269,7 +269,7 @@ def _split_setup(law=None, seed=1):
     disc = Discretization(mesh, 1)
     rng = np.random.default_rng(seed)
     u = law.random_states(rng, disc.n_dofs).reshape(disc.n_dofs, 1)
-    bc = rng.uniform(*law.admissible_box, size=(len(mesh.edges), disc.nq_edge, 1))
+    bc = rng.uniform(*law.admissible_box, size=(mesh.n_edges, disc.nq_edge, 1))
     fr = rs.compute_residuals(disc, law, u, "fr", "tadmor_ec", bc)
     return disc, law, u, fr
 
@@ -298,7 +298,7 @@ def test_element_split_constant_state_vanishes():
     mesh = pm.two_triangle_square()
     disc = Discretization(mesh, 1)
     u = np.full((disc.n_dofs, 1), -0.7)
-    bc = np.full((len(mesh.edges), disc.nq_edge, 1), -0.7)
+    bc = np.full((mesh.n_edges, disc.nq_edge, 1), -0.7)
     fr = rs.compute_residuals(disc, law, u, "fr", "tadmor_ec", bc)
     graph = disc.dof_graph()
     for eid in range(mesh.n_elements):

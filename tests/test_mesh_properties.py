@@ -1,12 +1,13 @@
 """Property-based invariant checks on perturbed meshes.
 
-Hypothesis draws a mesh (structured triangles or quads with jittered
-interior vertices, k = 1..3, or a randomly rotated hexagon ring with three
-element families), a law, a numerical flux and a random state, then checks
-the invariant battery with the gates of ``polyfr verify`` for all six
-residual variants.  eq21 is not checked here: on jittered quads the
-constrained backend's trace solve is nearly singular, and at large states
-its round-off passes the 1e-11 gate.
+The array topology of such meshes and of their uniform refinement is
+checked first.  For the invariant battery, Hypothesis draws a mesh
+(structured triangles or quads with jittered interior vertices, k = 1..3, or
+a randomly rotated hexagon ring with three element families), a law, a
+numerical flux and a random state, then checks the invariant battery with
+the gates of ``polyfr verify`` for all six residual variants.  eq21 is not
+checked here: on jittered quads the constrained backend's trace solve is
+nearly singular, and at large states its round-off passes the 1e-11 gate.
 """
 
 import numpy as np
@@ -36,7 +37,7 @@ def _jittered(base: pm.Mesh, rng: np.random.Generator, amount: float = 0.15) -> 
     v = base.vertices.copy()
     inner = np.all((v > 1e-9) & (v < 1 - 1e-9), axis=1)
     v[inner] += amount / N_CELLS * rng.uniform(-1.0, 1.0, size=(inner.sum(), 2))
-    return pm.mesh_from_arrays(v, [e.vertex_ids for e in base.elements])
+    return pm.mesh_from_arrays(v, base.elem_vertex_ids.reshape(base.n_elements, -1))
 
 
 def _hexagon_ring(rng: np.random.Generator) -> pm.Mesh:
@@ -73,7 +74,7 @@ def test_invariants_on_perturbed_meshes(case):
     mesh, k, law, flux, rng = case
     disc = Discretization(mesh, k)
     u = law.random_states(rng, disc.n_dofs).reshape(disc.n_dofs, law.p)
-    bc = rng.uniform(*law.admissible_box, size=(len(mesh.edges), disc.nq_edge, law.p))
+    bc = rng.uniform(*law.admissible_box, size=(mesh.n_edges, disc.nq_edge, law.p))
     tols = cli.DEFECT_TOLS
 
     for variant in rs.VARIANTS:
@@ -90,6 +91,76 @@ def test_invariants_on_perturbed_meshes(case):
             assert np.abs(en.entropy_error(disc, law, u, rset)).max() <= tols["eq32"]
         elif variant == "st":
             assert (-en.entropy_error(disc, law, u, rset)).min() >= -tols["eq44"]
+
+
+def _tagged(mesh: pm.Mesh) -> pm.Mesh:
+    """``mesh`` with its boundary edges tagged by the side of x = 0 their
+    midpoints lie on, so refinement has distinct tags to carry."""
+    ends = mesh.vertices[mesh.edge_vertices]
+    east = ends[:, :, 0].sum(axis=1) > 0.0
+    boundary = [(tuple(int(v) for v in mesh.edge_vertices[k]), "east" if east[k] else "west")
+                for k in mesh.boundary_edge_ids]
+    rows = [list(mesh.element_vertices(e)) for e in range(mesh.n_elements)]
+    return pm.mesh_from_arrays(mesh.vertices, rows, boundary)
+
+
+def _check_topology(mesh: pm.Mesh) -> None:
+    uses: dict[int, list] = {}  # edge id -> (element, tail, head) per traversal
+    for e in range(mesh.n_elements):
+        v = [int(x) for x in mesh.element_vertices(e)]
+        for i, k in enumerate(mesh.element_edges(e)):
+            uses.setdefault(int(k), []).append((e, v[i], v[(i + 1) % len(v)]))
+        # the one-polygon shoelace formula the batched areas must reproduce
+        x, y = mesh.element_coords(e).T
+        area = 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+        assert mesh.elem_area[e] == area > 0
+    # edge ids are handed out in the order a traversal first meets them
+    assert list(uses) == list(range(mesh.n_edges))
+    for k, ((e0, a, b), *rest) in uses.items():
+        assert (mesh.edge_left[k], *mesh.edge_vertices[k]) == (e0, a, b)
+        if mesh.edge_right[k] < 0:
+            assert rest == [] and k in mesh.boundary_tags
+        else:  # interior: traversed once more, by the right element, reversed
+            assert rest == [(mesh.edge_right[k], b, a)]
+    assert sorted(mesh.boundary_tags) == list(mesh.boundary_edge_ids)
+    t = mesh.vertices[mesh.edge_vertices[:, 1]] - mesh.vertices[mesh.edge_vertices[:, 0]]
+    assert np.array_equal(mesh.edge_length, np.hypot(t[:, 0], t[:, 1]))
+    assert np.abs((mesh.edge_normal * t).sum(axis=1)).max() <= 1e-15
+    # every element boundary closes: sum of sign * length * normal vanishes
+    for e in range(mesh.n_elements):
+        edges = mesh.element_edges(e)
+        sign = np.where(mesh.edge_left[edges] == e, 1.0, -1.0)
+        total = sign * mesh.edge_length[edges] @ mesh.edge_normal[edges]
+        assert np.abs(total).max() <= 1e-13 * mesh.edge_length[edges].sum()
+
+
+def _tag_lengths(mesh: pm.Mesh) -> dict[str, float]:
+    out: dict[str, float] = {}
+    for k, tag in mesh.boundary_tags.items():
+        out[tag] = out.get(tag, 0.0) + float(mesh.edge_length[k])
+    return out
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(["triangles", "quads", "hexagon-ring"]), st.integers(0, 2**32 - 1))
+def test_array_topology_invariants(family, seed):
+    rng = np.random.default_rng(seed)
+    if family == "hexagon-ring":
+        mesh = _hexagon_ring(rng)
+    else:
+        base = (pm.structured_triangles if family == "triangles" else pm.structured_quads)(N_CELLS)
+        mesh = _jittered(base, rng)
+    mesh = _tagged(mesh)
+    fine = pm.refine_uniform(mesh)
+    for m in (mesh, fine):
+        _check_topology(m)
+    area = mesh.elem_area.sum()
+    assert abs(fine.elem_area.sum() - area) <= 1e-13 * area
+    coarse_len, fine_len = _tag_lengths(mesh), _tag_lengths(fine)
+    assert set(fine_len) == set(coarse_len) == {"east", "west"}
+    for tag, length in coarse_len.items():
+        assert abs(fine_len[tag] - length) <= 1e-13 * length
+    assert len(fine.boundary_edge_ids) == 2 * len(mesh.boundary_edge_ids)
 
 
 def _near_square(eps):

@@ -97,7 +97,7 @@ def test_mass_evolution_tracks_boundary_flux_with_uniform_step():
     disc = Discretization(mesh, 1)
     rng = np.random.default_rng(9)
     u = 0.5 * rng.normal(size=(disc.n_dofs, 1))
-    bvals = rng.uniform(-1, 1, size=(len(mesh.edges), disc.nq_edge, 1))
+    bvals = rng.uniform(-1, 1, size=(mesh.n_edges, disc.nq_edge, 1))
     cfg = sv.SolverConfig(cfl=0.4, local_dt=False)
     mu = sv.lumped_measures(disc)
     coef = sv._dt_over_mu(disc, law, u, cfg, mu)
@@ -108,7 +108,7 @@ def test_mass_evolution_tracks_boundary_flux_with_uniform_step():
     u2 = u - coef[:, None] * R
     dmass = float((mu[:, None] * (u2 - u)).sum())
     boundary_flow = 0.0
-    for eid in disc.boundary_edge_ids:
+    for eid in disc.mesh.boundary_edge_ids:
         boundary_flow += float(np.dot(disc.edge_w[eid], rset.fhat_bc[eid][:, 0]))
     assert abs(dmass + dtau * boundary_flow) <= 1e-10 * max(1.0, abs(dmass))
 
