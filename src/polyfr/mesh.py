@@ -123,17 +123,25 @@ def mesh_from_arrays(vertices, element_vertices, boundary=None) -> Mesh:
     ``element_vertices`` is a sequence of integer vertex-id sequences;
     ``boundary`` an optional sequence of
     ``((v0, v1), tag)`` entries.  Elements are normalized to counter-clockwise
-    orientation.  Raises :class:`MeshError` on non-finite coordinates,
-    non-integer or out-of-range indices, degenerate (zero-area) elements,
-    edges shared by more than two elements, or hanging-node style
-    non-conforming interfaces.
+    orientation.  Raises :class:`MeshError` on non-numeric (strings, bools)
+    or non-finite coordinates, non-integer or out-of-range indices,
+    degenerate (zero-area) elements, edges shared by more than two elements,
+    or hanging-node style non-conforming interfaces.
     """
+    given = vertices
     try:
         vertices = np.asarray(vertices, dtype=float)
     except (TypeError, ValueError) as exc:
         raise MeshError(f"vertices must be an (n, 2) array: {exc}") from exc
     if vertices.ndim != 2 or vertices.shape[1] != 2:
         raise MeshError("vertices must be an (n, 2) array")
+    if not (isinstance(given, np.ndarray) and given.dtype.kind in "iuf"):
+        # float() would turn "0" into 0.0 and true into 1.0
+        real = (int, float, np.integer, np.floating)
+        for i, xy in enumerate(given):
+            wrong = [c for c in xy if isinstance(c, bool) or not isinstance(c, real)]
+            if wrong:
+                raise MeshError(f"vertex {i} has a non-numeric coordinate {wrong[0]!r}")
     bad = np.nonzero(~np.isfinite(vertices).all(axis=1))[0]
     if len(bad):
         raise MeshError(f"vertex {bad[0]} has a non-finite coordinate")
@@ -143,12 +151,18 @@ def mesh_from_arrays(vertices, element_vertices, boundary=None) -> Mesh:
         wrong = [v for v in ids if not is_int(v)]
         if wrong:
             raise MeshError(f"element {e} has a non-integer vertex id {wrong[0]!r}")
+        wrong = [v for v in ids if not 0 <= v < len(vertices)]
+        if wrong:
+            raise MeshError(f"element {e} references a missing vertex {wrong[0]!r}")
     ptr = np.concatenate([[0], np.cumsum([len(ids) for ids in rows], dtype=np.int64)])
     flat = np.array([v for ids in rows for v in ids], dtype=np.int64)
     pairs, tags = [], []
     for i, (pair, tag) in enumerate(boundary or []):
         if not (is_int(pair[0]) and is_int(pair[1])):
             raise MeshError(f"boundary entry {i} has a non-integer vertex id in {pair!r}")
+        if not (0 <= pair[0] < len(vertices) and 0 <= pair[1] < len(vertices)):
+            # no edge has it, whatever the key min * n + max would match
+            raise MeshError(f"boundary entry references unknown edge {tuple(sorted(pair))}")
         pairs.append((pair[0], pair[1]))
         tags.append(str(tag))
     return _build_mesh(vertices, ptr, flat, np.array(pairs, dtype=np.int64).reshape(-1, 2), tags)
@@ -171,8 +185,6 @@ def _build_mesh(vertices, ptr, flat, pairs, tags) -> Mesh:
     checks = {
         "has fewer than 3 vertices": counts < 3,
         "repeats a vertex": np.bincount(elem_of[order][1:][twice], minlength=n_elem) > 0,
-        "references a missing vertex":
-            np.bincount(elem_of[(flat < 0) | (flat >= n_vert)], minlength=n_elem) > 0,
     }
     ok = ~np.any(list(checks.values()), axis=0)
 
@@ -229,12 +241,10 @@ def _build_mesh(vertices, ptr, flat, pairs, tags) -> Mesh:
     boundary_ids = np.nonzero(edge_right < 0)[0]
     _check_conforming(vertices, edge_vertices[boundary_ids], scale)
 
-    # boundary tags: each entry's vertex pair is looked up among the edges;
-    # an id outside the vertex range has no edge, whatever its key
+    # boundary tags: each entry's vertex pair is looked up among the edges
     want = _pair_keys(pairs[:, 0], pairs[:, 1], n_vert)
     at = np.searchsorted(ukeys, want)
-    in_range = ((pairs >= 0) & (pairs < n_vert)).all(axis=1)
-    known = in_range & (np.append(ukeys, -1)[at] == want)
+    known = np.append(ukeys, -1)[at] == want
     tagged = np.append(rank, n_edges)[at]
     bad = np.nonzero(~known | (np.append(edge_right, -1)[tagged] >= 0))[0]
     if len(bad):

@@ -50,8 +50,10 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("cfl must lie in (0, 1]")
-        if self.residual_tol <= 0.0:
+        if not self.residual_tol > 0.0:
             raise ValueError("residual_tol must be positive")
+        if not 0.0 <= self.jump_coeff < float("inf"):
+            raise ValueError("jump_coeff must be finite and >= 0")
 
 
 @dataclass
@@ -155,7 +157,7 @@ def solve_steady(disc: Discretization, law: ConservationLaw,
         trace.res_linf.append(float(np.abs(R).max()))
         trace.entropy_balance.append(gap)
         if res < best_res:
-            best_u, best_res = u.copy(), res
+            best_u, best_res = u, res  # iterates are never written in place
         if res0 is None:
             res0 = max(res, 1e-300)
             if res <= 1e-13 * max(1.0, float(np.abs(u).max())):

@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from polyfr import cli
@@ -182,6 +183,9 @@ BAD_CONFIGS = {
     "fractional-levels": {"study": {"levels": 1.5}},
     "fractional-max-iters": {"solver": {"max_iters": 2.7}},
     "string-local-dt": {"solver": {"local_dt": "false"}},
+    "nan-residual-tol": {"solver": {"residual_tol": float("nan")}},  # json writes NaN
+    "negative-jump-coeff": {"solver": {"jump_coeff": -5}},
+    "infinite-jump-coeff": {"solver": {"jump_coeff": float("inf")}},
 }
 
 
@@ -194,6 +198,31 @@ def test_config_errors_exit_4(tmp_path, capsys, command, key):
         argv += ["--suite", "tadmor"]
     assert cli.main(argv) == 4
     assert "config error" in capsys.readouterr().err
+
+
+BAD_ARGUMENTS = {
+    "zero-draws": ("verify", ["--draws", "0"]),
+    "negative-draws": ("verify", ["--draws", "-3"]),
+    "nan-tol-scale-run": ("run", ["--tol-scale", "nan"]),
+    "nan-tol-scale-verify": ("verify", ["--tol-scale", "nan"]),
+    "infinite-tol-scale": ("run", ["--tol-scale", "inf"]),
+    "zero-tol-scale": ("run", ["--tol-scale", "0"]),
+    "negative-tol-scale": ("verify", ["--tol-scale", "-1"]),
+    "negative-seed-run": ("run", ["--seed", "-1"]),
+    "negative-seed-verify": ("verify", ["--seed", "-1"]),
+}
+
+
+@pytest.mark.parametrize("key", list(BAD_ARGUMENTS))
+def test_bad_arguments_exit_4(tmp_path, capsys, key):
+    command, extra = BAD_ARGUMENTS[key]
+    argv = [command, str(CASES / "burgers_verify.json"), "--output-dir", str(tmp_path / "o")]
+    if command == "verify":
+        argv += ["--suite", "conservation"]
+    assert cli.main(argv + extra) == 4
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("name", ["burgers_verify.json", "burgers_hexagon.json"])
@@ -242,6 +271,12 @@ def test_unbuildable_correction_exits_4(tmp_path, capsys, command):
      "element 0 has a non-integer vertex id 2.9"),
     ('{"vertices": [[0, 0], [1, 0], [NaN, 1]], "elements": [[0, 1, 2]]}',
      "vertex 2 has a non-finite coordinate"),
+    ('{"vertices": [[0, 0], ["1", 0], [0, 1]], "elements": [[0, 1, 2]]}',
+     "vertex 1 has a non-numeric coordinate '1'"),
+    ('{"vertices": [[0, 0], [1, 0], [true, 1]], "elements": [[0, 1, 2]]}',
+     "vertex 2 has a non-numeric coordinate True"),
+    ('{"vertices": [[0, 0], [2, 0], [0, 1]], "elements": [[0, 1, 1180591620717411303424]]}',
+     "element 0 references a missing vertex 1180591620717411303424"),
 ])
 def test_bad_mesh_document_exits_4(tmp_path, capsys, mesh_text, message):
     path = _case_on_mesh_text(tmp_path, mesh_text)
@@ -294,3 +329,23 @@ def test_merged_defects_keep_negative_level_values():
     assert acc["eq5"] == 2e-15
     assert acc["ck_bdk_min"] == 0.2
     assert acc["eq32"] is None
+
+
+def test_degenerate_entropy_correction_is_reported(tmp_path, capsys, monkeypatch):
+    # run's battery records the entropy checks as not evaluable; verify stops
+    def degenerate(*args, **kwargs):
+        raise en.DegenerateEntropyCorrection("entropy defect 1e-03 on a constant state (element 0)")
+
+    monkeypatch.setattr(en, "tau_all", degenerate)
+    path = _write_case(tmp_path, law="burgers", law_params={})
+    disc = cli._build_disc(cli.load_config(path), pm.structured_triangles(2))
+    law = cli.law_by_name("burgers")
+    u = law.random_states(np.random.default_rng(0), disc.n_dofs).reshape(-1, 1)
+    defects = cli.defect_battery(disc, law, u, rs.compute_residuals(disc, law, u))
+    assert defects["eq32"] is None and defects["eq44"] is None
+    assert "constant state" in defects["degenerate_correction"]
+    assert all(defects[k] is not None for k in ("eq5", "eq6", "eq21", "eq27", "tadmor_max"))
+
+    argv = ["verify", str(path), "--suite", "entropy-cs", "--draws", "1"]
+    assert cli.main(argv) == 3
+    assert "constant state (element 0)" in capsys.readouterr().err

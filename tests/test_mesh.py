@@ -134,6 +134,17 @@ def test_bad_indices_and_degenerate_elements_rejected():
     for pair in ((0, 6), (-1, 5)):
         with pytest.raises(pm.MeshError, match="boundary entry references unknown edge"):
             pm.mesh_from_arrays(square, [[0, 1, 2, 3]], boundary=[(pair, "wall")])
+    # ids beyond int64, which numpy cannot hold
+    with pytest.raises(pm.MeshError, match=f"element 0 references a missing vertex {2**70}"):
+        pm.mesh_from_arrays(tri, [[0, 1, 2**70]])
+    with pytest.raises(pm.MeshError, match="boundary entry references unknown edge"):
+        pm.mesh_from_arrays(tri, [[0, 1, 2]], boundary=[((0, 2**70), "wall")])
+    # coordinates that float() would coerce
+    for verts, vertex, shown in (([[0, 0], [1, 0], ["0", 1]], 2, "'0'"),
+                                 ([[0, 0], [True, 0], [0, 1]], 1, "True")):
+        with pytest.raises(pm.MeshError,
+                           match=f"vertex {vertex} has a non-numeric coordinate {shown}"):
+            pm.mesh_from_arrays(verts, [[0, 1, 2]])
     # non-finite coordinates, as the JSON reader lets them through
     for text, vertex in (("[[0, 0], [1, 0], [NaN, 1]]", 2),
                          ("[[0, 0], [Infinity, 0], [0, 1]]", 1)):

@@ -25,6 +25,11 @@ def test_config_validation():
         sv.SolverConfig(cfl=1.5)
     with pytest.raises(ValueError):
         sv.SolverConfig(residual_tol=-1.0)
+    for bad in ({"residual_tol": float("nan")}, {"jump_coeff": -0.1},
+                {"jump_coeff": float("nan")}, {"jump_coeff": float("inf")}):
+        with pytest.raises(ValueError):
+            sv.SolverConfig(**bad)
+    sv.SolverConfig(jump_coeff=0.0)  # no dissipation is a valid st scale
 
 
 def test_zero_residual_leaves_state_unchanged():
