@@ -60,7 +60,10 @@ def edge_quadrature(p0, p1, order: int) -> QuadratureRule:
     return QuadratureRule(pts, w * float(np.hypot(*(p1 - p0))), order)
 
 
-def _triangle_rule(coords: np.ndarray, order: int) -> QuadratureRule:
+def triangle_rules(coords: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Collapsed Gauss rules on a stack of triangles ``coords`` (nE, 3, 2):
+    points (nE, nq, 2) and weights (nE, nq).  Each row is the rule
+    ``volume_quadrature`` builds for that triangle, bit for bit."""
     # collapsed tensor rule on the reference triangle, mapped affinely:
     # x = a, y = b*(1-a) with jacobian (1-a); n-point Gauss per direction is
     # exact for total degree 2n-2 after the collapse
@@ -69,12 +72,16 @@ def _triangle_rule(coords: np.ndarray, order: int) -> QuadratureRule:
     a = np.repeat(t, n)
     b = np.tile(t, n)
     wab = np.repeat(w, n) * np.tile(w, n) * (1.0 - a)
-    x = a
-    y = b * (1.0 - a)
-    v0, v1, v2 = coords
-    pts = v0[None, :] + np.outer(x, v1 - v0) + np.outer(y, v2 - v0)
-    area = shoelace_area(coords)
-    return QuadratureRule(pts, wab * 2.0 * area, order)
+    x = a[None, :, None]
+    y = (b * (1.0 - a))[None, :, None]
+    v0, v1, v2 = (coords[:, i, None, :] for i in range(3))
+    pts = v0 + x * (v1 - v0) + y * (v2 - v0)
+    return pts, wab * 2.0 * shoelace_area(coords)[:, None]
+
+
+def _triangle_rule(coords: np.ndarray, order: int) -> QuadratureRule:
+    pts, w = triangle_rules(coords[None], order)
+    return QuadratureRule(pts[0], w[0], order)
 
 
 def _bilinear_map(coords: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,15 +111,13 @@ def _quad_rule(coords: np.ndarray, order: int) -> QuadratureRule:
 
 
 def _fan_rule(coords: np.ndarray, order: int) -> QuadratureRule:
-    center = polygon_centroid(coords)
-    pts, wts = [], []
-    n = len(coords)
-    for i in range(n):
-        tri = np.array([coords[i], coords[(i + 1) % n], center])
-        rule = _triangle_rule(tri, order)
-        pts.append(rule.points)
-        wts.append(rule.weights)
-    return QuadratureRule(np.vstack(pts), np.concatenate(wts), order)
+    # one triangle per edge, closed at the centroid
+    fan = np.stack([
+        coords, np.roll(coords, -1, axis=0),
+        np.broadcast_to(polygon_centroid(coords), coords.shape),
+    ], axis=1)
+    pts, w = triangle_rules(fan, order)
+    return QuadratureRule(pts.reshape(-1, 2), w.ravel(), order)
 
 
 def volume_quadrature(coords, order: int, kind: str | None = None) -> QuadratureRule:

@@ -16,7 +16,12 @@ construct such fields:
     L2-smallest RT field of the requested order with unit normal trace at
     one edge flux point and zero at the others.  Flux points coincide with
     the Gauss points of the edge quadrature, so the trace condition holds
-    exactly at the quadrature points.
+    exactly at the quadrature points.  ``rt_group_tables`` builds the
+    tables of a whole triangle group in one stacked pass (batched Gram,
+    trace and closure solves and one batched condition check);
+    ``RTBasis`` and ``RTCorrectionBackend`` are the same construction for
+    one element, the public per-element API and the stacked build's
+    reference.
 
 ``neumann``
     On arbitrary polygons the field is sought in a vector polynomial space:
@@ -37,6 +42,7 @@ from .approximation import (
     ElementSpace,
     QuadratureRule,
     gauss_legendre_01,
+    triangle_rules,
     volume_quadrature,
 )
 from .mesh import polygon_centroid, shoelace_area
@@ -64,6 +70,36 @@ def _lagrange_matrix(nodes: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rt_span(u: np.ndarray, p: int) -> np.ndarray:
+    """Raw RT_p span members at local points ``u`` (..., npts, 2), shape
+    (..., npts, n_dim, 2): [P_p]^2 column pairs, then x * homogeneous(P_p)."""
+    x, y = u[..., 0], u[..., 1]
+    zero = np.zeros_like(x)
+    cols = []
+    for a, b in _monomial_exponents(p):
+        mono = x**a * y**b
+        cols.append(np.stack([mono, zero], axis=-1))
+        cols.append(np.stack([zero, mono], axis=-1))
+    for a in range(p, -1, -1):
+        cols.append(u * (x**a * y ** (p - a))[..., None])
+    return np.stack(cols, axis=-2)
+
+
+def _rt_span_div(u: np.ndarray, p: int) -> np.ndarray:
+    """Divergences (..., npts, n_dim) of the raw span members in local
+    coordinates (divide by the element scale for physical ones)."""
+    x, y = u[..., 0], u[..., 1]
+    zero = np.zeros_like(x)
+    cols = []
+    for a, b in _monomial_exponents(p):
+        cols.append(a * x ** max(a - 1, 0) * y**b if a else zero)
+        cols.append(b * x**a * y ** max(b - 1, 0) if b else zero)
+    for a in range(p, -1, -1):
+        # div(x * x^a y^b) = (2 + a + b) x^a y^b  with a + b = p
+        cols.append((2 + p) * x**a * y ** (p - a))
+    return np.stack(cols, axis=-1)
+
+
 class RTBasis:
     """Cardinal Raviart-Thomas basis of order ``p`` on a physical triangle.
 
@@ -86,8 +122,6 @@ class RTBasis:
             raise CorrectionError("Raviart-Thomas correction bases need a triangle")
         self._center = polygon_centroid(self.vertices)
         self._scale = math.sqrt(abs(shoelace_area(self.vertices)))
-        self._poly_exp = _monomial_exponents(p)
-        self._hom_exp = [(a, p - a) for a in range(p, -1, -1)]
         self.n_members = 3 * (p + 1)
 
         self.edge_normals = []
@@ -131,32 +165,10 @@ class RTBasis:
         return (np.atleast_2d(points) - self._center) / self._scale
 
     def _raw_eval(self, points) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        u = self._local(pts)
-        cols = []
-        for a, b in self._poly_exp:
-            mono = u[:, 0] ** a * u[:, 1] ** b
-            cols.append(np.stack([mono, np.zeros_like(mono)], axis=1))
-            cols.append(np.stack([np.zeros_like(mono), mono], axis=1))
-        for a, b in self._hom_exp:
-            mono = u[:, 0] ** a * u[:, 1] ** b
-            cols.append(u * mono[:, None])
-        return np.stack(cols, axis=1)  # (npts, n_dim, 2)
+        return _rt_span(self._local(points), self.degree)  # (npts, n_dim, 2)
 
     def _raw_div(self, points) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        u = self._local(pts)
-        cols = []
-        for a, b in self._poly_exp:
-            dx = a * u[:, 0] ** max(a - 1, 0) * u[:, 1] ** b if a else np.zeros(len(u))
-            dy = b * u[:, 0] ** a * u[:, 1] ** max(b - 1, 0) if b else np.zeros(len(u))
-            cols.append(dx)
-            cols.append(dy)
-        p = self.degree
-        for a, b in self._hom_exp:
-            # div(x * x^a y^b) = (2 + a + b) x^a y^b  with a + b = p
-            cols.append((2 + p) * u[:, 0] ** a * u[:, 1] ** b)
-        return np.stack(cols, axis=1) / self._scale
+        return _rt_span_div(self._local(points), self.degree) / self._scale
 
     # public member evaluation ----------------------------------------------
     def eval(self, points) -> np.ndarray:
@@ -251,6 +263,68 @@ class RTCorrectionBackend:
             div_moments=self.div_table @ coeff,
             volume_integral=coeff.T @ self.vol_table,
         )
+
+
+def rt_group_tables(p: int, coords: np.ndarray, flux_points: np.ndarray,
+                    vol_points: np.ndarray, vol_w: np.ndarray, vol_phi: np.ndarray,
+                    vol_grad: np.ndarray, elem_ids: np.ndarray):
+    """The RT correction tables of a stack of triangles in one pass.
+
+    ``coords`` (nE, 3, 2) are the vertices, ``flux_points`` (nE, 3, p+1, 2)
+    the flux (edge quadrature) points of each local edge, and ``vol_points``
+    (nE, nq, 2), ``vol_w``, ``vol_phi`` (nE, nq, nd) and ``vol_grad``
+    (nE, nq, nd, 2) the volume rule and basis tables.  Each element gets the
+    members of ``RTBasis`` and the tables of ``RTCorrectionBackend``, with
+    the Gram, trace and closure solves batched; returns (r, div, vol, trace)
+    of shapes (nE, nd, m), (nE, nd, m), (nE, m, 2) and (nE, m, m).  A
+    singular dual-functional matrix raises ``CorrectionError`` naming the
+    first such element by its id in ``elem_ids``.
+    """
+    if not 1 <= p <= 3:
+        raise CorrectionError(f"Raviart-Thomas order {p} not supported")
+    n_elem = len(coords)
+    center = polygon_centroid(coords)[:, None, :]
+    scale = np.sqrt(np.abs(shoelace_area(coords)))[:, None, None]
+
+    def local(points):
+        return (points - center) / scale
+
+    # trace functionals: normal components at the flux points, edge by edge
+    tang = np.roll(coords, -1, axis=1) - coords
+    length = np.hypot(tang[..., 0], tang[..., 1])
+    normals = np.stack([tang[..., 1], -tang[..., 0]], axis=-1) / length[..., None]
+    normals = np.repeat(normals, p + 1, axis=1)  # (nE, m, 2), one per member
+    flux_span = _rt_span(local(flux_points.reshape(n_elem, -1, 2)), p)
+    tmat = np.einsum("emix,emx->emi", flux_span, normals)  # (nE, m, n_dim)
+
+    # L2-smallest closure: coeffs = G^-1 T^T (T G^-1 T^T)^-1
+    gram_pts, gram_w = triangle_rules(coords, 2 * p + 2)
+    raw = _rt_span(local(gram_pts), p)
+    gram = np.einsum("eq,eqix,eqjx->eij", gram_w, raw, raw)
+    gram_t = np.linalg.solve(gram, tmat.transpose(0, 2, 1))  # (nE, n_dim, m)
+    tgt = tmat @ gram_t
+    cond = np.linalg.cond(tgt)
+    bad = ~(np.isfinite(cond) & (cond <= 1e12))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise CorrectionError(
+            f"element {elem_ids[i]}: singular dual-functional matrix (cond {cond[i]:.2e}); "
+            "choose different flux points"
+        )
+    coeffs = gram_t @ np.linalg.solve(tgt, np.eye(tgt.shape[-1]))  # (nE, n_dim, m)
+
+    # members at the volume and flux points, contracted as the backend does
+    def members(span):  # (nE, npts, n_dim, 2) -> (nE, npts, m, 2)
+        return np.swapaxes(np.swapaxes(span, -1, -2) @ coeffs[:, None], -1, -2)
+
+    vol_local = local(vol_points)
+    hval = members(_rt_span(vol_local, p))
+    hdiv = (_rt_span_div(vol_local, p) / scale) @ coeffs  # (nE, nq, m)
+    r = -np.einsum("eq,eqdx,eqmx->edm", vol_w, vol_grad, hval)
+    div = np.einsum("eq,eqd,eqm->edm", vol_w, vol_phi, hdiv)
+    vol = np.einsum("eq,eqmx->emx", vol_w, hval)
+    trace = np.einsum("enmx,enx->enm", members(flux_span), normals)
+    return r, div, vol, trace
 
 
 class NeumannCorrectionBackend:

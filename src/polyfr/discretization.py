@@ -6,15 +6,17 @@ evaluation reduces to a handful of einsums per group plus vectorized flux
 calls over all mesh edges at once.  Each edge quadrature rule is built once
 per mesh, and the basis traces are evaluated once per incidence row (one
 element, one local edge); the per-edge trace tables, the incidence tables,
-the boundary vectors ``nsigma`` and the correction backends' edge rules all
-come from these.  Both correction backends are linear in
-the interface mismatch, so each group stores its correction as stacked
-tables acting on the mismatch values; the per-element backends stay only as
-references and for prescribed interior moments.  DOFs are element-local
-(broken space): the global index of local DOF ``i`` of element ``e`` is
-``offset[e] + i``, and every nodal quantity (states, residuals,
-redistribution vectors, entropy variables) is one flat (n_dofs, p) array in
-which element ``e`` owns rows ``offset[e] : offset[e] + nd``.
+the boundary vectors ``nsigma`` and the correction's edge rules all come
+from these.  Both correction backends are linear in the interface mismatch,
+so each group stores its correction as stacked tables acting on the
+mismatch values.  Triangle groups build their volume rules and RT tables in
+one stacked pass and keep no per-element correction objects; Neumann groups
+keep their per-element backends for prescribed interior moments.  DOFs
+are element-local (broken space): the global index of local DOF ``i`` of
+element ``e`` is ``offset[e] + i``, and every nodal quantity (states,
+residuals, redistribution vectors, entropy variables) is one flat
+(n_dofs, p) array in which element ``e`` owns rows
+``offset[e] : offset[e] + nd``.
 
 Quadrature orders default to volume 2k and edge 2k+1, strictly above the
 minimal orders the error analysis needs, so quadrature never masks scheme
@@ -39,6 +41,7 @@ from .approximation import (
     edge_quadrature,
     gauss_legendre_01,
     space_for_coords,
+    triangle_rules,
     volume_quadrature,
 )
 from .dofgraph import DofGraph, build_dof_graph
@@ -78,6 +81,7 @@ class ElementGroup:
     kind: str
     n_dof: int
     elem_ids: np.ndarray  # (nE,) mesh element ids
+    coords: np.ndarray  # (nE, n_local_edges, 2) vertices, counter-clockwise
     spaces: list[ElementSpace]
     areas: np.ndarray
     perimeters: np.ndarray
@@ -101,13 +105,15 @@ class ElementGroup:
     inc_wtrace: np.ndarray | None = None  # (nE, m, nd) w * phi_s trace
     inc_ntrace: np.ndarray | None = None  # (nE, m, nd, 2) phi_s * outward n
     nsigma: np.ndarray | None = None  # (nE, nd, 2): -oint_{dK} phi_s n dgamma
-    # correction tables acting on the outward mismatch alpha (nE, m, p)
+    # correction tables acting on the outward mismatch alpha (nE, m, p),
+    # built by the "rt" (triangles) or "neumann" backend
+    correction: str = ""
     corr_r: np.ndarray | None = None  # (nE, nd, m): r_sigma
     corr_div: np.ndarray | None = None  # (nE, nd, m): oint phi_s div
     corr_vol: np.ndarray | None = None  # (nE, m, 2): oint field dx
     corr_trace: np.ndarray | None = None  # (nE, m, m): normal traces
-    # per-element backends: the tables' reference, and the solver for
-    # prescribed interior moments
+    # per-element Neumann backends, the solvers for prescribed interior
+    # moments (empty on RT groups)
     backends: list = field(default_factory=list)
 
     @property
@@ -196,15 +202,17 @@ class Discretization:
     def _build_groups(self) -> None:
         mesh = self.mesh
         name = {3: "triangle", 4: "quad"}
-        families = sorted(((name.get(n, "polygon"), n), ids, e) for n, ids, _, e in mesh.blocks())
+        families = sorted(
+            ((name.get(n, "polygon"), n), ids, v, e) for n, ids, v, e in mesh.blocks()
+        )
         self.groups: list[ElementGroup] = []
         self.elem_group = np.zeros(mesh.n_elements, dtype=int)
         self.elem_local = np.zeros(mesh.n_elements, dtype=int)
         diams = mesh.element_diameters()
-        for (kind, n_vert), ids, edges in families:
+        for (kind, n_vert), ids, verts, edges in families:
             self.elem_group[ids] = len(self.groups)
             self.elem_local[ids] = np.arange(len(ids))
-            self.groups.append(self._build_group(kind, n_vert, ids, edges, diams[ids]))
+            self.groups.append(self._build_group(kind, n_vert, ids, verts, edges, diams[ids]))
 
         self.nd_max = max(g.n_dof for g in self.groups)
         self.n_dof_elem = np.array([g.n_dof for g in self.groups])[self.elem_group]
@@ -231,26 +239,28 @@ class Discretization:
         for g in self.groups:
             self._attach_incidence(g)
 
-    def _build_group(self, kind: str, n_vert: int, ids, edges, diams) -> ElementGroup:
-        """The group of elements ``ids`` with ``n_vert`` vertices; ``edges``
-        (nE, n_vert) are their edge ids, local edge by local edge, and
-        ``diams`` their diameters."""
+    def _build_group(self, kind: str, n_vert: int, ids, verts, edges, diams) -> ElementGroup:
+        """The group of elements ``ids`` with ``n_vert`` vertices; ``verts``
+        and ``edges`` (nE, n_vert) are their vertex and edge ids, local edge
+        by local edge, and ``diams`` their diameters."""
         mesh = self.mesh
-        spaces: list[ElementSpace] = []
-        vol_rules = []
-        for eid in ids:
-            coords = mesh.element_coords(eid)
-            space = space_for_coords(coords, self.degree)
-            spaces.append(space)
-            order = self.vol_order
-            if kind == "polygon":
-                order = self._boosted_order(coords, space, order, kind)
-            elif kind == "quad" and not self._is_parallelogram(coords):
-                # mapped bases pull back polynomial under the bilinear map;
-                # the extra tensor order covers products with the (higher
-                # degree) correction field
-                order = max(order, 2 * self.degree) + 10
-            vol_rules.append(volume_quadrature(coords, order, kind=kind))
+        coords = mesh.vertices[verts]
+        spaces = [space_for_coords(c, self.degree) for c in coords]
+        if kind == "triangle":
+            pts, wts = triangle_rules(coords, self.vol_order)
+            vol_rules = [QuadratureRule(x, w, self.vol_order) for x, w in zip(pts, wts)]
+        else:
+            vol_rules = []
+            for c, space in zip(coords, spaces):
+                order = self.vol_order
+                if kind == "polygon":
+                    order = self._boosted_order(c, space, order, kind)
+                elif not self._is_parallelogram(c):
+                    # mapped bases pull back polynomial under the bilinear
+                    # map; the extra tensor order covers products with the
+                    # (higher degree) correction field
+                    order = max(order, 2 * self.degree) + 10
+                vol_rules.append(volume_quadrature(c, order, kind=kind))
 
         nE = len(ids)
         nd = spaces[0].n_dof
@@ -278,6 +288,7 @@ class Discretization:
             kind=kind,
             n_dof=nd,
             elem_ids=ids,
+            coords=coords,
             spaces=spaces,
             areas=areas,
             perimeters=perims,
@@ -319,34 +330,31 @@ class Discretization:
         g.nsigma = -np.einsum("em,emdx->edx", g.inc_w, g.inc_ntrace)
 
     def _attach_correction(self, group: ElementGroup, vol_rules) -> None:
-        rt = (
-            self.correction == "auto"
-            and group.kind == "triangle"
-            and self.nq_edge == self.degree + 1
-        )
-
-        # the stored edge rules and outward normals, per element edge by edge
+        # the stored edge rules, per element edge by edge
         rows = group.inc_edge.reshape(group.n_elements, group.n_local_edges)
+        if (self.correction == "auto" and group.kind == "triangle"
+                and self.nq_edge == self.degree + 1):
+            group.correction = "rt"
+            tables = corr.rt_group_tables(
+                self.degree, group.coords, self.edge_pts[rows],
+                np.stack([r.points for r in vol_rules]),
+                group.vol_w, group.vol_phi, group.vol_grad, group.elem_ids,
+            )
+            group.corr_r, group.corr_div, group.corr_vol, group.corr_trace = tables
+            return
+
+        group.correction = "neumann"
         sign = np.where(group.inc_side == 0, 1.0, -1.0)[:, None]
         outward = (sign * self.mesh.edge_normal[group.inc_edge]).reshape(rows.shape + (2,))
         backends = []
-        for i, eid in enumerate(group.elem_ids):
+        for i in range(group.n_elements):
             rules = [
                 QuadratureRule(self.edge_pts[k], self.edge_w[k], self.edge_order)
                 for k in rows[i]
             ]
-            if rt:
-                basis = corr.RTBasis(
-                    self.degree, self.mesh.element_coords(eid),
-                    flux_points=[r.points for r in rules],
-                )
-                backends.append(
-                    corr.RTCorrectionBackend(basis, group.spaces[i], vol_rules[i], rules)
-                )
-            else:
-                backends.append(corr.NeumannCorrectionBackend(
-                    group.spaces[i], vol_rules[i], rules, list(outward[i])
-                ))
+            backends.append(corr.NeumannCorrectionBackend(
+                group.spaces[i], vol_rules[i], rules, list(outward[i])
+            ))
         group.backends = backends
         group.corr_r = np.stack([b.r_table for b in backends])
         group.corr_div = np.stack([b.div_table for b in backends])

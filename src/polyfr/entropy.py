@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .correction import NeumannCorrectionBackend
 from .discretization import Discretization
 from .dofgraph import ElementDofGraph
 from .physics import ConservationLaw, normal_flux
@@ -171,10 +170,10 @@ def entropy_conservative_residuals(disc: Discretization, law: ConservationLaw,
     targets = entropy_conservative_targets(disc, law, u, ref)
     r_sigma = np.zeros_like(ref.phi)
     for g, alpha in zip(disc.groups, ref.alpha):
+        if g.correction != "neumann":
+            raise ValueError("prescribed interior moments need the constrained backend")
         alist = alpha.reshape(g.n_elements, g.n_local_edges, disc.nq_edge, -1)
         for loc, (backend, dofs) in enumerate(zip(g.backends, g.dof_idx)):
-            if not isinstance(backend, NeumannCorrectionBackend):
-                raise ValueError("prescribed interior moments need the constrained backend")
             r_sigma[dofs] = backend.solve(list(alist[loc]), targets[dofs]).r_sigma
     return replace(ref, variant="fr", phi=ref.phi + r_sigma, r_sigma=r_sigma)
 

@@ -65,34 +65,32 @@ class ResidualSet:
 def interface_fluxes(disc, law, u, flux_kind, bc=None):
     """Single-valued interface fluxes and the entropy flux at edge points.
 
-    Returns (fhat_star, fhat_bc, ghat, uL, uR): the element-side flux (the
-    numerical flux on interior edges, the pointwise consistent flux on
-    boundary edges), the Dirichlet-coupled flux on boundary edges (None
-    without boundary data), and the matching numerical entropy flux built
-    from averaged entropy variables.
+    Returns (fhat_star, fhat_bc, ghat): the element-side flux (the numerical
+    flux on interior edges, the pointwise consistent flux on boundary
+    edges), the Dirichlet-coupled flux on boundary edges (None without
+    boundary data), and the matching numerical entropy flux built from
+    averaged entropy variables.  The numerical flux is evaluated once over
+    all edges, against the Dirichlet data on boundary edges; the boundary
+    rows of ``fhat_star`` and ``ghat`` are then replaced by the element's
+    own flux.
     """
     uL, uR = disc.edge_traces(u)
     nq = disc.edge_normal_q
-    flux = numerical_flux(flux_kind)
-    ii, bi = disc.mesh.interior_edge_ids, disc.mesh.boundary_edge_ids
-
-    fhat_star = np.empty(uL.shape)
-    ghat = np.empty(uL.shape[:2])
-    if len(ii):
-        uLi, uRi, nqi = uL[ii], uR[ii], nq[ii]
-        fi = flux(law, uLi, uRi, nqi)
-        fhat_star[ii] = fi
-        ghat[ii] = entropy_numerical_flux(law, fi, uLi, uRi, nqi)
-    uLb, nqb = uL[bi], nq[bi]
-    fhat_star[bi] = normal_flux(law, uLb, nqb)
-    ghat[bi] = (law.entropy_flux(uLb) * nqb).sum(-1)
+    bi = disc.mesh.boundary_edge_ids
+    if bc is not None:
+        ub = bc if isinstance(bc, np.ndarray) else disc.boundary_values(bc)
+        uR[bi] = ub[bi]
+    fhat_star = numerical_flux(flux_kind)(law, uL, uR, nq)
+    ghat = entropy_numerical_flux(law, fhat_star, uL, uR, nq)
 
     fhat_bc = None
     if bc is not None:
-        ub = bc if isinstance(bc, np.ndarray) else disc.boundary_values(bc)
         fhat_bc = np.zeros_like(fhat_star)
-        fhat_bc[bi] = flux(law, uLb, ub[bi], nqb)
-    return fhat_star, fhat_bc, ghat, uL, uR
+        fhat_bc[bi] = fhat_star[bi]
+    uLb, nqb = uL[bi], nq[bi]
+    fhat_star[bi] = normal_flux(law, uLb, nqb)
+    ghat[bi] = (law.entropy_flux(uLb) * nqb).sum(-1)
+    return fhat_star, fhat_bc, ghat
 
 
 def compute_residuals(
@@ -118,7 +116,7 @@ def compute_residuals(
     # edge points of each element, edge by edge.
     n_elem = disc.mesh.n_elements
     p = disc.p
-    fhat_star, fhat_bc, ghat, _, _ = interface_fluxes(disc, law, u, flux_kind, bc)
+    fhat_star, fhat_bc, ghat = interface_fluxes(disc, law, u, flux_kind, bc)
     if fhat_bc is not None:
         dbc = fhat_bc - fhat_star
         dbc[disc.mesh.interior_edge_ids] = 0.0

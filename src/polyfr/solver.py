@@ -185,16 +185,23 @@ def manufactured_error(disc: Discretization, u: np.ndarray, exact,
                        order: int | None = None) -> tuple[float, float]:
     """L2 and max errors of a discrete state against an exact field,
     measured with volume quadrature of order 2k+2 by default."""
-    from .approximation import volume_quadrature
+    from .approximation import QuadratureRule, triangle_rules, volume_quadrature
 
     order = order if order is not None else 2 * disc.degree + 2
     u = np.asarray(u, dtype=float).reshape(disc.n_dofs, -1)
+    # one stacked rule per triangle group, one rule per element elsewhere
+    rules = []
+    for g in disc.groups:
+        if g.kind == "triangle":
+            pts, wts = triangle_rules(g.coords, order)
+            rules.append([QuadratureRule(x, w, order) for x, w in zip(pts, wts)])
+        else:
+            rules.append([volume_quadrature(c, order, kind=g.kind) for c in g.coords])
     l2 = 0.0
     linf = 0.0
     for eid in range(disc.mesh.n_elements):
-        g = disc.groups[disc.elem_group[eid]]
-        loc = disc.elem_local[eid]
-        rule = volume_quadrature(disc.mesh.element_coords(eid), order, kind=g.kind)
+        gi, loc = disc.elem_group[eid], disc.elem_local[eid]
+        g, rule = disc.groups[gi], rules[gi][loc]
         uh = g.spaces[loc].eval(rule.points) @ u[g.dof_idx[loc]]
         ue = np.asarray(exact(rule.points), dtype=float)
         if ue.ndim == 1:

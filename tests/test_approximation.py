@@ -83,6 +83,22 @@ def test_hexagon_rule_matches_analytic_moment():
     assert abs(got - ap.polygon_moment(coords, 2, 0)) <= 1e-13
 
 
+@pytest.mark.parametrize("order", [2, 4, 6])
+def test_stacked_triangle_rules_equal_per_element_rules(order):
+    base = pm.structured_triangles(8)  # 128 triangles
+    v = base.vertices.copy()
+    inner = np.all((v > 1e-9) & (v < 1 - 1e-9), axis=1)
+    v[inner] += np.random.default_rng(8).uniform(-0.02, 0.02, size=(inner.sum(), 2))
+    mesh = pm.mesh_from_arrays(v, base.elem_vertex_ids.reshape(base.n_elements, -1))
+    coords = mesh.vertices[mesh.elem_vertex_ids.reshape(mesh.n_elements, 3)]
+    pts, wts = ap.triangle_rules(coords, order)
+    assert pts.shape[0] == wts.shape[0] == 128
+    for c, x, w in zip(coords, pts, wts):
+        rule = ap.volume_quadrature(c, order, kind="triangle")
+        assert np.array_equal(rule.points, x)
+        assert np.array_equal(rule.weights, w)
+
+
 @pytest.mark.parametrize(
     "coords,kind",
     [

@@ -1,6 +1,8 @@
 """Per-group correction tables against the per-element backends, the
 table-driven residuals against the per-element formula, and the table-driven
-admissibility defects against the per-element fields."""
+admissibility defects against the per-element fields.  Neumann groups keep
+their backends; for RT groups, whose tables come from one stacked build, the
+per-element ``RTBasis``/``RTCorrectionBackend`` references are built here."""
 
 from pathlib import Path
 
@@ -11,8 +13,9 @@ from polyfr import correction as co
 from polyfr import mesh as pm
 from polyfr import physics as ph
 from polyfr import residual as rs
-from polyfr.approximation import edge_quadrature
+from polyfr.approximation import edge_quadrature, volume_quadrature
 from polyfr.discretization import Discretization
+from test_mesh_properties import N_CELLS, _jittered
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 
@@ -43,7 +46,34 @@ MESHES = {
     "skew-quad": lambda: (_skewed_quads(), 1),
     "hexagon": lambda: (pm.load_mesh(CASES / "hexagon.mesh.json"), 1),
     "hexagon-ring": lambda: (_hexagon_ring(), 1),
+    "jittered-tri-k1": lambda: (_jittered(pm.structured_triangles(N_CELLS), np.random.default_rng(1)), 1),
+    "jittered-tri-k2": lambda: (_jittered(pm.structured_triangles(N_CELLS), np.random.default_rng(2)), 2),
+    "jittered-tri-k3": lambda: (_jittered(pm.structured_triangles(N_CELLS), np.random.default_rng(3)), 3),
 }
+
+
+def _reference_backends(disc, g):
+    """One per-element backend per element of group ``g``: the group's own
+    Neumann backends, or RT references built from per-element edge and
+    volume rules for an RT group (which stores none)."""
+    if g.correction == "neumann":
+        refs = g.backends
+    else:
+        assert g.correction == "rt" and not g.backends
+        mesh = disc.mesh
+        refs = []
+        for eid, space in zip(g.elem_ids, g.spaces):
+            coords = mesh.element_coords(eid)
+            rules = [
+                edge_quadrature(*mesh.vertices[mesh.edge_vertices[k]], disc.edge_order)
+                for k in mesh.element_edges(eid)
+            ]
+            basis = co.RTBasis(disc.degree, coords, flux_points=[r.points for r in rules])
+            vol = volume_quadrature(coords, disc.vol_order, kind="triangle")
+            refs.append(co.RTCorrectionBackend(basis, space, vol, rules))
+    # an empty reference list would make every per-element check vacuous
+    assert len(refs) == g.n_elements > 0
+    return refs
 
 
 def _reference_field(backend, alist):
@@ -81,14 +111,15 @@ def test_group_tables_match_per_element_backends(name):
     nq = disc.nq_edge
     for g in disc.groups:
         want_kind = co.RTCorrectionBackend if g.kind == "triangle" else co.NeumannCorrectionBackend
-        assert all(isinstance(b, want_kind) for b in g.backends)
+        backends = _reference_backends(disc, g)
+        assert all(isinstance(b, want_kind) for b in backends)
         m = g.n_local_edges * nq
         alpha = rng.standard_normal((g.n_elements, m, 2))
         r = np.einsum("edm,emp->edp", g.corr_r, alpha)
         div = np.einsum("edm,emp->edp", g.corr_div, alpha)
         vol = np.einsum("emp,emx->epx", alpha, g.corr_vol)
         traces = np.einsum("emn,enp->emp", g.corr_trace, alpha)
-        for loc, backend in enumerate(g.backends):
+        for loc, backend in enumerate(backends):
             alist = list(alpha[loc].reshape(-1, nq, 2))
             ref = _reference_field(backend, alist)
             pairs = (
@@ -111,6 +142,7 @@ def test_fr_residuals_match_per_element_formula(name):
     bc = rng.uniform(-2, 2, size=(mesh.n_edges, disc.nq_edge, 1))
     fr = rs.compute_residuals(disc, law, u, "fr", "rusanov", bc)
     strong = rs.compute_residuals(disc, law, u, "fr-strong", "rusanov", bc)
+    backends = [_reference_backends(disc, g) for g in disc.groups]
     for eid in range(mesh.n_elements):
         g = disc.groups[disc.elem_group[eid]]
         loc = disc.elem_local[eid]
@@ -127,7 +159,7 @@ def test_fr_residuals_match_per_element_formula(name):
             edge_term += sign * tr.T @ (disc.edge_w[edge_id][:, None] * fstar)
             fhn = np.einsum("qd,dpx,x->qp", tr, F, mesh.edge_normal[edge_id])
             alist.append(sign * (fstar - fhn))
-        fld = _reference_field(g.backends[loc], alist)
+        fld = _reference_field(backends[disc.elem_group[eid]][loc], alist)
         want_fr = edge_term - np.einsum("dtx,tpx->dp", g.stiff[loc], F) + fld.r_sigma
         want_strong = np.einsum("dtx,tpx->dp", g.dstrong[loc], F) + fld.div_moments
         for got, want in ((fr.phi[dofs], want_fr), (strong.phi[dofs], want_strong)):
@@ -148,7 +180,8 @@ def test_correction_defects_match_reference_fields(name):
     fr = rs.compute_residuals(disc, law, u, "fr", "rusanov", bc)
     eq21, eq27 = rs.correction_defects(disc, fr)
     for g, alpha in zip(disc.groups, fr.alpha):
-        for loc, (eid, backend) in enumerate(zip(g.elem_ids, g.backends)):
+        backends = _reference_backends(disc, g)
+        for loc, (eid, backend) in enumerate(zip(g.elem_ids, backends)):
             alist = list(alpha[loc].reshape(g.n_local_edges, disc.nq_edge, 1))
             ref = _reference_field(backend, alist)
             r_scale, _, _, t_scale = _term_scales(backend, alist)
@@ -179,24 +212,58 @@ def test_nsigma_matches_per_element_edge_loop(name):
 
 @pytest.mark.parametrize("name", list(MESHES))
 def test_backend_edge_rules_are_edge_quadrature(name):
-    # the RT backend keeps only its flux points, the edge rules' points
+    # Neumann backends keep their edge rules; the stacked RT build takes the
+    # stored edge points as its flux points
     mesh, k = MESHES[name]()
     disc = Discretization(mesh, k)
     for g in disc.groups:
-        for eid, backend in zip(g.elem_ids, g.backends):
+        rows = g.inc_edge.reshape(g.n_elements, g.n_local_edges)
+        for loc, eid in enumerate(g.elem_ids):
             edge_ids = mesh.element_edges(eid)
-            rt = isinstance(backend, co.RTCorrectionBackend)
-            rules = backend.basis.flux_points if rt else backend.edge_rules
-            assert len(rules) == len(edge_ids)
-            for rule, edge_id in zip(rules, edge_ids):
+            assert np.array_equal(rows[loc], edge_ids)
+            for i, edge_id in enumerate(edge_ids):
                 ends = mesh.vertices[mesh.edge_vertices[edge_id]]
                 want = edge_quadrature(*ends, disc.edge_order)
-                if rt:
-                    assert np.array_equal(rule, want.points)
+                if g.correction == "rt":
+                    assert np.array_equal(disc.edge_pts[edge_id], want.points)
                     continue
+                rule = g.backends[loc].edge_rules[i]
                 assert np.array_equal(rule.points, want.points)
                 assert np.array_equal(rule.weights, want.weights)
                 assert rule.declared_order == want.declared_order
+
+
+def test_discretization_builds_no_per_element_rt_objects(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-element RT object built")
+
+    monkeypatch.setattr(co, "RTBasis", refuse)
+    monkeypatch.setattr(co, "RTCorrectionBackend", refuse)
+    for name in ("tri-k1", "tri-k2", "hexagon-ring"):
+        mesh, k = MESHES[name]()
+        disc = Discretization(mesh, k)
+        tri = [g for g in disc.groups if g.kind == "triangle"]
+        assert tri and all(g.correction == "rt" and g.backends == [] for g in tri)
+
+
+def test_singular_dual_matrix_names_the_element():
+    # the hexagon ring's triangles are mesh elements 1 and 2
+    mesh, k = MESHES["hexagon-ring"]()
+    disc = Discretization(mesh, k)
+    (g,) = [g for g in disc.groups if g.kind == "triangle"]
+    rows = g.inc_edge.reshape(g.n_elements, g.n_local_edges)
+    flux_points = disc.edge_pts[rows].copy()  # (nE, 3, k+1, 2)
+    vol_pts = np.stack([
+        volume_quadrature(c, disc.vol_order, kind="triangle").points for c in g.coords
+    ])
+    args = (g.vol_w, g.vol_phi, g.vol_grad, g.elem_ids)
+    tables = co.rt_group_tables(k, g.coords, flux_points, vol_pts, *args)
+    for got, want in zip(tables, (g.corr_r, g.corr_div, g.corr_vol, g.corr_trace)):
+        assert np.array_equal(got, want)
+    # two coinciding flux points on one edge: two equal trace functionals
+    flux_points[1, 2, 1] = flux_points[1, 2, 0]
+    with pytest.raises(co.CorrectionError, match=f"element {g.elem_ids[1]}: singular"):
+        co.rt_group_tables(k, g.coords, flux_points, vol_pts, *args)
 
 
 def test_unknown_correction_backend_rejected():

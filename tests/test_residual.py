@@ -127,6 +127,42 @@ def test_boundary_residual_vanishes_on_matching_data_and_outflow():
         assert np.abs(diff).max() <= 1e-13
 
 
+LAWS = {
+    "advection": lambda: ph.linear_advection([1.0, 0.5]),
+    "burgers": ph.burgers_2d,
+    "exp-advection": lambda: ph.exp_advection([0.6, -0.8]),
+}
+
+
+@pytest.mark.parametrize("name", list(MESHES))
+@pytest.mark.parametrize("law_name", list(LAWS))
+@pytest.mark.parametrize("flux_kind", ["rusanov", "central", "tadmor_ec"])
+def test_interface_fluxes_equal_per_subset_evaluation(name, law_name, flux_kind):
+    # one flux call over all edges gives the values of separate calls on the
+    # interior edges and on the Dirichlet-coupled boundary edges, bit for bit
+    disc, law, u, bc = _setup(name, LAWS[law_name]())
+    uL, uR = disc.edge_traces(u)
+    nq = disc.edge_normal_q
+    ii, bi = disc.mesh.interior_edge_ids, disc.mesh.boundary_edge_ids
+    flux = ph.numerical_flux(flux_kind)
+    want_star = np.empty(uL.shape)
+    want_g = np.empty(uL.shape[:2])
+    want_star[ii] = flux(law, uL[ii], uR[ii], nq[ii])
+    want_g[ii] = ph.entropy_numerical_flux(law, want_star[ii], uL[ii], uR[ii], nq[ii])
+    want_star[bi] = ph.normal_flux(law, uL[bi], nq[bi])
+    want_g[bi] = (law.entropy_flux(uL[bi]) * nq[bi]).sum(-1)
+    want_bc = np.zeros_like(want_star)
+    want_bc[bi] = flux(law, uL[bi], bc[bi], nq[bi])
+    for data in (None, bc):
+        fhat_star, fhat_bc, ghat = rs.interface_fluxes(disc, law, u, flux_kind, data)
+        assert np.array_equal(fhat_star, want_star)
+        assert np.array_equal(ghat, want_g)
+        if data is None:
+            assert fhat_bc is None
+        else:
+            assert np.array_equal(fhat_bc, want_bc)
+
+
 def test_global_sum_telescopes_to_domain_boundary_flux():
     disc, law, u, bc = _setup("tri-k2")
     rset = rs.compute_residuals(disc, law, u, "fr", "rusanov", bc)
