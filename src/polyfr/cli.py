@@ -139,6 +139,11 @@ def load_config(path) -> dict:
     degree = cfg["degree"]
     if not is_int(degree):
         raise ConfigError(f"degree must be an integer, got {degree!r}")
+    # the minimal orders the error analysis needs; absent or null: the default
+    for key, least in (("volume_order", degree), ("edge_order", degree + 1)):
+        if cfg.get(key) is not None and (not is_int(cfg[key]) or cfg[key] < least):
+            raise ConfigError(f"{key} must be an integer >= {least} at degree {degree}, "
+                              f"got {cfg[key]!r}")
     study, solver = cfg.get("study", {}), cfg.get("solver", {})
     if not isinstance(study, dict) or not isinstance(solver, dict):
         raise ConfigError("'study' and 'solver' must be JSON objects")
@@ -197,39 +202,25 @@ def _build_disc(cfg: dict, mesh: Mesh) -> Discretization:
         raise ConfigError(f"unsupported discretization: {exc}") from exc
 
 
-def _element_split_checks(disc: Discretization, law, u, fr, reassembly: bool) -> dict:
+def _element_split_checks(disc: Discretization, law, u, fr) -> dict:
     """Per-element element-split checks: the stability margin c_K - b_dK
-    (``ck_bdk_min``), |c_K - c_K on the DOF graph| (``ck_two_way``) and, with
-    ``reassembly``, the largest gap between the reassembled pairwise fluxes
-    and the residual (``eq54_reassembly``).  Empty off linear triangles,
-    where the pairwise flux splitting and the DOF graph do not exist."""
+    (``ck_bdk_min``), |c_K - c_K on the median-dual normals| (``ck_two_way``)
+    and the largest gap between the reassembled pairwise fluxes and the
+    residual (``eq54_reassembly``).  Empty off linear triangles, where the
+    pairwise flux splitting does not exist."""
     if disc.degree != 1 or any(g.kind != "triangle" for g in disc.groups):
         return {}
-    n = disc.mesh.n_elements
-    names = ELEMENT_SPLIT_CHECKS if reassembly else ELEMENT_SPLIT_CHECKS[:2]
-    out = {name: np.empty(n) for name in names}
-    graph = disc.dof_graph()
-    vnodes = entropy_mod.entropy_nodes(disc, law, u)
-    for eid in range(n):
-        split = residual_mod.flux_split(disc, law, u, fr, eid)
-        if reassembly:
-            off = disc.dof_offset[eid]
-            out["eq54_reassembly"][eid] = max(
-                float(np.abs(split.reassembled(s) - fr.phi[off + s]).max())
-                for s in range(disc.n_dof_elem[eid])
-            )
-        rep = entropy_mod.appendix_decomposition(
-            disc, law, u, fr, eid, graph.elements[eid], split, vnodes
-        )
-        out["ck_bdk_min"][eid] = rep.stability_margin
-        out["ck_two_way"][eid] = abs(rep.c_k - rep.c_k_graph)
-    return out
+    split = residual_mod.flux_split(disc, law, u, fr)
+    rep = entropy_mod.appendix_decomposition(disc, law, u, fr, split)
+    gap = split.fb + split.pair_flux.sum(axis=2) - fr.phi[disc.groups[0].dof_idx]
+    return {"ck_bdk_min": rep.stability_margin, "ck_two_way": np.abs(rep.c_k - rep.c_k_graph),
+            "eq54_reassembly": np.abs(gap).max(axis=(1, 2))}
 
 
 def state_checks(disc: Discretization, law, u, fr, bc=None, jump_coeff: float = 0.1,
                  names=DEFECT_KEYS, v=None) -> dict:
-    """The arrays of the checks ``names`` (and only those) at the state
-    ``u`` with ``fr`` residual set ``fr``.
+    """The arrays of the checks ``names`` at the state ``u`` with ``fr``
+    residual set ``fr`` (the element-split checks come as one set of three).
 
     Arrays are per element, except ``tadmor_max`` (per interior edge),
     ``eq26`` (per DOF) and ``eq31`` (one value, for the broken test field
@@ -286,7 +277,7 @@ def state_checks(disc: Discretization, law, u, fr, bc=None, jump_coeff: float = 
                 d, sc = residual_mod.global_identity_check(disc, law, u, v, fr, bc)
                 out[name] = np.array(d / sc)
             elif key in ELEMENT_SPLIT_CHECKS:
-                out.update(_element_split_checks(disc, law, u, fr, "eq54_reassembly" in names))
+                out.update(_element_split_checks(disc, law, u, fr))
         except entropy_mod.DegenerateEntropyCorrection as exc:
             # a constant-state element with nonzero entropy error admits no
             # mean-deviation correction: the check is not evaluable

@@ -44,7 +44,6 @@ from .approximation import (
     triangle_rules,
     volume_quadrature,
 )
-from .dofgraph import DofGraph, build_dof_graph
 from .mesh import Mesh
 
 # "auto": RT on triangles whose edge rule has k+1 points, Neumann elsewhere
@@ -94,7 +93,6 @@ class ElementGroup:
     mass_diag: np.ndarray  # (nE, nd) positive lumped measures, sum to |K|
     # edge incidence: one row per (element, local edge), element-ordered
     # (row = loc * n_local_edges + k)
-    inc_elem: np.ndarray  # index into this group's element axis
     inc_edge: np.ndarray  # mesh edge id
     inc_side: np.ndarray  # 0 if element is left of the edge, 1 if right
     n_local_edges: int
@@ -148,7 +146,6 @@ class Discretization:
 
         self._build_edges()
         self._build_groups()
-        self._dof_graph: DofGraph | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -283,7 +280,6 @@ class Discretization:
         mass_diag = areas[:, None] * mass / mass.sum(axis=1, keepdims=True)
 
         inc_edge = edges.ravel()
-        inc_elem = np.repeat(np.arange(nE), n_vert)
         group = ElementGroup(
             kind=kind,
             n_dof=nd,
@@ -299,9 +295,8 @@ class Discretization:
             stiff=stiff,
             dstrong=dstrong,
             mass_diag=mass_diag,
-            inc_elem=inc_elem,
             inc_edge=inc_edge,
-            inc_side=(mesh.edge_left[inc_edge] != ids[inc_elem]).astype(int),
+            inc_side=(mesh.edge_left[inc_edge] != np.repeat(ids, n_vert)).astype(int),
             n_local_edges=n_vert,
         )
         self._attach_correction(group, vol_rules)
@@ -418,12 +413,3 @@ class Discretization:
         for eid, tag in self.mesh.boundary_tags.items():
             out[eid] = bc.evaluate(tag, self.edge_pts[eid])
         return out
-
-    # ------------------------------------------------------------------
-    def dof_graph(self) -> DofGraph:
-        if self._dof_graph is None:
-            spaces = [
-                self.groups[gi].spaces[loc] for gi, loc in zip(self.elem_group, self.elem_local)
-            ]
-            self._dof_graph = build_dof_graph(self.mesh, spaces)
-        return self._dof_graph

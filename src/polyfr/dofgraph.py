@@ -9,6 +9,10 @@ the lower-indexed DOF toward the higher one.  The boundary portion of each
 control volume is kept as well so the closure of every dual cell is
 checkable: interface normals out of a DOF plus its boundary portion sum to
 zero.
+
+The module is off the run path: the element-split checks take closed-form
+median-dual normals from :func:`polyfr.residual.flux_split`, and these
+graphs are the tests' independent reference for them.
 """
 
 from __future__ import annotations
@@ -41,13 +45,6 @@ class ElementDofGraph:
             return self.dof_edges.index(key)
         except ValueError:
             return None
-
-    def eps(self, a: int, b: int) -> int:
-        """Orientation sign of the DOF pair (+1 direct, -1 reverse, 0 if not
-        connected)."""
-        if self.edge_index(a, b) is None or a == b:
-            return 0
-        return 1 if a < b else -1
 
     def cv_normal(self, a: int, b: int) -> np.ndarray:
         """Dual-interface scaled normal pointing from DOF ``a`` toward ``b``."""

@@ -14,7 +14,9 @@ which sums to zero (conservation untouched) and restores the entropy
 balance exactly; adding a nonnegative multiple of (v_s - v_mean) on top
 yields the dissipative variant.  The module also evaluates the smoothness
 error decomposition of the entropy defect, the interface dissipation
-functional, and the element-split diagnostics on the DOF graph.
+functional, and the element-split diagnostics of linear triangles: one
+array pass over the mesh that takes per-edge jump and potential-flux
+integrals once and gathers them to the elements.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .discretization import Discretization
-from .dofgraph import ElementDofGraph
 from .physics import ConservationLaw, normal_flux
 from .residual import FluxSplit, ResidualSet, compute_residuals, flux_split
 
@@ -286,113 +287,65 @@ def error_decomposition(disc: Discretization, law: ConservationLaw, u: np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# element-split diagnostics on the DOF graph
+# element-split diagnostics (linear triangles)
 # ---------------------------------------------------------------------------
 
 @dataclass
 class ElementSplitReport:
-    c_k: float  # half pairwise entropy pairing + boundary potential integral
-    b_dk: float  # half boundary jump dissipation functional
-    c_k_graph: float  # same c_k with the pairing contracted on the DOF graph
-    c_k_full: float  # un-halved pairwise pairing + boundary potential integral
-    entropy_gap: float  # sum <v, Phi> - oint g_hat (potential-average flux)
+    c_k: np.ndarray  # half pairwise entropy pairing + boundary potential integral
+    b_dk: np.ndarray  # half boundary jump dissipation functional
+    c_k_graph: np.ndarray  # same c_k with the potential on the median-dual normals
+    c_k_full: np.ndarray  # un-halved pairwise pairing + boundary potential integral
+    entropy_gap: np.ndarray  # sum <v, Phi> - oint g_hat (potential-average flux)
 
     @property
-    def stability_margin(self) -> float:
+    def stability_margin(self) -> np.ndarray:
         return self.c_k - self.b_dk
 
 
 def appendix_decomposition(disc: Discretization, law: ConservationLaw,
-                           u: np.ndarray, rset: ResidualSet, eid: int,
-                           graph: ElementDofGraph,
-                           split: FluxSplit | None = None,
-                           vnodes: np.ndarray | None = None) -> ElementSplitReport:
-    """Element/boundary split of the entropy-stability functional on a
-    linear triangle.
+                           u: np.ndarray, rset: ResidualSet,
+                           split: FluxSplit | None = None) -> ElementSplitReport:
+    """Per-element (n_elem,) element/boundary split of the entropy-stability
+    functional on linear triangles.
 
     The element part contracts entropy-variable differences with the
-    pairwise DOF fluxes; expressed on the DOF graph, the potential
-    differences against twice the control-volume interface normals
-    reproduce the boundary integral of the interpolated potential, which is
-    the reported equivalence.  The un-halved pairwise sum minus the
-    boundary part reproduces sum <v, Phi> - oint g_hat exactly when the
-    entropy flux averages the interpolated potential.
-
-    ``vnodes`` takes the mesh-wide :func:`entropy_nodes` of ``u``, so a loop
-    over elements computes them once.
+    pairwise DOF fluxes; expressed on the median-dual normals, the potential
+    differences reproduce the boundary integral of the interpolated
+    potential, which is the reported equivalence.  The un-halved pairwise
+    sum minus the boundary part reproduces sum <v, Phi> - oint g_hat exactly
+    when the entropy flux averages the interpolated potential.
     """
     if split is None:
-        split = flux_split(disc, law, u, rset, eid)
-    if vnodes is None:
-        vnodes = entropy_nodes(disc, law, u)
-    g = disc.groups[disc.elem_group[eid]]
-    loc = disc.elem_local[eid]
-    nd = g.n_dof
-    dofs = g.dof_idx[loc]
-    vn = vnodes[dofs]  # (nd, p)
-    theta = law.potential(vn)  # (nd, 2)
+        split = flux_split(disc, law, u, rset)
+    (g,) = disc.groups  # flux_split admits only the linear-triangle family
+    vnodes = entropy_nodes(disc, law, u)
+    pot = law.potential(vnodes)  # (n_dofs, 2) nodal potential
+    vn, theta = vnodes[g.dof_idx], pot[g.dof_idx]
+    # sums over a < b of products of antisymmetric pairs: halved sums over
+    # all (a, b); the potential's is paired with twice the dual normals
+    pair_sum = 0.5 * np.einsum("eabp,eabp->e", vn[:, :, None] - vn[:, None, :], split.pair_flux)
+    dtheta = theta[:, :, None] - theta[:, None, :]
+    pair_theta = np.einsum("eabx,eabx->e", dtheta, split.dual_normals)
 
-    pair_sum = 0.0
-    pair_theta = 0.0
-    for (a, b), fab in split.pair_flux.items():
-        dv = vn[a] - vn[b]
-        pair_sum += float((dv * fab).sum())
-        pair_theta += float(
-            (theta[a] - theta[b]) @ (2.0 * graph.cv_normal(a, b))
-        )
+    # per edge and side (boundary rows: the element's own trace), against
+    # the left normal: the integrals of v.f_hat and of the potential's theta.n;
+    # from them the jump functional D_e and the potential-average flux G_e
+    vL, vR = disc.edge_traces(vnodes)
+    tL, tR = disc.edge_traces(pot)
+    vf = np.einsum("eq,seqp,eqp->es", disc.edge_w, np.stack([vL, vR]), rset.fhat_star)
+    tn = np.einsum("eq,seqx,eqx->es", disc.edge_w, np.stack([tL, tR]), disc.edge_normal_q)
+    jump = 0.5 * (vf[:, 1] - vf[:, 0] - (tn[:, 1] - tn[:, 0]))
+    gpot = 0.5 * (vf.sum(axis=1) - tn.sum(axis=1))
 
-    # boundary integrals of the interpolated potential and the jump terms
-    bnd_theta = 0.0
-    b_dk = 0.0
-    ghat_pot = 0.0
-    rows = np.nonzero(g.inc_elem == loc)[0]
-    for rrow in rows:
-        edge_id = g.inc_edge[rrow]
-        side = g.inc_side[rrow]
-        sgn = 1.0 if side == 0 else -1.0
-        w = disc.edge_w[edge_id]
-        n = sgn * disc.mesh.edge_normal[edge_id]
-        tr_self = (
-            disc.edge_phi_left[edge_id][:, :nd]
-            if side == 0
-            else disc.edge_phi_right[edge_id][:, :nd]
-        )
-        theta_self = tr_self @ theta  # (nq, 2)
-        v_self = tr_self @ vn
-        other = (disc.mesh.edge_right if side == 0 else disc.mesh.edge_left)[edge_id]
-        if other >= 0:
-            nd_o = disc.n_dof_elem[other]
-            tr_other = (
-                disc.edge_phi_right[edge_id][:, :nd_o]
-                if side == 0
-                else disc.edge_phi_left[edge_id][:, :nd_o]
-            )
-            off = disc.dof_offset[other]
-            v_o = vnodes[off : off + nd_o]
-            theta_other = tr_other @ law.potential(v_o)
-            v_other = tr_other @ v_o
-        else:
-            theta_other = theta_self
-            v_other = v_self
-        fhat = sgn * rset.fhat_star[edge_id]  # outward orientation
-        bnd_theta += float(np.einsum("q,qx,x->", w, theta_self, n))
-        jump_v = v_other - v_self
-        jump_theta = np.einsum("qx,x->q", theta_other - theta_self, n)
-        b_dk += 0.5 * float(np.dot(w, np.einsum("qp,qp->q", jump_v, fhat) - jump_theta))
-        theta_avg = 0.5 * (theta_self + theta_other)
-        v_avg = 0.5 * (v_self + v_other)
-        ghat_pot += float(
-            np.dot(w, np.einsum("qp,qp->q", v_avg, fhat) - np.einsum("qx,x->q", theta_avg, n))
-        )
-
-    c_k = 0.5 * pair_sum + bnd_theta
-    c_k_graph = 0.5 * (pair_sum - pair_theta)
-    phi = rset.phi[dofs]
-    entropy_gap = float(np.einsum("dp,dp->", vn, phi)) - ghat_pot
+    rows = g.inc_edge.reshape(g.n_elements, g.n_local_edges)
+    sign = g.inc_sign[:, :: disc.nq_edge]  # outward orientation per local edge
+    bnd_theta = (sign * tn[rows, g.inc_side.reshape(rows.shape)]).sum(axis=1)
+    ghat_pot = (sign * gpot[rows]).sum(axis=1)
     return ElementSplitReport(
-        c_k=c_k,
-        b_dk=b_dk,
-        c_k_graph=c_k_graph,
+        c_k=0.5 * pair_sum + bnd_theta,
+        b_dk=jump[rows].sum(axis=1),
+        c_k_graph=0.5 * (pair_sum - pair_theta),
         c_k_full=pair_sum + bnd_theta,
-        entropy_gap=entropy_gap,
+        entropy_gap=np.einsum("edp,edp->e", vn, rset.phi[g.dof_idx]) - ghat_pot,
     )

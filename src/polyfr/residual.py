@@ -19,6 +19,9 @@ residuals that weakly impose Dirichlet data:
     entropy-corrected variants, built on top of ``fr`` by
     :mod:`polyfr.entropy`.
 
+On linear triangles, :func:`flux_split` splits all residuals into pairwise
+DOF fluxes in one array pass, with closed-form median-dual normals.
+
 On interior edges the single-valued flux is the configured numerical flux;
 on domain-boundary edges the element-side flux is the pointwise consistent
 flux f(u).n, and the weak Dirichlet coupling lives entirely in the
@@ -290,73 +293,52 @@ def global_identity_check(
 
 
 # ---------------------------------------------------------------------------
-# residual splitting on the DOF graph (linear triangles)
+# residual splitting into pairwise DOF fluxes (linear triangles)
 # ---------------------------------------------------------------------------
 
 @dataclass
 class FluxSplit:
-    """Antisymmetric pairwise splitting of one element's residuals."""
+    """Antisymmetric pairwise splitting of all residuals, per mesh element."""
 
-    elem_id: int
-    pair_flux: dict[tuple[int, int], np.ndarray]  # (a, b) with a < b -> (p,)
-    fb: np.ndarray  # (nd, p): oint phi_s fhat_star
-    nsigma: np.ndarray  # (nd, 2): -oint phi_s n
-    flux_volume_integral: np.ndarray  # (p, 2): oint_K (f^h + grad_psi) dx
-
-    def pair(self, a: int, b: int) -> np.ndarray:
-        if a == b:
-            raise KeyError("no self flux")
-        key = (a, b) if a < b else (b, a)
-        val = self.pair_flux[key]
-        return val if a < b else -val
-
-    def reassembled(self, s: int) -> np.ndarray:
-        total = self.fb[s].copy()
-        for (a, b) in self.pair_flux:
-            if a == s:
-                total += self.pair_flux[(a, b)]
-            elif b == s:
-                total -= self.pair_flux[(a, b)]
-        return total
+    fb: np.ndarray  # (nE, nd, p): oint phi_s fhat_star, outward
+    pair_flux: np.ndarray  # (nE, nd, nd, p): f_ab = (rho_a - rho_b) / nd
+    nsigma: np.ndarray  # (nE, nd, 2): -oint phi_s n
+    flux_volume_integral: np.ndarray  # (nE, p, 2): oint_K (f^h + grad_psi) dx
+    dual_normals: np.ndarray  # (nE, nd, nd, 2): median-dual normal from a to b
 
 
 def flux_split(disc: Discretization, law: ConservationLaw, u: np.ndarray,
-               rset: ResidualSet, eid: int) -> FluxSplit:
-    """Split a linear-triangle residual into pairwise DOF fluxes.
+               rset: ResidualSet) -> FluxSplit:
+    """Split linear-triangle residuals into pairwise DOF fluxes.
 
     With rho_s = Phi_s - oint phi_s f_hat, the splitting
     f_{ss'} = (rho_s - rho_s') / n_dof is antisymmetric and reassembles the
-    residual exactly; for the integration-by-parts form it reduces to the
-    volume integral of the reconstructed flux contracted with the
-    control-volume interface normals.
+    residual exactly, Phi_s = fb_s + sum_s' f_{ss'}; for the
+    integration-by-parts form it reduces to the volume integral of the
+    reconstructed flux contracted with the median-dual interface normals.
     """
-    gi = disc.elem_group[eid]
-    g = disc.groups[gi]
-    if g.kind != "triangle" or disc.degree != 1:
+    if disc.degree != 1 or any(g.kind != "triangle" for g in disc.groups):
         raise ValueError("residual splitting is implemented for linear triangles")
-    loc = disc.elem_local[eid]
-    nd = g.n_dof
-    phi = rset.phi[g.dof_idx[loc]]
+    (g,) = disc.groups  # one family: its element axis is the mesh's
+    fs = g.inc_sign[..., None] * rset.fhat_star[g.inc_edge].reshape(g.inc_w.shape + (disc.p,))
+    fb = np.einsum("emd,emp->edp", g.inc_wtrace, fs)
+    rho = rset.phi[g.dof_idx] - fb
+    F = law.flux(np.asarray(u, dtype=float).reshape(disc.n_dofs, -1)[g.dof_idx])
+    fh_int = np.einsum("eq,eqd,edpx->epx", g.vol_w, g.vol_phi, F)
+    fh_int += np.einsum("emp,emx->epx", rset.alpha[0], g.corr_vol)
 
-    edges = g.inc_edge[loc * g.n_local_edges : (loc + 1) * g.n_local_edges]
-    fs = g.inc_sign[loc][:, None] * rset.fhat_star[edges].reshape(-1, disc.p)
-    fb = g.inc_wtrace[loc].T @ fs  # (nd, p): oint phi_s fhat_star, outward
-
-    rho = phi - fb
-    pair_flux = {
-        (a, b): (rho[a] - rho[b]) / nd for a in range(nd) for b in range(a + 1, nd)
-    }
-
-    U = np.asarray(u, dtype=float).reshape(disc.n_dofs, -1)[g.dof_idx[loc]]
-    F = law.flux(U)  # (nd, p, 2)
-    fh_int = np.einsum("q,qd,dpx->px", g.vol_w[loc], g.vol_phi[loc], F)
-    fh_int += rset.alpha[gi][loc].T @ g.corr_vol[loc]
+    # the dual interface of DOFs a and b runs from their edge midpoint to the
+    # centroid; its normal is that segment turned clockwise, signed along b - a
+    x = g.coords
+    seg = x.mean(axis=1)[:, None, None] - 0.5 * (x[:, :, None] + x[:, None, :])
+    normal = np.stack([seg[..., 1], -seg[..., 0]], axis=-1)
+    along = np.einsum("eabx,eabx->eab", normal, x[:, None, :] - x[:, :, None])
     return FluxSplit(
-        elem_id=eid,
-        pair_flux=pair_flux,
         fb=fb,
-        nsigma=g.nsigma[loc].copy(),
+        pair_flux=(rho[:, :, None] - rho[:, None, :]) / g.n_dof,
+        nsigma=g.nsigma.copy(),
         flux_volume_integral=fh_int,
+        dual_normals=np.sign(along)[..., None] * normal,
     )
 
 

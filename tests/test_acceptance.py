@@ -24,6 +24,7 @@ from polyfr import physics as ph
 from polyfr import residual as rs
 from polyfr import solver as sv
 from polyfr.discretization import BoundaryData, Discretization
+from test_mesh_properties import N_CELLS, _jittered
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 
@@ -151,47 +152,43 @@ def test_criterion_5_entropy_stability_margin():
 def test_criterion_6_interface_dissipation_diagnostics():
     law = ph.burgers_2d()
     rng = np.random.default_rng(2106)
-    disc = Discretization(pm.two_triangle_square(), 1)
-    graph = disc.dof_graph()
+    # one interior edge, then meshes with many (their own draw streams)
+    cases = [
+        (pm.two_triangle_square(), rng),
+        (pm.load_mesh(CASES / "tri_32.mesh.json"), np.random.default_rng(2116)),
+        (_jittered(pm.structured_triangles(N_CELLS), np.random.default_rng(5)),
+         np.random.default_rng(2126)),
+    ]
 
     reass = nsig = ck_gap = 0.0
-    for _ in range(200):
-        u, bc = _draw(disc, law, rng)
-        fr = rs.compute_residuals(disc, law, u, "fr", "rusanov", bc)
-        vn = en.entropy_nodes(disc, law, u)
-        for eid in range(disc.mesh.n_elements):
-            split = rs.flux_split(disc, law, u, fr, eid)
-            nd = disc.n_dof_elem[eid]
-            off = disc.dof_offset[eid]
-            for s in range(nd):
-                reass = max(
-                    reass, float(np.abs(split.reassembled(s) - fr.phi[off + s]).max())
-                )
+    for mesh, draws in cases:
+        disc = Discretization(mesh, 1)
+        g = disc.groups[0]
+        for _ in range(200):
+            u, bc = _draw(disc, law, draws)
+            fr = rs.compute_residuals(disc, law, u, "fr", "rusanov", bc)
+            split = rs.flux_split(disc, law, u, fr)
+            reassembled = split.fb + split.pair_flux.sum(axis=2)
+            reass = max(reass, float(np.abs(reassembled - fr.phi[g.dof_idx]).max()))
             # nodal-potential pairing against the geometric boundary vectors
-            theta = law.potential(vn[off : off + nd])
-            g = disc.groups[disc.elem_group[eid]]
-            loc = disc.elem_local[eid]
-            lhs = float(np.einsum("dx,dx->", theta, split.nsigma))
-            bnd = 0.0
-            rows = np.nonzero(g.inc_elem == loc)[0]
-            for rrow in rows:
-                edge_id = g.inc_edge[rrow]
-                sgn = 1.0 if g.inc_side[rrow] == 0 else -1.0
-                tr = (disc.edge_phi_left if g.inc_side[rrow] == 0 else disc.edge_phi_right)[
-                    edge_id][:, :nd]
-                theta_tr = tr @ theta
-                bnd += sgn * float(
+            theta = law.potential(en.entropy_nodes(disc, law, u))[g.dof_idx]
+            lhs = np.einsum("edx,edx->e", theta, split.nsigma)
+            bnd = np.zeros(g.n_elements)
+            for row, (edge_id, side) in enumerate(zip(g.inc_edge, g.inc_side)):
+                loc = row // g.n_local_edges
+                sgn = 1.0 if side == 0 else -1.0
+                tr = (disc.edge_phi_left if side == 0 else disc.edge_phi_right)[edge_id]
+                theta_tr = tr @ theta[loc]
+                bnd[loc] += sgn * float(
                     np.einsum("q,qx,x->", disc.edge_w[edge_id], theta_tr,
                               disc.mesh.edge_normal[edge_id])
                 )
-            nsig = max(nsig, abs(lhs + bnd))
+            nsig = max(nsig, float(np.abs(lhs + bnd).max()))
             # graph form of the geometric vectors
-            gel = graph.elements[eid]
-            for s in range(nd):
-                total = sum(gel.cv_normal(s, s2) for s2 in range(nd) if s2 != s)
-                nsig = max(nsig, float(np.abs(total - split.nsigma[s]).max()))
-            rep = en.appendix_decomposition(disc, law, u, fr, eid, gel, split)
-            ck_gap = max(ck_gap, abs(rep.c_k - rep.c_k_graph))
+            total = split.dual_normals.sum(axis=2)
+            nsig = max(nsig, float(np.abs(total - split.nsigma).max()))
+            rep = en.appendix_decomposition(disc, law, u, fr, split)
+            ck_gap = max(ck_gap, float(np.abs(rep.c_k - rep.c_k_graph).max()))
 
     uL = law.random_states(rng, 1000)
     uR = law.random_states(rng, 1000)

@@ -186,7 +186,27 @@ BAD_CONFIGS = {
     "nan-residual-tol": {"solver": {"residual_tol": float("nan")}},  # json writes NaN
     "negative-jump-coeff": {"solver": {"jump_coeff": -5}},
     "infinite-jump-coeff": {"solver": {"jump_coeff": float("inf")}},
+    # quadrature orders: integers at or above the minimal orders (volume k,
+    # edge k+1; the case has k = 1)
+    "string-edge-order": {"edge_order": "3"},
+    "list-edge-order": {"edge_order": [1]},
+    "fractional-edge-order": {"edge_order": 1.5},
+    "low-edge-order": {"edge_order": 1},
+    "string-volume-order": {"volume_order": "4"},
+    "boolean-volume-order": {"volume_order": True},
+    "zero-volume-order": {"volume_order": 0},
+    "negative-volume-order": {"volume_order": -1},
 }
+
+
+def test_minimal_and_null_quadrature_orders_build(tmp_path):
+    # the minimal orders are accepted; null keeps the default
+    for orders, want in (({"volume_order": 1, "edge_order": 2}, (1, 2)),
+                         ({"volume_order": None, "edge_order": None}, (2, 3))):
+        path = _edited_shipped_case(tmp_path, "burgers_verify.json", **orders)
+        cfg = cli.load_config(path)
+        disc = cli._build_disc(cfg, pm.load_mesh(cfg["mesh"]))
+        assert (disc.vol_order, disc.edge_order) == want
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])
@@ -349,3 +369,27 @@ def test_degenerate_entropy_correction_is_reported(tmp_path, capsys, monkeypatch
     argv = ["verify", str(path), "--suite", "entropy-cs", "--draws", "1"]
     assert cli.main(argv) == 3
     assert "constant state (element 0)" in capsys.readouterr().err
+
+
+def test_element_split_checks_are_one_array_pass(monkeypatch):
+    # all three split checks of one state: one flux split and one
+    # decomposition over the whole mesh, not one per element
+    disc = cli.Discretization(pm.structured_triangles(8), 1)
+    law = cli.law_by_name("burgers")
+    u = law.random_states(np.random.default_rng(4), disc.n_dofs).reshape(-1, 1)
+    fr = rs.compute_residuals(disc, law, u)
+    calls = {"flux_split": 0, "appendix_decomposition": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(rs, "flux_split", counted("flux_split", rs.flux_split))
+    monkeypatch.setattr(en, "flux_split", counted("flux_split", en.flux_split))
+    monkeypatch.setattr(en, "appendix_decomposition",
+                        counted("appendix_decomposition", en.appendix_decomposition))
+    arrays = cli.state_checks(disc, law, u, fr, names=cli.ELEMENT_SPLIT_CHECKS)
+    assert calls == {"flux_split": 1, "appendix_decomposition": 1}
+    assert all(arrays[name].shape == (disc.mesh.n_elements,) for name in cli.ELEMENT_SPLIT_CHECKS)

@@ -40,21 +40,21 @@ def test_orientation_signs_antisymmetric():
     sp = ap.build_space("triangle", 2)
     g = dg.element_dof_graph(0, sp)
     for a, b in g.dof_edges:
-        assert g.eps(a, b) == -g.eps(b, a) == 1
+        assert a < b and g.edge_index(a, b) == g.edge_index(b, a) is not None
         assert np.allclose(g.cv_normal(a, b), -g.cv_normal(b, a))
-    assert g.eps(0, 0) == 0
+    assert g.edge_index(0, 0) is None
     # non-adjacent corner pair in the P2 sub-triangulation
-    assert g.eps(0, 1) == 0
+    assert g.edge_index(0, 1) is None
 
 
 def test_graph_normals_reproduce_basis_boundary_integrals_p1():
     # sum of dual-interface normals out of a DOF equals -oint phi n dgamma
     mesh = pm.two_triangle_square()
     disc = Discretization(mesh, 1)
-    graph = disc.dof_graph()
+    grp = disc.groups[0]
+    graph = dg.build_dof_graph(mesh, grp.spaces)
     for eid in range(mesh.n_elements):
         g = graph.elements[eid]
-        grp = disc.groups[disc.elem_group[eid]]
         loc = disc.elem_local[eid]
         for s in range(3):
             total = np.zeros(2)
@@ -89,7 +89,7 @@ def test_degenerate_subtriangle_rejected():
 def test_build_dof_graph_over_mesh():
     mesh = pm.structured_triangles(2)
     disc = Discretization(mesh, 2)
-    graph = disc.dof_graph()
+    graph = dg.build_dof_graph(mesh, disc.groups[0].spaces)
     assert len(graph.elements) == mesh.n_elements
     for g in graph.elements:
         assert g.closure_defects().max() <= 1e-13

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,10 @@ from polyfr import mesh as pm
 from polyfr import physics as ph
 from polyfr import residual as rs
 from polyfr.discretization import BoundaryData, Discretization
+from test_mesh_properties import N_CELLS, _jittered
 
 RNG = np.random.default_rng(77)
+CASES = Path(__file__).resolve().parent.parent / "cases"
 
 
 def _setup(mesh, k, law, seed=0):
@@ -263,9 +267,16 @@ def test_decomposition_decay_orders_k2():
 # element-split diagnostics
 # ---------------------------------------------------------------------------
 
-def _split_setup(law=None, seed=1):
+# linear-triangle meshes: one interior edge, then many
+SPLIT_MESHES = {
+    "tri2": pm.two_triangle_square(),
+    "tri32": pm.load_mesh(CASES / "tri_32.mesh.json"),
+    "jittered-tri": _jittered(pm.structured_triangles(N_CELLS), np.random.default_rng(5)),
+}
+
+
+def _split_setup(mesh, law=None, seed=1):
     law = law or ph.burgers_2d()
-    mesh = pm.two_triangle_square()
     disc = Discretization(mesh, 1)
     rng = np.random.default_rng(seed)
     u = law.random_states(rng, disc.n_dofs).reshape(disc.n_dofs, 1)
@@ -275,49 +286,44 @@ def _split_setup(law=None, seed=1):
 
 
 def test_element_split_two_formulations_agree():
-    disc, law, u, fr = _split_setup()
-    graph = disc.dof_graph()
-    for eid in range(disc.mesh.n_elements):
-        rep = en.appendix_decomposition(disc, law, u, fr, eid, graph.elements[eid])
-        assert abs(rep.c_k - rep.c_k_graph) <= 1e-10 * max(1.0, abs(rep.c_k))
+    for name, mesh in SPLIT_MESHES.items():
+        disc, law, u, fr = _split_setup(mesh)
+        rep = en.appendix_decomposition(disc, law, u, fr)
+        gap = np.abs(rep.c_k - rep.c_k_graph)
+        assert np.all(gap <= 1e-10 * np.maximum(1.0, np.abs(rep.c_k))), name
 
 
 def test_element_split_exact_identity():
     # un-halved pairwise sum minus the boundary jump part reproduces the
     # entropy gap measured with the potential-average interface flux
-    disc, law, u, fr = _split_setup()
-    graph = disc.dof_graph()
-    for eid in range(disc.mesh.n_elements):
-        rep = en.appendix_decomposition(disc, law, u, fr, eid, graph.elements[eid])
+    for name, mesh in SPLIT_MESHES.items():
+        disc, law, u, fr = _split_setup(mesh)
+        rep = en.appendix_decomposition(disc, law, u, fr)
         got = rep.c_k_full - rep.b_dk
-        assert abs(got - rep.entropy_gap) <= 1e-11 * max(1.0, abs(got))
+        assert np.all(np.abs(got - rep.entropy_gap) <= 1e-11 * np.maximum(1.0, np.abs(got))), name
 
 
 def test_element_split_constant_state_vanishes():
     law = ph.burgers_2d()
-    mesh = pm.two_triangle_square()
-    disc = Discretization(mesh, 1)
-    u = np.full((disc.n_dofs, 1), -0.7)
-    bc = np.full((mesh.n_edges, disc.nq_edge, 1), -0.7)
-    fr = rs.compute_residuals(disc, law, u, "fr", "tadmor_ec", bc)
-    graph = disc.dof_graph()
-    for eid in range(mesh.n_elements):
-        rep = en.appendix_decomposition(disc, law, u, fr, eid, graph.elements[eid])
-        assert abs(rep.c_k) <= 1e-12
-        assert abs(rep.b_dk) <= 1e-12
+    for name, mesh in SPLIT_MESHES.items():
+        disc = Discretization(mesh, 1)
+        u = np.full((disc.n_dofs, 1), -0.7)
+        bc = np.full((mesh.n_edges, disc.nq_edge, 1), -0.7)
+        fr = rs.compute_residuals(disc, law, u, "fr", "tadmor_ec", bc)
+        rep = en.appendix_decomposition(disc, law, u, fr)
+        assert np.abs(rep.c_k).max() <= 1e-12, name
+        assert np.abs(rep.b_dk).max() <= 1e-12, name
 
 
 def test_element_split_boundary_part_vanishes_for_continuous_traces():
     # continuous nodal data: interface jumps of both entropy variables and
     # the interpolated potential vanish, so the boundary functional is zero
     law = ph.burgers_2d()
-    mesh = pm.two_triangle_square()
-    disc = Discretization(mesh, 1)
     fn = lambda pts: 0.3 + 0.8 * pts[:, 0] - 0.2 * pts[:, 1]
-    u = disc.interpolate_function(fn)
-    bc = BoundaryData.from_function(fn)
-    fr = rs.compute_residuals(disc, law, u, "fr", "tadmor_ec", bc)
-    graph = disc.dof_graph()
-    for eid in range(mesh.n_elements):
-        rep = en.appendix_decomposition(disc, law, u, fr, eid, graph.elements[eid])
-        assert abs(rep.b_dk) <= 1e-13
+    for name, mesh in SPLIT_MESHES.items():
+        disc = Discretization(mesh, 1)
+        u = disc.interpolate_function(fn)
+        bc = BoundaryData.from_function(fn)
+        fr = rs.compute_residuals(disc, law, u, "fr", "tadmor_ec", bc)
+        rep = en.appendix_decomposition(disc, law, u, fr)
+        assert np.abs(rep.b_dk).max() <= 1e-13, name

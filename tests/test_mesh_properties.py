@@ -5,9 +5,10 @@ checked first.  For the invariant battery, Hypothesis draws a mesh
 (structured triangles or quads with jittered interior vertices, k = 1..3, or
 a randomly rotated hexagon ring with three element families), a law, a
 numerical flux and a random state, then checks the invariant battery with
-the gates of ``polyfr verify`` for all six residual variants.  eq21 is not
-checked here: on jittered quads the constrained backend's trace solve is
-nearly singular, and at large states its round-off passes the 1e-11 gate.
+the gates of ``polyfr verify`` for all six residual variants, plus the
+element-split checks on linear triangles.  eq21 is not checked here: on
+jittered quads the constrained backend's trace solve is nearly singular,
+and at large states its round-off passes the 1e-11 gate.
 """
 
 import numpy as np
@@ -87,6 +88,11 @@ def test_invariants_on_perturbed_meshes(case):
             v = rng.normal(size=(disc.n_dofs, law.p))
             defect, scale = rs.global_identity_check(disc, law, u, v, rset, bc)
             assert defect <= 1e-9 * scale  # eq31, the gate of verify --suite identities
+            if k == 1 and all(g.kind == "triangle" for g in disc.groups):
+                split = ("eq54_reassembly", "ck_two_way")
+                arrays = cli.state_checks(disc, law, u, rset, bc, names=split)
+                for name in split:
+                    assert arrays[name].max() <= cli.CHECK_TOLS[name], name
         elif variant == "cs":
             assert np.abs(en.entropy_error(disc, law, u, rset)).max() <= tols["eq32"]
         elif variant == "st":

@@ -1,13 +1,18 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from polyfr import dofgraph as dg
 from polyfr import entropy as en
 from polyfr import mesh as pm
 from polyfr import physics as ph
 from polyfr import residual as rs
 from polyfr.discretization import BoundaryData, Discretization
+from test_mesh_properties import N_CELLS, _jittered
 
 RNG = np.random.default_rng(31)
+CASES = Path(__file__).resolve().parent.parent / "cases"
 
 MESHES = {
     "tri2-k1": (pm.two_triangle_square(), 1),
@@ -16,11 +21,18 @@ MESHES = {
     "hex-k1": (pm.regular_polygon_mesh(6), 1),
 }
 
+# linear-triangle meshes with many interior edges, for the residual split
+SPLIT_MESHES = {
+    "tri32-k1": (pm.load_mesh(CASES / "tri_32.mesh.json"), 1),
+    "jittered-tri-k1": (_jittered(pm.structured_triangles(N_CELLS), np.random.default_rng(5)), 1),
+}
+SPLIT_NAMES = ["tri2-k1", *SPLIT_MESHES]
+
 VARIANTS = ["dg", "dg-interp", "fr", "fr-strong", "cs", "st"]
 
 
 def _setup(name, law=None):
-    mesh, k = MESHES[name]
+    mesh, k = MESHES[name] if name in MESHES else SPLIT_MESHES[name]
     disc = Discretization(mesh, k)
     law = law or ph.burgers_2d()
     u = law.random_states(RNG, disc.n_dofs).reshape(disc.n_dofs, law.p)
@@ -196,55 +208,63 @@ def test_global_identity_constant_field_reduces_to_conservation():
 # residual splitting on linear triangles
 # ---------------------------------------------------------------------------
 
+def _geometric_pair_flux(disc, split):
+    """The pairwise fluxes' geometric form, the volume-averaged flux through
+    the median-dual normals of the per-element DOF graphs; checks the split's
+    closed-form normals against those graphs on the way."""
+    g = disc.groups[0]
+    ref = np.zeros((g.n_elements, g.n_dof, g.n_dof, 2))
+    for e, space in enumerate(g.spaces):
+        graph = dg.element_dof_graph(e, space)
+        for a in range(g.n_dof):
+            for b in range(g.n_dof):
+                if a != b:
+                    ref[e, a, b] = graph.cv_normal(a, b)
+    scale = np.linalg.norm(ref, axis=-1, keepdims=True)
+    assert np.all(np.abs(split.dual_normals - ref) <= 1e-14 * scale)
+    geo = np.einsum("epx,eabx->eabp", split.flux_volume_integral, ref)
+    return geo / disc.mesh.elem_area[:, None, None, None]
+
+
 def test_flux_split_reassembles_and_is_antisymmetric():
-    disc, law, u, bc = _setup("tri2-k1")
-    rset = rs.compute_residuals(disc, law, u, "fr", "rusanov", bc)
-    for eid in range(disc.mesh.n_elements):
-        split = rs.flux_split(disc, law, u, rset, eid)
-        nd = disc.n_dof_elem[eid]
-        for s in range(nd):
-            got = split.reassembled(s)
-            assert np.abs(got - rset.phi[disc.dof_offset[eid] + s]).max() <= 1e-11
-        for a in range(nd):
-            for b in range(a + 1, nd):
-                assert np.allclose(split.pair(a, b), -split.pair(b, a))
+    for name in SPLIT_NAMES:
+        disc, law, u, bc = _setup(name)
+        rset = rs.compute_residuals(disc, law, u, "fr", "rusanov", bc)
+        split = rs.flux_split(disc, law, u, rset)
+        got = split.fb + split.pair_flux.sum(axis=2)
+        assert np.abs(got - rset.phi[disc.groups[0].dof_idx]).max() <= 1e-11, name
+        assert np.allclose(split.pair_flux, -split.pair_flux.transpose(0, 2, 1, 3)), name
 
 
 def test_flux_split_constant_flux_reduces_to_geometric_term():
     # constant state: the pairwise flux is the volume-averaged flux through
     # the dual control-volume interface
     law = ph.burgers_2d()
-    mesh = pm.two_triangle_square()
-    disc = Discretization(mesh, 1)
-    u = np.full((disc.n_dofs, 1), 1.3)
-    bc = np.full((mesh.n_edges, disc.nq_edge, 1), 1.3)
-    rset = rs.compute_residuals(disc, law, u, "fr", "rusanov", bc)
-    graph = disc.dof_graph()
-    for eid in range(mesh.n_elements):
-        split = rs.flux_split(disc, law, u, rset, eid)
-        area = disc.mesh.elem_area[eid]
-        for (a, b), val in split.pair_flux.items():
-            geo = split.flux_volume_integral @ graph.elements[eid].cv_normal(a, b) / area
-            assert np.abs(val - geo).max() <= 1e-12
+    for name in SPLIT_NAMES:
+        mesh = (MESHES if name in MESHES else SPLIT_MESHES)[name][0]
+        disc = Discretization(mesh, 1)
+        u = np.full((disc.n_dofs, 1), 1.3)
+        bc = np.full((mesh.n_edges, disc.nq_edge, 1), 1.3)
+        rset = rs.compute_residuals(disc, law, u, "fr", "rusanov", bc)
+        split = rs.flux_split(disc, law, u, rset)
+        geo = _geometric_pair_flux(disc, split)
+        assert np.abs(split.pair_flux - geo).max() <= 1e-12, name
 
 
 def test_flux_split_geometric_form_for_random_states():
-    disc, law, u, bc = _setup("tri2-k1")
-    rset = rs.compute_residuals(disc, law, u, "fr", "rusanov", bc)
-    graph = disc.dof_graph()
-    for eid in range(disc.mesh.n_elements):
-        split = rs.flux_split(disc, law, u, rset, eid)
-        area = disc.mesh.elem_area[eid]
-        for (a, b), val in split.pair_flux.items():
-            geo = split.flux_volume_integral @ graph.elements[eid].cv_normal(a, b) / area
-            assert np.abs(val - geo).max() <= 1e-11
+    for name in SPLIT_NAMES:
+        disc, law, u, bc = _setup(name)
+        rset = rs.compute_residuals(disc, law, u, "fr", "rusanov", bc)
+        split = rs.flux_split(disc, law, u, rset)
+        geo = _geometric_pair_flux(disc, split)
+        assert np.abs(split.pair_flux - geo).max() <= 1e-11, name
 
 
 def test_flux_split_rejects_higher_order():
     disc, law, u, bc = _setup("tri-k2")
     rset = rs.compute_residuals(disc, law, u, "fr", "rusanov", bc)
     with pytest.raises(ValueError, match="linear triangles"):
-        rs.flux_split(disc, law, u, rset, 0)
+        rs.flux_split(disc, law, u, rset)
 
 
 # ---------------------------------------------------------------------------
