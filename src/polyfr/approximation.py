@@ -1,10 +1,12 @@
-"""Per-element polynomial spaces and quadrature of prescribed order.
+"""Element polynomial spaces and quadrature of prescribed order.
 
 Three element families are supported, all expressed directly in physical
 coordinates:
 
 * ``triangle``: total-degree Lagrange bases on the equispaced node lattice,
-  degrees 1 through 3;
+  degrees 1 through 3, built for a whole stack of triangles at once
+  (``TriangleSpaces``, one batched Vandermonde solve); a ``TriangleSpace``
+  is its stack of one;
 * ``quad``: tensor-product Lagrange bases through the bilinear map from the
   unit square, degrees 1 through 3 (polynomial in physical coordinates
   exactly when the element is a parallelogram);
@@ -260,34 +262,54 @@ class ElementSpace:
         raise NotImplementedError
 
 
-class TriangleSpace(ElementSpace):
-    kind = "triangle"
+class TriangleSpaces:
+    """Total-degree Lagrange spaces on a stack of triangles ``coords``
+    (nE, 3, 2), built with one batched Vandermonde solve.
 
-    def __init__(self, vertices, degree):
-        super().__init__(vertices, degree)
+    Each element's basis is expanded in monomials centred at its centroid
+    and scaled by the square root of its area.  ``eval`` maps points
+    (nE, m, 2), row e inside element e, to values (nE, m, nd) and ``grad``
+    to gradients (nE, m, nd, 2); ``dof_coords`` is (nE, nd, 2).  ``[i]`` is
+    element i's :class:`TriangleSpace`, which shares this stack's
+    coefficients instead of solving again.
+    """
+
+    def __init__(self, coords, degree):
         if not 1 <= degree <= 3:
             raise UnsupportedSpace(f"triangle degree {degree} not supported")
-        v0, v1, v2 = self.vertices
+        self.vertices = np.asarray(coords, dtype=float)
+        self.degree = int(degree)
         fractions, self.sub_triangulation = triangle_node_layout(degree)
-        self.dof_coords = (
-            v0[None, :]
-            + np.outer(fractions[:, 0], v1 - v0)
-            + np.outer(fractions[:, 1], v2 - v0)
-        )
+        v0, v1, v2 = (self.vertices[:, i, None, :] for i in range(3))
+        self.dof_coords = v0 + fractions[:, :1] * (v1 - v0) + fractions[:, 1:] * (v2 - v0)
         self._center = polygon_centroid(self.vertices)
-        self._scale = math.sqrt(abs(shoelace_area(self.vertices)))
+        self._scale = np.sqrt(np.abs(shoelace_area(self.vertices)))
         self._exponents = [
             (a, b) for d in range(degree + 1) for a in range(d, -1, -1) for b in [d - a]
         ]
         vmat = self._monomials(self.dof_coords)
-        self._coeffs = np.linalg.solve(vmat, np.eye(len(self.dof_coords)))
+        self._coeffs = np.linalg.solve(vmat, np.eye(vmat.shape[-1]))
+
+    def __len__(self) -> int:
+        return len(self.vertices)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __getitem__(self, i) -> "TriangleSpace":
+        i = range(len(self))[i]
+        one = object.__new__(TriangleSpaces)
+        one.__dict__.update(self.__dict__)
+        for name in ("vertices", "dof_coords", "_center", "_scale", "_coeffs"):
+            setattr(one, name, getattr(self, name)[i:i + 1])
+        return TriangleSpace(self.vertices[i], self.degree, one)
 
     def _local(self, points):
-        return (np.atleast_2d(points) - self._center) / self._scale
+        return (points - self._center[:, None, :]) / self._scale[:, None, None]
 
     def _monomials(self, points):
         u = self._local(points)
-        return np.stack([u[:, 0] ** a * u[:, 1] ** b for a, b in self._exponents], axis=1)
+        return np.stack([u[..., 0] ** a * u[..., 1] ** b for a, b in self._exponents], axis=-1)
 
     def eval(self, points):
         return self._monomials(points) @ self._coeffs
@@ -296,11 +318,30 @@ class TriangleSpace(ElementSpace):
         u = self._local(points)
         cols_x, cols_y = [], []
         for a, b in self._exponents:
-            cols_x.append(a * u[:, 0] ** max(a - 1, 0) * u[:, 1] ** b if a else 0.0 * u[:, 0])
-            cols_y.append(b * u[:, 0] ** a * u[:, 1] ** max(b - 1, 0) if b else 0.0 * u[:, 0])
-        dx = np.stack(cols_x, axis=1) @ self._coeffs / self._scale
-        dy = np.stack(cols_y, axis=1) @ self._coeffs / self._scale
-        return np.stack([dx, dy], axis=2)
+            cols_x.append(a * u[..., 0] ** max(a - 1, 0) * u[..., 1] ** b if a else 0.0 * u[..., 0])
+            cols_y.append(b * u[..., 0] ** a * u[..., 1] ** max(b - 1, 0) if b else 0.0 * u[..., 0])
+        scale = self._scale[:, None, None]
+        dx = np.stack(cols_x, axis=-1) @ self._coeffs / scale
+        dy = np.stack(cols_y, axis=-1) @ self._coeffs / scale
+        return np.stack([dx, dy], axis=-1)
+
+
+class TriangleSpace(ElementSpace):
+    """One triangle's :class:`TriangleSpaces` stack of one."""
+
+    kind = "triangle"
+
+    def __init__(self, vertices, degree, stack: TriangleSpaces | None = None):
+        super().__init__(vertices, degree)
+        self._stack = stack if stack is not None else TriangleSpaces(self.vertices[None], degree)
+        self.dof_coords = self._stack.dof_coords[0]
+        self.sub_triangulation = self._stack.sub_triangulation
+
+    def eval(self, points):
+        return self._stack.eval(np.atleast_2d(points)[None])[0]
+
+    def grad(self, points):
+        return self._stack.grad(np.atleast_2d(points)[None])[0]
 
     def contains(self, x, tol: float = 1e-10) -> bool:
         v0, v1, v2 = self.vertices

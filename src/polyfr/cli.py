@@ -95,26 +95,44 @@ class InvariantViolation(RuntimeError):
     pass
 
 
-def _profile(profile: dict):
-    kind = profile.get("profile")
+# each analytic profile's parameters and their defaults
+PROFILE_PARAMS = {
+    "constant": {"value": 0.0},
+    "linear": {"a0": 0.0, "ax": 0.0, "ay": 0.0},
+    "sine": {"amplitude": 1.0, "kx": 0.0, "ky": 0.0, "phase": 0.0, "offset": 0.0},
+}
+
+
+def _is_finite_number(value) -> bool:
+    try:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _profile(profile):
+    """The field of one analytic profile spec, mapping (m, 2) points to (m,)
+    values; a spec that is not an object naming a known profile with finite
+    numeric parameters is a config error."""
+    kind = profile.get("profile") if isinstance(profile, dict) else None
+    if kind not in PROFILE_PARAMS:
+        raise ConfigError(f"unknown analytic profile {profile!r}; expected an object "
+                          f"with 'profile' one of {tuple(PROFILE_PARAMS)}")
+    p = {}
+    for key, default in PROFILE_PARAMS[kind].items():
+        value = profile.get(key, default)
+        if not _is_finite_number(value):
+            raise ConfigError(f"{kind} profile parameter {key!r} must be a finite number, "
+                              f"got {value!r}")
+        p[key] = float(value)
     if kind == "constant":
-        value = float(profile.get("value", 0.0))
-        return lambda pts: np.full(len(np.atleast_2d(pts)), value)
+        return lambda pts: np.full(len(np.atleast_2d(pts)), p["value"])
     if kind == "linear":
-        a0 = float(profile.get("a0", 0.0))
-        ax = float(profile.get("ax", 0.0))
-        ay = float(profile.get("ay", 0.0))
-        return lambda pts: a0 + ax * np.atleast_2d(pts)[:, 0] + ay * np.atleast_2d(pts)[:, 1]
-    if kind == "sine":
-        amp = float(profile.get("amplitude", 1.0))
-        kx = float(profile.get("kx", 0.0))
-        ky = float(profile.get("ky", 0.0))
-        phase = float(profile.get("phase", 0.0))
-        offset = float(profile.get("offset", 0.0))
-        return lambda pts: offset + amp * np.sin(
-            kx * np.atleast_2d(pts)[:, 0] + ky * np.atleast_2d(pts)[:, 1] + phase
-        )
-    raise ConfigError(f"unknown analytic profile {profile!r}")
+        return lambda pts: (p["a0"] + p["ax"] * np.atleast_2d(pts)[:, 0]
+                            + p["ay"] * np.atleast_2d(pts)[:, 1])
+    return lambda pts: p["offset"] + p["amplitude"] * np.sin(
+        p["kx"] * np.atleast_2d(pts)[:, 0] + p["ky"] * np.atleast_2d(pts)[:, 1] + p["phase"]
+    )
 
 
 def load_config(path) -> dict:
@@ -158,12 +176,16 @@ def load_config(path) -> dict:
         numerical_flux(cfg.get("flux", "rusanov"))
     except (TypeError, ValueError) as exc:  # UnsupportedLaw is a ValueError
         raise ConfigError(f"invalid config {path}: {exc}") from exc
+    boundary = cfg.get("boundary", {})
+    if not isinstance(boundary, dict):
+        raise ConfigError(f"'boundary' must map boundary tags to profiles, got {boundary!r}")
+    # every analytic field, built once here so both commands reject a bad spec
+    cfg["profiles"] = {
+        "boundary": {tag: _profile(spec) for tag, spec in boundary.items()},
+        "exact": _profile(cfg["exact"]) if "exact" in cfg else None,
+        "initial": _profile(cfg["initial"]) if "initial" in cfg else None,
+    }
     return cfg
-
-
-def _boundary_data(cfg: dict) -> BoundaryData:
-    spec = cfg.get("boundary", {})
-    return BoundaryData({tag: _profile(p) for tag, p in spec.items()})
 
 
 def _solver_config(cfg: dict) -> SolverConfig:
@@ -345,9 +367,9 @@ def run(config_path, output_dir=None, seed: int = 0, tol_scale: float = 1.0) -> 
     out_dir = Path(output_dir or Path(config_path).parent / "out")
     out_dir.mkdir(parents=True, exist_ok=True)
     law = law_by_name(cfg["law"], cfg.get("law_params"))
-    bc = _boundary_data(cfg)
+    bc = BoundaryData(cfg["profiles"]["boundary"])
     solver_cfg = _solver_config(cfg)
-    exact = _profile(cfg["exact"]) if "exact" in cfg else None
+    exact, initial_field = cfg["profiles"]["exact"], cfg["profiles"]["initial"]
     levels = cfg.get("study", {}).get("levels", 1)
 
     mesh = load_mesh(_mesh_path(cfg, config_path))
@@ -369,7 +391,7 @@ def run(config_path, output_dir=None, seed: int = 0, tol_scale: float = 1.0) -> 
         if level > 0:
             mesh = refine_uniform(mesh)
         disc = _build_disc(cfg, mesh)
-        initial = disc.interpolate_function(_profile(cfg["initial"])) if "initial" in cfg else None
+        initial = disc.interpolate_function(initial_field) if initial_field is not None else None
         u, trace = solve_steady(disc, law, solver_cfg, bc, initial=initial)
         entry = {
             "level": level,

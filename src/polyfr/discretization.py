@@ -9,9 +9,11 @@ element, one local edge); the per-edge trace tables, the incidence tables,
 the boundary vectors ``nsigma`` and the correction's edge rules all come
 from these.  Both correction backends are linear in the interface mismatch,
 so each group stores its correction as stacked tables acting on the
-mismatch values.  Triangle groups build their volume rules and RT tables in
-one stacked pass and keep no per-element correction objects; Neumann groups
-keep their per-element backends for prescribed interior moments.  DOFs
+mismatch values.  Triangle groups build their P_k space (one
+``TriangleSpaces`` stack), volume rules, volume tables, incidence traces and
+RT tables in one stacked pass and keep no per-element space or correction
+objects; quad and polygon groups keep one space per element, and Neumann
+groups their per-element backends for prescribed interior moments.  DOFs
 are element-local (broken space): the global index of local DOF ``i`` of
 element ``e`` is ``offset[e] + i``, and every nodal quantity (states,
 residuals, redistribution vectors, entropy variables) is one flat
@@ -38,6 +40,7 @@ from . import correction as corr
 from .approximation import (
     ElementSpace,
     QuadratureRule,
+    TriangleSpaces,
     edge_quadrature,
     gauss_legendre_01,
     space_for_coords,
@@ -81,7 +84,7 @@ class ElementGroup:
     n_dof: int
     elem_ids: np.ndarray  # (nE,) mesh element ids
     coords: np.ndarray  # (nE, n_local_edges, 2) vertices, counter-clockwise
-    spaces: list[ElementSpace]
+    spaces: TriangleSpaces | list[ElementSpace]  # one stack on triangle groups
     areas: np.ndarray
     perimeters: np.ndarray
     diameters: np.ndarray
@@ -242,11 +245,13 @@ class Discretization:
         by local edge, and ``diams`` their diameters."""
         mesh = self.mesh
         coords = mesh.vertices[verts]
-        spaces = [space_for_coords(c, self.degree) for c in coords]
         if kind == "triangle":
-            pts, wts = triangle_rules(coords, self.vol_order)
-            vol_rules = [QuadratureRule(x, w, self.vol_order) for x, w in zip(pts, wts)]
+            spaces = TriangleSpaces(coords, self.degree)
+            vol_pts, vol_w = triangle_rules(coords, self.vol_order)
+            vol_phi, vol_grad = spaces.eval(vol_pts), spaces.grad(vol_pts)
+            vol_rules = None
         else:
+            spaces = [space_for_coords(c, self.degree) for c in coords]
             vol_rules = []
             for c, space in zip(coords, spaces):
                 order = self.vol_order
@@ -258,18 +263,17 @@ class Discretization:
                     # (higher degree) correction field
                     order = max(order, 2 * self.degree) + 10
                 vol_rules.append(volume_quadrature(c, order, kind=kind))
-
-        nE = len(ids)
-        nd = spaces[0].n_dof
-        nq = max(len(r.points) for r in vol_rules)
-        vol_w = np.zeros((nE, nq))
-        vol_phi = np.zeros((nE, nq, nd))
-        vol_grad = np.zeros((nE, nq, nd, 2))
-        for i, (space, rule) in enumerate(zip(spaces, vol_rules)):
-            m = len(rule.points)
-            vol_w[i, :m] = rule.weights
-            vol_phi[i, :m] = space.eval(rule.points)
-            vol_grad[i, :m] = space.grad(rule.points)
+            vol_pts = None
+            nq = max(len(r.points) for r in vol_rules)
+            nd = spaces[0].n_dof
+            vol_w = np.zeros((len(ids), nq))
+            vol_phi = np.zeros((len(ids), nq, nd))
+            vol_grad = np.zeros((len(ids), nq, nd, 2))
+            for i, (space, rule) in enumerate(zip(spaces, vol_rules)):
+                m = len(rule.points)
+                vol_w[i, :m] = rule.weights
+                vol_phi[i, :m] = space.eval(rule.points)
+                vol_grad[i, :m] = space.grad(rule.points)
         areas = mesh.elem_area[ids]
         # summed edge by edge, in local edge order
         perims = np.cumsum(mesh.edge_length[edges], axis=1)[:, -1]
@@ -282,7 +286,7 @@ class Discretization:
         inc_edge = edges.ravel()
         group = ElementGroup(
             kind=kind,
-            n_dof=nd,
+            n_dof=vol_phi.shape[2],
             elem_ids=ids,
             coords=coords,
             spaces=spaces,
@@ -299,7 +303,7 @@ class Discretization:
             inc_side=(mesh.edge_left[inc_edge] != np.repeat(ids, n_vert)).astype(int),
             n_local_edges=n_vert,
         )
-        self._attach_correction(group, vol_rules)
+        self._attach_correction(group, vol_pts, vol_rules)
         return group
 
     def _attach_incidence(self, g: ElementGroup) -> None:
@@ -308,10 +312,14 @@ class Discretization:
         # per-element edge terms
         nle, nd = g.n_local_edges, g.n_dof
         shape = (g.n_elements, nle * self.nq_edge)
-        trace = np.stack([
-            g.spaces[row // nle].eval(self.edge_pts[edge_id])
-            for row, edge_id in enumerate(g.inc_edge)
-        ])  # (rows, nq_e, nd)
+        if g.kind == "triangle":  # one stacked evaluation at all edge points
+            pts = self.edge_pts[g.inc_edge].reshape(shape + (2,))
+            trace = g.spaces.eval(pts).reshape(-1, self.nq_edge, nd)
+        else:
+            trace = np.stack([
+                g.spaces[row // nle].eval(self.edge_pts[edge_id])
+                for row, edge_id in enumerate(g.inc_edge)
+            ])  # (rows, nq_e, nd)
         left = g.inc_side == 0
         self.edge_phi_left[g.inc_edge[left], :, :nd] = trace[left]
         self.edge_phi_right[g.inc_edge[~left], :, :nd] = trace[~left]
@@ -324,7 +332,9 @@ class Discretization:
         g.inc_ntrace = np.einsum("rqd,rx->rqdx", trace, normal).reshape(shape + (nd, 2))
         g.nsigma = -np.einsum("em,emdx->edx", g.inc_w, g.inc_ntrace)
 
-    def _attach_correction(self, group: ElementGroup, vol_rules) -> None:
+    def _attach_correction(self, group: ElementGroup, vol_pts, vol_rules) -> None:
+        """Correction tables of ``group``, whose volume rules are the stacked
+        points ``vol_pts`` (triangle groups) or the per-element ``vol_rules``."""
         # the stored edge rules, per element edge by edge
         rows = group.inc_edge.reshape(group.n_elements, group.n_local_edges)
         if (self.correction == "auto" and group.kind == "triangle"
@@ -332,7 +342,7 @@ class Discretization:
             group.correction = "rt"
             tables = corr.rt_group_tables(
                 self.degree, group.coords, self.edge_pts[rows],
-                np.stack([r.points for r in vol_rules]),
+                vol_pts,
                 group.vol_w, group.vol_phi, group.vol_grad, group.elem_ids,
             )
             group.corr_r, group.corr_div, group.corr_vol, group.corr_trace = tables
@@ -341,6 +351,8 @@ class Discretization:
         group.correction = "neumann"
         sign = np.where(group.inc_side == 0, 1.0, -1.0)[:, None]
         outward = (sign * self.mesh.edge_normal[group.inc_edge]).reshape(rows.shape + (2,))
+        if vol_rules is None:
+            vol_rules = [QuadratureRule(x, w, self.vol_order) for x, w in zip(vol_pts, group.vol_w)]
         backends = []
         for i in range(group.n_elements):
             rules = [
@@ -365,7 +377,8 @@ class Discretization:
     def dof_coords(self) -> np.ndarray:
         coords = np.zeros((self.n_dofs, 2))
         for g in self.groups:
-            coords[g.dof_idx] = np.stack([s.dof_coords for s in g.spaces])
+            coords[g.dof_idx] = (g.spaces.dof_coords if g.kind == "triangle"
+                                 else np.stack([s.dof_coords for s in g.spaces]))
         return coords
 
     def interpolate_function(self, fn: Callable) -> np.ndarray:

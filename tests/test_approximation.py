@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,67 @@ def test_unsupported_spaces_rejected():
         ap.build_space("triangle", 4)
     with pytest.raises(ap.UnsupportedSpace):
         ap.build_space("pentagon", 1)
+    for k in (0, 4):
+        with pytest.raises(ap.UnsupportedSpace):
+            ap.TriangleSpaces(np.stack([UNIT_TRI, UNIT_TRI + 1.0]), k)
+
+
+def _jittered_triangle_coords():
+    base = pm.structured_triangles(8)  # 128 triangles
+    v = base.vertices.copy()
+    inner = np.all((v > 1e-9) & (v < 1 - 1e-9), axis=1)
+    v[inner] += np.random.default_rng(8).uniform(-0.02, 0.02, size=(inner.sum(), 2))
+    mesh = pm.mesh_from_arrays(v, base.elem_vertex_ids.reshape(base.n_elements, -1))
+    return mesh.vertices[mesh.elem_vertex_ids.reshape(mesh.n_elements, 3)]
+
+
+def _barycentric_lagrange(coords, pts, k):
+    """Closed-form P1/P2 Lagrange values (nE, m, nd) and gradients
+    (nE, m, nd, 2) in canonical node order (vertices, then the midpoints of
+    edges 01, 12, 20)."""
+    jac = np.stack([coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0]], axis=2)
+    inv = np.linalg.inv(jac)  # rows: gradients of lambda_1, lambda_2
+    l12 = np.einsum("eij,emj->emi", inv, pts - coords[:, None, 0])
+    lam = np.concatenate([1.0 - l12.sum(axis=2, keepdims=True), l12], axis=2)
+    dlam = np.concatenate([-inv.sum(axis=1, keepdims=True), inv], axis=1)[:, None]
+    dlam = np.broadcast_to(dlam, lam.shape + (2,))
+    if k == 1:
+        return lam, dlam
+    pairs = [(0, 1), (1, 2), (2, 0)]
+    vals = [lam[..., i] * (2 * lam[..., i] - 1) for i in range(3)]
+    vals += [4 * lam[..., i] * lam[..., j] for i, j in pairs]
+    grads = [(4 * lam[..., i, None] - 1) * dlam[..., i, :] for i in range(3)]
+    grads += [4 * (lam[..., i, None] * dlam[..., j, :] + lam[..., j, None] * dlam[..., i, :])
+              for i, j in pairs]
+    return np.stack(vals, axis=-1), np.stack(grads, axis=-2)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("mesh_name", ["tri_32", "jittered"])
+def test_stacked_spaces_equal_per_element_spaces(k, mesh_name):
+    if mesh_name == "tri_32":
+        mesh = pm.load_mesh(Path(__file__).resolve().parent.parent / "cases" / "tri_32.mesh.json")
+        coords = mesh.vertices[mesh.elem_vertex_ids.reshape(mesh.n_elements, 3)]
+    else:
+        coords = _jittered_triangle_coords()
+    rng = np.random.default_rng(12 + k)
+    lam = rng.dirichlet([1.0, 1.0, 1.0], size=(len(coords), 7))
+    pts = np.einsum("emv,evx->emx", lam, coords)  # interior points
+    stack = ap.TriangleSpaces(coords, k)
+    vals, grads = stack.eval(pts), stack.grad(pts)
+    assert len(stack) == len(coords) and stack.dof_coords.shape == vals.shape[:1] + (vals.shape[2], 2)
+    for e, (c, x) in enumerate(zip(coords, pts)):
+        for space in (ap.TriangleSpace(c, k), stack[e]):
+            assert np.array_equal(space.eval(x), vals[e])
+            assert np.array_equal(space.grad(x), grads[e])
+            assert np.array_equal(space.dof_coords, stack.dof_coords[e])
+    assert np.array_equal(stack[-1].eval(pts[-1]), vals[-1])
+    with pytest.raises(IndexError):
+        stack[len(coords)]
+    if k <= 2:  # an independent reference for the shared arithmetic
+        ref_vals, ref_grads = _barycentric_lagrange(coords, pts, k)
+        assert np.abs(vals - ref_vals).max() <= 1e-13 * np.abs(ref_vals).max()
+        assert np.abs(grads - ref_grads).max() <= 1e-13 * np.abs(ref_grads).max()
 
 
 # ---------------------------------------------------------------------------

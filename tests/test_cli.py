@@ -196,6 +196,14 @@ BAD_CONFIGS = {
     "boolean-volume-order": {"volume_order": True},
     "zero-volume-order": {"volume_order": 0},
     "negative-volume-order": {"volume_order": -1},
+    # analytic profiles: objects naming a known profile, finite numbers only
+    "number-initial": {"initial": 3},
+    "list-exact": {"exact": [1]},
+    "string-boundary-profile": {"boundary": {"boundary": "sine"}},
+    "list-boundary": {"boundary": [1]},
+    "string-profile-parameter": {"exact": {"profile": "sine", "amplitude": "x"}},
+    "list-profile-parameter": {"exact": {"profile": "constant", "value": [1, 2]}},
+    "infinite-profile-parameter": {"initial": {"profile": "linear", "ax": float("inf")}},
 }
 
 

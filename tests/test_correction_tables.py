@@ -9,12 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from polyfr import approximation as ap
 from polyfr import correction as co
 from polyfr import mesh as pm
 from polyfr import physics as ph
 from polyfr import residual as rs
 from polyfr.approximation import edge_quadrature, volume_quadrature
 from polyfr.discretization import Discretization
+from polyfr.solver import manufactured_error
 from test_mesh_properties import N_CELLS, _jittered
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
@@ -244,6 +246,32 @@ def test_discretization_builds_no_per_element_rt_objects(monkeypatch):
         disc = Discretization(mesh, k)
         tri = [g for g in disc.groups if g.kind == "triangle"]
         assert tri and all(g.correction == "rt" and g.backends == [] for g in tri)
+
+
+def test_run_path_builds_no_per_element_triangle_spaces(monkeypatch):
+    # one stacked P_k space per triangle group serves the build, its
+    # incidence traces and the error measurement
+    counts = {"stacks": 0, "elements": 0}
+
+    def counting(cls, key):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            counts[key] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    counting(ap.TriangleSpaces, "stacks")
+    counting(ap.TriangleSpace, "elements")
+    mesh = pm.structured_triangles(8)
+    for k in (1, 2, 3):
+        counts.update(stacks=0, elements=0)
+        disc = Discretization(mesh, k)
+        u = disc.interpolate_function(lambda x: x[:, 0] * x[:, 1])
+        manufactured_error(disc, u, lambda x: x[:, 0] * x[:, 1])
+        assert len(disc.groups) == 1
+        assert counts == {"stacks": 1, "elements": 0}
 
 
 def test_singular_dual_matrix_names_the_element():
