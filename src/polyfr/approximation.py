@@ -1,20 +1,27 @@
 """Element polynomial spaces and quadrature of prescribed order.
 
 Three element families are supported, all expressed directly in physical
-coordinates:
+coordinates, each built for a whole stack of same-family elements at once
+(a :class:`SpaceStack`: vertices (nE, n, 2), ``eval``/``grad`` at points
+(nE, m, 2)):
 
-* ``triangle``: total-degree Lagrange bases on the equispaced node lattice,
-  degrees 1 through 3, built for a whole stack of triangles at once
-  (``TriangleSpaces``, one batched Vandermonde solve); a ``TriangleSpace``
-  is its stack of one;
-* ``quad``: tensor-product Lagrange bases through the bilinear map from the
-  unit square, degrees 1 through 3 (polynomial in physical coordinates
-  exactly when the element is a parallelogram);
-* ``polygon``: Wachspress coordinates on convex polygons, degree 1 only.
+* ``triangle`` (``TriangleSpaces``): total-degree Lagrange bases on the
+  equispaced node lattice, degrees 1 through 3, one batched Vandermonde
+  solve;
+* ``quad`` (``QuadSpaces``): tensor-product Lagrange bases through the
+  bilinear map from the unit square, degrees 1 through 3 (polynomial in
+  physical coordinates exactly when the element is a parallelogram), with
+  one batched Newton inverse map;
+* ``polygon`` (``PolygonSpaces``): Wachspress coordinates on convex
+  polygons, degree 1 only.
 
-Quadrature rules promise exactness for all monomials of total degree up to
-``declared_order``; the promise is checked against analytic polygon moments
-computed independently via the divergence theorem.
+A one-element :class:`ElementSpace` (``TriangleSpace``, ``QuadSpace``,
+``PolygonSpace``) is its family's stack of one; it adds only ``contains``.
+``volume_rules`` gives a stack of volume rules, padded with zero weights
+where the per-element orders differ; ``volume_quadrature`` is its stack of
+one.  Quadrature rules promise exactness for all monomials of total degree
+up to ``declared_order``; the promise is checked against analytic polygon
+moments computed independently via the divergence theorem.
 """
 
 from __future__ import annotations
@@ -46,26 +53,37 @@ class QuadratureRule:
     declared_order: int
 
 
+def element_kind(n_vertices: int) -> str:
+    """The element family of an n-gon: triangle, quad or polygon."""
+    return {3: "triangle", 4: "quad"}.get(n_vertices, "polygon")
+
+
 def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def edge_quadrature(p0, p1, order: int) -> QuadratureRule:
-    """Gauss rule on the segment [p0, p1], exact for 1D degree <= order."""
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
+def edge_rules(p0, p1, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rules on a stack of segments [p0, p1] (..., 2), exact for 1D
+    degree <= order: points (..., nq, 2) and weights (..., nq)."""
     n = max(1, math.ceil((order + 1) / 2))
     t, w = gauss_legendre_01(n)
-    pts = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
-    return QuadratureRule(pts, w * float(np.hypot(*(p1 - p0))), order)
+    span = p1 - p0
+    pts = p0[..., None, :] + t[:, None] * span[..., None, :]
+    return pts, w * np.hypot(span[..., 0], span[..., 1])[..., None]
+
+
+def edge_quadrature(p0, p1, order: int) -> QuadratureRule:
+    """Gauss rule on the segment [p0, p1]: the stack of one of
+    :func:`edge_rules`."""
+    pts, w = edge_rules(np.asarray(p0, dtype=float), np.asarray(p1, dtype=float), order)
+    return QuadratureRule(pts, w, order)
 
 
 def triangle_rules(coords: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Collapsed Gauss rules on a stack of triangles ``coords`` (nE, 3, 2):
-    points (nE, nq, 2) and weights (nE, nq).  Each row is the rule
-    ``volume_quadrature`` builds for that triangle, bit for bit."""
+    points (nE, nq, 2) and weights (nE, nq)."""
     # collapsed tensor rule on the reference triangle, mapped affinely:
     # x = a, y = b*(1-a) with jacobian (1-a); n-point Gauss per direction is
     # exact for total degree 2n-2 after the collapse
@@ -81,61 +99,74 @@ def triangle_rules(coords: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarr
     return pts, wab * 2.0 * shoelace_area(coords)[:, None]
 
 
-def _triangle_rule(coords: np.ndarray, order: int) -> QuadratureRule:
-    pts, w = triangle_rules(coords[None], order)
-    return QuadratureRule(pts[0], w[0], order)
-
-
 def _bilinear_map(coords: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map (m, 2) reference-square points into the quad; also return jacobians."""
-    v0, v1, v2, v3 = coords
-    a, b = r[:, 0], r[:, 1]
-    pts = (
-        np.outer((1 - a) * (1 - b), v0)
-        + np.outer(a * (1 - b), v1)
-        + np.outer(a * b, v2)
-        + np.outer((1 - a) * b, v3)
-    )
-    dxda = np.outer(-(1 - b), v0) + np.outer(1 - b, v1) + np.outer(b, v2) - np.outer(b, v3)
-    dxdb = np.outer(-(1 - a), v0) - np.outer(a, v1) + np.outer(a, v2) + np.outer(1 - a, v3)
-    jac = np.stack([dxda, dxdb], axis=2)  # (m, 2(xy), 2(ab))
-    return pts, jac
+    """Map reference-square points ``r`` (..., m, 2) into the quads
+    ``coords`` (..., 4, 2); also return the jacobians (..., m, 2(xy), 2(ab))."""
+    v0, v1, v2, v3 = (coords[..., i, None, :] for i in range(4))
+    a, b = r[..., 0, None], r[..., 1, None]
+    pts = (1 - a) * (1 - b) * v0 + a * (1 - b) * v1 + a * b * v2 + (1 - a) * b * v3
+    dxda = -(1 - b) * v0 + (1 - b) * v1 + b * v2 - b * v3
+    dxdb = -(1 - a) * v0 - a * v1 + a * v2 + (1 - a) * v3
+    return pts, np.stack([dxda, dxdb], axis=-1)
 
 
-def _quad_rule(coords: np.ndarray, order: int) -> QuadratureRule:
+def _det(jac: np.ndarray) -> np.ndarray:
+    return jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+
+
+def _quad_rules(coords: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    # tensor Gauss rule on the unit square under each bilinear map
     n = max(1, math.ceil((order + 2) / 2))
     t, w = gauss_legendre_01(n)
     r = np.stack([np.repeat(t, n), np.tile(t, n)], axis=1)
-    w2 = np.repeat(w, n) * np.tile(w, n)
     pts, jac = _bilinear_map(coords, r)
-    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-    return QuadratureRule(pts, w2 * det, order)
+    return pts, np.repeat(w, n) * np.tile(w, n) * _det(jac)
 
 
-def _fan_rule(coords: np.ndarray, order: int) -> QuadratureRule:
+def _fan_rules(coords: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     # one triangle per edge, closed at the centroid
     fan = np.stack([
-        coords, np.roll(coords, -1, axis=0),
-        np.broadcast_to(polygon_centroid(coords), coords.shape),
-    ], axis=1)
-    pts, w = triangle_rules(fan, order)
-    return QuadratureRule(pts.reshape(-1, 2), w.ravel(), order)
+        coords, np.roll(coords, -1, axis=1),
+        np.broadcast_to(polygon_centroid(coords)[:, None], coords.shape),
+    ], axis=2)
+    pts, w = triangle_rules(fan.reshape(-1, 3, 2), order)
+    return pts.reshape(len(coords), -1, 2), w.reshape(len(coords), -1)
 
 
-def volume_quadrature(coords, order: int, kind: str | None = None) -> QuadratureRule:
-    """Volume rule on the element polygon, exact for total degree <= order.
+_RULES = {"triangle": triangle_rules, "quad": _quad_rules, "polygon": _fan_rules}
+
+
+def volume_rules(kind: str, coords: np.ndarray, orders) -> tuple[np.ndarray, np.ndarray]:
+    """Volume rules on a stack of ``kind`` elements ``coords`` (nE, n, 2),
+    element e exact for total degree <= ``orders[e]`` (or one ``orders`` for
+    all): points (nE, nq, 2) and weights (nE, nq).
 
     Triangles use a collapsed Gauss rule, quadrilaterals a tensor rule under
     the bilinear map, and general polygons a centroid-fan of triangle rules.
+    Rules shorter than the longest are padded at the end with copies of
+    their last point and zero weights.
     """
     coords = np.asarray(coords, dtype=float)
-    if kind is None:
-        kind = {3: "triangle", 4: "quad"}.get(len(coords), "polygon")
-    if kind == "triangle":
-        return _triangle_rule(coords, order)
-    if kind == "quad":
-        return _quad_rule(coords, order)
-    return _fan_rule(coords, order)
+    orders = np.broadcast_to(orders, len(coords))
+    # a set, not np.unique: that imports numpy.ma on first use (30 ms)
+    parts = {o: _RULES[kind](coords[orders == o], o) for o in set(orders.tolist())}
+    nq = max((w.shape[1] for _, w in parts.values()), default=0)
+    pts = np.zeros((len(coords), nq, 2))
+    wts = np.zeros((len(coords), nq))
+    for o, (x, w) in parts.items():
+        sel = orders == o
+        m = w.shape[1]
+        pts[sel, :m], pts[sel, m:] = x, x[:, -1:]
+        wts[sel, :m] = w
+    return pts, wts
+
+
+def volume_quadrature(coords, order: int, kind: str | None = None) -> QuadratureRule:
+    """Volume rule on one element polygon, exact for total degree <= order:
+    the stack of one of :func:`volume_rules`."""
+    coords = np.asarray(coords, dtype=float)
+    pts, w = volume_rules(kind or element_kind(len(coords)), coords[None], order)
+    return QuadratureRule(pts[0], w[0], order)
 
 
 def polygon_moment(coords, a: int, b: int) -> float:
@@ -232,53 +263,63 @@ def quad_node_layout(k: int) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
 # element spaces
 # ---------------------------------------------------------------------------
 
-class ElementSpace:
-    """Lagrange-type basis bound to one physical element.
+class SpaceStack:
+    """Lagrange-type bases bound to a stack of physical elements of one
+    family, vertices (nE, n, 2).
 
-    Subclasses provide ``eval`` (values, shape (m, n_dof)) and ``grad``
-    (gradients, shape (m, n_dof, 2)) at arbitrary physical points.
+    Each family provides ``eval``, mapping points (nE, m, 2), row e inside
+    element e, to values (nE, m, nd), and ``grad``, mapping them to
+    gradients (nE, m, nd, 2); ``dof_coords`` is (nE, nd, 2) and
+    ``sub_triangulation`` the DOF sub-triangles.  ``[i]`` is element i's
+    :class:`ElementSpace` (its ``contains`` is the family's), which shares
+    this stack's per-element arrays (the names in ``_stacked``) instead of
+    building them again.
     """
 
     kind: str
-    degree: int
+    element: type  # the family's ElementSpace, the stack of one
+    _stacked = ("vertices", "dof_coords")
 
-    def __init__(self, vertices: np.ndarray, degree: int):
-        self.vertices = np.asarray(vertices, dtype=float)
+    def __init__(self, coords, degree):
+        self.vertices = np.asarray(coords, dtype=float)
         self.degree = int(degree)
-        self.dof_coords: np.ndarray
-        self.sub_triangulation: list[tuple[int, int, int]]
 
     @property
     def n_dof(self) -> int:
-        return len(self.dof_coords)
+        return self.dof_coords.shape[1]
 
-    def eval(self, points: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    def __len__(self) -> int:
+        return len(self.vertices)
 
-    def grad(self, points: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
-    def contains(self, x, tol: float = 1e-10) -> bool:
-        raise NotImplementedError
+    def __getitem__(self, i) -> "ElementSpace":
+        i = range(len(self))[i]
+        return self.element(self.vertices[i], self.degree, self.take(slice(i, i + 1)))
+
+    def take(self, index) -> "SpaceStack":
+        """The stack of the elements ``index`` (a slice or index array)."""
+        sub = object.__new__(type(self))
+        sub.__dict__.update(self.__dict__)
+        for name in self._stacked:
+            setattr(sub, name, getattr(self, name)[index])
+        return sub
 
 
-class TriangleSpaces:
-    """Total-degree Lagrange spaces on a stack of triangles ``coords``
-    (nE, 3, 2), built with one batched Vandermonde solve.
+class TriangleSpaces(SpaceStack):
+    """Total-degree Lagrange spaces on a stack of triangles, built with one
+    batched Vandermonde solve.  Each element's basis is expanded in
+    monomials centred at its centroid and scaled by the square root of its
+    area."""
 
-    Each element's basis is expanded in monomials centred at its centroid
-    and scaled by the square root of its area.  ``eval`` maps points
-    (nE, m, 2), row e inside element e, to values (nE, m, nd) and ``grad``
-    to gradients (nE, m, nd, 2); ``dof_coords`` is (nE, nd, 2).  ``[i]`` is
-    element i's :class:`TriangleSpace`, which shares this stack's
-    coefficients instead of solving again.
-    """
+    kind = "triangle"
+    _stacked = ("vertices", "dof_coords", "_center", "_scale", "_coeffs")
 
     def __init__(self, coords, degree):
         if not 1 <= degree <= 3:
             raise UnsupportedSpace(f"triangle degree {degree} not supported")
-        self.vertices = np.asarray(coords, dtype=float)
-        self.degree = int(degree)
+        super().__init__(coords, degree)
         fractions, self.sub_triangulation = triangle_node_layout(degree)
         v0, v1, v2 = (self.vertices[:, i, None, :] for i in range(3))
         self.dof_coords = v0 + fractions[:, :1] * (v1 - v0) + fractions[:, 1:] * (v2 - v0)
@@ -289,20 +330,6 @@ class TriangleSpaces:
         ]
         vmat = self._monomials(self.dof_coords)
         self._coeffs = np.linalg.solve(vmat, np.eye(vmat.shape[-1]))
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    def __getitem__(self, i) -> "TriangleSpace":
-        i = range(len(self))[i]
-        one = object.__new__(TriangleSpaces)
-        one.__dict__.update(self.__dict__)
-        for name in ("vertices", "dof_coords", "_center", "_scale", "_coeffs"):
-            setattr(one, name, getattr(self, name)[i:i + 1])
-        return TriangleSpace(self.vertices[i], self.degree, one)
 
     def _local(self, points):
         return (points - self._center[:, None, :]) / self._scale[:, None, None]
@@ -326,22 +353,165 @@ class TriangleSpaces:
         return np.stack([dx, dy], axis=-1)
 
 
-class TriangleSpace(ElementSpace):
-    """One triangle's :class:`TriangleSpaces` stack of one."""
+class QuadSpaces(SpaceStack):
+    """Tensor-product Lagrange spaces on a stack of quadrilaterals through
+    their bilinear maps from the unit square (polynomial in physical
+    coordinates exactly when the element is a parallelogram)."""
 
-    kind = "triangle"
+    kind = "quad"
 
-    def __init__(self, vertices, degree, stack: TriangleSpaces | None = None):
-        super().__init__(vertices, degree)
-        self._stack = stack if stack is not None else TriangleSpaces(self.vertices[None], degree)
+    def __init__(self, coords, degree):
+        if not 1 <= degree <= 3:
+            raise UnsupportedSpace(f"quad degree {degree} not supported")
+        super().__init__(coords, degree)
+        fractions, self.sub_triangulation = quad_node_layout(degree)
+        self._nodes_1d = np.linspace(0.0, 1.0, degree + 1)
+        self._node_idx = (fractions * degree).round().astype(int)
+        self.dof_coords, _ = _bilinear_map(self.vertices, fractions)
+
+    def _lagrange_1d(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # values and derivatives (t.shape + (k+1,)) of the 1D Lagrange basis
+        nodes = self._nodes_1d
+        n = len(nodes)
+        vals = np.ones(t.shape + (n,))
+        ders = np.zeros(t.shape + (n,))
+        for i in range(n):
+            for j in range(n):
+                if j == i:
+                    continue
+                vals[..., i] *= (t - nodes[j]) / (nodes[i] - nodes[j])
+            for m in range(n):
+                if m == i:
+                    continue
+                term = np.ones_like(t) / (nodes[i] - nodes[m])
+                for j in range(n):
+                    if j in (i, m):
+                        continue
+                    term *= (t - nodes[j]) / (nodes[i] - nodes[j])
+                ders[..., i] += term
+        return vals, ders
+
+    def _inverse_map(self, points: np.ndarray) -> np.ndarray:
+        # Newton on the bilinear maps; each element stops once the residual
+        # at all of its points is below the tolerance
+        r = np.full_like(points, 0.5)
+        tol = 1e-14 * (1.0 + np.abs(points).max(axis=(1, 2), initial=0.0))
+        todo = np.arange(len(points))
+        for _ in range(30):
+            x, jac = _bilinear_map(self.vertices[todo], r[todo])
+            res = points[todo] - x
+            det = _det(jac)
+            dr0 = (jac[..., 1, 1] * res[..., 0] - jac[..., 0, 1] * res[..., 1]) / det
+            dr1 = (-jac[..., 1, 0] * res[..., 0] + jac[..., 0, 0] * res[..., 1]) / det
+            r[todo] = r[todo] + np.stack([dr0, dr1], axis=-1)
+            todo = todo[np.abs(res).max(axis=(1, 2), initial=0.0) >= tol[todo]]
+            if not todo.size:
+                break
+        return r
+
+    def _tensor(self, r: np.ndarray):
+        va, da = self._lagrange_1d(r[..., 0])
+        vb, db = self._lagrange_1d(r[..., 1])
+        # np.take keeps the tables C-ordered (einsum sums depend on layout)
+        va, da, vb, db = (np.take(t, self._node_idx[:, i], axis=-1)
+                          for t, i in ((va, 0), (da, 0), (vb, 1), (db, 1)))
+        return va * vb, da * vb, va * db
+
+    def eval(self, points):
+        return self._tensor(self._inverse_map(points))[0]
+
+    def grad(self, points):
+        r = self._inverse_map(points)
+        _, d_da, d_db = self._tensor(r)
+        _, jac = _bilinear_map(self.vertices, r)
+        det = _det(jac)[..., None]
+        # the inverse-transpose of the jacobian
+        dx = (jac[..., 1, 1, None] * d_da - jac[..., 1, 0, None] * d_db) / det
+        dy = (-jac[..., 0, 1, None] * d_da + jac[..., 0, 0, None] * d_db) / det
+        return np.stack([dx, dy], axis=-1)
+
+
+class PolygonSpaces(SpaceStack):
+    """Wachspress coordinates on a stack of convex n-gons (degree 1 only)."""
+
+    kind = "polygon"
+    _stacked = ("vertices", "dof_coords", "_inward", "_corner")
+
+    def __init__(self, coords, degree):
+        super().__init__(coords, degree)
+        n = self.vertices.shape[1]
+        if degree != 1:
+            raise UnsupportedSpace(f"{n}-gon elements support degree 1 only (got {degree})")
+        self.dof_coords = self.vertices.copy()
+        self.sub_triangulation = [(0, i, i + 1) for i in range(1, n - 1)]
+        rolled = np.roll(self.vertices, -1, axis=1)
+        tangents = rolled - self.vertices
+        lengths = np.hypot(tangents[..., 0], tangents[..., 1])
+        # unit inward normals of edge i = [v_i, v_{i+1}]
+        self._inward = np.stack([-tangents[..., 1], tangents[..., 0]], axis=-1) / lengths[..., None]
+        e_prev = self.vertices - np.roll(self.vertices, 1, axis=1)
+        e_next = rolled - self.vertices
+        self._corner = e_prev[..., 0] * e_next[..., 1] - e_prev[..., 1] * e_next[..., 0]
+        if (self._corner <= 0).any():
+            raise UnsupportedSpace("Wachspress coordinates require a convex polygon")
+        # the edges whose distances enter vertex i's weight
+        self._keep = [[j for j in range(n) if j not in ((i - 1) % n, i)] for i in range(n)]
+
+    def _edge_distances(self, points: np.ndarray) -> np.ndarray:
+        # h[e, p, i] = signed distance of point p to edge line i (positive inside)
+        diff = points[:, :, None, :] - self.vertices[:, None, :, :]
+        return (diff * self._inward[:, None, :, :]).sum(-1)
+
+    def _weights(self, points: np.ndarray):
+        h = self._edge_distances(points)
+        w = np.stack([
+            self._corner[:, i, None] * np.prod(h[..., keep], axis=-1)
+            for i, keep in enumerate(self._keep)
+        ], axis=-1)
+        return w, h
+
+    def eval(self, points):
+        w, _ = self._weights(points)
+        return w / w.sum(axis=-1, keepdims=True)
+
+    def grad(self, points):
+        w, h = self._weights(points)
+        phi = w / w.sum(axis=-1, keepdims=True)
+        ratio = np.stack([
+            (self._inward[:, None, keep, :] / h[..., keep, None]).sum(axis=-2)
+            for keep in self._keep
+        ], axis=-2)
+        mean = (phi[..., None] * ratio).sum(axis=-2, keepdims=True)
+        return phi[..., None] * (ratio - mean)
+
+
+class ElementSpace:
+    """One physical element's space: its family's :class:`SpaceStack` of
+    one.  ``eval`` maps points (m, 2) to values (m, n_dof) and ``grad`` to
+    gradients (m, n_dof, 2); each family's subclass adds ``contains``."""
+
+    stack_type: type
+
+    def __init__(self, vertices, degree: int, stack: SpaceStack | None = None):
+        self.vertices = np.asarray(vertices, dtype=float)
+        self.degree = int(degree)
+        self._stack = stack if stack is not None else self.stack_type(self.vertices[None], degree)
         self.dof_coords = self._stack.dof_coords[0]
         self.sub_triangulation = self._stack.sub_triangulation
+
+    @property
+    def n_dof(self) -> int:
+        return len(self.dof_coords)
 
     def eval(self, points):
         return self._stack.eval(np.atleast_2d(points)[None])[0]
 
     def grad(self, points):
         return self._stack.grad(np.atleast_2d(points)[None])[0]
+
+
+class TriangleSpace(ElementSpace):
+    stack_type = TriangleSpaces
 
     def contains(self, x, tol: float = 1e-10) -> bool:
         v0, v1, v2 = self.vertices
@@ -351,150 +521,33 @@ class TriangleSpace(ElementSpace):
 
 
 class QuadSpace(ElementSpace):
-    kind = "quad"
-
-    def __init__(self, vertices, degree):
-        super().__init__(vertices, degree)
-        if not 1 <= degree <= 3:
-            raise UnsupportedSpace(f"quad degree {degree} not supported")
-        fractions, self.sub_triangulation = quad_node_layout(degree)
-        self._ref_nodes_1d = np.linspace(0.0, 1.0, degree + 1)
-        self._ref_dofs = fractions
-        self.dof_coords, _ = _bilinear_map(self.vertices, fractions)
-
-    def _lagrange_1d(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        nodes = self._ref_nodes_1d
-        n = len(nodes)
-        vals = np.ones((len(t), n))
-        ders = np.zeros((len(t), n))
-        for i in range(n):
-            for j in range(n):
-                if j == i:
-                    continue
-                vals[:, i] *= (t - nodes[j]) / (nodes[i] - nodes[j])
-            for m in range(n):
-                if m == i:
-                    continue
-                term = np.ones_like(t) / (nodes[i] - nodes[m])
-                for j in range(n):
-                    if j in (i, m):
-                        continue
-                    term *= (t - nodes[j]) / (nodes[i] - nodes[j])
-                ders[:, i] += term
-        return vals, ders
-
-    def _inverse_map(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        r = np.full_like(pts, 0.5)
-        for _ in range(30):
-            x, jac = _bilinear_map(self.vertices, r)
-            res = pts - x
-            det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-            dr0 = (jac[:, 1, 1] * res[:, 0] - jac[:, 0, 1] * res[:, 1]) / det
-            dr1 = (-jac[:, 1, 0] * res[:, 0] + jac[:, 0, 0] * res[:, 1]) / det
-            r = r + np.stack([dr0, dr1], axis=1)
-            if np.abs(res).max() < 1e-14 * (1.0 + np.abs(pts).max()):
-                break
-        return r
-
-    def _tensor(self, r: np.ndarray):
-        va, da = self._lagrange_1d(r[:, 0])
-        vb, db = self._lagrange_1d(r[:, 1])
-        k = self.degree
-        idx = (self._ref_dofs * k).round().astype(int)
-        vals = va[:, idx[:, 0]] * vb[:, idx[:, 1]]
-        d_da = da[:, idx[:, 0]] * vb[:, idx[:, 1]]
-        d_db = va[:, idx[:, 0]] * db[:, idx[:, 1]]
-        return vals, d_da, d_db
-
-    def eval(self, points):
-        r = self._inverse_map(points)
-        vals, _, _ = self._tensor(r)
-        return vals
-
-    def grad(self, points):
-        r = self._inverse_map(points)
-        _, d_da, d_db = self._tensor(r)
-        _, jac = _bilinear_map(self.vertices, r)
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        # d phi/dx = (db/dy missing) -> use inverse-transpose of the jacobian
-        dx = (jac[:, 1, 1] * d_da.T - jac[:, 1, 0] * d_db.T) / det
-        dy = (-jac[:, 0, 1] * d_da.T + jac[:, 0, 0] * d_db.T) / det
-        return np.stack([dx.T, dy.T], axis=2)
+    stack_type = QuadSpaces
 
     def contains(self, x, tol: float = 1e-10) -> bool:
-        r = self._inverse_map(np.asarray(x, dtype=float)[None, :])[0]
+        r = self._stack._inverse_map(np.asarray(x, dtype=float)[None, None, :])[0, 0]
         return bool((r >= -tol).all() and (r <= 1.0 + tol).all())
 
 
 class PolygonSpace(ElementSpace):
-    """Wachspress coordinates on a convex polygon (degree 1 only)."""
-
-    kind = "polygon"
-
-    def __init__(self, vertices, degree):
-        super().__init__(vertices, degree)
-        if degree != 1:
-            raise UnsupportedSpace(
-                f"{len(self.vertices)}-gon elements support degree 1 only (got {degree})"
-            )
-        n = len(self.vertices)
-        self.dof_coords = self.vertices.copy()
-        self.sub_triangulation = [(0, i, i + 1) for i in range(1, n - 1)]
-        rolled = np.roll(self.vertices, -1, axis=0)
-        tangents = rolled - self.vertices
-        lengths = np.hypot(tangents[:, 0], tangents[:, 1])
-        # unit inward normals of edge i = [v_i, v_{i+1}]
-        self._inward = np.stack([-tangents[:, 1], tangents[:, 0]], axis=1) / lengths[:, None]
-        prev_v = np.roll(self.vertices, 1, axis=0)
-        e_prev = self.vertices - prev_v
-        e_next = rolled - self.vertices
-        self._corner = e_prev[:, 0] * e_next[:, 1] - e_prev[:, 1] * e_next[:, 0]
-        if (self._corner <= 0).any():
-            raise UnsupportedSpace("Wachspress coordinates require a convex polygon")
-
-    def _edge_distances(self, points: np.ndarray) -> np.ndarray:
-        # h[p, i] = signed distance of point p to edge line i (positive inside)
-        diff = np.atleast_2d(points)[:, None, :] - self.vertices[None, :, :]
-        return (diff * self._inward[None, :, :]).sum(-1)
-
-    def _weights(self, points: np.ndarray):
-        pts = np.atleast_2d(points)
-        h = self._edge_distances(pts)
-        n = len(self.vertices)
-        w = np.empty((len(pts), n))
-        for i in range(n):
-            keep = [j for j in range(n) if j not in ((i - 1) % n, i)]
-            w[:, i] = self._corner[i] * np.prod(h[:, keep], axis=1)
-        return w, h
-
-    def eval(self, points):
-        w, _ = self._weights(points)
-        return w / w.sum(axis=1, keepdims=True)
-
-    def grad(self, points):
-        pts = np.atleast_2d(points)
-        w, h = self._weights(pts)
-        phi = w / w.sum(axis=1, keepdims=True)
-        n = len(self.vertices)
-        ratio = np.empty((len(pts), n, 2))
-        for i in range(n):
-            keep = [j for j in range(n) if j not in ((i - 1) % n, i)]
-            ratio[:, i, :] = (self._inward[None, keep, :] / h[:, keep, None]).sum(axis=1)
-        mean = (phi[:, :, None] * ratio).sum(axis=1, keepdims=True)
-        return phi[:, :, None] * (ratio - mean)
+    stack_type = PolygonSpaces
 
     def contains(self, x, tol: float = 1e-10) -> bool:
         scale = math.sqrt(abs(shoelace_area(self.vertices)))
-        return bool(self._edge_distances(np.asarray(x, dtype=float)[None, :]).min() >= -tol * scale)
+        dist = self._stack._edge_distances(np.asarray(x, dtype=float)[None, None, :])
+        return bool(dist.min() >= -tol * scale)
 
 
-_KINDS = {"triangle": TriangleSpace, "quad": QuadSpace, "polygon": PolygonSpace}
+for _one in (TriangleSpace, QuadSpace, PolygonSpace):
+    _one.stack_type.element = _one
 
+SPACES = {"triangle": TriangleSpaces, "quad": QuadSpaces, "polygon": PolygonSpaces}
+
+
+_HEXAGON_ANGLES = 2.0 * math.pi * np.arange(6) / 6
 _REFERENCE_VERTICES = {
     "triangle": np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
     "quad": np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
-    "polygon": None,  # supply vertices explicitly
+    "polygon": np.stack([np.cos(_HEXAGON_ANGLES), np.sin(_HEXAGON_ANGLES)], axis=1),
 }
 
 
@@ -504,25 +557,10 @@ def build_space(kind: str, degree: int, vertices=None) -> ElementSpace:
     Without explicit ``vertices`` the space is bound to the reference element
     (unit triangle / unit square / regular hexagon).
     """
-    if kind not in _KINDS:
+    if kind not in SPACES:
         raise UnsupportedSpace(f"unknown element kind {kind!r}")
-    if vertices is None:
-        vertices = _REFERENCE_VERTICES[kind]
-        if vertices is None:
-            ang = 2.0 * math.pi * np.arange(6) / 6
-            vertices = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    return _KINDS[kind](np.asarray(vertices, dtype=float), degree)
-
-
-def space_for_coords(coords: np.ndarray, degree: int) -> ElementSpace:
-    """Pick the element family from the vertex count (3 -> triangle,
-    4 -> quad, else polygon)."""
-    n = len(coords)
-    if n == 3:
-        return TriangleSpace(coords, degree)
-    if n == 4:
-        return QuadSpace(coords, degree)
-    return PolygonSpace(coords, degree)
+    vertices = _REFERENCE_VERTICES[kind] if vertices is None else vertices
+    return SPACES[kind].element(np.asarray(vertices, dtype=float), degree)
 
 
 def interpolate(space: ElementSpace, coeffs: np.ndarray, x) -> np.ndarray:

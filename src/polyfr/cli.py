@@ -18,8 +18,10 @@ content, not errors.
 
 Both commands reject a negative ``--seed`` and a non-finite or non-positive
 ``--tol-scale``, ``verify`` also ``--draws`` below 1, and the solver settings
-reject a ``residual_tol`` that is not positive (NaN included) and a negative
-or non-finite ``jump_coeff``: all are config errors (exit 4).
+reject a ``cfl``, ``residual_tol`` or ``jump_coeff`` that is not a finite
+JSON number, a ``residual_tol`` that is not positive and a negative
+``jump_coeff``; an analytic profile rejects keys it does not know.  All are
+config errors (exit 4).
 
 Every check has one name and one tolerance, in ``CHECK_TOLS``; ``run``'s
 report and ``verify``'s suites reduce the same per-state arrays of
@@ -118,6 +120,10 @@ def _profile(profile):
     if kind not in PROFILE_PARAMS:
         raise ConfigError(f"unknown analytic profile {profile!r}; expected an object "
                           f"with 'profile' one of {tuple(PROFILE_PARAMS)}")
+    unknown = sorted(set(profile) - {"profile"} - set(PROFILE_PARAMS[kind]))
+    if unknown:
+        raise ConfigError(f"unknown {kind} profile parameter {unknown[0]!r}; expected "
+                          f"{tuple(PROFILE_PARAMS[kind])}")
     p = {}
     for key, default in PROFILE_PARAMS[kind].items():
         value = profile.get(key, default)
@@ -171,6 +177,9 @@ def load_config(path) -> dict:
             raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
     if not isinstance(solver.get("local_dt", True), bool):
         raise ConfigError(f"solver.local_dt must be true or false, got {solver['local_dt']!r}")
+    for key in ("cfl", "residual_tol", "jump_coeff"):
+        if key in solver and not _is_finite_number(solver[key]):
+            raise ConfigError(f"solver.{key} must be a finite number, got {solver[key]!r}")
     try:
         law_by_name(cfg["law"], cfg.get("law_params"))
         numerical_flux(cfg.get("flux", "rusanov"))
@@ -308,13 +317,15 @@ def state_checks(disc: Discretization, law, u, fr, bc=None, jump_coeff: float = 
     return out
 
 
-def defect_battery(disc: Discretization, law, u, fr, jump_coeff: float = 0.1) -> dict:
-    """Invariant defects evaluated at one state; keys match the report.
+def defect_battery(disc: Discretization, law, u, fr,
+                   jump_coeff: float = 0.1) -> tuple[dict, dict]:
+    """Invariant defects evaluated at one state, keyed as in the report, and
+    the :func:`state_checks` arrays they reduce.
 
     ``fr`` is the ``fr`` residual set of ``u``; ``jump_coeff`` is the ``st``
     dissipation scale the eq44 margin is measured for.  Each defect is the
-    worst entry of its :func:`state_checks` array (for eq44 the negative
-    part of the smallest margin).
+    worst entry of its array (for eq44 the negative part of the smallest
+    margin).
     """
     arrays = state_checks(disc, law, u, fr, jump_coeff=jump_coeff)
     out = {}
@@ -330,7 +341,7 @@ def defect_battery(disc: Discretization, law, u, fr, jump_coeff: float = 0.1) ->
             out[key] = float(a.max()) if a.size else 0.0
     if "degenerate_correction" in arrays:
         out["degenerate_correction"] = arrays["degenerate_correction"]
-    return out
+    return out, arrays
 
 
 def _merge_defects(acc: dict, defects: dict) -> None:
@@ -414,11 +425,11 @@ def run(config_path, output_dir=None, seed: int = 0, tol_scale: float = 1.0) -> 
         fr = residual_mod.compute_residuals(disc, law, u, "fr", solver_cfg.flux, bc)
         e_fr = entropy_mod.entropy_error(disc, law, u, fr)
         entry["entropy_defect_max"] = float(np.abs(e_fr).max())
-        defects = defect_battery(disc, law, u, fr, solver_cfg.jump_coeff)
+        defects, arrays = defect_battery(disc, law, u, fr, solver_cfg.jump_coeff)
         entry["defects"] = defects
         report["levels"].append(entry)
         _merge_defects(report["defects"], defects)
-        cons = residual_mod.element_conservation_defects(disc, fr)
+        cons = arrays["eq5"]
         per_elem_rows += [
             {"level": level, "element": eid, "entropy_defect": float(e_fr[eid]),
              "conservation_defect": float(cons[eid])}

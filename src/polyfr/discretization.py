@@ -9,11 +9,12 @@ element, one local edge); the per-edge trace tables, the incidence tables,
 the boundary vectors ``nsigma`` and the correction's edge rules all come
 from these.  Both correction backends are linear in the interface mismatch,
 so each group stores its correction as stacked tables acting on the
-mismatch values.  Triangle groups build their P_k space (one
-``TriangleSpaces`` stack), volume rules, volume tables, incidence traces and
-RT tables in one stacked pass and keep no per-element space or correction
-objects; quad and polygon groups keep one space per element, and Neumann
-groups their per-element backends for prescribed interior moments.  DOFs
+mismatch values.  Every group builds its space (one ``SpaceStack`` of its
+family), volume rules (``volume_rules``, padded with zero weights where the
+per-element orders differ), volume tables and incidence traces in one
+stacked pass, and triangle groups their RT tables too; only Neumann groups
+keep per-element objects, their backends, which also solve for prescribed
+interior moments.  DOFs
 are element-local (broken space): the global index of local DOF ``i`` of
 element ``e`` is ``offset[e] + i``, and every nodal quantity (states,
 residuals, redistribution vectors, entropy variables) is one flat
@@ -23,9 +24,10 @@ residuals, redistribution vectors, entropy variables) is one flat
 Quadrature orders default to volume 2k and edge 2k+1, strictly above the
 minimal orders the error analysis needs, so quadrature never masks scheme
 defects; both are configurable down to the minimal regime.  Rational bases
-(Wachspress polygons, skewed quads) get their volume order boosted at build
-time until the discrete integration-by-parts defect of basis products drops
-below 5e-13, which keeps divergence-form residuals conservative.
+get a higher volume order per element: skewed (non-parallelogram) quads 10
+above max(volume order, 2k), and Wachspress polygons an order boosted at
+build time until the discrete integration-by-parts defect of basis products
+drops below 5e-13, which keeps divergence-form residuals conservative.
 """
 
 from __future__ import annotations
@@ -38,14 +40,12 @@ import numpy as np
 
 from . import correction as corr
 from .approximation import (
-    ElementSpace,
+    SPACES,
     QuadratureRule,
-    TriangleSpaces,
-    edge_quadrature,
-    gauss_legendre_01,
-    space_for_coords,
-    triangle_rules,
-    volume_quadrature,
+    SpaceStack,
+    edge_rules,
+    element_kind,
+    volume_rules,
 )
 from .mesh import Mesh
 
@@ -84,7 +84,7 @@ class ElementGroup:
     n_dof: int
     elem_ids: np.ndarray  # (nE,) mesh element ids
     coords: np.ndarray  # (nE, n_local_edges, 2) vertices, counter-clockwise
-    spaces: TriangleSpaces | list[ElementSpace]  # one stack on triangle groups
+    spaces: SpaceStack
     areas: np.ndarray
     perimeters: np.ndarray
     diameters: np.ndarray
@@ -156,55 +156,57 @@ class Discretization:
     def _build_edges(self) -> None:
         mesh = self.mesh
         ends = mesh.vertices[mesh.edge_vertices]
-        # one Gauss rule for all edges, with the arithmetic of edge_quadrature
-        # so that every rule is bit-identical to it
-        t, w = gauss_legendre_01(self.nq_edge)
-        span = ends[:, 1] - ends[:, 0]
-        self.edge_pts = ends[:, :1] + t[None, :, None] * span[:, None, :]
-        self.edge_w = w[None, :] * mesh.edge_length[:, None]
+        # one Gauss rule for all edges, each bit-identical to edge_quadrature's
+        self.edge_pts, self.edge_w = edge_rules(ends[:, 0], ends[:, 1], self.edge_order)
         # right neighbour, or the left element itself on boundary edges
         self.edge_other = np.where(mesh.edge_right >= 0, mesh.edge_right, mesh.edge_left)
         self.edge_normal_q = np.repeat(mesh.edge_normal[:, None, :], self.nq_edge, axis=1)
 
-    def _boosted_order(self, coords, space, base_order, kind) -> int:
-        # raise the quadrature order until basis-product integration by parts
-        # is satisfied to near machine precision (rational integrands)
-        n = len(coords)
-        edge_tabs = []
-        for i in range(n):
-            rule = edge_quadrature(coords[i], coords[(i + 1) % n], 2 * self.degree + 3)
-            t = coords[(i + 1) % n] - coords[i]
-            nrm = np.array([t[1], -t[0]]) / np.hypot(*t)
-            phi = space.eval(rule.points)
-            edge_tabs.append(np.einsum("q,qs,qt,x->stx", rule.weights, phi, phi, nrm))
-        bnd = np.sum(edge_tabs, axis=0)
-        scale = max(1.0, float(np.abs(bnd).max()))
-        order = max(base_order, 2 * self.degree)
-        while order <= 40:
-            rule = volume_quadrature(coords, order, kind=kind)
-            g = space.grad(rule.points)
-            v = space.eval(rule.points)
-            lhs = np.einsum("q,qs,qtx->stx", rule.weights, v, g) + np.einsum(
-                "q,qsx,qt->stx", rule.weights, g, v
-            )
-            if np.abs(lhs - bnd).max() <= 5e-13 * scale:
-                return order
-            order += 4
-        return order
+    def _volume_orders(self, kind: str, spaces: SpaceStack) -> np.ndarray:
+        """Per-element volume rule orders: ``vol_order``, raised where the
+        basis is rational."""
+        coords = spaces.vertices
+        orders = np.full(len(coords), self.vol_order)
+        if kind == "quad":
+            # mapped bases pull back polynomial under the bilinear map; off
+            # parallelograms the extra tensor order covers products with the
+            # (higher degree) correction field
+            scale = np.ptp(coords, axis=1).max(axis=1)
+            skew = np.abs(coords[:, 0] + coords[:, 2] - coords[:, 1] - coords[:, 3]).max(axis=1)
+            orders[skew > 1e-12 * scale] = max(self.vol_order, 2 * self.degree) + 10
+        elif kind == "polygon":
+            orders = self._boosted_orders(spaces)
+        return orders
 
-    @staticmethod
-    def _is_parallelogram(coords: np.ndarray) -> bool:
-        scale = float(np.ptp(coords, axis=0).max())
-        return bool(
-            np.abs(coords[0] + coords[2] - coords[1] - coords[3]).max() <= 1e-12 * scale
-        )
+    def _boosted_orders(self, spaces: SpaceStack) -> np.ndarray:
+        # raise each element's quadrature order until basis-product
+        # integration by parts is satisfied to near machine precision
+        # (rational integrands); elements leave the loop once they pass
+        coords = spaces.vertices
+        ahead = np.roll(coords, -1, axis=1)
+        pts, w = edge_rules(coords, ahead, 2 * self.degree + 3)  # (nE, n, nq, 2)
+        t = ahead - coords
+        nrm = np.stack([t[..., 1], -t[..., 0]], axis=-1) / np.hypot(t[..., 0], t[..., 1])[..., None]
+        phi = spaces.eval(pts.reshape(len(coords), -1, 2)).reshape(pts.shape[:3] + (-1,))
+        bnd = np.einsum("ekq,ekqs,ekqt,ekx->estx", w, phi, phi, nrm)
+        scale = np.maximum(1.0, np.abs(bnd).max(axis=(1, 2, 3)))
+        order = max(self.vol_order, 2 * self.degree)
+        orders = np.full(len(coords), order)
+        todo = np.arange(len(coords))
+        while todo.size and order <= 40:
+            sub = spaces.take(todo)
+            x, w = volume_rules("polygon", sub.vertices, order)
+            v, g = sub.eval(x), sub.grad(x)
+            lhs = np.einsum("eq,eqs,eqtx->estx", w, v, g) + np.einsum("eq,eqsx,eqt->estx", w, g, v)
+            passed = np.abs(lhs - bnd[todo]).max(axis=(1, 2, 3)) <= 5e-13 * scale[todo]
+            todo = todo[~passed]
+            order += 4
+            orders[todo] = order
+        return orders
 
     def _build_groups(self) -> None:
         mesh = self.mesh
-        name = {3: "triangle", 4: "quad"}
-        families = sorted(
-            ((name.get(n, "polygon"), n), ids, v, e) for n, ids, v, e in mesh.blocks()
-        )
+        families = sorted(((element_kind(n), n), ids, v, e) for n, ids, v, e in mesh.blocks())
         self.groups: list[ElementGroup] = []
         self.elem_group = np.zeros(mesh.n_elements, dtype=int)
         self.elem_local = np.zeros(mesh.n_elements, dtype=int)
@@ -245,35 +247,12 @@ class Discretization:
         by local edge, and ``diams`` their diameters."""
         mesh = self.mesh
         coords = mesh.vertices[verts]
-        if kind == "triangle":
-            spaces = TriangleSpaces(coords, self.degree)
-            vol_pts, vol_w = triangle_rules(coords, self.vol_order)
-            vol_phi, vol_grad = spaces.eval(vol_pts), spaces.grad(vol_pts)
-            vol_rules = None
-        else:
-            spaces = [space_for_coords(c, self.degree) for c in coords]
-            vol_rules = []
-            for c, space in zip(coords, spaces):
-                order = self.vol_order
-                if kind == "polygon":
-                    order = self._boosted_order(c, space, order, kind)
-                elif not self._is_parallelogram(c):
-                    # mapped bases pull back polynomial under the bilinear
-                    # map; the extra tensor order covers products with the
-                    # (higher degree) correction field
-                    order = max(order, 2 * self.degree) + 10
-                vol_rules.append(volume_quadrature(c, order, kind=kind))
-            vol_pts = None
-            nq = max(len(r.points) for r in vol_rules)
-            nd = spaces[0].n_dof
-            vol_w = np.zeros((len(ids), nq))
-            vol_phi = np.zeros((len(ids), nq, nd))
-            vol_grad = np.zeros((len(ids), nq, nd, 2))
-            for i, (space, rule) in enumerate(zip(spaces, vol_rules)):
-                m = len(rule.points)
-                vol_w[i, :m] = rule.weights
-                vol_phi[i, :m] = space.eval(rule.points)
-                vol_grad[i, :m] = space.grad(rule.points)
+        spaces = SPACES[kind](coords, self.degree)
+        vol_pts, vol_w = volume_rules(kind, coords, self._volume_orders(kind, spaces))
+        # padded rule slots carry zero weight and zero basis values
+        real = (vol_w != 0.0)[..., None]
+        vol_phi = np.where(real, spaces.eval(vol_pts), 0.0)
+        vol_grad = np.where(real[..., None], spaces.grad(vol_pts), 0.0)
         areas = mesh.elem_area[ids]
         # summed edge by edge, in local edge order
         perims = np.cumsum(mesh.edge_length[edges], axis=1)[:, -1]
@@ -303,7 +282,7 @@ class Discretization:
             inc_side=(mesh.edge_left[inc_edge] != np.repeat(ids, n_vert)).astype(int),
             n_local_edges=n_vert,
         )
-        self._attach_correction(group, vol_pts, vol_rules)
+        self._attach_correction(group, vol_pts)
         return group
 
     def _attach_incidence(self, g: ElementGroup) -> None:
@@ -312,14 +291,9 @@ class Discretization:
         # per-element edge terms
         nle, nd = g.n_local_edges, g.n_dof
         shape = (g.n_elements, nle * self.nq_edge)
-        if g.kind == "triangle":  # one stacked evaluation at all edge points
-            pts = self.edge_pts[g.inc_edge].reshape(shape + (2,))
-            trace = g.spaces.eval(pts).reshape(-1, self.nq_edge, nd)
-        else:
-            trace = np.stack([
-                g.spaces[row // nle].eval(self.edge_pts[edge_id])
-                for row, edge_id in enumerate(g.inc_edge)
-            ])  # (rows, nq_e, nd)
+        # one stacked evaluation at every element's edge points
+        pts = self.edge_pts[g.inc_edge].reshape(shape + (2,))
+        trace = g.spaces.eval(pts).reshape(-1, self.nq_edge, nd)  # (rows, nq_e, nd)
         left = g.inc_side == 0
         self.edge_phi_left[g.inc_edge[left], :, :nd] = trace[left]
         self.edge_phi_right[g.inc_edge[~left], :, :nd] = trace[~left]
@@ -332,9 +306,9 @@ class Discretization:
         g.inc_ntrace = np.einsum("rqd,rx->rqdx", trace, normal).reshape(shape + (nd, 2))
         g.nsigma = -np.einsum("em,emdx->edx", g.inc_w, g.inc_ntrace)
 
-    def _attach_correction(self, group: ElementGroup, vol_pts, vol_rules) -> None:
+    def _attach_correction(self, group: ElementGroup, vol_pts) -> None:
         """Correction tables of ``group``, whose volume rules are the stacked
-        points ``vol_pts`` (triangle groups) or the per-element ``vol_rules``."""
+        points ``vol_pts`` with the weights ``group.vol_w``."""
         # the stored edge rules, per element edge by edge
         rows = group.inc_edge.reshape(group.n_elements, group.n_local_edges)
         if (self.correction == "auto" and group.kind == "triangle"
@@ -351,16 +325,17 @@ class Discretization:
         group.correction = "neumann"
         sign = np.where(group.inc_side == 0, 1.0, -1.0)[:, None]
         outward = (sign * self.mesh.edge_normal[group.inc_edge]).reshape(rows.shape + (2,))
-        if vol_rules is None:
-            vol_rules = [QuadratureRule(x, w, self.vol_order) for x, w in zip(vol_pts, group.vol_w)]
+        n_real = np.count_nonzero(group.vol_w, axis=1)
         backends = []
         for i in range(group.n_elements):
+            m = n_real[i]
+            vol_rule = QuadratureRule(vol_pts[i, :m], group.vol_w[i, :m], self.vol_order)
             rules = [
                 QuadratureRule(self.edge_pts[k], self.edge_w[k], self.edge_order)
                 for k in rows[i]
             ]
             backends.append(corr.NeumannCorrectionBackend(
-                group.spaces[i], vol_rules[i], rules, list(outward[i])
+                group.spaces[i], vol_rule, rules, list(outward[i])
             ))
         group.backends = backends
         group.corr_r = np.stack([b.r_table for b in backends])
@@ -377,8 +352,7 @@ class Discretization:
     def dof_coords(self) -> np.ndarray:
         coords = np.zeros((self.n_dofs, 2))
         for g in self.groups:
-            coords[g.dof_idx] = (g.spaces.dof_coords if g.kind == "triangle"
-                                 else np.stack([s.dof_coords for s in g.spaces]))
+            coords[g.dof_idx] = g.spaces.dof_coords
         return coords
 
     def interpolate_function(self, fn: Callable) -> np.ndarray:

@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .approximation import edge_rules, volume_rules
 from .discretization import Discretization
 from .physics import ConservationLaw, normal_flux
 from .residual import FluxSplit, ResidualSet, compute_residuals, flux_split
@@ -202,87 +203,55 @@ def error_decomposition(disc: Discretization, law: ConservationLaw, u: np.ndarra
     volume / k+1 edge) rules against reference rules boosted by
     ``ref_boost`` orders; the interpolation-gap terms are evaluated with the
     reference rules.  The correction term reuses the redistribution vectors
-    of the supplied residual set.
+    of the supplied residual set.  Each element group is one stacked pass.
     """
-    from .approximation import edge_quadrature as _edge_rule
-    from .approximation import volume_quadrature as _vol_rule
-
     k = disc.degree
     vol_order = vol_order if vol_order is not None else k
     edge_order = edge_order if edge_order is not None else k + 1
-    n_elem = disc.mesh.n_elements
-    terms = EntropyErrorTerms(
-        sur1=np.zeros(n_elem), sur2=np.zeros(n_elem), sur3=np.zeros(n_elem),
-        bo=np.zeros(n_elem), co=np.zeros(n_elem),
-    )
+    mesh = disc.mesh
+    terms = EntropyErrorTerms(*(np.zeros(mesh.n_elements) for _ in range(5)))
     u = np.asarray(u, dtype=float).reshape(disc.n_dofs, -1)
     vn = entropy_nodes(disc, law, u)
 
-    for eid in range(n_elem):
-        g = disc.groups[disc.elem_group[eid]]
-        loc = disc.elem_local[eid]
-        space = g.spaces[loc]
-        dofs = g.dof_idx[loc]
-        U = u[dofs]
-        V = vn[dofs]
-        F = law.flux(U)  # (nd, p, 2)
-        coords = disc.mesh.element_coords(eid)
+    for g in disc.groups:
+        U, V = u[g.dof_idx], vn[g.dof_idx]  # (nE, nd, p)
+        F = law.flux(U)  # (nE, nd, p, 2)
 
-        def div_vf(pts):
-            val = space.eval(pts)
-            grad = space.grad(pts)
+        def div_vf(val, grad):
             # div of sum_j <v^h, f^h>_j: product-rule contraction of the
             # nodal interpolants
-            t1 = np.einsum("qdx,dp,qt,tpx->q", grad, V, val, F)
-            t2 = np.einsum("qd,dp,qtx,tpx->q", val, V, grad, F)
+            t1 = np.einsum("eqdx,edp,eqt,etpx->eq", grad, V, val, F)
+            t2 = np.einsum("eqd,edp,eqtx,etpx->eq", val, V, grad, F)
             return t1 + t2
 
-        rule_lo = _vol_rule(coords, vol_order, kind=g.kind)
-        rule_hi = _vol_rule(coords, vol_order + ref_boost, kind=g.kind)
-        terms.sur1[eid] = float(
-            np.dot(rule_lo.weights, div_vf(rule_lo.points))
-            - np.dot(rule_hi.weights, div_vf(rule_hi.points))
-        )
+        x_lo, w_lo = volume_rules(g.kind, g.coords, vol_order)
+        x_hi, w_hi = volume_rules(g.kind, g.coords, vol_order + ref_boost)
+        val, grad = g.spaces.eval(x_hi), g.spaces.grad(x_hi)
+        sur1 = (np.einsum("eq,eq->e", w_lo, div_vf(g.spaces.eval(x_lo), g.spaces.grad(x_lo)))
+                - np.einsum("eq,eq->e", w_hi, div_vf(val, grad)))
+        uq, vq = val @ U, val @ V  # (nE, q, p)
+        du = np.einsum("eqdx,edp->eqpx", grad, U)
+        divf_pt = np.einsum("eqipx,eqpx->eqi", law.flux_jac(uq), du)
+        divfh = np.einsum("eqdx,edpx->eqp", grad, F)
+        sur2 = np.einsum("eq,eqp,eqp->e", w_hi, vq - law.entropy_vars(uq), divf_pt)
+        sur3 = np.einsum("eq,eqp,eqp->e", w_hi, vq, divfh - divf_pt)
 
-        def pointwise_divf(pts):
-            val = space.eval(pts)
-            grad = space.grad(pts)
-            uq = val @ U  # (m, p)
-            jac = law.flux_jac(uq)  # (m, p, p, 2)
-            du = np.einsum("qdx,dp->qpx", grad, U)
-            return np.einsum("qipx,qpx->qi", jac, du)  # (m, p)
+        # every incidence row's mesh edge, with the element's outward normal
+        ends = mesh.vertices[mesh.edge_vertices[g.inc_edge]]
+        sign = np.where(g.inc_side == 0, 1.0, -1.0)[:, None]
+        outward = sign * mesh.edge_normal[g.inc_edge]
+        shape = (g.n_elements, -1)
+        bo = np.zeros(g.n_elements)
+        for order, s in ((edge_order, 1.0), (edge_order + ref_boost, -1.0)):
+            pts, w = edge_rules(ends[:, 0], ends[:, 1], order)  # (rows, nq, 2)
+            val_e = g.spaces.eval(pts.reshape(shape + (2,)))
+            nrm = np.broadcast_to(outward[:, None], pts.shape).reshape(shape + (2,))
+            integrand = np.einsum("eqp,eqp->eq", val_e @ V, normal_flux(law, val_e @ U, nrm))
+            bo += s * np.einsum("eq,eq->e", w.reshape(shape), integrand)
 
-        val_hi = space.eval(rule_hi.points)
-        uq_hi = val_hi @ U
-        v_gap = val_hi @ V - law.entropy_vars(uq_hi)
-        divf_pt = pointwise_divf(rule_hi.points)
-        terms.sur2[eid] = float(
-            np.einsum("q,qp,qp->", rule_hi.weights, v_gap, divf_pt)
-        )
-
-        grad_hi = space.grad(rule_hi.points)
-        divfh = np.einsum("qdx,dpx->qp", grad_hi, F)
-        vq = val_hi @ V
-        terms.sur3[eid] = float(
-            np.einsum("q,qp,qp->", rule_hi.weights, vq, divfh - divf_pt)
-        )
-
-        bo = 0.0
-        mesh = disc.mesh
-        for edge_id in mesh.element_edges(eid):
-            sgn = 1.0 if mesh.edge_left[edge_id] == eid else -1.0
-            v0, v1 = mesh.vertices[mesh.edge_vertices[edge_id]]
-            for rule, s in ((_edge_rule(v0, v1, edge_order), 1.0),
-                            (_edge_rule(v0, v1, edge_order + ref_boost), -1.0)):
-                val = space.eval(rule.points)
-                uq = val @ U
-                integrand = np.einsum(
-                    "qp,qp->q", val @ V, normal_flux(law, uq, sgn * mesh.edge_normal[edge_id])
-                )
-                bo += s * float(np.dot(rule.weights, integrand))
-        terms.bo[eid] = bo
-
-        terms.co[eid] = float(np.einsum("dp,dp->", V, rset.r_sigma[dofs]))
+        co = np.einsum("edp,edp->e", V, rset.r_sigma[g.dof_idx])
+        for name, value in zip(("sur1", "sur2", "sur3", "bo", "co"), (sur1, sur2, sur3, bo, co)):
+            getattr(terms, name)[g.elem_ids] = value
     return terms
 
 

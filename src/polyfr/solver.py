@@ -11,7 +11,9 @@ wavespeed * perimeter, the inverse element time scale of the explicit
 stability bound; the element wave speed is floored at the largest wave speed
 of the Dirichlet data.  Both uniform (global minimum) and per-DOF step modes
 are available; the uniform mode keeps the mass-weighted state sum changing
-only through boundary fluxes, step by step.
+only through boundary fluxes, step by step.  Errors against a manufactured
+solution are measured with one stacked volume rule and one stacked space
+evaluation per element group, for every element family.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import entropy as entropy_mod
+from .approximation import volume_rules
 from .discretization import BoundaryData, Discretization
 from .physics import ConservationLaw
 from .residual import assemble_global, compute_residuals
@@ -184,32 +187,19 @@ def solve_steady(disc: Discretization, law: ConservationLaw,
 def manufactured_error(disc: Discretization, u: np.ndarray, exact,
                        order: int | None = None) -> tuple[float, float]:
     """L2 and max errors of a discrete state against an exact field,
-    measured with volume quadrature of order 2k+2 by default."""
-    from .approximation import triangle_rules, volume_quadrature
-
+    measured with volume quadrature of order 2k+2 by default: one stacked
+    rule and one stacked space evaluation per element group."""
     order = order if order is not None else 2 * disc.degree + 2
     u = np.asarray(u, dtype=float).reshape(disc.n_dofs, -1)
-
-    def error_at(space, pts, dofs):
-        uh = space.eval(pts) @ u[dofs]
-        ue = np.asarray(exact(pts.reshape(-1, 2)), dtype=float)
-        return uh - ue.reshape(uh.shape[:-1] + (-1,))
-
-    # per-element squared L2 and max errors: one stacked evaluation per
-    # triangle group, one rule per element elsewhere
+    # per-element squared L2 and max errors, one stacked evaluation per group
     sq = np.zeros(disc.mesh.n_elements)
     worst = np.zeros(disc.mesh.n_elements)
     for g in disc.groups:
-        if g.kind == "triangle":
-            pts, wts = triangle_rules(g.coords, order)
-            diff = error_at(g.spaces, pts, g.dof_idx)
-            sq[g.elem_ids] = np.einsum("eq,eqp->e", wts, diff * diff)
-            worst[g.elem_ids] = np.abs(diff).max(axis=(1, 2))
-            continue
-        for eid, c, space, dofs in zip(g.elem_ids, g.coords, g.spaces, g.dof_idx):
-            rule = volume_quadrature(c, order, kind=g.kind)
-            diff = error_at(space, rule.points, dofs)
-            sq[eid] = np.einsum("q,qp->", rule.weights, diff * diff)
-            worst[eid] = np.abs(diff).max()
+        pts, wts = volume_rules(g.kind, g.coords, order)
+        uh = g.spaces.eval(pts) @ u[g.dof_idx]
+        ue = np.asarray(exact(pts.reshape(-1, 2)), dtype=float)
+        diff = uh - ue.reshape(uh.shape[:-1] + (-1,))
+        sq[g.elem_ids] = np.einsum("eq,eqp->e", wts, diff * diff)
+        worst[g.elem_ids] = np.abs(diff).max(axis=(1, 2))
     # summed element by element in mesh order, as a running total would be
     return float(np.sqrt(np.cumsum(sq)[-1])), float(worst.max())

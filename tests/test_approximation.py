@@ -7,6 +7,7 @@ from polyfr import approximation as ap
 from polyfr import mesh as pm
 
 RNG = np.random.default_rng(101)
+CASES = Path(__file__).resolve().parent.parent / "cases"
 
 UNIT_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -123,6 +124,81 @@ def test_stacked_spaces_equal_per_element_spaces(k, mesh_name):
         assert np.abs(grads - ref_grads).max() <= 1e-13 * np.abs(ref_grads).max()
 
 
+def _family_stacks(name, k):
+    """(n-gon, vertex stack) of every element group of a test mesh."""
+    from test_correction_tables import _hexagon_ring, _skewed_quads
+
+    mesh = {
+        "quad16": lambda: pm.load_mesh(CASES / "quad_16.mesh.json"),
+        "skewed-quads": _skewed_quads,
+        "hexagon": lambda: pm.load_mesh(CASES / "hexagon.mesh.json"),
+        "hexagon-ring": _hexagon_ring,
+    }[name]()
+    return [(n, mesh.vertices[verts]) for n, _, verts, _ in mesh.blocks()]
+
+
+def _interior_points(coords, rng, m=7):
+    # random convex combinations of the vertices of convex elements
+    lam = rng.dirichlet(np.ones(coords.shape[1]), size=(len(coords), m))
+    return np.einsum("emv,evx->emx", lam, coords)
+
+
+FAMILY_CASES = [("quad16", 1), ("quad16", 2), ("quad16", 3), ("skewed-quads", 1),
+                ("skewed-quads", 2), ("skewed-quads", 3), ("hexagon", 1), ("hexagon-ring", 1)]
+
+
+@pytest.mark.parametrize("name,k", FAMILY_CASES)
+def test_stacked_quad_and_polygon_spaces_equal_per_element_spaces(name, k):
+    rng = np.random.default_rng(30 + k)
+    for n, coords in _family_stacks(name, k):
+        stack = ap.SPACES[ap.element_kind(n)](coords, k)
+        pts = _interior_points(coords, rng)
+        vals, grads = stack.eval(pts), stack.grad(pts)
+        assert len(stack) == len(coords) and len(list(stack)) == len(coords)
+        assert stack.dof_coords.shape == (len(coords), stack.n_dof, 2) == vals.shape[:1] + (vals.shape[2], 2)
+        for e, (c, x) in enumerate(zip(coords, pts)):
+            for space in (ap.build_space(ap.element_kind(n), k, c), stack[e]):
+                assert np.array_equal(space.eval(x), vals[e])
+                assert np.array_equal(space.grad(x), grads[e])
+                assert np.array_equal(space.dof_coords, stack.dof_coords[e])
+        assert np.array_equal(stack[-1].eval(pts[-1]), vals[-1])
+        with pytest.raises(IndexError):
+            stack[len(coords)]
+
+
+@pytest.mark.parametrize("name,k", FAMILY_CASES)
+def test_stacked_spaces_are_lagrange_and_linearly_precise(name, k):
+    rng = np.random.default_rng(40 + k)
+    for n, coords in _family_stacks(name, k):
+        stack = ap.SPACES[ap.element_kind(n)](coords, k)
+        nodes = stack.dof_coords
+        assert np.abs(stack.eval(nodes) - np.eye(stack.n_dof)).max() <= 1e-13
+        pts = _interior_points(coords, rng)
+        vals, grads = stack.eval(pts), stack.grad(pts)
+        assert np.abs(vals.sum(axis=2) - 1.0).max() <= 1e-13
+        # sum_i phi_i x_i = x, so sum_i grad(phi_i) x_i^T = I
+        assert np.abs(np.einsum("emd,edx->emx", vals, nodes) - pts).max() <= 1e-13
+        g_scale = np.abs(grads).max()
+        assert np.abs(grads.sum(axis=2)).max() <= 1e-13 * g_scale
+        eye = np.einsum("emdy,edx->emxy", grads, nodes) - np.eye(2)
+        assert np.abs(eye).max() <= 1e-13 * g_scale
+
+
+def test_stack_degree_and_convexity_checks():
+    quads = np.array([[[0, 0], [1, 0], [1, 1], [0, 1]]], dtype=float)
+    for k in (0, 4):
+        with pytest.raises(ap.UnsupportedSpace):
+            ap.QuadSpaces(quads, k)
+    ang = 2.0 * np.pi * np.arange(5) / 5
+    pentagons = np.stack([np.cos(ang), np.sin(ang)], axis=1)[None]
+    with pytest.raises(ap.UnsupportedSpace, match="5-gon elements support degree 1 only"):
+        ap.PolygonSpaces(pentagons, 2)
+    dented = pentagons.copy()
+    dented[0, 2] *= 0.2  # a reflex corner
+    with pytest.raises(ap.UnsupportedSpace, match="convex"):
+        ap.PolygonSpaces(np.concatenate([pentagons, dented]), 1)
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
@@ -160,6 +236,45 @@ def test_stacked_triangle_rules_equal_per_element_rules(order):
         rule = ap.volume_quadrature(c, order, kind="triangle")
         assert np.array_equal(rule.points, x)
         assert np.array_equal(rule.weights, w)
+
+
+def _hexagon_stack(rng, n=5):
+    # scaled, shifted and slightly jittered (still convex) regular hexagons
+    ang = 2.0 * np.pi * np.arange(6) / 6
+    hexagon = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    return (hexagon[None] * rng.uniform(0.5, 2.0, (n, 1, 1)) + rng.uniform(-1, 1, (n, 1, 2))
+            + rng.uniform(-0.02, 0.02, (n, 6, 2)))
+
+
+@pytest.mark.parametrize("kind", ["triangle", "quad", "polygon"])
+def test_volume_rules_equal_per_element_rules(kind):
+    from test_correction_tables import _skewed_quads
+
+    rng = np.random.default_rng(9)
+    if kind == "polygon":
+        coords = _hexagon_stack(rng)
+    else:
+        mesh = _skewed_quads() if kind == "quad" else pm.structured_triangles(3)
+        coords = mesh.vertices[mesh.elem_vertex_ids.reshape(mesh.n_elements, -1)]
+    orders = rng.choice([1, 2, 4, 7], size=len(coords))
+    orders[:2] = [1, 7]  # both the shortest and the longest rule
+    pts, wts = ap.volume_rules(kind, coords, orders)
+    padded = 0
+    for c, order, x, w in zip(coords, orders, pts, wts):
+        rule = ap.volume_quadrature(c, order, kind=kind)
+        m = len(rule.weights)
+        assert np.array_equal(rule.points, x[:m])
+        assert np.array_equal(rule.weights, w[:m])
+        # padded slots: zero weight at a copy of the last point (inside)
+        assert (w[m:] == 0.0).all() and (x[m:] == x[m - 1]).all()
+        padded += len(w) - m
+    assert padded > 0
+    # one order for the whole stack: no padding
+    pts, wts = ap.volume_rules(kind, coords, 4)
+    assert (wts > 0).all()
+    for c, x, w in zip(coords, pts, wts):
+        rule = ap.volume_quadrature(c, 4, kind=kind)
+        assert np.array_equal(rule.points, x) and np.array_equal(rule.weights, w)
 
 
 @pytest.mark.parametrize(

@@ -89,11 +89,22 @@ def test_unknown_profile_rejected():
         cli._profile({"profile": "sawtooth"})
 
 
+@pytest.mark.parametrize("spec,key", [
+    ({"profile": "sine", "amplitud": 2.0, "kx": 1.0}, "amplitud"),
+    ({"profile": "constant", "valu": 5}, "valu"),
+])
+def test_misspelt_profile_parameter_named(spec, key):
+    # a misspelt parameter used to keep its default silently
+    with pytest.raises(cli.ConfigError, match=f"parameter '{key}'"):
+        cli._profile(spec)
+
+
 def test_invariant_violation_exit_code(tmp_path, monkeypatch):
     path = _write_case(tmp_path)
 
     def broken(*args, **kwargs):
-        return {k: (0.5 if k not in ("ck_bdk_min",) else None) for k in cli.DEFECT_KEYS}
+        vals = {k: (0.5 if k not in ("ck_bdk_min",) else None) for k in cli.DEFECT_KEYS}
+        return vals, cli.state_checks(*args, **kwargs)
 
     monkeypatch.setattr(cli, "defect_battery", broken)
     rc = cli.main(["run", str(path), "--output-dir", str(tmp_path / "o")])
@@ -107,7 +118,7 @@ def test_violation_message_names_the_check(tmp_path, capsys, monkeypatch):
         vals = {k: 0.0 for k in cli.DEFECT_KEYS}
         vals["eq5"] = 3.2e-6
         vals["ck_bdk_min"] = None
-        return vals
+        return vals, cli.state_checks(*args, **kwargs)
 
     monkeypatch.setattr(cli, "defect_battery", broken)
     rc = cli.main(["run", str(path), "--output-dir", str(tmp_path / "o")])
@@ -204,6 +215,12 @@ BAD_CONFIGS = {
     "string-profile-parameter": {"exact": {"profile": "sine", "amplitude": "x"}},
     "list-profile-parameter": {"exact": {"profile": "constant", "value": [1, 2]}},
     "infinite-profile-parameter": {"initial": {"profile": "linear", "ax": float("inf")}},
+    "misspelt-profile-parameter": {"exact": {"profile": "sine", "amplitud": 2.0, "kx": 1.0}},
+    # solver numbers: finite JSON numbers, not strings or booleans
+    "string-cfl": {"solver": {"cfl": "0.5"}},
+    "boolean-cfl": {"solver": {"cfl": True}},
+    "string-residual-tol": {"solver": {"residual_tol": "1e-9"}},
+    "boolean-jump-coeff": {"solver": {"jump_coeff": True}},
 }
 
 
@@ -369,7 +386,8 @@ def test_degenerate_entropy_correction_is_reported(tmp_path, capsys, monkeypatch
     disc = cli._build_disc(cli.load_config(path), pm.structured_triangles(2))
     law = cli.law_by_name("burgers")
     u = law.random_states(np.random.default_rng(0), disc.n_dofs).reshape(-1, 1)
-    defects = cli.defect_battery(disc, law, u, rs.compute_residuals(disc, law, u))
+    defects, arrays = cli.defect_battery(disc, law, u, rs.compute_residuals(disc, law, u))
+    assert arrays["eq32"] is None and arrays["eq5"].shape == (disc.mesh.n_elements,)
     assert defects["eq32"] is None and defects["eq44"] is None
     assert "constant state" in defects["degenerate_correction"]
     assert all(defects[k] is not None for k in ("eq5", "eq6", "eq21", "eq27", "tadmor_max"))

@@ -136,8 +136,8 @@ def test_admissibility_flags_corrupted_trace():
 # ---------------------------------------------------------------------------
 
 def _neumann_backend(coords, k, vol_order=None):
-    sp = ap.space_for_coords(coords, k)
-    kind = {3: "triangle", 4: "quad"}.get(len(coords), "polygon")
+    kind = ap.element_kind(len(coords))
+    sp = ap.build_space(kind, k, coords)
     order = vol_order if vol_order is not None else (24 if kind == "polygon" else 2 * k + 12)
     vol = ap.volume_quadrature(coords, order, kind=kind)
     rules, normals = _edge_rules(coords, 2 * k + 1)

@@ -274,6 +274,41 @@ def test_run_path_builds_no_per_element_triangle_spaces(monkeypatch):
         assert counts == {"stacks": 1, "elements": 0}
 
 
+def test_build_and_error_make_no_per_element_space_calls(monkeypatch):
+    # every family's stacked space serves the build, the incidence traces,
+    # the boosted polygon orders and the error measurement; only the Neumann
+    # backends still evaluate one element's space
+    calls, inside = [], [0]
+
+    def counted(fn, name):
+        def wrapper(self, *args, **kwargs):
+            if not inside[0]:
+                calls.append((type(self).__name__, name))
+            return fn(self, *args, **kwargs)
+        return wrapper
+
+    for cls in (ap.TriangleSpace, ap.QuadSpace, ap.PolygonSpace):
+        for name in ("eval", "grad"):
+            monkeypatch.setattr(cls, name, counted(getattr(cls, name), name))
+    init = co.NeumannCorrectionBackend.__init__
+
+    def in_backend(self, *args, **kwargs):
+        inside[0] += 1
+        try:
+            init(self, *args, **kwargs)
+        finally:
+            inside[0] -= 1
+
+    monkeypatch.setattr(co.NeumannCorrectionBackend, "__init__", in_backend)
+    for name in ("quad16", "hexagon-ring"):
+        mesh, k = MESHES[name]()
+        disc = Discretization(mesh, k)
+        u = disc.interpolate_function(lambda x: x[:, 0] * x[:, 1])
+        manufactured_error(disc, u, lambda x: x[:, 0] * x[:, 1])
+        assert any(g.backends for g in disc.groups)
+        assert calls == []
+
+
 def test_singular_dual_matrix_names_the_element():
     # the hexagon ring's triangles are mesh elements 1 and 2
     mesh, k = MESHES["hexagon-ring"]()

@@ -235,6 +235,87 @@ def _slope(rows, term):
     return np.log(a[term] / b[term]) / np.log(h0 / h1)
 
 
+def _reference_error_decomposition(disc, law, u, rset, vol_order, edge_order, ref_boost=6):
+    """The decomposition terms element by element: per-element rules, spaces
+    and edge loops (the per-element form of ``error_decomposition``)."""
+    from polyfr.approximation import edge_quadrature, volume_quadrature
+
+    mesh = disc.mesh
+    terms = {t: np.zeros(mesh.n_elements) for t in ("sur1", "sur2", "sur3", "bo", "co")}
+    vn = en.entropy_nodes(disc, law, u)
+    for eid in range(mesh.n_elements):
+        g = disc.groups[disc.elem_group[eid]]
+        loc = disc.elem_local[eid]
+        space, dofs = g.spaces[loc], g.dof_idx[loc]
+        U, V = u[dofs], vn[dofs]
+        F = law.flux(U)
+        coords = mesh.element_coords(eid)
+
+        def div_vf(pts):
+            val, grad = space.eval(pts), space.grad(pts)
+            return (np.einsum("qdx,dp,qt,tpx->q", grad, V, val, F)
+                    + np.einsum("qd,dp,qtx,tpx->q", val, V, grad, F))
+
+        lo = volume_quadrature(coords, vol_order, kind=g.kind)
+        hi = volume_quadrature(coords, vol_order + ref_boost, kind=g.kind)
+        terms["sur1"][eid] = (np.dot(lo.weights, div_vf(lo.points))
+                              - np.dot(hi.weights, div_vf(hi.points)))
+        val, grad = space.eval(hi.points), space.grad(hi.points)
+        uq = val @ U
+        du = np.einsum("qdx,dp->qpx", grad, U)
+        divf_pt = np.einsum("qipx,qpx->qi", law.flux_jac(uq), du)
+        v_gap = val @ V - law.entropy_vars(uq)
+        terms["sur2"][eid] = np.einsum("q,qp,qp->", hi.weights, v_gap, divf_pt)
+        divfh = np.einsum("qdx,dpx->qp", grad, F)
+        terms["sur3"][eid] = np.einsum("q,qp,qp->", hi.weights, val @ V, divfh - divf_pt)
+        for edge_id in mesh.element_edges(eid):
+            sgn = 1.0 if mesh.edge_left[edge_id] == eid else -1.0
+            v0, v1 = mesh.vertices[mesh.edge_vertices[edge_id]]
+            for rule, s in ((edge_quadrature(v0, v1, edge_order), 1.0),
+                            (edge_quadrature(v0, v1, edge_order + ref_boost), -1.0)):
+                val = space.eval(rule.points)
+                flux = ph.normal_flux(law, val @ U, sgn * mesh.edge_normal[edge_id])
+                terms["bo"][eid] += s * np.dot(rule.weights, np.einsum("qp,qp->q", val @ V, flux))
+        terms["co"][eid] = np.einsum("dp,dp->", V, rset.r_sigma[dofs])
+    return terms
+
+
+def _skewed_quads():
+    base = pm.structured_quads(3)
+    v = base.vertices.copy()
+    inner = np.all((v > 1e-9) & (v < 1 - 1e-9), axis=1)
+    v[inner] += np.random.default_rng(4).uniform(-0.08, 0.08, size=(inner.sum(), 2))
+    return pm.mesh_from_arrays(v, base.elem_vertex_ids.reshape(base.n_elements, -1))
+
+
+def _hexagon_ring():
+    ang = np.pi / 3 * np.arange(6)
+    ring = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    elems = [list(range(6)), [0, 1, 7], [0, 7, 6]]
+    elems += [[i, (i + 1) % 6, 6 + (i + 1) % 6, 6 + i] for i in range(1, 6)]
+    return pm.mesh_from_arrays(np.vstack([0.5 * ring, ring]), elems)
+
+
+@pytest.mark.parametrize("name,k", [("tri32", 1), ("tri32", 2), ("hexagon-ring", 1),
+                                    ("skewed-quads", 1), ("skewed-quads", 2)])
+@pytest.mark.parametrize("law", [ph.burgers_2d(), ph.exp_advection([1.0, 0.5])],
+                         ids=["burgers", "exp-advection"])
+def test_stacked_decomposition_matches_per_element_reference(name, k, law):
+    mesh = {"tri32": lambda: pm.load_mesh(CASES / "tri_32.mesh.json"),
+            "hexagon-ring": _hexagon_ring, "skewed-quads": _skewed_quads}[name]()
+    disc, u, bc = _setup(mesh, k, law, seed=3)
+    fr = rs.compute_residuals(disc, law, u, "fr", "rusanov", bc)
+    for orders in ((None, None), (2 * k, 2 * k + 1)):
+        got = en.error_decomposition(disc, law, u, fr, *orders)
+        ref = _reference_error_decomposition(disc, law, u, fr, orders[0] or k, orders[1] or k + 1)
+        # quadrature gaps that vanish in exact arithmetic are round-off of the
+        # integrals they difference: measure against the largest term
+        scale = max(np.abs(r).max() for r in ref.values())
+        assert scale > 0
+        for term, want in ref.items():
+            assert np.abs(getattr(got, term) - want).max() <= 1e-13 * scale, term
+
+
 def test_decomposition_exact_regimes_are_zero():
     # linear transport with quadratic entropy: every interpolation gap and
     # every quadrature gap is covered by the default rules
