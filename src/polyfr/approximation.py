@@ -449,9 +449,10 @@ class PolygonSpaces(SpaceStack):
         lengths = np.hypot(tangents[..., 0], tangents[..., 1])
         # unit inward normals of edge i = [v_i, v_{i+1}]
         self._inward = np.stack([-tangents[..., 1], tangents[..., 0]], axis=-1) / lengths[..., None]
+        # sine of the corner at vertex i, between edges i-1 and i
         e_prev = self.vertices - np.roll(self.vertices, 1, axis=1)
-        e_next = rolled - self.vertices
-        self._corner = e_prev[..., 0] * e_next[..., 1] - e_prev[..., 1] * e_next[..., 0]
+        cross = e_prev[..., 0] * tangents[..., 1] - e_prev[..., 1] * tangents[..., 0]
+        self._corner = cross / (np.roll(lengths, 1, axis=1) * lengths)
         if (self._corner <= 0).any():
             raise UnsupportedSpace("Wachspress coordinates require a convex polygon")
         # the edges whose distances enter vertex i's weight

@@ -20,7 +20,8 @@ Both commands reject a negative ``--seed`` and a non-finite or non-positive
 ``--tol-scale``, ``verify`` also ``--draws`` below 1, and the solver settings
 reject a ``cfl``, ``residual_tol`` or ``jump_coeff`` that is not a finite
 JSON number, a ``residual_tol`` that is not positive and a negative
-``jump_coeff``; an analytic profile rejects keys it does not know.  All are
+``jump_coeff``; the config, its ``solver`` and ``study`` sections, the law's
+parameters and an analytic profile reject keys they do not know.  All are
 config errors (exit 4).
 
 Every check has one name and one tolerance, in ``CHECK_TOLS``; ``run``'s
@@ -44,7 +45,7 @@ from . import entropy as entropy_mod
 from . import residual as residual_mod
 from .approximation import UnsupportedSpace
 from .correction import CorrectionError
-from .discretization import CORRECTIONS, BoundaryData, Discretization
+from .discretization import BoundaryData, Discretization
 from .mesh import Mesh, MeshError, is_int, load_mesh, refine_uniform
 from .physics import (
     law_by_name,
@@ -97,6 +98,12 @@ class InvariantViolation(RuntimeError):
     pass
 
 
+# the keys a config may hold, at the top level and in its sections
+CONFIG_KEYS = ("case", "mesh", "law", "law_params", "degree", "variant", "flux", "volume_order",
+               "edge_order", "solver", "boundary", "exact", "initial", "study")
+SOLVER_KEYS = ("cfl", "max_iters", "residual_tol", "local_dt", "jump_coeff")
+STUDY_KEYS = ("levels",)
+
 # each analytic profile's parameters and their defaults
 PROFILE_PARAMS = {
     "constant": {"value": 0.0},
@@ -112,6 +119,12 @@ def _is_finite_number(value) -> bool:
         return False
 
 
+def _reject_unknown(section: dict, known: tuple, what: str) -> None:
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {what} {unknown[0]!r}; expected one of {known}")
+
+
 def _profile(profile):
     """The field of one analytic profile spec, mapping (m, 2) points to (m,)
     values; a spec that is not an object naming a known profile with finite
@@ -120,10 +133,7 @@ def _profile(profile):
     if kind not in PROFILE_PARAMS:
         raise ConfigError(f"unknown analytic profile {profile!r}; expected an object "
                           f"with 'profile' one of {tuple(PROFILE_PARAMS)}")
-    unknown = sorted(set(profile) - {"profile"} - set(PROFILE_PARAMS[kind]))
-    if unknown:
-        raise ConfigError(f"unknown {kind} profile parameter {unknown[0]!r}; expected "
-                          f"{tuple(PROFILE_PARAMS[kind])}")
+    _reject_unknown(profile, ("profile", *PROFILE_PARAMS[kind]), f"{kind} profile parameter")
     p = {}
     for key, default in PROFILE_PARAMS[kind].items():
         value = profile.get(key, default)
@@ -146,6 +156,9 @@ def load_config(path) -> dict:
         cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    _reject_unknown(cfg, CONFIG_KEYS, "config key")
     for key in ("mesh", "law", "degree"):
         if key not in cfg:
             raise ConfigError(f"config misses required key {key!r}")
@@ -153,12 +166,6 @@ def load_config(path) -> dict:
     if variant not in residual_mod.VARIANTS:
         raise ConfigError(
             f"unknown variant {variant!r}; choose from {residual_mod.VARIANTS}"
-        )
-    correction = cfg.get("correction", "auto")
-    if correction not in CORRECTIONS:
-        raise ConfigError(
-            f"unknown correction {correction!r}; choose from {CORRECTIONS} "
-            "('auto' builds RT wherever it applies)"
         )
     degree = cfg["degree"]
     if not is_int(degree):
@@ -171,6 +178,8 @@ def load_config(path) -> dict:
     study, solver = cfg.get("study", {}), cfg.get("solver", {})
     if not isinstance(study, dict) or not isinstance(solver, dict):
         raise ConfigError("'study' and 'solver' must be JSON objects")
+    _reject_unknown(study, STUDY_KEYS, "study key")
+    _reject_unknown(solver, SOLVER_KEYS, "solver key")
     for name, value in (("study.levels", study.get("levels", 1)),
                         ("solver.max_iters", solver.get("max_iters", 1))):
         if not is_int(value) or value < 1:
@@ -227,7 +236,6 @@ def _build_disc(cfg: dict, mesh: Mesh) -> Discretization:
             cfg["degree"],
             vol_order=cfg.get("volume_order"),
             edge_order=cfg.get("edge_order"),
-            correction=cfg.get("correction", "auto"),
         )
     except (UnsupportedSpace, CorrectionError) as exc:
         raise ConfigError(f"unsupported discretization: {exc}") from exc

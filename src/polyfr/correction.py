@@ -28,7 +28,9 @@ construct such fields:
     normal-trace values are imposed as equality constraints, prescribed
     interior moments ``oint grad(phi_sigma) . grad_psi dx = target_r`` enter
     as least-squares rows, and the minimum-norm solution is returned.  Note
-    the sign relation: the induced ``r_sigma`` equals ``-target_r``.
+    the sign relation: the induced ``r_sigma`` equals ``-target_r``, which
+    is why the entropy-conservative residuals need no solve
+    (``entropy.entropy_conservative_residuals``).
 """
 
 from __future__ import annotations

@@ -13,11 +13,10 @@ mismatch values.  Every group builds its space (one ``SpaceStack`` of its
 family), volume rules (``volume_rules``, padded with zero weights where the
 per-element orders differ), volume tables and incidence traces in one
 stacked pass, and triangle groups their RT tables too; only Neumann groups
-keep per-element objects, their backends, which also solve for prescribed
-interior moments.  DOFs
-are element-local (broken space): the global index of local DOF ``i`` of
-element ``e`` is ``offset[e] + i``, and every nodal quantity (states,
-residuals, redistribution vectors, entropy variables) is one flat
+build per-element objects, their backends, and keep none of them past the
+build.  DOFs are element-local (broken space): the global index of local
+DOF ``i`` of element ``e`` is ``offset[e] + i``, and every nodal quantity
+(states, residuals, redistribution vectors, entropy variables) is one flat
 (n_dofs, p) array in which element ``e`` owns rows
 ``offset[e] : offset[e] + nd``.
 
@@ -33,7 +32,7 @@ drops below 5e-13, which keeps divergence-form residuals conservative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -48,9 +47,6 @@ from .approximation import (
     volume_rules,
 )
 from .mesh import Mesh
-
-# "auto": RT on triangles whose edge rule has k+1 points, Neumann elsewhere
-CORRECTIONS = ("auto", "neumann")
 
 
 class BoundaryDataError(KeyError):
@@ -113,9 +109,6 @@ class ElementGroup:
     corr_div: np.ndarray | None = None  # (nE, nd, m): oint phi_s div
     corr_vol: np.ndarray | None = None  # (nE, m, 2): oint field dx
     corr_trace: np.ndarray | None = None  # (nE, m, m): normal traces
-    # per-element Neumann backends, the solvers for prescribed interior
-    # moments (empty on RT groups)
-    backends: list = field(default_factory=list)
 
     @property
     def n_elements(self) -> int:
@@ -131,20 +124,13 @@ class Discretization:
         degree: int,
         vol_order: int | None = None,
         edge_order: int | None = None,
-        correction: str = "auto",
         p: int = 1,
     ):
-        if correction not in CORRECTIONS:
-            raise ValueError(
-                f"unknown correction backend {correction!r}; choose from "
-                f"{CORRECTIONS} ('auto' builds RT wherever it applies)"
-            )
         self.mesh = mesh
         self.degree = int(degree)
         self.p = int(p)
         self.vol_order = vol_order if vol_order is not None else 2 * self.degree
         self.edge_order = edge_order if edge_order is not None else 2 * self.degree + 1
-        self.correction = correction
         self.nq_edge = max(1, math.ceil((self.edge_order + 1) / 2))
 
         self._build_edges()
@@ -308,11 +294,12 @@ class Discretization:
 
     def _attach_correction(self, group: ElementGroup, vol_pts) -> None:
         """Correction tables of ``group``, whose volume rules are the stacked
-        points ``vol_pts`` with the weights ``group.vol_w``."""
+        points ``vol_pts`` with the weights ``group.vol_w``: RT on triangles
+        whose edge rule has k+1 points (the RT flux points), Neumann
+        elsewhere."""
         # the stored edge rules, per element edge by edge
         rows = group.inc_edge.reshape(group.n_elements, group.n_local_edges)
-        if (self.correction == "auto" and group.kind == "triangle"
-                and self.nq_edge == self.degree + 1):
+        if group.kind == "triangle" and self.nq_edge == self.degree + 1:
             group.correction = "rt"
             tables = corr.rt_group_tables(
                 self.degree, group.coords, self.edge_pts[rows],
@@ -337,7 +324,6 @@ class Discretization:
             backends.append(corr.NeumannCorrectionBackend(
                 group.spaces[i], vol_rule, rules, list(outward[i])
             ))
-        group.backends = backends
         group.corr_r = np.stack([b.r_table for b in backends])
         group.corr_div = np.stack([b.div_table for b in backends])
         group.corr_vol = np.stack([b.vol_table for b in backends])

@@ -146,38 +146,25 @@ def fr_entropy_condition_check(disc: Discretization, law: ConservationLaw,
 # entropy-conservative correction via prescribed interior moments
 # ---------------------------------------------------------------------------
 
-def entropy_conservative_targets(disc: Discretization, law: ConservationLaw,
-                                 u: np.ndarray, ref_set: ResidualSet) -> np.ndarray:
-    """Interior-moment targets that make the corrected scheme entropy
-    conservative.
-
-    The prescribed moments are oint grad(phi_s).grad_psi dx =
-    alpha(-E_ref) (v_s - v_mean); since the induced redistribution vectors
-    flip the sign, the corrected residuals satisfy
-    sum <v, Phi> = oint g_hat exactly.  Rows sum to zero by construction.
-    """
-    e_ref = entropy_error(disc, law, u, ref_set)
-    return tau_all(disc, law, u, -e_ref)
-
-
 def entropy_conservative_residuals(disc: Discretization, law: ConservationLaw,
                                    u: np.ndarray, flux_kind: str = "tadmor_ec",
                                    bc=None) -> ResidualSet:
-    """Reconstruction residuals whose correction field is tuned, through the
-    constrained solve, to be entropy conservative element by element.
+    """Reconstruction residuals whose correction field is chosen to be
+    entropy conservative element by element.
 
-    Requires the constrained (``neumann``) correction backend.
+    The field matches the interface mismatch of the ``dg-interp``
+    residuals and has interior moments oint grad(phi_s).grad_psi dx =
+    -tau_s, with tau the conservative correction of their entropy error;
+    its redistribution vectors are then r_sigma = tau, so the result is the
+    ``cs`` correction of ``dg-interp`` and sum <v, Phi> = oint g_hat.  Such
+    a field exists on every element: on triangles the interior degrees of
+    freedom of RT_k are the moments against [P_{k-1}]^2, which contains
+    grad P_k, and on the other families the build's feasibility probe
+    certifies that any traces with zero-sum moments are reachable.
     """
     ref = compute_residuals(disc, law, u, "dg-interp", flux_kind, bc)
-    targets = entropy_conservative_targets(disc, law, u, ref)
-    r_sigma = np.zeros_like(ref.phi)
-    for g, alpha in zip(disc.groups, ref.alpha):
-        if g.correction != "neumann":
-            raise ValueError("prescribed interior moments need the constrained backend")
-        alist = alpha.reshape(g.n_elements, g.n_local_edges, disc.nq_edge, -1)
-        for loc, (backend, dofs) in enumerate(zip(g.backends, g.dof_idx)):
-            r_sigma[dofs] = backend.solve(list(alist[loc]), targets[dofs]).r_sigma
-    return replace(ref, variant="fr", phi=ref.phi + r_sigma, r_sigma=r_sigma)
+    tau = tau_all(disc, law, u, entropy_error(disc, law, u, ref))
+    return replace(ref, variant="fr", phi=ref.phi + tau, r_sigma=tau)
 
 
 # ---------------------------------------------------------------------------

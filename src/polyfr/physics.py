@@ -211,17 +211,24 @@ def exp_advection(a) -> ConservationLaw:
     )
 
 
+# each law's parameters and the function that makes it
 _LAW_BUILDERS = {
-    "advection": lambda params: linear_advection(params.get("velocity", [1.0, 0.0])),
-    "burgers": lambda params: burgers_2d(),
-    "exp-advection": lambda params: exp_advection(params.get("velocity", [1.0, 0.0])),
+    "advection": (("velocity",), lambda p: linear_advection(p.get("velocity", [1.0, 0.0]))),
+    "burgers": ((), lambda p: burgers_2d()),
+    "exp-advection": (("velocity",), lambda p: exp_advection(p.get("velocity", [1.0, 0.0]))),
 }
 
 
 def law_by_name(name: str, params: dict | None = None) -> ConservationLaw:
+    """The law ``name`` built from ``params``; an unknown law or a parameter
+    the law does not take raises ``UnsupportedLaw``."""
     if name not in _LAW_BUILDERS:
         raise UnsupportedLaw(f"unknown law {name!r}")
-    return _LAW_BUILDERS[name](params or {})
+    known, build = _LAW_BUILDERS[name]
+    unknown = sorted(set(params or {}) - set(known))
+    if unknown:
+        raise UnsupportedLaw(f"law {name!r} takes no parameter {unknown[0]!r}; expected {known}")
+    return build(params or {})
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from polyfr import approximation as ap
 from polyfr import mesh as pm
+from polyfr.discretization import Discretization
 
 RNG = np.random.default_rng(101)
 CASES = Path(__file__).resolve().parent.parent / "cases"
@@ -182,6 +183,23 @@ def test_stacked_spaces_are_lagrange_and_linearly_precise(name, k):
         assert np.abs(grads.sum(axis=2)).max() <= 1e-13 * g_scale
         eye = np.einsum("emdy,edx->emxy", grads, nodes) - np.eye(2)
         assert np.abs(eye).max() <= 1e-13 * g_scale
+
+
+def test_wachspress_linearly_precise_on_unequal_edges():
+    # a regular hexagon with one vertex moved out by 30 %: the vertex weights
+    # need the sine of each corner, not the cross product of its raw edges
+    ang = np.pi / 3 * np.arange(6)
+    hexagon = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    hexagon[1] *= 1.3
+    stack = ap.PolygonSpaces(hexagon[None], 1)
+    pts = _interior_points(hexagon[None], np.random.default_rng(50), m=50)
+    vals = stack.eval(pts)
+    assert np.abs(vals.sum(axis=2) - 1.0).max() <= 1e-13
+    assert np.abs(np.einsum("emd,edx->emx", vals, stack.dof_coords) - pts).max() <= 1e-13
+    # the boosted polygon volume order passes its integration-by-parts check
+    # before the order-40 cap
+    disc = Discretization(pm.mesh_from_arrays(hexagon, [list(range(6))]), 1)
+    assert disc._volume_orders("polygon", disc.groups[0].spaces).max() < 40
 
 
 def test_stack_degree_and_convexity_checks():

@@ -82,6 +82,9 @@ def test_malformed_config_reports_error(tmp_path):
     path.write_text(json.dumps({"law": "advection"}), encoding="utf-8")
     rc = cli.main(["run", str(path)])
     assert rc == 4
+    path.write_text(json.dumps(["mesh", "law", "degree"]), encoding="utf-8")  # not an object
+    rc = cli.main(["run", str(path)])
+    assert rc == 4
 
 
 def test_unknown_profile_rejected():
@@ -221,6 +224,21 @@ BAD_CONFIGS = {
     "boolean-cfl": {"solver": {"cfl": True}},
     "string-residual-tol": {"solver": {"residual_tol": "1e-9"}},
     "boolean-jump-coeff": {"solver": {"jump_coeff": True}},
+    # keys the config format does not know, at every level; the case's law
+    # is burgers, which takes no parameters
+    "misspelt-top-level-key": {"flx": "central"},
+    "misspelt-solver-key": {"solver": {"max_iter": 3}},
+    "misspelt-study-key": {"study": {"levls": 2}},
+    "misspelt-law-parameter": {"law": "advection", "law_params": {"velocty": [0, 1]}},
+    "burgers-law-parameter": {"law_params": {"velocity": [0, 1]}},
+    "removed-correction-key": {"correction": "auto"},
+}
+
+# the unknown key each of those configs must name
+UNKNOWN_KEYS = {
+    "misspelt-top-level-key": "flx", "misspelt-solver-key": "max_iter",
+    "misspelt-study-key": "levls", "misspelt-law-parameter": "velocty",
+    "burgers-law-parameter": "velocity", "removed-correction-key": "correction",
 }
 
 
@@ -242,7 +260,10 @@ def test_config_errors_exit_4(tmp_path, capsys, command, key):
     if command == "verify":
         argv += ["--suite", "tadmor"]
     assert cli.main(argv) == 4
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    if key in UNKNOWN_KEYS:
+        assert f"'{UNKNOWN_KEYS[key]}'" in err
 
 
 BAD_ARGUMENTS = {

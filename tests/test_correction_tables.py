@@ -1,8 +1,9 @@
 """Per-group correction tables against the per-element backends, the
 table-driven residuals against the per-element formula, and the table-driven
-admissibility defects against the per-element fields.  Neumann groups keep
-their backends; for RT groups, whose tables come from one stacked build, the
-per-element ``RTBasis``/``RTCorrectionBackend`` references are built here."""
+admissibility defects against the per-element fields.  The per-element
+references (``RTBasis``/``RTCorrectionBackend`` on RT groups,
+``NeumannCorrectionBackend`` elsewhere) are built here, from per-element edge
+and volume rules; a ``Discretization`` keeps no per-element objects."""
 
 from pathlib import Path
 
@@ -55,24 +56,28 @@ MESHES = {
 
 
 def _reference_backends(disc, g):
-    """One per-element backend per element of group ``g``: the group's own
-    Neumann backends, or RT references built from per-element edge and
-    volume rules for an RT group (which stores none)."""
-    if g.correction == "neumann":
-        refs = g.backends
-    else:
-        assert g.correction == "rt" and not g.backends
-        mesh = disc.mesh
-        refs = []
-        for eid, space in zip(g.elem_ids, g.spaces):
-            coords = mesh.element_coords(eid)
-            rules = [
-                edge_quadrature(*mesh.vertices[mesh.edge_vertices[k]], disc.edge_order)
-                for k in mesh.element_edges(eid)
-            ]
+    """One per-element backend per element of group ``g``, built from
+    per-element edge and volume rules at the group's volume orders: RT
+    references on an RT group, Neumann backends on the others."""
+    assert g.correction in ("rt", "neumann")
+    mesh = disc.mesh
+    refs = []
+    orders = disc._volume_orders(g.kind, g.spaces)
+    for eid, space, order in zip(g.elem_ids, g.spaces, orders):
+        coords = mesh.element_coords(eid)
+        edge_ids = mesh.element_edges(eid)
+        rules = [
+            edge_quadrature(*mesh.vertices[mesh.edge_vertices[k]], disc.edge_order)
+            for k in edge_ids
+        ]
+        vol = volume_quadrature(coords, order, kind=g.kind)
+        if g.correction == "rt":
             basis = co.RTBasis(disc.degree, coords, flux_points=[r.points for r in rules])
-            vol = volume_quadrature(coords, disc.vol_order, kind="triangle")
             refs.append(co.RTCorrectionBackend(basis, space, vol, rules))
+        else:
+            normals = [(1.0 if mesh.edge_left[k] == eid else -1.0) * mesh.edge_normal[k]
+                       for k in edge_ids]
+            refs.append(co.NeumannCorrectionBackend(space, vol, rules, normals))
     # an empty reference list would make every per-element check vacuous
     assert len(refs) == g.n_elements > 0
     return refs
@@ -214,8 +219,8 @@ def test_nsigma_matches_per_element_edge_loop(name):
 
 @pytest.mark.parametrize("name", list(MESHES))
 def test_backend_edge_rules_are_edge_quadrature(name):
-    # Neumann backends keep their edge rules; the stacked RT build takes the
-    # stored edge points as its flux points
+    # both correction builds take the stored edge rules: the stacked RT build
+    # as its flux points, the Neumann build as its per-element edge rules
     mesh, k = MESHES[name]()
     disc = Discretization(mesh, k)
     for g in disc.groups:
@@ -223,16 +228,11 @@ def test_backend_edge_rules_are_edge_quadrature(name):
         for loc, eid in enumerate(g.elem_ids):
             edge_ids = mesh.element_edges(eid)
             assert np.array_equal(rows[loc], edge_ids)
-            for i, edge_id in enumerate(edge_ids):
+            for edge_id in edge_ids:
                 ends = mesh.vertices[mesh.edge_vertices[edge_id]]
                 want = edge_quadrature(*ends, disc.edge_order)
-                if g.correction == "rt":
-                    assert np.array_equal(disc.edge_pts[edge_id], want.points)
-                    continue
-                rule = g.backends[loc].edge_rules[i]
-                assert np.array_equal(rule.points, want.points)
-                assert np.array_equal(rule.weights, want.weights)
-                assert rule.declared_order == want.declared_order
+                assert np.array_equal(disc.edge_pts[edge_id], want.points)
+                assert np.array_equal(disc.edge_w[edge_id], want.weights)
 
 
 def test_discretization_builds_no_per_element_rt_objects(monkeypatch):
@@ -245,7 +245,7 @@ def test_discretization_builds_no_per_element_rt_objects(monkeypatch):
         mesh, k = MESHES[name]()
         disc = Discretization(mesh, k)
         tri = [g for g in disc.groups if g.kind == "triangle"]
-        assert tri and all(g.correction == "rt" and g.backends == [] for g in tri)
+        assert tri and all(g.correction == "rt" for g in tri)
 
 
 def test_run_path_builds_no_per_element_triangle_spaces(monkeypatch):
@@ -305,7 +305,7 @@ def test_build_and_error_make_no_per_element_space_calls(monkeypatch):
         disc = Discretization(mesh, k)
         u = disc.interpolate_function(lambda x: x[:, 0] * x[:, 1])
         manufactured_error(disc, u, lambda x: x[:, 0] * x[:, 1])
-        assert any(g.backends for g in disc.groups)
+        assert any(g.correction == "neumann" for g in disc.groups)
         assert calls == []
 
 
@@ -327,14 +327,3 @@ def test_singular_dual_matrix_names_the_element():
     flux_points[1, 2, 1] = flux_points[1, 2, 0]
     with pytest.raises(co.CorrectionError, match=f"element {g.elem_ids[1]}: singular"):
         co.rt_group_tables(k, g.coords, flux_points, vol_pts, *args)
-
-
-def test_unknown_correction_backend_rejected():
-    with pytest.raises(ValueError, match="no-such-backend"):
-        Discretization(pm.two_triangle_square(), 1, correction="no-such-backend")
-
-
-def test_rt_correction_value_rejected():
-    # "auto" already builds RT wherever it applies; "rt" only duplicated it
-    with pytest.raises(ValueError, match="'rt'.*'auto' builds RT"):
-        Discretization(pm.two_triangle_square(), 1, correction="rt")

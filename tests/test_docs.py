@@ -1,11 +1,14 @@
 """The README's check tables must agree with the one check mapping in
-``polyfr.cli``: same keys, same tolerances."""
+``polyfr.cli``: same keys, same tolerances; and its config example must be
+a config ``polyfr.cli`` accepts."""
 
+import json
 from pathlib import Path
 
 from polyfr import cli
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def _table(heading: str) -> list[list[str]]:
@@ -40,3 +43,14 @@ def test_verify_check_table_matches_mapping():
             check = f"{key}[variant]" if bracket else key
             expected[(suite, check)] = cli.CHECK_TOLS[key]
     assert documented == expected
+
+
+def test_config_example_loads(tmp_path):
+    # the example would fail on any key the config format does not know
+    block = README.split("### Config format", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    cfg = json.loads(block)
+    cfg["mesh"] = str(ROOT / "cases" / "tri_32.mesh.json")
+    path = tmp_path / "example.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    loaded = cli.load_config(path)
+    assert {key: loaded[key] for key in cfg} == cfg

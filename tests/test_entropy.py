@@ -3,11 +3,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from polyfr import correction as co
 from polyfr import entropy as en
 from polyfr import mesh as pm
 from polyfr import physics as ph
 from polyfr import residual as rs
+from polyfr.approximation import volume_quadrature
 from polyfr.discretization import BoundaryData, Discretization
+from test_correction_tables import _hexagon_ring, _reference_backends, _skewed_quads
 from test_mesh_properties import N_CELLS, _jittered
 
 RNG = np.random.default_rng(77)
@@ -177,16 +180,18 @@ def test_fr_entropy_condition_zero_correction_case():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize(
-    "mesh,k,correction",
+    "mesh,k",
     [
-        (pm.regular_polygon_mesh(6), 1, "auto"),
-        (pm.structured_quads(2), 1, "auto"),
-        (pm.structured_triangles(2), 1, "neumann"),
+        (pm.regular_polygon_mesh(6), 1),
+        (pm.structured_quads(2), 1),
+        (pm.structured_triangles(2), 1),
+        (pm.structured_triangles(2), 2),
+        (pm.structured_triangles(2), 3),
     ],
 )
-def test_entropy_conservative_residuals(mesh, k, correction):
+def test_entropy_conservative_residuals(mesh, k):
     law = ph.burgers_2d()
-    disc = Discretization(mesh, k, correction=correction)
+    disc = Discretization(mesh, k)
     rng = np.random.default_rng(3)
     u = law.random_states(rng, disc.n_dofs).reshape(disc.n_dofs, 1)
     bc = rng.uniform(-2, 2, size=(mesh.n_edges, disc.nq_edge, 1))
@@ -197,12 +202,67 @@ def test_entropy_conservative_residuals(mesh, k, correction):
     assert np.abs(disc.element_reduce(lambda r: r.sum(axis=1), rset.r_sigma)).max() <= 1e-10
 
 
-def test_entropy_conservative_residuals_need_constrained_backend():
+def _rt_field_misfit(disc, g, loc, alpha, target):
+    """Largest relative miss of the least-squares RT_k field (from the raw
+    span ``correction._rt_span``) asked for the normal traces ``alpha``
+    (m, p) at the element's flux points and the interior moments
+    oint grad(phi_s) . field dx = ``target`` (nd, p)."""
+    mesh = disc.mesh
+    eid = g.elem_ids[loc]
+    coords = mesh.element_coords(eid)
+    center, scale = coords.mean(axis=0), np.sqrt(g.areas[loc])
+    edge_ids = mesh.element_edges(eid)
+    rows = []
+    for k in edge_ids:
+        normal = (1.0 if mesh.edge_left[k] == eid else -1.0) * mesh.edge_normal[k]
+        span = co._rt_span((disc.edge_pts[k] - center) / scale, disc.degree)
+        rows.append(span @ normal)  # (nq, n_dim)
+    vol = volume_quadrature(coords, disc.vol_order, kind="triangle")
+    span = co._rt_span((vol.points - center) / scale, disc.degree)  # (nq, n_dim, 2)
+    grad = g.spaces[loc].grad(vol.points)  # (nq, nd, 2)
+    moments = np.einsum("q,qdx,qix->di", vol.weights, grad, span)
+    mat = np.vstack(rows + [moments])
+    rhs = np.vstack([alpha, target])
+    coef, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
+    return np.abs(mat @ coef - rhs).max() / max(1.0, np.abs(rhs).max())
+
+
+REALISABILITY = {
+    "jittered-tri-k1": lambda: (_jittered(pm.structured_triangles(N_CELLS), np.random.default_rng(11)), 1),
+    "jittered-tri-k2": lambda: (_jittered(pm.structured_triangles(N_CELLS), np.random.default_rng(12)), 2),
+    "jittered-tri-k3": lambda: (_jittered(pm.structured_triangles(N_CELLS), np.random.default_rng(13)), 3),
+    "quads-k1": lambda: (pm.structured_quads(2), 1),
+    "quads-k2": lambda: (pm.structured_quads(3), 2),
+    "skewed-quads-k1": lambda: (_skewed_quads(), 1),
+    "skewed-quads-k2": lambda: (_skewed_quads(), 2),
+    "hexagon-ring": lambda: (_hexagon_ring(), 1),
+}
+
+
+@pytest.mark.parametrize("name", list(REALISABILITY))
+def test_entropy_conservative_field_is_realisable(name):
+    # the residuals never build their correction field; a field with the
+    # dg-interp mismatch as normal traces and interior moments -r_sigma must
+    # exist on every element: an RT_k field on triangles, the constrained
+    # solve of a per-element Neumann backend on the other families
+    mesh, k = REALISABILITY[name]()
     law = ph.burgers_2d()
-    disc = Discretization(pm.structured_triangles(2), 1)  # RT backends
-    u = law.random_states(np.random.default_rng(4), disc.n_dofs).reshape(disc.n_dofs, 1)
-    with pytest.raises(ValueError, match="constrained backend"):
-        en.entropy_conservative_residuals(disc, law, u)
+    disc = Discretization(mesh, k)
+    rng = np.random.default_rng(9)
+    u = law.random_states(rng, disc.n_dofs).reshape(disc.n_dofs, 1)
+    bc = rng.uniform(-2, 2, size=(mesh.n_edges, disc.nq_edge, 1))
+    rset = en.entropy_conservative_residuals(disc, law, u, flux_kind="tadmor_ec", bc=bc)
+    for g, alpha in zip(disc.groups, rset.alpha):
+        refs = _reference_backends(disc, g) if g.correction == "neumann" else None
+        for loc, dofs in enumerate(g.dof_idx):
+            r_sigma = rset.r_sigma[dofs]
+            if refs is None:
+                assert _rt_field_misfit(disc, g, loc, alpha[loc], -r_sigma) <= 1e-12
+                continue
+            alist = list(alpha[loc].reshape(g.n_local_edges, disc.nq_edge, -1))
+            fld = refs[loc].solve(alist, -r_sigma)
+            assert fld.trace_defect() <= 1e-11  # the eq21 gate
+            assert np.abs(fld.r_sigma - r_sigma).max() <= 1e-12 * max(1.0, np.abs(r_sigma).max())
 
 
 # ---------------------------------------------------------------------------

@@ -129,5 +129,9 @@ def test_law_registry_and_errors():
     assert ph.law_by_name("burgers").name == "burgers"
     with pytest.raises(ph.UnsupportedLaw):
         ph.law_by_name("euler")
+    assert ph.law_by_name("advection", {"velocity": [0.0, 2.0]}).name == "advection"
+    for name, params in (("advection", {"velocty": [0, 1]}), ("burgers", {"velocity": [0, 1]})):
+        with pytest.raises(ph.UnsupportedLaw, match=f"takes no parameter '{next(iter(params))}'"):
+            ph.law_by_name(name, params)
     with pytest.raises(ph.UnsupportedLaw):
         ph.linear_advection([0.0, 0.0])
