@@ -241,16 +241,17 @@ def _build_disc(cfg: dict, mesh: Mesh) -> Discretization:
         raise ConfigError(f"unsupported discretization: {exc}") from exc
 
 
-def _element_split_checks(disc: Discretization, law, u, fr) -> dict:
+def _element_split_checks(disc: Discretization, law, u, fr, vn) -> dict:
     """Per-element element-split checks: the stability margin c_K - b_dK
     (``ck_bdk_min``), |c_K - c_K on the median-dual normals| (``ck_two_way``)
     and the largest gap between the reassembled pairwise fluxes and the
-    residual (``eq54_reassembly``).  Empty off linear triangles, where the
-    pairwise flux splitting does not exist."""
+    residual (``eq54_reassembly``), with ``vn`` the entropy variables of
+    ``u``.  Empty off linear triangles, where the pairwise flux splitting
+    does not exist."""
     if disc.degree != 1 or any(g.kind != "triangle" for g in disc.groups):
         return {}
     split = residual_mod.flux_split(disc, law, u, fr)
-    rep = entropy_mod.appendix_decomposition(disc, law, u, fr, split)
+    rep = entropy_mod.appendix_decomposition(disc, law, u, fr, split, vn)
     gap = split.fb + split.pair_flux.sum(axis=2) - fr.phi[disc.groups[0].dof_idx]
     return {"ck_bdk_min": rep.stability_margin, "ck_two_way": np.abs(rep.c_k - rep.c_k_graph),
             "eq54_reassembly": np.abs(gap).max(axis=(1, 2))}
@@ -268,17 +269,21 @@ def state_checks(disc: Discretization, law, u, fr, bc=None, jump_coeff: float = 
     (plain ``eq5``/``eq6``: of ``fr``); ``eq44`` is the signed margin of
     ``st`` at ``jump_coeff``.  Element-split checks are left out off linear
     triangles.  A check that needs a degenerate entropy correction maps to
-    None, with the reason under ``degenerate_correction``.
+    None, with the reason under ``degenerate_correction``.  The entropy
+    variables of ``u`` are evaluated once, for every check that reads them.
     """
     sets = {"fr": fr}
+    vn = entropy_mod.entropy_nodes(disc, law, u)
 
     def rset(variant):
         if variant not in sets:
             if variant == "cs":
-                sets[variant] = entropy_mod.cs_residuals(disc, law, u, fr)
+                sets[variant] = entropy_mod.cs_residuals(disc, law, u, fr, vn)
             elif variant == "st":
                 cs = rset("cs")
-                sets[variant] = entropy_mod.st_residuals(disc, law, u, cs, jump_coeff=jump_coeff)
+                sets[variant] = entropy_mod.st_residuals(
+                    disc, law, u, cs, jump_coeff=jump_coeff, vn=vn
+                )
             else:
                 sets[variant] = residual_mod.compute_residuals(
                     disc, law, u, variant, fr.flux_kind, bc
@@ -298,9 +303,9 @@ def state_checks(disc: Discretization, law, u, fr, bc=None, jump_coeff: float = 
             elif key in ("eq21", "eq27"):
                 out["eq21"], out["eq27"] = residual_mod.correction_defects(disc, fr)
             elif key == "eq32":
-                out[name] = np.abs(entropy_mod.entropy_error(disc, law, u, rset("cs")))
+                out[name] = np.abs(entropy_mod.entropy_error(disc, law, u, rset("cs"), vn))
             elif key == "eq44":
-                out[name] = -entropy_mod.entropy_error(disc, law, u, rset("st"))
+                out[name] = -entropy_mod.entropy_error(disc, law, u, rset("st"), vn)
             elif key == "tau_sum":
                 tau = rset("cs").phi - fr.phi
                 out[name] = np.abs(disc.element_reduce(lambda t: t.sum(axis=1), tau))
@@ -316,7 +321,7 @@ def state_checks(disc: Discretization, law, u, fr, bc=None, jump_coeff: float = 
                 d, sc = residual_mod.global_identity_check(disc, law, u, v, fr, bc)
                 out[name] = np.array(d / sc)
             elif key in ELEMENT_SPLIT_CHECKS:
-                out.update(_element_split_checks(disc, law, u, fr))
+                out.update(_element_split_checks(disc, law, u, fr, vn))
         except entropy_mod.DegenerateEntropyCorrection as exc:
             # a constant-state element with nonzero entropy error admits no
             # mean-deviation correction: the check is not evaluable

@@ -26,7 +26,8 @@ defects; both are configurable down to the minimal regime.  Rational bases
 get a higher volume order per element: skewed (non-parallelogram) quads 10
 above max(volume order, 2k), and Wachspress polygons an order boosted at
 build time until the discrete integration-by-parts defect of basis products
-drops below 5e-13, which keeps divergence-form residuals conservative.
+drops below 5e-13, which keeps divergence-form residuals conservative; a
+polygon still above it at the order-40 cap raises ``UnsupportedSpace``.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .approximation import (
     SPACES,
     QuadratureRule,
     SpaceStack,
+    UnsupportedSpace,
     edge_rules,
     element_kind,
     volume_rules,
@@ -102,6 +104,15 @@ class ElementGroup:
     inc_wtrace: np.ndarray | None = None  # (nE, m, nd) w * phi_s trace
     inc_ntrace: np.ndarray | None = None  # (nE, m, nd, 2) phi_s * outward n
     nsigma: np.ndarray | None = None  # (nE, nd, 2): -oint_{dK} phi_s n dgamma
+    inc_wsign: np.ndarray | None = None  # (nE, m) inc_w * inc_sign
+    # the elements that own a boundary edge, for the boundary-face
+    # residuals: their mesh ids, DOF rows, incidence edge ids (flat, element
+    # by element) and their rows of inc_w and inc_wtrace
+    bnd_elems: np.ndarray | None = None  # (nB,)
+    bnd_dofs: np.ndarray | None = None  # (nB, nd)
+    bnd_edge: np.ndarray | None = None  # (nB * n_local_edges,)
+    bnd_w: np.ndarray | None = None  # (nB, m)
+    bnd_wtrace: np.ndarray | None = None  # (nB, m, nd)
     # correction tables acting on the outward mismatch alpha (nE, m, p),
     # built by the "rt" (triangles) or "neumann" backend
     correction: str = ""
@@ -148,9 +159,9 @@ class Discretization:
         self.edge_other = np.where(mesh.edge_right >= 0, mesh.edge_right, mesh.edge_left)
         self.edge_normal_q = np.repeat(mesh.edge_normal[:, None, :], self.nq_edge, axis=1)
 
-    def _volume_orders(self, kind: str, spaces: SpaceStack) -> np.ndarray:
+    def _volume_orders(self, kind: str, spaces: SpaceStack, ids: np.ndarray) -> np.ndarray:
         """Per-element volume rule orders: ``vol_order``, raised where the
-        basis is rational."""
+        basis is rational; ``ids`` are the elements' mesh ids."""
         coords = spaces.vertices
         orders = np.full(len(coords), self.vol_order)
         if kind == "quad":
@@ -161,13 +172,15 @@ class Discretization:
             skew = np.abs(coords[:, 0] + coords[:, 2] - coords[:, 1] - coords[:, 3]).max(axis=1)
             orders[skew > 1e-12 * scale] = max(self.vol_order, 2 * self.degree) + 10
         elif kind == "polygon":
-            orders = self._boosted_orders(spaces)
+            orders = self._boosted_orders(spaces, ids)
         return orders
 
-    def _boosted_orders(self, spaces: SpaceStack) -> np.ndarray:
+    def _boosted_orders(self, spaces: SpaceStack, ids: np.ndarray) -> np.ndarray:
         # raise each element's quadrature order until basis-product
         # integration by parts is satisfied to near machine precision
-        # (rational integrands); elements leave the loop once they pass
+        # (rational integrands); elements leave the loop once they pass, and
+        # an element still failing at the cap (order 40, or the configured
+        # order if higher) is unsupported
         coords = spaces.vertices
         ahead = np.roll(coords, -1, axis=1)
         pts, w = edge_rules(coords, ahead, 2 * self.degree + 3)  # (nE, n, nq, 2)
@@ -177,14 +190,23 @@ class Discretization:
         bnd = np.einsum("ekq,ekqs,ekqt,ekx->estx", w, phi, phi, nrm)
         scale = np.maximum(1.0, np.abs(bnd).max(axis=(1, 2, 3)))
         order = max(self.vol_order, 2 * self.degree)
+        cap = max(order, 40)  # a configured order above 40 is checked once
         orders = np.full(len(coords), order)
         todo = np.arange(len(coords))
-        while todo.size and order <= 40:
+        while todo.size:
             sub = spaces.take(todo)
             x, w = volume_rules("polygon", sub.vertices, order)
             v, g = sub.eval(x), sub.grad(x)
             lhs = np.einsum("eq,eqs,eqtx->estx", w, v, g) + np.einsum("eq,eqsx,eqt->estx", w, g, v)
-            passed = np.abs(lhs - bnd[todo]).max(axis=(1, 2, 3)) <= 5e-13 * scale[todo]
+            defect = np.abs(lhs - bnd[todo]).max(axis=(1, 2, 3))
+            passed = defect <= 5e-13 * scale[todo]
+            if order + 4 > cap and not passed.all():
+                i = np.nonzero(~passed)[0][0]
+                raise UnsupportedSpace(
+                    f"polygon element {int(ids[todo[i]])}: volume quadrature reached order "
+                    f"{order} (cap {cap}) with integration-by-parts defect "
+                    f"{defect[i] / scale[todo[i]]:.1e} > 5e-13 relative"
+                )
             todo = todo[~passed]
             order += 4
             orders[todo] = order
@@ -234,7 +256,7 @@ class Discretization:
         mesh = self.mesh
         coords = mesh.vertices[verts]
         spaces = SPACES[kind](coords, self.degree)
-        vol_pts, vol_w = volume_rules(kind, coords, self._volume_orders(kind, spaces))
+        vol_pts, vol_w = volume_rules(kind, coords, self._volume_orders(kind, spaces, ids))
         # padded rule slots carry zero weight and zero basis values
         real = (vol_w != 0.0)[..., None]
         vol_phi = np.where(real, spaces.eval(vol_pts), 0.0)
@@ -291,6 +313,15 @@ class Discretization:
         g.inc_wtrace = (w[:, :, None] * trace).reshape(shape + (nd,))
         g.inc_ntrace = np.einsum("rqd,rx->rqdx", trace, normal).reshape(shape + (nd, 2))
         g.nsigma = -np.einsum("em,emdx->edx", g.inc_w, g.inc_ntrace)
+        # the sign is +-1, so the signed weights multiply exactly
+        g.inc_wsign = g.inc_w * g.inc_sign
+        rows = g.inc_edge.reshape(g.n_elements, nle)
+        on_bnd = np.nonzero((self.mesh.edge_right[rows] < 0).any(axis=1))[0]
+        g.bnd_elems = g.elem_ids[on_bnd]
+        g.bnd_dofs = g.dof_idx[on_bnd]
+        g.bnd_edge = rows[on_bnd].ravel()
+        g.bnd_w = g.inc_w[on_bnd]
+        g.bnd_wtrace = g.inc_wtrace[on_bnd]
 
     def _attach_correction(self, group: ElementGroup, vol_pts) -> None:
         """Correction tables of ``group``, whose volume rules are the stacked
@@ -355,7 +386,7 @@ class Discretization:
         u = np.asarray(u, dtype=float)
         if u.ndim == 1:
             u = u[:, None]
-        return [u[g.dof_idx] for g in self.groups]
+        return [u.take(g.dof_idx, axis=0) for g in self.groups]
 
     def element_reduce(self, fn: Callable, *arrays: np.ndarray) -> np.ndarray:
         """Per-element values (n_elements, ...) of ``fn``, which reduces axis 1
@@ -373,10 +404,10 @@ class Discretization:
         boundary edges are copies of uL (the element's own trace).
         """
         u = np.asarray(u, dtype=float).reshape(self.n_dofs, -1)
-        uL = np.einsum("eqd,edp->eqp", self.edge_phi_left, u[self.edge_dofs_left])
-        uR = np.einsum("eqd,edp->eqp", self.edge_phi_right, u[self.edge_dofs_other])
+        uL = np.einsum("eqd,edp->eqp", self.edge_phi_left, u.take(self.edge_dofs_left, axis=0))
+        uR = np.einsum("eqd,edp->eqp", self.edge_phi_right, u.take(self.edge_dofs_other, axis=0))
         bi = self.mesh.boundary_edge_ids
-        uR[bi] = uL[bi]
+        uR[bi] = uL.take(bi, axis=0)
         return uL, uR
 
     def boundary_values(self, bc: BoundaryData) -> np.ndarray:

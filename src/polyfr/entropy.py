@@ -40,9 +40,15 @@ class DegenerateEntropyCorrection(ValueError):
 # ---------------------------------------------------------------------------
 
 def entropy_error(disc: Discretization, law: ConservationLaw, u: np.ndarray,
-                  rset: ResidualSet) -> np.ndarray:
-    """Per-element entropy error of a residual set, shape (n_elem,)."""
-    return rset.gbal - _pairing(disc, entropy_nodes(disc, law, u), rset.phi)
+                  rset: ResidualSet, vn: np.ndarray | None = None) -> np.ndarray:
+    """Per-element entropy error of a residual set, shape (n_elem,).
+
+    A caller that already holds ``entropy_nodes(disc, law, u)`` passes it
+    as ``vn``, here and to :func:`tau_all`, :func:`cs_residuals`,
+    :func:`st_residuals` and :func:`appendix_decomposition`.
+    """
+    vn = entropy_nodes(disc, law, u) if vn is None else vn
+    return rset.gbal - _pairing(disc, vn, rset.phi)
 
 
 def _pairing(disc: Discretization, v: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -76,9 +82,9 @@ def tau_correction(vnodes: np.ndarray, e_value: float,
 
 
 def tau_all(disc: Discretization, law: ConservationLaw, u: np.ndarray,
-            e_values: np.ndarray) -> np.ndarray:
+            e_values: np.ndarray, vn: np.ndarray | None = None) -> np.ndarray:
     """Batched conservative corrections, shape (n_dofs, p)."""
-    vn = entropy_nodes(disc, law, u)
+    vn = entropy_nodes(disc, law, u) if vn is None else vn
     tau = np.zeros_like(vn)
     for g in disc.groups:
         v = vn[g.dof_idx]
@@ -100,18 +106,19 @@ def tau_all(disc: Discretization, law: ConservationLaw, u: np.ndarray,
 
 
 def cs_residuals(disc: Discretization, law: ConservationLaw, u: np.ndarray,
-                 fr_set: ResidualSet) -> ResidualSet:
+                 fr_set: ResidualSet, vn: np.ndarray | None = None) -> ResidualSet:
     """Entropy-conservative variant: residuals plus the tau correction."""
-    e_vals = entropy_error(disc, law, u, fr_set)
-    tau = tau_all(disc, law, u, e_vals)
+    vn = entropy_nodes(disc, law, u) if vn is None else vn
+    tau = tau_all(disc, law, u, entropy_error(disc, law, u, fr_set, vn), vn)
     return replace(fr_set, variant="cs", phi=fr_set.phi + tau)
 
 
 def st_residuals(disc: Discretization, law: ConservationLaw, u: np.ndarray,
-                 cs_set: ResidualSet, jump_coeff: float = 0.1) -> ResidualSet:
+                 cs_set: ResidualSet, jump_coeff: float = 0.1,
+                 vn: np.ndarray | None = None) -> ResidualSet:
     """Entropy-dissipative variant: add delta * (v_s - v_mean) with
     delta = jump_coeff * h_K * max wave speed >= 0."""
-    vn = entropy_nodes(disc, law, u)
+    vn = entropy_nodes(disc, law, u) if vn is None else vn
     psi = np.zeros_like(vn)
     for g, U in zip(disc.groups, disc.element_states(u)):
         v = vn[g.dof_idx]
@@ -261,7 +268,8 @@ class ElementSplitReport:
 
 def appendix_decomposition(disc: Discretization, law: ConservationLaw,
                            u: np.ndarray, rset: ResidualSet,
-                           split: FluxSplit | None = None) -> ElementSplitReport:
+                           split: FluxSplit | None = None,
+                           vn: np.ndarray | None = None) -> ElementSplitReport:
     """Per-element (n_elem,) element/boundary split of the entropy-stability
     functional on linear triangles.
 
@@ -275,12 +283,12 @@ def appendix_decomposition(disc: Discretization, law: ConservationLaw,
     if split is None:
         split = flux_split(disc, law, u, rset)
     (g,) = disc.groups  # flux_split admits only the linear-triangle family
-    vnodes = entropy_nodes(disc, law, u)
+    vnodes = entropy_nodes(disc, law, u) if vn is None else vn
     pot = law.potential(vnodes)  # (n_dofs, 2) nodal potential
-    vn, theta = vnodes[g.dof_idx], pot[g.dof_idx]
+    ve, theta = vnodes[g.dof_idx], pot[g.dof_idx]
     # sums over a < b of products of antisymmetric pairs: halved sums over
     # all (a, b); the potential's is paired with twice the dual normals
-    pair_sum = 0.5 * np.einsum("eabp,eabp->e", vn[:, :, None] - vn[:, None, :], split.pair_flux)
+    pair_sum = 0.5 * np.einsum("eabp,eabp->e", ve[:, :, None] - ve[:, None, :], split.pair_flux)
     dtheta = theta[:, :, None] - theta[:, None, :]
     pair_theta = np.einsum("eabx,eabx->e", dtheta, split.dual_normals)
 
@@ -303,5 +311,5 @@ def appendix_decomposition(disc: Discretization, law: ConservationLaw,
         b_dk=jump[rows].sum(axis=1),
         c_k_graph=0.5 * (pair_sum - pair_theta),
         c_k_full=pair_sum + bnd_theta,
-        entropy_gap=np.einsum("edp,edp->e", vn, rset.phi[g.dof_idx]) - ghat_pot,
+        entropy_gap=np.einsum("edp,edp->e", ve, rset.phi[g.dof_idx]) - ghat_pot,
     )

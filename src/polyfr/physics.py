@@ -51,6 +51,23 @@ class ConservationLaw:
         return rng.uniform(lo, hi, size=tuple(shape) + (self.p,))
 
 
+def _times_vector(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """x[..., None] * a for a 2-vector ``a``, written component by component
+    (the same products as the broadcast, in two calls instead of one
+    broadcast multiply and its temporary)."""
+    out = np.empty(x.shape + (2,))
+    np.multiply(x, a[0], out=out[..., 0])
+    np.multiply(x, a[1], out=out[..., 1])
+    return out
+
+
+def _dot2(x, n) -> np.ndarray:
+    """Contraction of the trailing 2-vector axis, x[..., 0] n[..., 0] +
+    x[..., 1] n[..., 1]: bit for bit ``(x * n).sum(-1)``, without the
+    product array and the reduction."""
+    return x[..., 0] * n[..., 0] + x[..., 1] * n[..., 1]
+
+
 def linear_advection(a) -> ConservationLaw:
     """Scalar transport with constant velocity ``a``: flux a*u, entropy u^2/2."""
     a = np.asarray(a, dtype=float)
@@ -58,8 +75,7 @@ def linear_advection(a) -> ConservationLaw:
         raise UnsupportedLaw("advection velocity must be nonzero")
 
     def flux(u):
-        u = np.asarray(u, dtype=float)
-        return u[..., :, None] * a
+        return _times_vector(np.asarray(u, dtype=float), a)
 
     def entropy(u):
         return 0.5 * np.asarray(u)[..., 0] ** 2
@@ -68,10 +84,10 @@ def linear_advection(a) -> ConservationLaw:
         return np.asarray(u, dtype=float).copy()
 
     def entropy_flux(u):
-        return 0.5 * np.asarray(u)[..., 0, None] ** 2 * a
+        return _times_vector(0.5 * np.asarray(u)[..., 0] ** 2, a)
 
     def potential(v):
-        return 0.5 * np.asarray(v)[..., 0, None] ** 2 * a
+        return _times_vector(0.5 * np.asarray(v)[..., 0] ** 2, a)
 
     def wave_speed(u, n):
         n = np.asarray(n, dtype=float)
@@ -162,8 +178,7 @@ def exp_advection(a) -> ConservationLaw:
         raise UnsupportedLaw("advection velocity must be nonzero")
 
     def flux(u):
-        u = np.asarray(u, dtype=float)
-        return u[..., :, None] * a
+        return _times_vector(np.asarray(u, dtype=float), a)
 
     def entropy(u):
         return np.exp(np.asarray(u)[..., 0])
@@ -172,11 +187,11 @@ def exp_advection(a) -> ConservationLaw:
         return np.exp(np.asarray(u, dtype=float))
 
     def entropy_flux(u):
-        return np.exp(np.asarray(u)[..., 0, None]) * a
+        return _times_vector(np.exp(np.asarray(u)[..., 0]), a)
 
     def potential(v):
-        v0 = np.asarray(v)[..., 0, None]
-        return v0 * (np.log(v0) - 1.0) * a
+        v0 = np.asarray(v)[..., 0]
+        return _times_vector(v0 * (np.log(v0) - 1.0), a)
 
     def wave_speed(u, n):
         n = np.asarray(n, dtype=float)
@@ -237,21 +252,36 @@ def law_by_name(name: str, params: dict | None = None) -> ConservationLaw:
 
 def normal_flux(law: ConservationLaw, u, n) -> np.ndarray:
     """Physical flux contracted with a normal: f(u).n, shape (..., p)."""
-    f = law.flux(u)
     n = np.asarray(n, dtype=float)
-    return (f * n[..., None, :]).sum(-1)
+    return _dot2(law.flux(u), n[..., None, :])
+
+
+def normal_entropy_flux(law: ConservationLaw, u, n) -> np.ndarray:
+    """Entropy flux contracted with a normal: g(u).n, shape (...)."""
+    return _dot2(law.entropy_flux(u), np.asarray(n, dtype=float))
+
+
+def _central(law: ConservationLaw, u2: np.ndarray, n) -> np.ndarray:
+    # the mean of f(u).n over the stacked traces u2 = (uL, uR): one flux
+    # call for both sides
+    f = normal_flux(law, u2, n)
+    return 0.5 * (f[0] + f[1])
 
 
 def central_flux(law: ConservationLaw, uL, uR, n) -> np.ndarray:
-    return 0.5 * (normal_flux(law, uL, n) + normal_flux(law, uR, n))
+    return _central(law, np.stack([uL, uR]), n)
 
 
 def rusanov_flux(law: ConservationLaw, uL, uR, n) -> np.ndarray:
-    """Central flux plus spectral-radius dissipation (local Lax-Friedrichs)."""
-    lam = np.maximum(law.wave_speed(uL, n), law.wave_speed(uR, n))
-    return central_flux(law, uL, uR, n) - 0.5 * lam[..., None] * (
-        np.asarray(uR) - np.asarray(uL)
-    )
+    """Central flux plus spectral-radius dissipation (local Lax-Friedrichs).
+
+    The two traces (of one shape) are stacked once, so the flux and the
+    larger of their wave speeds each take one law call: advection computes
+    its normal speed once, not once per side.
+    """
+    u2 = np.stack([uL, uR])
+    lam = law.wave_speed(u2, n).max(axis=0)
+    return _central(law, u2, n) - 0.5 * lam[..., None] * (u2[1] - u2[0])
 
 
 def tadmor_ec_flux(law: ConservationLaw, uL, uR, n) -> np.ndarray:
@@ -268,8 +298,8 @@ def tadmor_ec_flux(law: ConservationLaw, uL, uR, n) -> np.ndarray:
     vL = law.entropy_vars(uL)[..., 0]
     vR = law.entropy_vars(uR)[..., 0]
     n = np.asarray(n, dtype=float)
-    thL = (law.potential(vL[..., None]) * n[..., :]).sum(-1)
-    thR = (law.potential(vR[..., None]) * n[..., :]).sum(-1)
+    thL = _dot2(law.potential(vL[..., None]), n)
+    thR = _dot2(law.potential(vR[..., None]), n)
     dv = vR - vL
     tiny = np.abs(dv) < 1e-12 * np.maximum(1.0, np.abs(vL) + np.abs(vR))
     cons = normal_flux(law, 0.5 * (np.asarray(uL) + np.asarray(uR)), n)[..., 0]
@@ -301,8 +331,7 @@ def entropy_numerical_flux(law: ConservationLaw, fhat, uL, uR, n) -> np.ndarray:
     if callable(fhat):
         fhat = fhat(law, uL, uR, n)
     v_avg = 0.5 * (law.entropy_vars(uL) + law.entropy_vars(uR))
-    n = np.asarray(n, dtype=float)
-    th = (law.potential(v_avg) * n[..., :]).sum(-1)
+    th = _dot2(law.potential(v_avg), np.asarray(n, dtype=float))
     return (v_avg * np.asarray(fhat)).sum(-1) - th
 
 
@@ -315,11 +344,10 @@ def tadmor_edge_check(law: ConservationLaw, uL, uR, n, fhat) -> np.ndarray:
     if callable(fhat):
         fhat = fhat(law, uL, uR, n)
     dv = law.entropy_vars(uR) - law.entropy_vars(uL)
-    n = np.asarray(n, dtype=float)
-    dth = (
-        (law.potential(law.entropy_vars(uR)) - law.potential(law.entropy_vars(uL)))
-        * n[..., :]
-    ).sum(-1)
+    dth = _dot2(
+        law.potential(law.entropy_vars(uR)) - law.potential(law.entropy_vars(uL)),
+        np.asarray(n, dtype=float),
+    )
     return (dv * np.asarray(fhat)).sum(-1) - dth
 
 

@@ -38,6 +38,7 @@ from .discretization import BoundaryData, Discretization
 from .physics import (
     ConservationLaw,
     entropy_numerical_flux,
+    normal_entropy_flux,
     normal_flux,
     numerical_flux,
 )
@@ -82,17 +83,17 @@ def interface_fluxes(disc, law, u, flux_kind, bc=None):
     bi = disc.mesh.boundary_edge_ids
     if bc is not None:
         ub = bc if isinstance(bc, np.ndarray) else disc.boundary_values(bc)
-        uR[bi] = ub[bi]
+        uR[bi] = ub.take(bi, axis=0)
     fhat_star = numerical_flux(flux_kind)(law, uL, uR, nq)
     ghat = entropy_numerical_flux(law, fhat_star, uL, uR, nq)
 
     fhat_bc = None
     if bc is not None:
-        fhat_bc = np.zeros_like(fhat_star)
-        fhat_bc[bi] = fhat_star[bi]
-    uLb, nqb = uL[bi], nq[bi]
+        fhat_bc = np.zeros(fhat_star.shape)
+        fhat_bc[bi] = fhat_star.take(bi, axis=0)
+    uLb, nqb = uL.take(bi, axis=0), nq.take(bi, axis=0)
     fhat_star[bi] = normal_flux(law, uLb, nqb)
-    ghat[bi] = (law.entropy_flux(uLb) * nqb).sum(-1)
+    ghat[bi] = normal_entropy_flux(law, uLb, nqb)
     return fhat_star, fhat_bc, ghat
 
 
@@ -121,12 +122,14 @@ def compute_residuals(
     p = disc.p
     fhat_star, fhat_bc, ghat = interface_fluxes(disc, law, u, flux_kind, bc)
     if fhat_bc is not None:
-        dbc = fhat_bc - fhat_star
-        dbc[disc.mesh.interior_edge_ids] = 0.0
+        # fhat_bc - fhat_star on boundary edges, zero on interior ones
+        bi = disc.mesh.boundary_edge_ids
+        dbc = fhat_bc.copy()
+        dbc[bi] -= fhat_star.take(bi, axis=0)
 
     phi = np.zeros((disc.n_dofs, p))
-    bphi = np.zeros_like(phi)
-    r_all = np.zeros_like(phi)
+    bphi = np.zeros((disc.n_dofs, p))
+    r_all = np.zeros((disc.n_dofs, p))
     bflux = np.zeros((n_elem, p))
     gbal = np.zeros(n_elem)
     brhs = np.zeros((n_elem, p))
@@ -137,14 +140,14 @@ def compute_residuals(
         F = law.flux(U)  # (nE, nd, p, 2)
 
         # outward single-valued flux and the interface mismatch
-        fs = g.inc_sign[..., None] * fhat_star[g.inc_edge].reshape(shape + (p,))
+        fs = g.inc_sign[..., None] * fhat_star.take(g.inc_edge, axis=0).reshape(shape + (p,))
         alpha = fs - np.einsum("emdx,edpx->emp", g.inc_ntrace, F)
         alphas.append(alpha)
 
         phi_g = np.einsum("emd,emp->edp", g.inc_wtrace, fs)
         bflux[g.elem_ids] = np.einsum("em,emp->ep", g.inc_w, fs)
         gbal[g.elem_ids] = np.einsum(
-            "em,em->e", g.inc_w, g.inc_sign * ghat[g.inc_edge].reshape(shape)
+            "em,em->e", g.inc_wsign, ghat.take(g.inc_edge, axis=0).reshape(shape)
         )
 
         if base == "dg":
@@ -165,12 +168,13 @@ def compute_residuals(
                 )
         phi[g.dof_idx] = phi_g
 
-        # boundary-face residuals (weak Dirichlet data); boundary rows have
-        # the element on the left, so they carry no sign
+        # boundary-face residuals (weak Dirichlet data), nonzero only on the
+        # elements that own a boundary edge; boundary rows have the element
+        # on the left, so they carry no sign
         if fhat_bc is not None:
-            d = dbc[g.inc_edge].reshape(shape + (p,))
-            bphi[g.dof_idx] = np.einsum("emd,emp->edp", g.inc_wtrace, d)
-            brhs[g.elem_ids] = np.einsum("em,emp->ep", g.inc_w, d)
+            d = dbc.take(g.bnd_edge, axis=0).reshape(g.bnd_w.shape + (p,))
+            bphi[g.bnd_dofs] = np.einsum("emd,emp->edp", g.bnd_wtrace, d)
+            brhs[g.bnd_elems] = np.einsum("em,emp->ep", g.bnd_w, d)
 
     out = ResidualSet(
         variant=base,
@@ -189,9 +193,10 @@ def compute_residuals(
     if variant != base:
         from . import entropy as _entropy
 
-        out = _entropy.cs_residuals(disc, law, u, out)
+        vn = _entropy.entropy_nodes(disc, law, u)
+        out = _entropy.cs_residuals(disc, law, u, out, vn)
         if variant == "st":
-            out = _entropy.st_residuals(disc, law, u, out, jump_coeff=jump_coeff)
+            out = _entropy.st_residuals(disc, law, u, out, jump_coeff=jump_coeff, vn=vn)
     return out
 
 

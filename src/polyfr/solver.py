@@ -86,13 +86,15 @@ def _boundary_wave_speed(disc: Discretization, law: ConservationLaw,
 def _dt_over_mu(disc: Discretization, law: ConservationLaw, u: np.ndarray,
                 config: SolverConfig, mu: np.ndarray,
                 speed_floor: float = 0.0) -> np.ndarray:
-    # the floor keeps the step finite on a zero-speed state (Burgers at rest)
-    coef = np.zeros(disc.n_dofs)
-    scale = 0.5 * (2 * disc.degree + 1)
-    for gi, g in enumerate(disc.groups):
-        speeds = np.maximum(law.max_wave_speed(u[g.dof_idx]).max(axis=1), speed_floor)
-        lam = np.maximum(scale * speeds * g.perimeters, 1e-14)
-        coef[g.dof_idx.reshape(-1)] = np.repeat(config.cfl / lam, g.n_dof)
+    # one wave-speed call over all DOFs, reduced to each element's largest
+    # over its rows dof_offset[e] onwards (mesh element order); the floor
+    # keeps the step finite on a zero-speed state (Burgers at rest)
+    speeds = np.maximum(np.maximum.reduceat(law.max_wave_speed(u), disc.dof_offset), speed_floor)
+    perimeters = np.empty(disc.mesh.n_elements)
+    for g in disc.groups:
+        perimeters[g.elem_ids] = g.perimeters
+    lam = np.maximum(0.5 * (2 * disc.degree + 1) * speeds * perimeters, 1e-14)
+    coef = np.repeat(config.cfl / lam, disc.n_dof_elem)
     if not config.local_dt:
         # uniform step: dtau = min(cfl * mu / Lambda), applied as dtau / mu
         dtau = float((coef * mu).min())
@@ -113,6 +115,11 @@ def residual_vector(disc: Discretization, law: ConservationLaw, u: np.ndarray,
     return R, gap
 
 
+def _bounded(u: np.ndarray) -> bool:
+    # false on NaN too: a comparison with NaN is false
+    return bool(np.abs(u).max() <= DIVERGENCE_LIMIT)
+
+
 def pseudo_time_step(disc: Discretization, law: ConservationLaw, u: np.ndarray,
                      config: SolverConfig, bc,
                      mu: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
@@ -123,7 +130,7 @@ def pseudo_time_step(disc: Discretization, law: ConservationLaw, u: np.ndarray,
     R, gap = residual_vector(disc, law, u, config, bc)
     coef = _dt_over_mu(disc, law, u, config, mu, _boundary_wave_speed(disc, law, bc))
     u_new = u - coef[:, None] * R
-    if not np.isfinite(u_new).all() or np.abs(u_new).max() > DIVERGENCE_LIMIT:
+    if not _bounded(u_new):
         raise SolverDiverged("pseudo-time iteration produced a non-finite state")
     norms = {
         "l2": float(np.sqrt((mu[:, None] * R * R).sum() / mu.sum())),
@@ -140,12 +147,16 @@ def solve_steady(disc: Discretization, law: ConservationLaw,
 
     Convergence is relative to the first residual norm; an absolute floor
     catches exact initial data.  Stagnation (no relative progress over a
-    trailing window) returns the best iterate with a flag.
+    trailing window) returns the best iterate with a flag.  The per-DOF
+    step coefficient depends on the state only through the wave speeds at
+    the DOFs, so it is rebuilt only on steps where those change: once for
+    advection, every step for Burgers.
     """
     u = disc.zero_states() if initial is None else np.array(initial, dtype=float)
     if u.ndim == 1:
         u = u[:, None]
     mu = lumped_measures(disc)
+    mu_col, mu_sum = mu[:, None], mu.sum()
     if isinstance(bc, BoundaryData):
         bc = disc.boundary_values(bc)  # Dirichlet data is state-independent
     speed_floor = _boundary_wave_speed(disc, law, bc)
@@ -153,9 +164,10 @@ def solve_steady(disc: Discretization, law: ConservationLaw,
 
     best_u, best_res = u, np.inf
     res0 = None
+    speeds = coef = None
     for it in range(config.max_iters):
         R, gap = residual_vector(disc, law, u, config, bc)
-        res = float(np.sqrt((mu[:, None] * R * R).sum() / mu.sum()))
+        res = float(np.sqrt((mu_col * R * R).sum() / mu_sum))
         trace.res_l2.append(res)
         trace.res_linf.append(float(np.abs(R).max()))
         trace.entropy_balance.append(gap)
@@ -174,9 +186,12 @@ def solve_steady(disc: Discretization, law: ConservationLaw,
             if abs(trace.res_l2[-w] - res) <= STAGNATION_EPS * trace.res_l2[-w]:
                 trace.stagnated = True
                 break
-        coef = _dt_over_mu(disc, law, u, config, mu, speed_floor)
-        u = u - coef[:, None] * R
-        if not np.isfinite(u).all() or np.abs(u).max() > DIVERGENCE_LIMIT:
+        step_speeds = law.max_wave_speed(u)
+        if speeds is None or not np.array_equal(step_speeds, speeds):
+            speeds = step_speeds
+            coef = _dt_over_mu(disc, law, u, config, mu, speed_floor)[:, None]
+        u = u - coef * R
+        if not _bounded(u):
             raise SolverDiverged(
                 f"pseudo-time iteration diverged after {it + 1} steps"
             )

@@ -199,7 +199,23 @@ def test_wachspress_linearly_precise_on_unequal_edges():
     # the boosted polygon volume order passes its integration-by-parts check
     # before the order-40 cap
     disc = Discretization(pm.mesh_from_arrays(hexagon, [list(range(6))]), 1)
-    assert disc._volume_orders("polygon", disc.groups[0].spaces).max() < 40
+    g = disc.groups[0]
+    assert disc._volume_orders("polygon", g.spaces, g.elem_ids).max() < 40
+
+
+def test_boosted_order_cap_raises():
+    # a corner of nearly 180 degrees (vertex 0 of a regular hexagon pulled to
+    # 1 % of its height above the chord of its neighbours): no order up to
+    # the cap passes the integration-by-parts check, and the build says so
+    ang = np.pi / 3 * np.arange(6)
+    hexagon = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    hexagon[0] = [0.5 + 0.01 * np.sqrt(3.0), 0.0]
+    mesh = pm.mesh_from_arrays(hexagon, [list(range(6))])
+    with pytest.raises(ap.UnsupportedSpace, match=r"polygon element 0: .* order 38 \(cap 40\)"):
+        Discretization(mesh, 1)
+    # a configured order above the cap is checked too, not taken on trust
+    with pytest.raises(ap.UnsupportedSpace, match=r"order 44 \(cap 44\) with .* defect"):
+        Discretization(mesh, 1, vol_order=44)
 
 
 def test_stack_degree_and_convexity_checks():

@@ -440,3 +440,41 @@ def test_element_split_checks_are_one_array_pass(monkeypatch):
     arrays = cli.state_checks(disc, law, u, fr, names=cli.ELEMENT_SPLIT_CHECKS)
     assert calls == {"flux_split": 1, "appendix_decomposition": 1}
     assert all(arrays[name].shape == (disc.mesh.n_elements,) for name in cli.ELEMENT_SPLIT_CHECKS)
+
+
+def test_battery_evaluates_entropy_nodes_once(monkeypatch):
+    # every entropy check of one battery reads the same nodal entropy
+    # variables, evaluated once
+    disc = cli.Discretization(pm.structured_triangles(8), 1)
+    law = cli.law_by_name("burgers")
+    u = law.random_states(np.random.default_rng(6), disc.n_dofs).reshape(-1, 1)
+    fr = rs.compute_residuals(disc, law, u)
+    want, _ = cli.defect_battery(disc, law, u, fr)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return entropy_nodes(*args, **kwargs)
+
+    entropy_nodes = en.entropy_nodes
+    monkeypatch.setattr(en, "entropy_nodes", counted)
+    defects, _ = cli.defect_battery(disc, law, u, fr)
+    assert len(calls) == 1
+    assert defects == want
+
+
+# a regular hexagon with vertex 0 pulled to 1 % of its height above the
+# chord of its neighbours: a corner of nearly 180 degrees, on which the
+# boosted volume quadrature never reaches its integration-by-parts bound
+_ANG = np.pi / 3 * np.arange(6)
+FLAT_HEXAGON = np.stack([np.cos(_ANG), np.sin(_ANG)], axis=1)
+FLAT_HEXAGON[0] = [0.5 + 0.01 * np.sqrt(3.0), 0.0]
+
+
+def test_capped_polygon_quadrature_exits_4(tmp_path, capsys):
+    mesh = {"vertices": FLAT_HEXAGON.tolist(), "elements": [list(range(6))]}
+    path = _case_on_mesh_text(tmp_path, json.dumps(mesh))
+    assert cli.main(["run", str(path), "--output-dir", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert "config error: unsupported discretization: polygon element 0" in err
+    assert "Traceback" not in err

@@ -62,7 +62,7 @@ def _reference_backends(disc, g):
     assert g.correction in ("rt", "neumann")
     mesh = disc.mesh
     refs = []
-    orders = disc._volume_orders(g.kind, g.spaces)
+    orders = disc._volume_orders(g.kind, g.spaces, g.elem_ids)
     for eid, space, order in zip(g.elem_ids, g.spaces, orders):
         coords = mesh.element_coords(eid)
         edge_ids = mesh.element_edges(eid)
