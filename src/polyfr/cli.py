@@ -406,7 +406,7 @@ def run(config_path, output_dir=None, seed: int = 0, tol_scale: float = 1.0) -> 
         "levels": [],
         "orders": [],
         "defects": {},
-        "timing": {},
+        "timing": {"levels": []},
     }
     t0 = time.perf_counter()
     per_elem_rows = []
@@ -414,9 +414,15 @@ def run(config_path, output_dir=None, seed: int = 0, tol_scale: float = 1.0) -> 
     for level in range(levels):
         if level > 0:
             mesh = refine_uniform(mesh)
+        # the seconds of the level's four phases, for the timing block
+        phase = dict.fromkeys(("build_s", "solve_s", "error_s", "battery_s"), 0.0)
+        t = time.perf_counter()
         disc = _build_disc(cfg, mesh)
+        phase["build_s"] = time.perf_counter() - t
         initial = disc.interpolate_function(initial_field) if initial_field is not None else None
+        t = time.perf_counter()
         u, trace = solve_steady(disc, law, solver_cfg, bc, initial=initial)
+        phase["solve_s"] = time.perf_counter() - t
         entry = {
             "level": level,
             "n_elements": mesh.n_elements,
@@ -431,16 +437,21 @@ def run(config_path, output_dir=None, seed: int = 0, tol_scale: float = 1.0) -> 
         if exact is not None:
             from .solver import manufactured_error
 
+            t = time.perf_counter()
             l2, linf = manufactured_error(disc, u, exact)
+            phase["error_s"] = time.perf_counter() - t
             entry["l2_error"] = l2
             entry["linf_error"] = linf
             errors.append(l2)
         fr = residual_mod.compute_residuals(disc, law, u, "fr", solver_cfg.flux, bc)
         e_fr = entropy_mod.entropy_error(disc, law, u, fr)
         entry["entropy_defect_max"] = float(np.abs(e_fr).max())
+        t = time.perf_counter()
         defects, arrays = defect_battery(disc, law, u, fr, solver_cfg.jump_coeff)
+        phase["battery_s"] = time.perf_counter() - t
         entry["defects"] = defects
         report["levels"].append(entry)
+        report["timing"]["levels"].append(phase)
         _merge_defects(report["defects"], defects)
         cons = arrays["eq5"]
         per_elem_rows += [

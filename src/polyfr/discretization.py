@@ -239,13 +239,14 @@ class Discretization:
         elem_dofs = self.dof_offset[:, None] + np.minimum(
             np.arange(self.nd_max)[None, :], self.n_dof_elem[:, None] - 1
         )
-        self.edge_dofs_left = elem_dofs[mesh.edge_left]
-        self.edge_dofs_other = elem_dofs[self.edge_other]
+        # (side, edge, nd_max), left side first; the ``_left``/``_other``
+        # names are views of the two sides
+        self.edge_dofs = elem_dofs[np.stack([mesh.edge_left, self.edge_other])]
+        self.edge_dofs_left, self.edge_dofs_other = self.edge_dofs
 
-        # basis traces on edges, padded to nd_max
-        shape = (mesh.n_edges, self.nq_edge, self.nd_max)
-        self.edge_phi_left = np.zeros(shape)
-        self.edge_phi_right = np.zeros(shape)
+        # basis traces on edges, padded to nd_max: (side, edge, nq_e, nd_max)
+        self.edge_phi = np.zeros((2, mesh.n_edges, self.nq_edge, self.nd_max))
+        self.edge_phi_left, self.edge_phi_right = self.edge_phi
         for g in self.groups:
             self._attach_incidence(g)
 
@@ -396,18 +397,21 @@ class Discretization:
         vals = [fn(*(a[g.dof_idx] for a in arrays)) for g in self.groups]
         return np.concatenate(vals)[self._group_rank]
 
-    def edge_traces(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def edge_traces(self, u: np.ndarray,
+                    boundary: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Element traces of the nodal states ``u`` (n_dofs, p) at the edge
         quadrature points.
 
         Returns (uL, uR) of shape (n_edges, nq_e, p); rows of uR for
-        boundary edges are copies of uL (the element's own trace).
+        boundary edges are the rows of ``boundary`` (per-edge values such as
+        :meth:`boundary_values`) or, without it, copies of uL (the element's
+        own trace).
         """
         u = np.asarray(u, dtype=float).reshape(self.n_dofs, -1)
-        uL = np.einsum("eqd,edp->eqp", self.edge_phi_left, u.take(self.edge_dofs_left, axis=0))
-        uR = np.einsum("eqd,edp->eqp", self.edge_phi_right, u.take(self.edge_dofs_other, axis=0))
+        # both sides in one contraction over the side-stacked tables
+        uL, uR = np.einsum("seqd,sedp->seqp", self.edge_phi, u.take(self.edge_dofs, axis=0))
         bi = self.mesh.boundary_edge_ids
-        uR[bi] = uL.take(bi, axis=0)
+        uR[bi] = (uL if boundary is None else boundary).take(bi, axis=0)
         return uL, uR
 
     def boundary_values(self, bc: BoundaryData) -> np.ndarray:

@@ -21,7 +21,7 @@ integrals once and gathers them to the elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,7 +110,7 @@ def cs_residuals(disc: Discretization, law: ConservationLaw, u: np.ndarray,
     """Entropy-conservative variant: residuals plus the tau correction."""
     vn = entropy_nodes(disc, law, u) if vn is None else vn
     tau = tau_all(disc, law, u, entropy_error(disc, law, u, fr_set, vn), vn)
-    return replace(fr_set, variant="cs", phi=fr_set.phi + tau)
+    return fr_set.replace(variant="cs", phi=fr_set.phi + tau)
 
 
 def st_residuals(disc: Discretization, law: ConservationLaw, u: np.ndarray,
@@ -126,7 +126,7 @@ def st_residuals(disc: Discretization, law: ConservationLaw, u: np.ndarray,
         speeds = law.max_wave_speed(U).max(axis=1)
         delta = jump_coeff * g.diameters * np.maximum(speeds, 0.0)
         psi[g.dof_idx] = delta[:, None, None] * dev
-    return replace(cs_set, variant="st", phi=cs_set.phi + psi)
+    return cs_set.replace(variant="st", phi=cs_set.phi + psi)
 
 
 def fr_entropy_condition_check(disc: Discretization, law: ConservationLaw,
@@ -171,7 +171,7 @@ def entropy_conservative_residuals(disc: Discretization, law: ConservationLaw,
     """
     ref = compute_residuals(disc, law, u, "dg-interp", flux_kind, bc)
     tau = tau_all(disc, law, u, entropy_error(disc, law, u, ref))
-    return replace(ref, variant="fr", phi=ref.phi + tau, r_sigma=tau)
+    return ref.replace(variant="fr", phi=ref.phi + tau, r_sigma=tau)
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,8 @@ def _dot2(x, n) -> np.ndarray:
 def linear_advection(a) -> ConservationLaw:
     """Scalar transport with constant velocity ``a``: flux a*u, entropy u^2/2."""
     a = np.asarray(a, dtype=float)
-    if np.hypot(*a) == 0.0:
+    speed = float(np.hypot(*a))
+    if speed == 0.0:
         raise UnsupportedLaw("advection velocity must be nonzero")
 
     def flux(u):
@@ -90,15 +91,17 @@ def linear_advection(a) -> ConservationLaw:
         return _times_vector(0.5 * np.asarray(v)[..., 0] ** 2, a)
 
     def wave_speed(u, n):
-        n = np.asarray(n, dtype=float)
-        return np.broadcast_to(np.abs(n @ a), np.asarray(u).shape[:-1]).copy()
+        # the component sum rounds each product (n @ a may fuse them,
+        # depending on the stack shape); rusanov_flux only reduces the view
+        an = _dot2(np.asarray(n, dtype=float), a)
+        return np.broadcast_to(np.abs(an), np.asarray(u).shape[:-1])
 
     def max_speed(u):
-        return np.full(np.asarray(u).shape[:-1], float(np.hypot(*a)))
+        return np.full(np.asarray(u).shape[:-1], speed)
 
     def ec(uL, uR, n):
-        an = np.asarray(n, dtype=float) @ a
-        return 0.5 * (np.asarray(uL) + np.asarray(uR)) * np.asarray(an)[..., None]
+        an = _dot2(np.asarray(n, dtype=float), a)
+        return 0.5 * (np.asarray(uL) + np.asarray(uR)) * an[..., None]
 
 
     def flux_jac(u):
@@ -174,7 +177,8 @@ def exp_advection(a) -> ConservationLaw:
     differ from the state: v = exp(u), g = a exp(u), theta(v) = a v (ln v - 1).
     """
     a = np.asarray(a, dtype=float)
-    if np.hypot(*a) == 0.0:
+    speed = float(np.hypot(*a))
+    if speed == 0.0:
         raise UnsupportedLaw("advection velocity must be nonzero")
 
     def flux(u):
@@ -194,16 +198,18 @@ def exp_advection(a) -> ConservationLaw:
         return _times_vector(v0 * (np.log(v0) - 1.0), a)
 
     def wave_speed(u, n):
-        n = np.asarray(n, dtype=float)
-        return np.broadcast_to(np.abs(n @ a), np.asarray(u).shape[:-1]).copy()
+        # the component sum rounds each product (n @ a may fuse them,
+        # depending on the stack shape); rusanov_flux only reduces the view
+        an = _dot2(np.asarray(n, dtype=float), a)
+        return np.broadcast_to(np.abs(an), np.asarray(u).shape[:-1])
 
     def max_speed(u):
-        return np.full(np.asarray(u).shape[:-1], float(np.hypot(*a)))
+        return np.full(np.asarray(u).shape[:-1], speed)
 
     def ec(uL, uR, n):
         vL = np.exp(np.asarray(uL)[..., 0])
         vR = np.exp(np.asarray(uR)[..., 0])
-        an = np.asarray(np.asarray(n, dtype=float) @ a)
+        an = _dot2(np.asarray(n, dtype=float), a)
         dv = vR - vL
         tiny = np.abs(dv) < 1e-12 * np.maximum(vL, vR)
         num = vR * (np.log(vR) - 1.0) - vL * (np.log(vL) - 1.0)
@@ -261,6 +267,12 @@ def normal_entropy_flux(law: ConservationLaw, u, n) -> np.ndarray:
     return _dot2(law.entropy_flux(u), np.asarray(n, dtype=float))
 
 
+def _pair(uL, uR) -> np.ndarray:
+    """The two traces stacked on a new leading axis: ``np.stack([uL, uR])``
+    in one concatenate call, without stack's argument handling."""
+    return np.concatenate((np.asarray(uL)[None], np.asarray(uR)[None]))
+
+
 def _central(law: ConservationLaw, u2: np.ndarray, n) -> np.ndarray:
     # the mean of f(u).n over the stacked traces u2 = (uL, uR): one flux
     # call for both sides
@@ -269,7 +281,7 @@ def _central(law: ConservationLaw, u2: np.ndarray, n) -> np.ndarray:
 
 
 def central_flux(law: ConservationLaw, uL, uR, n) -> np.ndarray:
-    return _central(law, np.stack([uL, uR]), n)
+    return _central(law, _pair(uL, uR), n)
 
 
 def rusanov_flux(law: ConservationLaw, uL, uR, n) -> np.ndarray:
@@ -279,7 +291,7 @@ def rusanov_flux(law: ConservationLaw, uL, uR, n) -> np.ndarray:
     larger of their wave speeds each take one law call: advection computes
     its normal speed once, not once per side.
     """
-    u2 = np.stack([uL, uR])
+    u2 = _pair(uL, uR)
     lam = law.wave_speed(u2, n).max(axis=0)
     return _central(law, u2, n) - 0.5 * lam[..., None] * (u2[1] - u2[0])
 

@@ -30,11 +30,13 @@ boundary-face residuals oint phi (f_hat(u, u_b) - f(u).n).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .discretization import BoundaryData, Discretization
+from .discretization import BoundaryData, Discretization, ElementGroup
 from .physics import (
     ConservationLaw,
     entropy_numerical_flux,
@@ -45,10 +47,37 @@ from .physics import (
 
 VARIANTS = ("dg", "dg-interp", "fr", "fr-strong", "cs", "st")
 
+# the value of a ResidualSet accounting field that is read from the set's
+# interface fluxes when it is first needed
+_ON_READ = object()
+
+
+class _OnRead:
+    """A ResidualSet field that may be given as ``_ON_READ``: it is then
+    taken from the set's ``edges`` (an :class:`InterfaceFluxes`, which
+    computes it once) when it is read."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)  # no class default: the field is required
+        value = obj.__dict__[self.name]
+        return getattr(obj.edges, self.name) if value is _ON_READ else value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
 
 @dataclass
 class ResidualSet:
-    """Residuals plus the interface bookkeeping needed by the diagnostics."""
+    """Residuals plus the interface bookkeeping needed by the diagnostics.
+
+    A pseudo-time step applies ``phi`` and ``boundary_phi`` only; the
+    conservation and entropy accounting (``fhat_bc`` to ``bres_rhs``) is
+    computed on first read when :func:`compute_residuals` made the set.
+    """
 
     variant: str
     flux_kind: str
@@ -58,43 +87,143 @@ class ResidualSet:
     boundary_phi: np.ndarray  # (n_dofs, p) boundary-face residuals
     r_sigma: np.ndarray  # (n_dofs, p) redistribution vectors
     fhat_star: np.ndarray  # (n_edges, nq_e, p) element-side single-valued flux
-    fhat_bc: np.ndarray | None  # boundary-coupled flux values (boundary rows)
-    ghat: np.ndarray  # (n_edges, nq_e) numerical entropy flux
-    bflux_int: np.ndarray  # (n_elem, p): oint_{dK} fhat_star
-    gbal: np.ndarray  # (n_elem,): oint_{dK} ghat
-    bres_rhs: np.ndarray  # (n_elem, p): sum of oint_G (fhat_bc - fhat_star)
+    fhat_bc: np.ndarray | None = _OnRead()  # boundary-coupled flux values (boundary rows)
+    ghat: np.ndarray = _OnRead()  # (n_edges, nq_e) numerical entropy flux
+    bflux_int: np.ndarray = _OnRead()  # (n_elem, p): oint_{dK} fhat_star
+    gbal: np.ndarray = _OnRead()  # (n_elem,): oint_{dK} ghat
+    bres_rhs: np.ndarray = _OnRead()  # (n_elem, p): sum of oint_G (fhat_bc - fhat_star)
     alpha: list[np.ndarray] | None = None  # per group, (nE, n_alpha, p)
+    # not a field: the interface fluxes the set was evaluated from (None for
+    # a set built from arrays)
+    edges = None
+
+    def replace(self, **changes) -> ResidualSet:
+        """A copy with ``changes`` to the residuals (``variant``, ``phi``,
+        ``r_sigma``).  It shares ``edges``, whose accounting depends on the
+        interface fluxes only, so accounting not yet read stays unevaluated
+        (``dataclasses.replace`` reads every field)."""
+        out = copy.copy(self)
+        for name, value in changes.items():
+            setattr(out, name, value)
+        return out
 
 
-def interface_fluxes(disc, law, u, flux_kind, bc=None):
-    """Single-valued interface fluxes and the entropy flux at edge points.
+def _outward(g: ElementGroup, fhat_star: np.ndarray) -> np.ndarray:
+    """The single-valued flux at each element's edge points, outward,
+    shape (nE, m, p)."""
+    shape = g.inc_w.shape + (fhat_star.shape[-1],)
+    return g.inc_sign[..., None] * fhat_star.take(g.inc_edge, axis=0).reshape(shape)
 
-    Returns (fhat_star, fhat_bc, ghat): the element-side flux (the numerical
-    flux on interior edges, the pointwise consistent flux on boundary
-    edges), the Dirichlet-coupled flux on boundary edges (None without
-    boundary data), and the matching numerical entropy flux built from
-    averaged entropy variables.  The numerical flux is evaluated once over
-    all edges, against the Dirichlet data on boundary edges; the boundary
-    rows of ``fhat_star`` and ``ghat`` are then replaced by the element's
-    own flux.
+
+class InterfaceFluxes:
+    """The single-valued interface fluxes of one state and their accounting.
+
+    Evaluated at once, because the residuals apply them:
+
+    - ``fhat_star`` (n_edges, nq_e, p): the element-side flux, the numerical
+      flux on interior edges and the pointwise consistent flux f(u_L).n on
+      boundary edges;
+    - ``dbc`` (same shape, None without Dirichlet data): the boundary
+      mismatch fhat(u_L, u_b) - f(u_L).n on boundary rows, zero on interior
+      ones.
+
+    Computed on first read, then kept: the Dirichlet-coupled flux
+    ``fhat_bc`` (boundary rows, None without data), the numerical entropy
+    flux ``ghat`` (boundary rows: g(u_L).n), and per element the boundary
+    integrals ``bflux_int`` of fhat_star, ``gbal`` of ghat and ``bres_rhs``
+    of dbc.
     """
-    uL, uR = disc.edge_traces(u)
+
+    def __init__(self, disc: Discretization, law: ConservationLaw, uL, uR,
+                 uL_bnd, n_bnd, fhat_star, fhat_dirichlet, dbc):
+        self.disc, self.law = disc, law
+        self.uL, self.uR = uL, uR
+        self._uL_bnd, self._n_bnd = uL_bnd, n_bnd  # boundary rows of uL, normals
+        self.fhat_star = fhat_star
+        self.dbc = dbc
+        self._fhat_dirichlet = fhat_dirichlet  # boundary rows of fhat_bc
+
+    def boundary_rows(self, g: ElementGroup) -> np.ndarray:
+        """``dbc`` at the edge points of the group's elements that own a
+        boundary edge, shape (nB, m, p)."""
+        shape = g.bnd_w.shape + (self.dbc.shape[-1],)
+        return self.dbc.take(g.bnd_edge, axis=0).reshape(shape)
+
+    def boundary_entropy_flux(self) -> float:
+        """oint over the domain boundary of g(u_L).n: ``gbal.sum()`` with
+        the entropy flux of every interior edge cancelled pairwise (equal
+        to it up to round-off)."""
+        w = self.disc.edge_w.take(self.disc.mesh.boundary_edge_ids, axis=0)
+        g = self.law.entropy_flux(self._uL_bnd)
+        return float(np.einsum("eq,eqx,eqx->", w, g, self._n_bnd))
+
+    @cached_property
+    def fhat_bc(self) -> np.ndarray | None:
+        if self.dbc is None:
+            return None
+        out = np.zeros(self.fhat_star.shape)
+        out[self.disc.mesh.boundary_edge_ids] = self._fhat_dirichlet
+        return out
+
+    @cached_property
+    def ghat(self) -> np.ndarray:
+        # row by row, so the interior rows do not depend on the boundary
+        # rows of fhat_star, which are then replaced
+        ghat = entropy_numerical_flux(
+            self.law, self.fhat_star, self.uL, self.uR, self.disc.edge_normal_q
+        )
+        ghat[self.disc.mesh.boundary_edge_ids] = normal_entropy_flux(
+            self.law, self._uL_bnd, self._n_bnd
+        )
+        return ghat
+
+    @cached_property
+    def bflux_int(self) -> np.ndarray:
+        out = np.zeros((self.disc.mesh.n_elements, self.fhat_star.shape[-1]))
+        for g in self.disc.groups:
+            out[g.elem_ids] = np.einsum("em,emp->ep", g.inc_w, _outward(g, self.fhat_star))
+        return out
+
+    @cached_property
+    def gbal(self) -> np.ndarray:
+        out = np.zeros(self.disc.mesh.n_elements)
+        for g in self.disc.groups:
+            gq = self.ghat.take(g.inc_edge, axis=0).reshape(g.inc_w.shape)
+            out[g.elem_ids] = np.einsum("em,em->e", g.inc_wsign, gq)
+        return out
+
+    @cached_property
+    def bres_rhs(self) -> np.ndarray:
+        out = np.zeros((self.disc.mesh.n_elements, self.fhat_star.shape[-1]))
+        if self.dbc is not None:
+            for g in self.disc.groups:
+                out[g.bnd_elems] = np.einsum("em,emp->ep", g.bnd_w, self.boundary_rows(g))
+        return out
+
+
+def interface_fluxes(disc, law, u, flux_kind, bc=None) -> InterfaceFluxes:
+    """Single-valued interface fluxes of the state ``u`` at the edge points.
+
+    The numerical flux is evaluated once over all edges, against the
+    Dirichlet data on boundary edges (or the element's own trace without
+    data); its boundary rows are then replaced by the element's own flux
+    f(u_L).n.  The entropy flux and the per-element integrals are left to
+    their first read (see :class:`InterfaceFluxes`).
+    """
+    ub = bc if bc is None or isinstance(bc, np.ndarray) else disc.boundary_values(bc)
+    uL, uR = disc.edge_traces(u, ub)
     nq = disc.edge_normal_q
     bi = disc.mesh.boundary_edge_ids
-    if bc is not None:
-        ub = bc if isinstance(bc, np.ndarray) else disc.boundary_values(bc)
-        uR[bi] = ub.take(bi, axis=0)
     fhat_star = numerical_flux(flux_kind)(law, uL, uR, nq)
-    ghat = entropy_numerical_flux(law, fhat_star, uL, uR, nq)
-
-    fhat_bc = None
-    if bc is not None:
-        fhat_bc = np.zeros(fhat_star.shape)
-        fhat_bc[bi] = fhat_star.take(bi, axis=0)
-    uLb, nqb = uL.take(bi, axis=0), nq.take(bi, axis=0)
-    fhat_star[bi] = normal_flux(law, uLb, nqb)
-    ghat[bi] = normal_entropy_flux(law, uLb, nqb)
-    return fhat_star, fhat_bc, ghat
+    uL_bnd, n_bnd = uL.take(bi, axis=0), nq.take(bi, axis=0)
+    f_own = normal_flux(law, uL_bnd, n_bnd)
+    fhat_dirichlet = dbc = None
+    if ub is not None:
+        fhat_dirichlet = fhat_star.take(bi, axis=0)
+        dbc = np.zeros(fhat_star.shape)
+        dbc[bi] = fhat_dirichlet - f_own
+    fhat_star[bi] = f_own
+    return InterfaceFluxes(disc, law, uL, uR, uL_bnd, n_bnd, fhat_star, fhat_dirichlet, dbc)
 
 
 def compute_residuals(
@@ -109,7 +238,8 @@ def compute_residuals(
     """Evaluate one residual variant over the whole mesh.
 
     ``cs`` and ``st`` correct the ``fr`` residuals; ``jump_coeff`` scales
-    the dissipation of ``st``.
+    the dissipation of ``st``.  The residuals are evaluated at once; the
+    accounting fields of the set are computed on first read.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown residual variant {variant!r}")
@@ -118,38 +248,23 @@ def compute_residuals(
     # Incidence rows are element-ordered, so per-element edge sums are
     # reshapes: every (nE, m, ...) array below holds the n_local_edges * nq_e
     # edge points of each element, edge by edge.
-    n_elem = disc.mesh.n_elements
     p = disc.p
-    fhat_star, fhat_bc, ghat = interface_fluxes(disc, law, u, flux_kind, bc)
-    if fhat_bc is not None:
-        # fhat_bc - fhat_star on boundary edges, zero on interior ones
-        bi = disc.mesh.boundary_edge_ids
-        dbc = fhat_bc.copy()
-        dbc[bi] -= fhat_star.take(bi, axis=0)
+    edges = interface_fluxes(disc, law, u, flux_kind, bc)
 
     phi = np.zeros((disc.n_dofs, p))
     bphi = np.zeros((disc.n_dofs, p))
     r_all = np.zeros((disc.n_dofs, p))
-    bflux = np.zeros((n_elem, p))
-    gbal = np.zeros(n_elem)
-    brhs = np.zeros((n_elem, p))
     alphas: list[np.ndarray] = []
 
     for g, U in zip(disc.groups, disc.element_states(u)):
-        shape = g.inc_w.shape
         F = law.flux(U)  # (nE, nd, p, 2)
 
         # outward single-valued flux and the interface mismatch
-        fs = g.inc_sign[..., None] * fhat_star.take(g.inc_edge, axis=0).reshape(shape + (p,))
+        fs = _outward(g, edges.fhat_star)
         alpha = fs - np.einsum("emdx,edpx->emp", g.inc_ntrace, F)
         alphas.append(alpha)
 
         phi_g = np.einsum("emd,emp->edp", g.inc_wtrace, fs)
-        bflux[g.elem_ids] = np.einsum("em,emp->ep", g.inc_w, fs)
-        gbal[g.elem_ids] = np.einsum(
-            "em,em->e", g.inc_wsign, ghat.take(g.inc_edge, axis=0).reshape(shape)
-        )
-
         if base == "dg":
             uq = np.einsum("eqd,edp->eqp", g.vol_phi, U)
             fq = law.flux(uq)
@@ -171,10 +286,8 @@ def compute_residuals(
         # boundary-face residuals (weak Dirichlet data), nonzero only on the
         # elements that own a boundary edge; boundary rows have the element
         # on the left, so they carry no sign
-        if fhat_bc is not None:
-            d = dbc.take(g.bnd_edge, axis=0).reshape(g.bnd_w.shape + (p,))
-            bphi[g.bnd_dofs] = np.einsum("emd,emp->edp", g.bnd_wtrace, d)
-            brhs[g.bnd_elems] = np.einsum("em,emp->ep", g.bnd_w, d)
+        if edges.dbc is not None:
+            bphi[g.bnd_dofs] = np.einsum("emd,emp->edp", g.bnd_wtrace, edges.boundary_rows(g))
 
     out = ResidualSet(
         variant=base,
@@ -182,14 +295,15 @@ def compute_residuals(
         phi=phi,
         boundary_phi=bphi,
         r_sigma=r_all,
-        fhat_star=fhat_star,
-        fhat_bc=fhat_bc,
-        ghat=ghat,
-        bflux_int=bflux,
-        gbal=gbal,
-        bres_rhs=brhs,
+        fhat_star=edges.fhat_star,
+        fhat_bc=_ON_READ,
+        ghat=_ON_READ,
+        bflux_int=_ON_READ,
+        gbal=_ON_READ,
+        bres_rhs=_ON_READ,
         alpha=alphas,
     )
+    out.edges = edges
     if variant != base:
         from . import entropy as _entropy
 

@@ -11,7 +11,18 @@ wavespeed * perimeter, the inverse element time scale of the explicit
 stability bound; the element wave speed is floored at the largest wave speed
 of the Dirichlet data.  Both uniform (global minimum) and per-DOF step modes
 are available; the uniform mode keeps the mass-weighted state sum changing
-only through boundary fluxes, step by step.  Errors against a manufactured
+only through boundary fluxes, step by step.
+
+A step evaluates what it applies: the interface fluxes, the element
+residuals Phi_sigma^K and the weak Dirichlet (boundary-face) residuals.  The
+conservation and entropy accounting of the residual set (``fhat_bc``,
+``ghat``, ``bflux_int``, ``gbal``, ``bres_rhs``) is computed on first read,
+which an ``fr``/``dg``/``dg-interp``/``fr-strong`` step never does; ``cs``
+and ``st`` read ``gbal`` for their correction.  The monitored entropy gap
+sum_K (sum <v, Phi> - oint_dK g_hat) telescopes: every interior edge's
+entropy flux enters its two elements with opposite signs, so the gap is
+sum <v, Phi> minus the boundary integral of g(u_L).n, equal to the
+element-by-element sum up to round-off.  Errors against a manufactured
 solution are measured with one stacked volume rule and one stacked space
 evaluation per element group, for every element family.
 """
@@ -108,9 +119,12 @@ def residual_vector(disc: Discretization, law: ConservationLaw, u: np.ndarray,
         disc, law, u, config.variant, config.flux, bc, jump_coeff=config.jump_coeff
     )
     R = assemble_global(disc, rset)
+    # sum_K (sum <v, Phi> - oint_dK g_hat): the entropy flux of an interior
+    # edge enters its two elements with opposite signs, so the oint terms
+    # telescope to the domain boundary and no interior entropy flux is needed
     gap = float(
         np.einsum("dp,dp->", entropy_mod.entropy_nodes(disc, law, u), rset.phi)
-        - rset.gbal.sum()
+        - rset.edges.boundary_entropy_flux()
     )
     return R, gap
 

@@ -155,6 +155,23 @@ def test_reports_are_bit_identical_between_runs(tmp_path):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def test_report_times_each_level_phase(tmp_path):
+    path = _write_case(tmp_path, solver={"max_iters": 50}, study={"levels": 2})
+    report = cli.run(path, tmp_path / "out")
+    timing = json.loads((tmp_path / "out" / "report.json").read_text())["timing"]
+    assert timing == report["timing"]
+    phases = ("build_s", "solve_s", "error_s", "battery_s")
+    assert len(timing["levels"]) == 2
+    for level in timing["levels"]:
+        assert set(level) == set(phases)
+        assert all(level[key] >= 0.0 for key in phases)
+    total = sum(level[key] for level in timing["levels"] for key in phases)
+    assert total <= timing["wall_time"]
+    # levels.csv stays timing-free, so it is identical from run to run
+    header = (tmp_path / "out" / "levels.csv").read_text().splitlines()[0].split(",")
+    assert not any(col.endswith("_s") or "time" in col for col in header)
+
+
 def test_shipped_cases_parse():
     for name in (
         "advection_linear_k1.json",

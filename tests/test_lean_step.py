@@ -1,0 +1,99 @@
+"""What a pseudo-time step evaluates.
+
+A step applies the element and boundary-face residuals only; the entropy
+and conservation accounting of a residual set is computed when it is first
+read, and the entropy-gap monitor telescopes to the domain boundary, so an
+``fr``/``dg``/``dg-interp``/``fr-strong`` step evaluates no edge entropy
+flux.  The telescoped gap must equal the element-by-element one up to
+round-off.
+"""
+
+from dataclasses import fields
+
+import numpy as np
+import pytest
+
+from polyfr import entropy as en
+from polyfr import mesh as pm
+from polyfr import physics as ph
+from polyfr import residual as rs
+from polyfr import solver as sv
+from polyfr.discretization import BoundaryData, Discretization
+from test_bit_identity import LAWS, MESHES, _disc
+
+ACCOUNTING = ("fhat_bc", "ghat", "bflux_int", "gbal", "bres_rhs")
+
+
+def _count_entropy_work(monkeypatch):
+    """Count calls of the numerical entropy flux and evaluations of the
+    per-group entropy balance ``gbal``."""
+    calls = {"entropy_numerical_flux": 0, "gbal": 0}
+    flux = ph.entropy_numerical_flux
+
+    def counted_flux(*args, **kwargs):
+        calls["entropy_numerical_flux"] += 1
+        return flux(*args, **kwargs)
+
+    per_group = rs.InterfaceFluxes.__dict__["gbal"].func
+
+    def counted_gbal(self):
+        calls["gbal"] += 1
+        return per_group(self)
+
+    monkeypatch.setattr(ph, "entropy_numerical_flux", counted_flux)
+    monkeypatch.setattr(rs, "entropy_numerical_flux", counted_flux)
+    monkeypatch.setattr(rs.InterfaceFluxes, "gbal", property(counted_gbal))
+    return calls
+
+
+@pytest.mark.parametrize("variant", rs.VARIANTS)
+def test_step_evaluates_entropy_flux_only_for_entropy_variants(monkeypatch, variant):
+    calls = _count_entropy_work(monkeypatch)
+    law = ph.burgers_2d()
+    disc = Discretization(pm.structured_triangles(2), 1)
+    bc = BoundaryData.from_function(lambda pts: np.full(len(pts), 0.5))
+    u0 = 0.5 + 0.3 * np.random.default_rng(4).normal(size=(disc.n_dofs, 1))
+    cfg = sv.SolverConfig(cfl=0.3, max_iters=10, residual_tol=1e-30, variant=variant)
+    _, trace = sv.solve_steady(disc, law, cfg, bc, initial=u0)
+    assert trace.iterations == 10
+    if variant in ("cs", "st"):
+        # cs_residuals reads gbal, which needs the entropy flux
+        assert calls["entropy_numerical_flux"] > 0 and calls["gbal"] > 0
+    else:
+        assert calls == {"entropy_numerical_flux": 0, "gbal": 0}
+
+
+def test_accounting_fields_stay_dataclass_fields():
+    # test_bit_identity compares every field of the reference by name, so
+    # the accounting fields must stay fields to be compared at all
+    names = {f.name for f in fields(rs.ResidualSet)}
+    assert set(ACCOUNTING) <= names
+
+
+def test_accounting_is_computed_once_and_shared_with_corrected_sets():
+    disc, law = _disc("tri-k2"), LAWS["burgers"]()
+    u = law.random_states(np.random.default_rng(5), disc.n_dofs).reshape(disc.n_dofs, 1)
+    fr = rs.compute_residuals(disc, law, u, "fr", "rusanov")
+    cs = en.cs_residuals(disc, law, u, fr)
+    assert cs.edges is fr.edges
+    for name in ACCOUNTING:
+        assert getattr(cs, name) is getattr(fr, name), name
+
+
+@pytest.mark.parametrize("law_name", list(LAWS))
+@pytest.mark.parametrize("mesh_name", list(MESHES))
+def test_telescoped_gap_equals_element_sum(mesh_name, law_name):
+    disc, law = _disc(mesh_name), LAWS[law_name]()
+    rng = np.random.default_rng(17)
+    u = law.random_states(rng, disc.n_dofs).reshape(disc.n_dofs, law.p)
+    lo, hi = law.admissible_box
+    bc = rng.uniform(lo, hi, size=(disc.mesh.n_edges, disc.nq_edge, law.p))
+    vn = en.entropy_nodes(disc, law, u)
+    for variant in rs.VARIANTS:
+        config = sv.SolverConfig(variant=variant)
+        _, gap = sv.residual_vector(disc, law, u, config, bc)
+        rset = rs.compute_residuals(disc, law, u, variant, config.flux, bc,
+                                    jump_coeff=config.jump_coeff)
+        want = np.einsum("dp,dp->", vn, rset.phi) - rset.gbal.sum()
+        scale = max(1.0, float(np.abs(rset.gbal).sum()))
+        assert abs(gap - want) <= 1e-14 * scale, variant

@@ -166,7 +166,8 @@ def test_interface_fluxes_equal_per_subset_evaluation(name, law_name, flux_kind)
     want_bc = np.zeros_like(want_star)
     want_bc[bi] = flux(law, uL[bi], bc[bi], nq[bi])
     for data in (None, bc):
-        fhat_star, fhat_bc, ghat = rs.interface_fluxes(disc, law, u, flux_kind, data)
+        edges = rs.interface_fluxes(disc, law, u, flux_kind, data)
+        fhat_star, fhat_bc, ghat = edges.fhat_star, edges.fhat_bc, edges.ghat
         assert np.array_equal(fhat_star, want_star)
         assert np.array_equal(ghat, want_g)
         if data is None:
