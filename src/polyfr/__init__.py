@@ -31,7 +31,6 @@ from .entropy import (
     error_decomposition,
     fr_entropy_condition_check,
     st_residuals,
-    tau_correction,
 )
 from .mesh import (
     Mesh,
@@ -73,7 +72,6 @@ from .solver import (
     SolverConfig,
     SolverDiverged,
     manufactured_error,
-    pseudo_time_step,
     solve_steady,
 )
 

@@ -310,10 +310,9 @@ def state_checks(disc: Discretization, law, u, fr, bc=None, jump_coeff: float = 
                 tau = rset("cs").phi - fr.phi
                 out[name] = np.abs(disc.element_reduce(lambda t: t.sum(axis=1), tau))
             elif key == "tadmor_max":
-                uL, uR = disc.edge_traces(u)
-                ii = disc.mesh.interior_edge_ids
+                e, ii = fr.edges, disc.mesh.interior_edge_ids
                 out[name] = tadmor_edge_check(
-                    law, uL[ii], uR[ii], disc.edge_normal_q[ii], fr.fhat_star[ii]
+                    law, e.uL[ii], e.uR[ii], disc.edge_normal_q[ii], e.fhat_star[ii]
                 )
             elif key == "eq26":
                 out[name] = np.abs(fr.phi - rset("dg-interp").phi - fr.r_sigma)

@@ -239,14 +239,11 @@ class Discretization:
         elem_dofs = self.dof_offset[:, None] + np.minimum(
             np.arange(self.nd_max)[None, :], self.n_dof_elem[:, None] - 1
         )
-        # (side, edge, nd_max), left side first; the ``_left``/``_other``
-        # names are views of the two sides
+        # (side, edge, nd_max), left side first
         self.edge_dofs = elem_dofs[np.stack([mesh.edge_left, self.edge_other])]
-        self.edge_dofs_left, self.edge_dofs_other = self.edge_dofs
 
         # basis traces on edges, padded to nd_max: (side, edge, nq_e, nd_max)
         self.edge_phi = np.zeros((2, mesh.n_edges, self.nq_edge, self.nd_max))
-        self.edge_phi_left, self.edge_phi_right = self.edge_phi
         for g in self.groups:
             self._attach_incidence(g)
 
@@ -303,10 +300,8 @@ class Discretization:
         # one stacked evaluation at every element's edge points
         pts = self.edge_pts[g.inc_edge].reshape(shape + (2,))
         trace = g.spaces.eval(pts).reshape(-1, self.nq_edge, nd)  # (rows, nq_e, nd)
-        left = g.inc_side == 0
-        self.edge_phi_left[g.inc_edge[left], :, :nd] = trace[left]
-        self.edge_phi_right[g.inc_edge[~left], :, :nd] = trace[~left]
-        sign = np.where(left, 1.0, -1.0)
+        self.edge_phi[g.inc_side, g.inc_edge, :, :nd] = trace
+        sign = np.where(g.inc_side == 0, 1.0, -1.0)
         w = self.edge_w[g.inc_edge]
         normal = sign[:, None] * self.mesh.edge_normal[g.inc_edge]
         g.inc_sign = np.repeat(sign, self.nq_edge).reshape(shape)

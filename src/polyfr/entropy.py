@@ -21,7 +21,7 @@ integrals once and gathers them to the elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,7 +48,7 @@ def entropy_error(disc: Discretization, law: ConservationLaw, u: np.ndarray,
     :func:`st_residuals` and :func:`appendix_decomposition`.
     """
     vn = entropy_nodes(disc, law, u) if vn is None else vn
-    return rset.gbal - _pairing(disc, vn, rset.phi)
+    return rset.edges.gbal - _pairing(disc, vn, rset.phi)
 
 
 def _pairing(disc: Discretization, v: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -59,26 +59,6 @@ def _pairing(disc: Discretization, v: np.ndarray, x: np.ndarray) -> np.ndarray:
 def entropy_nodes(disc: Discretization, law: ConservationLaw, u: np.ndarray) -> np.ndarray:
     """Nodal entropy variables, shape (n_dofs, p) like the residual arrays."""
     return law.entropy_vars(np.asarray(u, dtype=float).reshape(disc.n_dofs, -1))
-
-
-def tau_correction(vnodes: np.ndarray, e_value: float,
-                   degenerate_tol: float = 1e-13) -> np.ndarray:
-    """Conservative redistribution of one element's entropy error.
-
-    ``vnodes`` has shape (nd, p).  Raises on a constant-entropy element that
-    still carries a significant error (nothing to distribute onto).
-    """
-    vbar = vnodes.mean(axis=0, keepdims=True)
-    dev = vnodes - vbar
-    denom = float((dev * dev).sum())
-    scale = max(1.0, float(np.abs(vnodes).max()) ** 2)
-    if denom < degenerate_tol * scale:
-        if abs(e_value) > 1e-10 * max(1.0, abs(e_value), scale):
-            raise DegenerateEntropyCorrection(
-                f"entropy defect {e_value:.3e} on a constant state"
-            )
-        return np.zeros_like(vnodes)
-    return (e_value / denom) * dev
 
 
 def tau_all(disc: Discretization, law: ConservationLaw, u: np.ndarray,
@@ -110,7 +90,7 @@ def cs_residuals(disc: Discretization, law: ConservationLaw, u: np.ndarray,
     """Entropy-conservative variant: residuals plus the tau correction."""
     vn = entropy_nodes(disc, law, u) if vn is None else vn
     tau = tau_all(disc, law, u, entropy_error(disc, law, u, fr_set, vn), vn)
-    return fr_set.replace(variant="cs", phi=fr_set.phi + tau)
+    return replace(fr_set, variant="cs", phi=fr_set.phi + tau)
 
 
 def st_residuals(disc: Discretization, law: ConservationLaw, u: np.ndarray,
@@ -126,7 +106,7 @@ def st_residuals(disc: Discretization, law: ConservationLaw, u: np.ndarray,
         speeds = law.max_wave_speed(U).max(axis=1)
         delta = jump_coeff * g.diameters * np.maximum(speeds, 0.0)
         psi[g.dof_idx] = delta[:, None, None] * dev
-    return cs_set.replace(variant="st", phi=cs_set.phi + psi)
+    return replace(cs_set, variant="st", phi=cs_set.phi + psi)
 
 
 def fr_entropy_condition_check(disc: Discretization, law: ConservationLaw,
@@ -145,7 +125,7 @@ def fr_entropy_condition_check(disc: Discretization, law: ConservationLaw,
     e_ref = entropy_error(disc, law, u, ref)
     vn = entropy_nodes(disc, law, u)
     margin = _pairing(disc, vn, fr_set.r_sigma) - e_ref
-    direct = _pairing(disc, vn, fr_set.phi) - fr_set.gbal
+    direct = _pairing(disc, vn, fr_set.phi) - fr_set.edges.gbal
     return {"margin": margin, "direct": direct, "e_reference": e_ref}
 
 
@@ -171,7 +151,7 @@ def entropy_conservative_residuals(disc: Discretization, law: ConservationLaw,
     """
     ref = compute_residuals(disc, law, u, "dg-interp", flux_kind, bc)
     tau = tau_all(disc, law, u, entropy_error(disc, law, u, ref))
-    return ref.replace(variant="fr", phi=ref.phi + tau, r_sigma=tau)
+    return replace(ref, variant="fr", phi=ref.phi + tau, r_sigma=tau)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +277,7 @@ def appendix_decomposition(disc: Discretization, law: ConservationLaw,
     # from them the jump functional D_e and the potential-average flux G_e
     vL, vR = disc.edge_traces(vnodes)
     tL, tR = disc.edge_traces(pot)
-    vf = np.einsum("eq,seqp,eqp->es", disc.edge_w, np.stack([vL, vR]), rset.fhat_star)
+    vf = np.einsum("eq,seqp,eqp->es", disc.edge_w, np.stack([vL, vR]), rset.edges.fhat_star)
     tn = np.einsum("eq,seqx,eqx->es", disc.edge_w, np.stack([tL, tR]), disc.edge_normal_q)
     jump = 0.5 * (vf[:, 1] - vf[:, 0] - (tn[:, 1] - tn[:, 0]))
     gpot = 0.5 * (vf.sum(axis=1) - tn.sum(axis=1))

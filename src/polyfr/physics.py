@@ -42,7 +42,6 @@ class ConservationLaw:
     flux_jac: Callable = None  # u (..., p) -> (..., p, p, 2)
     admissible_box: tuple[float, float] = (-5.0, 5.0)
     ec_flux: Callable | None = None  # optional closed-form EC flux
-    convex_entropy: bool = True
 
     def random_states(self, rng: np.random.Generator, shape) -> np.ndarray:
         lo, hi = self.admissible_box
@@ -68,15 +67,42 @@ def _dot2(x, n) -> np.ndarray:
     return x[..., 0] * n[..., 0] + x[..., 1] * n[..., 1]
 
 
-def linear_advection(a) -> ConservationLaw:
-    """Scalar transport with constant velocity ``a``: flux a*u, entropy u^2/2."""
-    a = np.asarray(a, dtype=float)
+def _transport(a: np.ndarray, name: str, **parts) -> ConservationLaw:
+    """The law ``name`` of scalar transport with constant velocity ``a`` (a
+    float array): the flux a*u, its wave speeds and its Jacobian, which do
+    not depend on the entropy, plus the other fields ``parts`` (the entropy
+    machinery)."""
     speed = float(np.hypot(*a))
     if speed == 0.0:
         raise UnsupportedLaw("advection velocity must be nonzero")
 
     def flux(u):
         return _times_vector(np.asarray(u, dtype=float), a)
+
+    def wave_speed(u, n):
+        # the component sum rounds each product (n @ a may fuse them,
+        # depending on the stack shape); rusanov_flux only reduces the view
+        an = _dot2(np.asarray(n, dtype=float), a)
+        return np.broadcast_to(np.abs(an), np.asarray(u).shape[:-1])
+
+    def max_speed(u):
+        return np.full(np.asarray(u).shape[:-1], speed)
+
+    def flux_jac(u):
+        u = np.asarray(u, dtype=float)
+        out = np.zeros(u.shape[:-1] + (1, 1, 2))
+        out[..., 0, 0, :] = a
+        return out
+
+    return ConservationLaw(
+        name=name, p=1, flux=flux, wave_speed=wave_speed, max_wave_speed=max_speed,
+        flux_jac=flux_jac, **parts,
+    )
+
+
+def linear_advection(a) -> ConservationLaw:
+    """Scalar transport with constant velocity ``a``: flux a*u, entropy u^2/2."""
+    a = np.asarray(a, dtype=float)
 
     def entropy(u):
         return 0.5 * np.asarray(u)[..., 0] ** 2
@@ -90,31 +116,13 @@ def linear_advection(a) -> ConservationLaw:
     def potential(v):
         return _times_vector(0.5 * np.asarray(v)[..., 0] ** 2, a)
 
-    def wave_speed(u, n):
-        # the component sum rounds each product (n @ a may fuse them,
-        # depending on the stack shape); rusanov_flux only reduces the view
-        an = _dot2(np.asarray(n, dtype=float), a)
-        return np.broadcast_to(np.abs(an), np.asarray(u).shape[:-1])
-
-    def max_speed(u):
-        return np.full(np.asarray(u).shape[:-1], speed)
-
     def ec(uL, uR, n):
         an = _dot2(np.asarray(n, dtype=float), a)
         return 0.5 * (np.asarray(uL) + np.asarray(uR)) * an[..., None]
 
-
-    def flux_jac(u):
-        u = np.asarray(u, dtype=float)
-        out = np.zeros(u.shape[:-1] + (1, 1, 2))
-        out[..., 0, 0, :] = a
-        return out
-
-    return ConservationLaw(
-        name="advection", p=1, flux=flux, entropy=entropy, entropy_vars=entropy_vars,
-        entropy_flux=entropy_flux, potential=potential,
-        wave_speed=wave_speed, max_wave_speed=max_speed, ec_flux=ec,
-        flux_jac=flux_jac,
+    return _transport(
+        a, "advection", entropy=entropy, entropy_vars=entropy_vars,
+        entropy_flux=entropy_flux, potential=potential, ec_flux=ec,
     )
 
 
@@ -177,12 +185,6 @@ def exp_advection(a) -> ConservationLaw:
     differ from the state: v = exp(u), g = a exp(u), theta(v) = a v (ln v - 1).
     """
     a = np.asarray(a, dtype=float)
-    speed = float(np.hypot(*a))
-    if speed == 0.0:
-        raise UnsupportedLaw("advection velocity must be nonzero")
-
-    def flux(u):
-        return _times_vector(np.asarray(u, dtype=float), a)
 
     def entropy(u):
         return np.exp(np.asarray(u)[..., 0])
@@ -197,15 +199,6 @@ def exp_advection(a) -> ConservationLaw:
         v0 = np.asarray(v)[..., 0]
         return _times_vector(v0 * (np.log(v0) - 1.0), a)
 
-    def wave_speed(u, n):
-        # the component sum rounds each product (n @ a may fuse them,
-        # depending on the stack shape); rusanov_flux only reduces the view
-        an = _dot2(np.asarray(n, dtype=float), a)
-        return np.broadcast_to(np.abs(an), np.asarray(u).shape[:-1])
-
-    def max_speed(u):
-        return np.full(np.asarray(u).shape[:-1], speed)
-
     def ec(uL, uR, n):
         vL = np.exp(np.asarray(uL)[..., 0])
         vR = np.exp(np.asarray(uR)[..., 0])
@@ -217,18 +210,10 @@ def exp_advection(a) -> ConservationLaw:
         val = np.where(tiny, avg_u, num / np.where(tiny, 1.0, dv))
         return (val * an)[..., None]
 
-
-    def flux_jac(u):
-        u = np.asarray(u, dtype=float)
-        out = np.zeros(u.shape[:-1] + (1, 1, 2))
-        out[..., 0, 0, :] = a
-        return out
-
-    return ConservationLaw(
-        name="exp-advection", p=1, flux=flux, entropy=entropy,
-        entropy_vars=entropy_vars, entropy_flux=entropy_flux, potential=potential,
-        wave_speed=wave_speed, max_wave_speed=max_speed,
-        admissible_box=(-2.0, 2.0), ec_flux=ec, flux_jac=flux_jac,
+    return _transport(
+        a, "exp-advection", entropy=entropy, entropy_vars=entropy_vars,
+        entropy_flux=entropy_flux, potential=potential, ec_flux=ec,
+        admissible_box=(-2.0, 2.0),
     )
 
 

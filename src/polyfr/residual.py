@@ -26,11 +26,16 @@ On interior edges the single-valued flux is the configured numerical flux;
 on domain-boundary edges the element-side flux is the pointwise consistent
 flux f(u).n, and the weak Dirichlet coupling lives entirely in the
 boundary-face residuals oint phi (f_hat(u, u_b) - f(u).n).
+
+One evaluation of a state gives one :class:`ResidualSet`: the distributed
+residuals and, as its ``edges``, the :class:`InterfaceFluxes` they were
+evaluated from.  The conservation and entropy checks read the single-valued
+flux and its accounting from ``edges``; the ``cs``/``st`` corrections change
+the residuals only and share the ``edges`` of the set they correct.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -47,36 +52,17 @@ from .physics import (
 
 VARIANTS = ("dg", "dg-interp", "fr", "fr-strong", "cs", "st")
 
-# the value of a ResidualSet accounting field that is read from the set's
-# interface fluxes when it is first needed
-_ON_READ = object()
-
-
-class _OnRead:
-    """A ResidualSet field that may be given as ``_ON_READ``: it is then
-    taken from the set's ``edges`` (an :class:`InterfaceFluxes`, which
-    computes it once) when it is read."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            raise AttributeError(self.name)  # no class default: the field is required
-        value = obj.__dict__[self.name]
-        return getattr(obj.edges, self.name) if value is _ON_READ else value
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.name] = value
-
 
 @dataclass
 class ResidualSet:
-    """Residuals plus the interface bookkeeping needed by the diagnostics.
+    """The residuals of one evaluation and the interface fluxes they were
+    evaluated from.
 
-    A pseudo-time step applies ``phi`` and ``boundary_phi`` only; the
-    conservation and entropy accounting (``fhat_bc`` to ``bres_rhs``) is
-    computed on first read when :func:`compute_residuals` made the set.
+    A pseudo-time step applies ``phi`` and ``boundary_phi`` only.  The
+    single-valued flux and the conservation and entropy accounting are read
+    from ``edges`` (see :class:`InterfaceFluxes`, which computes the
+    accounting on first read); the ``cs``/``st`` corrections change the
+    residuals only, so a corrected set shares the ``edges`` of its base.
     """
 
     variant: str
@@ -86,26 +72,8 @@ class ResidualSet:
     phi: np.ndarray  # (n_dofs, p) element residuals Phi_sigma^K
     boundary_phi: np.ndarray  # (n_dofs, p) boundary-face residuals
     r_sigma: np.ndarray  # (n_dofs, p) redistribution vectors
-    fhat_star: np.ndarray  # (n_edges, nq_e, p) element-side single-valued flux
-    fhat_bc: np.ndarray | None = _OnRead()  # boundary-coupled flux values (boundary rows)
-    ghat: np.ndarray = _OnRead()  # (n_edges, nq_e) numerical entropy flux
-    bflux_int: np.ndarray = _OnRead()  # (n_elem, p): oint_{dK} fhat_star
-    gbal: np.ndarray = _OnRead()  # (n_elem,): oint_{dK} ghat
-    bres_rhs: np.ndarray = _OnRead()  # (n_elem, p): sum of oint_G (fhat_bc - fhat_star)
-    alpha: list[np.ndarray] | None = None  # per group, (nE, n_alpha, p)
-    # not a field: the interface fluxes the set was evaluated from (None for
-    # a set built from arrays)
-    edges = None
-
-    def replace(self, **changes) -> ResidualSet:
-        """A copy with ``changes`` to the residuals (``variant``, ``phi``,
-        ``r_sigma``).  It shares ``edges``, whose accounting depends on the
-        interface fluxes only, so accounting not yet read stays unevaluated
-        (``dataclasses.replace`` reads every field)."""
-        out = copy.copy(self)
-        for name, value in changes.items():
-            setattr(out, name, value)
-        return out
+    alpha: list[np.ndarray]  # per group, (nE, n_alpha, p) interface mismatch
+    edges: InterfaceFluxes
 
 
 def _outward(g: ElementGroup, fhat_star: np.ndarray) -> np.ndarray:
@@ -120,6 +88,8 @@ class InterfaceFluxes:
 
     Evaluated at once, because the residuals apply them:
 
+    - ``uL``, ``uR`` (n_edges, nq_e, p): the edge traces, with the Dirichlet
+      data (or, without data, uL) as uR's boundary rows;
     - ``fhat_star`` (n_edges, nq_e, p): the element-side flux, the numerical
       flux on interior edges and the pointwise consistent flux f(u_L).n on
       boundary edges;
@@ -239,7 +209,7 @@ def compute_residuals(
 
     ``cs`` and ``st`` correct the ``fr`` residuals; ``jump_coeff`` scales
     the dissipation of ``st``.  The residuals are evaluated at once; the
-    accounting fields of the set are computed on first read.
+    accounting of the set's ``edges`` is computed on first read.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown residual variant {variant!r}")
@@ -295,15 +265,9 @@ def compute_residuals(
         phi=phi,
         boundary_phi=bphi,
         r_sigma=r_all,
-        fhat_star=edges.fhat_star,
-        fhat_bc=_ON_READ,
-        ghat=_ON_READ,
-        bflux_int=_ON_READ,
-        gbal=_ON_READ,
-        bres_rhs=_ON_READ,
         alpha=alphas,
+        edges=edges,
     )
-    out.edges = edges
     if variant != base:
         from . import entropy as _entropy
 
@@ -327,12 +291,12 @@ def _sum_defects(disc: Discretization, phi: np.ndarray, want: np.ndarray) -> np.
 def element_conservation_defects(disc: Discretization, rset: ResidualSet) -> np.ndarray:
     """Per-element defect of (sum of residuals - boundary flux integral),
     scaled by max(1, per-element residual magnitude)."""
-    return _sum_defects(disc, rset.phi, rset.bflux_int)
+    return _sum_defects(disc, rset.phi, rset.edges.bflux_int)
 
 
 def boundary_conservation_defects(disc: Discretization, rset: ResidualSet) -> np.ndarray:
     """The element defect's counterpart for the boundary-face residuals."""
-    return _sum_defects(disc, rset.boundary_phi, rset.bres_rhs)
+    return _sum_defects(disc, rset.boundary_phi, rset.edges.bres_rhs)
 
 
 def assemble_global(disc: Discretization, rset: ResidualSet) -> np.ndarray:
@@ -379,17 +343,18 @@ def global_identity_check(
     vL, vR = disc.edge_traces(v)
     bi = disc.mesh.boundary_edge_ids
     vR[bi] = 0.0  # single-sided on the domain boundary
+    edges = rset.edges
     edge_term = float(
-        np.einsum("eq,eqp->", disc.edge_w, (vL - vR) * rset.fhat_star)
+        np.einsum("eq,eqp->", disc.edge_w, (vL - vR) * edges.fhat_star)
     )
 
     bnd = 0.0
-    if rset.fhat_bc is not None and len(bi):
+    if edges.fhat_bc is not None and len(bi):
         bnd = float(
             np.einsum(
                 "eq,eqp->",
                 disc.edge_w[bi],
-                vL[bi] * (rset.fhat_bc[bi] - rset.fhat_star[bi]),
+                vL[bi] * (edges.fhat_bc[bi] - edges.fhat_star[bi]),
             )
         )
 
@@ -439,8 +404,7 @@ def flux_split(disc: Discretization, law: ConservationLaw, u: np.ndarray,
     if disc.degree != 1 or any(g.kind != "triangle" for g in disc.groups):
         raise ValueError("residual splitting is implemented for linear triangles")
     (g,) = disc.groups  # one family: its element axis is the mesh's
-    fs = g.inc_sign[..., None] * rset.fhat_star[g.inc_edge].reshape(g.inc_w.shape + (disc.p,))
-    fb = np.einsum("emd,emp->edp", g.inc_wtrace, fs)
+    fb = np.einsum("emd,emp->edp", g.inc_wtrace, _outward(g, rset.edges.fhat_star))
     rho = rset.phi[g.dof_idx] - fb
     F = law.flux(np.asarray(u, dtype=float).reshape(disc.n_dofs, -1)[g.dof_idx])
     fh_int = np.einsum("eq,eqd,edpx->epx", g.vol_w, g.vol_phi, F)

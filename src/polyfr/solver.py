@@ -13,18 +13,21 @@ of the Dirichlet data.  Both uniform (global minimum) and per-DOF step modes
 are available; the uniform mode keeps the mass-weighted state sum changing
 only through boundary fluxes, step by step.
 
-A step evaluates what it applies: the interface fluxes, the element
-residuals Phi_sigma^K and the weak Dirichlet (boundary-face) residuals.  The
-conservation and entropy accounting of the residual set (``fhat_bc``,
-``ghat``, ``bflux_int``, ``gbal``, ``bres_rhs``) is computed on first read,
-which an ``fr``/``dg``/``dg-interp``/``fr-strong`` step never does; ``cs``
-and ``st`` read ``gbal`` for their correction.  The monitored entropy gap
-sum_K (sum <v, Phi> - oint_dK g_hat) telescopes: every interior edge's
-entropy flux enters its two elements with opposite signs, so the gap is
-sum <v, Phi> minus the boundary integral of g(u_L).n, equal to the
-element-by-element sum up to round-off.  Errors against a manufactured
-solution are measured with one stacked volume rule and one stacked space
-evaluation per element group, for every element family.
+A step evaluates what it applies: one residual set per state, whose element
+residuals Phi_sigma^K and weak Dirichlet (boundary-face) residuals it adds
+up.  The conservation and entropy accounting of the set's interface fluxes
+is computed on first read, which an ``fr``/``dg``/``dg-interp``/``fr-strong``
+step never does; ``cs`` and ``st`` read the entropy balance for their
+correction.  The monitored entropy gap sum_K (sum <v, Phi> - oint_dK g_hat)
+telescopes: every interior edge's entropy flux enters its two elements with
+opposite signs, so the gap is sum <v, Phi> minus the boundary integral of
+g(u_L).n, equal to the element-by-element sum up to round-off.
+:func:`solve_steady` is the one step loop; ``SolverConfig(max_iters=1)``
+takes a single step.
+
+Errors against a manufactured solution are measured with one stacked volume
+rule and one stacked space evaluation per element group, for every element
+family.
 """
 
 from __future__ import annotations
@@ -129,31 +132,6 @@ def residual_vector(disc: Discretization, law: ConservationLaw, u: np.ndarray,
     return R, gap
 
 
-def _bounded(u: np.ndarray) -> bool:
-    # false on NaN too: a comparison with NaN is false
-    return bool(np.abs(u).max() <= DIVERGENCE_LIMIT)
-
-
-def pseudo_time_step(disc: Discretization, law: ConservationLaw, u: np.ndarray,
-                     config: SolverConfig, bc,
-                     mu: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
-    """One forward-Euler pseudo-time step; returns the new state and norms."""
-    mu = lumped_measures(disc) if mu is None else mu
-    if isinstance(bc, BoundaryData):
-        bc = disc.boundary_values(bc)
-    R, gap = residual_vector(disc, law, u, config, bc)
-    coef = _dt_over_mu(disc, law, u, config, mu, _boundary_wave_speed(disc, law, bc))
-    u_new = u - coef[:, None] * R
-    if not _bounded(u_new):
-        raise SolverDiverged("pseudo-time iteration produced a non-finite state")
-    norms = {
-        "l2": float(np.sqrt((mu[:, None] * R * R).sum() / mu.sum())),
-        "linf": float(np.abs(R).max()),
-        "entropy_gap": gap,
-    }
-    return u_new, norms
-
-
 def solve_steady(disc: Discretization, law: ConservationLaw,
                  config: SolverConfig, bc: BoundaryData,
                  initial: np.ndarray | None = None) -> tuple[np.ndarray, SolveTrace]:
@@ -205,10 +183,8 @@ def solve_steady(disc: Discretization, law: ConservationLaw,
             speeds = step_speeds
             coef = _dt_over_mu(disc, law, u, config, mu, speed_floor)[:, None]
         u = u - coef * R
-        if not _bounded(u):
-            raise SolverDiverged(
-                f"pseudo-time iteration diverged after {it + 1} steps"
-            )
+        if not np.abs(u).max() <= DIVERGENCE_LIMIT:  # NaN compares false: raises too
+            raise SolverDiverged(f"pseudo-time iteration diverged after {it + 1} steps")
         trace.iterations = it + 1
     return (best_u if trace.stagnated else u), trace
 

@@ -125,7 +125,8 @@ def test_criterion_4_entropy_conservative_correction():
             tau = cs.phi - fr.phi
             tau_sums = d.element_reduce(lambda t: t.sum(axis=1), tau)
             tau_worst = max(tau_worst, float(np.abs(tau_sums).max()))
-    hand = en.tau_correction(np.array([[0.0], [1.0], [2.0]]), 1.0)
+    v = np.array([[0.0], [1.0], [2.0]])
+    hand = en.tau_all(Discretization(pm.regular_polygon_mesh(3), 1), law, v, np.array([1.0]), v)
     hand_ok = np.array_equal(hand, np.array([[-0.5], [0.0], [0.5]]))
     ok = e_worst <= 1e-10 and tau_worst <= 1e-12 * 5.0 and hand_ok
     _report(4, "entropy-conservative correction", ok,
@@ -177,7 +178,7 @@ def test_criterion_6_interface_dissipation_diagnostics():
             for row, (edge_id, side) in enumerate(zip(g.inc_edge, g.inc_side)):
                 loc = row // g.n_local_edges
                 sgn = 1.0 if side == 0 else -1.0
-                tr = (disc.edge_phi_left if side == 0 else disc.edge_phi_right)[edge_id]
+                tr = disc.edge_phi[side, edge_id]
                 theta_tr = tr @ theta[loc]
                 bnd[loc] += sgn * float(
                     np.einsum("q,qx,x->", disc.edge_w[edge_id], theta_tr,

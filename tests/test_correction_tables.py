@@ -161,8 +161,8 @@ def test_fr_residuals_match_per_element_formula(name):
         for edge_id in mesh.element_edges(eid):
             left = mesh.edge_left[edge_id] == eid
             sign = 1.0 if left else -1.0
-            tr = (disc.edge_phi_left if left else disc.edge_phi_right)[edge_id][:, :nd]
-            fstar = fr.fhat_star[edge_id]
+            tr = disc.edge_phi[0 if left else 1, edge_id][:, :nd]
+            fstar = fr.edges.fhat_star[edge_id]
             edge_term += sign * tr.T @ (disc.edge_w[edge_id][:, None] * fstar)
             fhn = np.einsum("qd,dpx,x->qp", tr, F, mesh.edge_normal[edge_id])
             alist.append(sign * (fstar - fhn))

@@ -1,10 +1,15 @@
 """The README's check tables must agree with the one check mapping in
-``polyfr.cli``: same keys, same tolerances; and its config example must be
-a config ``polyfr.cli`` accepts."""
+``polyfr.cli``: same keys, same tolerances; its config example must be a
+config ``polyfr.cli`` accepts; and the library names it cites must exist."""
 
+import dataclasses
+import importlib
+import inspect
 import json
+import re
 from pathlib import Path
 
+import polyfr
 from polyfr import cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,3 +59,40 @@ def test_config_example_loads(tmp_path):
     path.write_text(json.dumps(cfg), encoding="utf-8")
     loaded = cli.load_config(path)
     assert {key: loaded[key] for key in cfg} == cfg
+
+
+def _resolve(path: str):
+    """The object a dotted ``polyfr.`` path names, importing submodules on
+    the way; raises AttributeError or ImportError if there is none."""
+    obj = polyfr
+    for part in path.split(".")[1:]:
+        if inspect.ismodule(obj) and not hasattr(obj, part):
+            obj = importlib.import_module(f"{obj.__name__}.{part}")
+        else:
+            obj = getattr(obj, part)
+    return obj
+
+
+def test_readme_library_names_resolve():
+    # every backticked dotted name that starts at polyfr or at a name polyfr
+    # exports: class attributes, dataclass fields, and the attributes of a
+    # built Discretization count
+    exported = {name: obj for name, obj in vars(polyfr).items()
+                if not name.startswith("_") and not inspect.ismodule(obj)}
+    disc = polyfr.Discretization(polyfr.load_mesh(ROOT / "cases" / "tri_2.mesh.json"), 1)
+    missing = []
+    for name in sorted(set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", README))):
+        head, attr = name.split(".", 1)
+        if head == "polyfr":
+            try:
+                _resolve(name)
+            except (AttributeError, ImportError):
+                missing.append(name)
+        elif head in exported:
+            owner = exported[head]
+            fields = {f.name for f in dataclasses.fields(owner)} if (
+                dataclasses.is_dataclass(owner)) else set()
+            if not (hasattr(owner, attr) or attr in fields
+                    or (owner is polyfr.Discretization and hasattr(disc, attr))):
+                missing.append(name)
+    assert not missing, missing

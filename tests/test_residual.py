@@ -135,7 +135,7 @@ def test_boundary_residual_vanishes_on_matching_data_and_outflow():
     for eid in right:
         # only the right-edge part of the boundary residual vanishes; check
         # through the per-edge integrand
-        diff = rset.fhat_bc[eid] - rset.fhat_star[eid]
+        diff = rset.edges.fhat_bc[eid] - rset.edges.fhat_star[eid]
         assert np.abs(diff).max() <= 1e-13
 
 
@@ -183,7 +183,7 @@ def test_global_sum_telescopes_to_domain_boundary_flux():
     total = R.sum(axis=0)
     want = np.zeros(law.p)
     for eid in disc.mesh.boundary_edge_ids:
-        want += np.einsum("q,qp->p", disc.edge_w[eid], rset.fhat_bc[eid])
+        want += np.einsum("q,qp->p", disc.edge_w[eid], rset.edges.fhat_bc[eid])
     assert np.abs(total - want).max() <= 1e-10 * max(1.0, np.abs(R).max())
 
 
