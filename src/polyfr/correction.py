@@ -24,12 +24,16 @@ construct such fields:
     reference.
 
 ``neumann``
-    On arbitrary polygons the field is sought in a vector polynomial space:
-    normal-trace values are imposed as equality constraints, prescribed
-    interior moments ``oint grad(phi_sigma) . grad_psi dx = target_r`` enter
-    as least-squares rows, and the minimum-norm solution is returned.  Note
-    the sign relation: the induced ``r_sigma`` equals ``-target_r``, which
-    is why the entropy-conservative residuals need no solve
+    On arbitrary polygons the field is sought in [P_d]^2, the first members
+    of the RT_d span, at the lowest degree d >= k+1 that passes a
+    feasibility probe: normal-trace values are imposed as equality
+    constraints, prescribed interior moments ``oint grad(phi_sigma) .
+    grad_psi dx = target_r`` enter as least-squares rows, and the
+    minimum-norm solution is returned.  ``constrained_group_tables`` builds
+    a whole group's tables in one stacked pass (batched SVD, one null-space
+    solve per trace rank); ``NeumannCorrectionBackend`` is its stack of one.
+    Note the sign relation: the induced ``r_sigma`` equals ``-target_r``,
+    which is why the entropy-conservative residuals need no solve
     (``entropy.entropy_conservative_residuals``).
 """
 
@@ -329,199 +333,189 @@ def rt_group_tables(p: int, coords: np.ndarray, flux_points: np.ndarray,
     return r, div, vol, trace
 
 
-class NeumannCorrectionBackend:
-    """Constrained least-squares construction of correction fields on
-    arbitrary (convex) elements.
+def _constrained_stack(k, coords, dof_coords, edge_pts, normals, vol_points,
+                       vol_w, vol_phi, vol_grad, elem_ids) -> list:
+    """The operators of ``constrained_group_tables``' stack, each element at
+    the lowest field degree that passes the probe: one ``(index, degree,
+    ops)`` per degree taken, ``ops`` stacked over the elements ``index`` and
+    named as ``NeumannCorrectionBackend``'s attributes.  An element that
+    passes at no degree raises ``CorrectionError`` naming its id."""
+    n_elem, n_edge, nq = edge_pts.shape[:3]
+    if nq == 1:
+        raise CorrectionError("constrained correction needs at least 2 edge points")
+    # the degree-d field basis is [P_d]^2, the first (d+1)(d+2) members of
+    # the RT_d span, in coordinates centred at the DOF mean
+    center = dof_coords.mean(axis=1)[:, None, :]
+    scale = np.sqrt(np.abs(shoelace_area(coords)))[:, None, None]
+    vol_u = (vol_points - center) / scale
 
-    The field lives in a vector polynomial space of adaptive degree: the
-    smallest degree >= k+1 whose constrained solve reproduces interpolant
-    traces and zero-sum interior moments to near machine precision (checked
-    with a deterministic probe at build time).  The normal trace per edge is
-    pinned, at degree+1 points, to the low-degree interpolant of the
-    mismatch data, which keeps edge integrals against the solution basis
-    exact.  The solve is linear in the data, so the two solution operators
-    are precomputed, and the free field's operator is precomposed into the
-    same mismatch-space tables the RT backend exposes (``r_table``,
-    ``div_table``, ``vol_table``, ``trace_tables``).
+    def normal_trace(points, idx, degree):  # (nT, n, npts, 2) -> (nT, n, npts, n_c)
+        u = (points - center[idx, None]) / scale[idx, None]
+        vals = _rt_span(u, degree)[..., : (degree + 1) * (degree + 2), :]
+        return (vals @ normals[idx, :, None, :, None])[..., 0]
+
+    # the trace is pinned at d+1 Gauss points of the segment that each
+    # edge's rule points span, to the interpolant through the rule values
+    tq, _ = gauss_legendre_01(nq)
+    span = edge_pts[:, :, -1] - edge_pts[:, :, 0]
+    p0 = edge_pts[:, :, 0] - tq[0] * span / (tq[-1] - tq[0])
+    p1 = p0 + span / (tq[-1] - tq[0])
+    # the probe: interpolant traces and zero-sum moments must be reachable
+    # on three seeded random draws, the same for every element and degree
+    rng = np.random.default_rng(20240917)
+    draws = [(rng.standard_normal((n_edge, nq, 1)), rng.standard_normal((vol_phi.shape[-1], 1)))
+             for _ in range(3)]
+    draws = [(alpha, target - target.mean(axis=0, keepdims=True)) for alpha, target in draws]
+
+    found, todo = [], np.arange(n_elem)
+    for degree in range(k + 1, k + 8):  # field degrees k+1 ... k+7, lowest first
+        n_c = (degree + 1) * (degree + 2)
+        t_ext, _ = gauss_legendre_01(degree + 1)
+        interp = _lagrange_matrix(tq, t_ext)
+        ext = p0[todo, :, None] + t_ext[:, None] * (p1 - p0)[todo, :, None]
+        a_tr = normal_trace(ext, todo, degree).reshape(len(todo), -1, n_c)
+        vol_basis = _rt_span(vol_u[todo], degree)[..., :n_c, :]
+        w = vol_w[todo]
+        a_mom = np.einsum("eq,eqdx,eqmx->edm", w, vol_grad[todo], vol_basis)
+
+        # minimum-norm solve operators, one batched solve per trace rank:
+        # traces as hard constraints, moments least-squares on their null space
+        u_, s_, vt_ = np.linalg.svd(a_tr)
+        rank = (s_ > s_[:, :1] * 1e-12).sum(axis=1)
+        p_tr, s_tr = np.empty((2,) + a_tr.mT.shape)
+        s_mom = np.empty(a_mom.mT.shape)
+        for r in set(rank.tolist()):
+            sel = rank == r
+            p = (vt_[sel, :r].mT / s_[sel, None, :r]) @ u_[sel, :, :r].mT
+            null = vt_[sel, r:].mT
+            q = np.linalg.pinv(a_mom[sel] @ null, rcond=1e-12)
+            p_tr[sel], s_mom[sel] = p, null @ q
+            s_tr[sel] = p - null @ q @ (a_mom[sel] @ p)
+
+        passed = np.ones(len(todo), dtype=bool)
+        for alpha, target in draws:
+            b_tr = (interp @ alpha).reshape(-1, 1)
+            coeffs = s_tr @ b_tr + s_mom @ target
+            passed &= ~(np.abs(a_tr @ coeffs - b_tr).max(axis=(1, 2)) > 1e-9)
+            passed &= ~(np.abs(a_mom @ coeffs - target).max(axis=(1, 2)) > 1e-9)
+        if passed.any():
+            idx = todo[passed]
+            ops = dict(_edge_normals=normals[idx], _center=center[idx], _scale=scale[idx],
+                       _interp_ops=np.broadcast_to(interp, (len(idx), n_edge) + interp.shape),
+                       _a_tr=a_tr[passed], _a_mom=a_mom[passed], _p_tr=p_tr[passed],
+                       _s_tr=s_tr[passed], _s_mom=s_mom[passed], _r_coef=-a_mom[passed])
+            div_basis = _rt_span_div(vol_u[idx], degree)[..., :n_c] / scale[idx]
+            ops["_div_coef"] = np.einsum("eq,eqd,eqm->edm", w[passed], vol_phi[idx], div_basis)
+            ops["_vol_coef"] = np.einsum("eq,eqmx->emx", w[passed], vol_basis[passed])
+            ops["_trace_coef"] = normal_trace(edge_pts[idx], idx, degree)
+            # the free field's coefficients p_tr @ blockdiag(interp) @ alpha,
+            # precomposed into mismatch-space tables; traces edge by edge
+            blocks = ops["_p_tr"].reshape(len(idx), n_c, n_edge, -1).transpose(0, 2, 1, 3)
+            free = (blocks @ interp).transpose(0, 2, 1, 3).reshape(len(idx), n_c, -1)
+            ops.update(r_table=ops["_r_coef"] @ free, div_table=ops["_div_coef"] @ free,
+                       vol_table=free.mT @ ops["_vol_coef"],
+                       trace_tables=ops["_trace_coef"] @ free[:, None])
+            found.append((idx, degree, ops))
+        todo = todo[~passed]
+        if not todo.size:
+            return found
+    raise CorrectionError(
+        f"element {elem_ids[todo[0]]}: no admissible polynomial degree for the correction "
+        f"field on a {n_edge}-gon (tried up to degree {degree})"
+    )
+
+
+def constrained_group_tables(k: int, coords: np.ndarray, dof_coords: np.ndarray,
+                             edge_pts: np.ndarray, normals: np.ndarray,
+                             vol_points: np.ndarray, vol_w: np.ndarray, vol_phi: np.ndarray,
+                             vol_grad: np.ndarray, elem_ids: np.ndarray):
+    """The constrained correction tables of a stack of elements in one pass:
+    ``NeumannCorrectionBackend``'s tables in ``rt_group_tables``' shapes.
+
+    ``dof_coords`` (nE, nd, 2) are the DOF points of the degree-``k``
+    spaces, ``edge_pts`` (nE, n, nq, 2) the edge rule points and ``normals``
+    (nE, n, 2) the outward unit normals of each local edge; the other
+    arguments are ``rt_group_tables``'."""
+    n_elem, n_edge, nq = edge_pts.shape[:3]
+    m = n_edge * nq
+    r, div = np.empty((2, n_elem, vol_phi.shape[-1], m))
+    vol, trace = np.empty((n_elem, m, 2)), np.empty((n_elem, m, m))
+    for idx, _, ops in _constrained_stack(k, coords, dof_coords, edge_pts, normals, vol_points,
+                                          vol_w, vol_phi, vol_grad, elem_ids):
+        r[idx], div[idx], vol[idx] = ops["r_table"], ops["div_table"], ops["vol_table"]
+        trace[idx] = ops["trace_tables"].reshape(len(idx), m, m)
+    return r, div, vol, trace
+
+
+class NeumannCorrectionBackend:
+    """Constrained least-squares correction fields on one (convex) element,
+    built as the stack of one of ``constrained_group_tables``.
+
+    The field's degree is the smallest >= k+1 whose constrained solve
+    reproduces interpolant traces and zero-sum interior moments to near
+    machine precision (a deterministic probe at build time).  The normal
+    trace per edge is pinned, at degree+1 points, to the low-degree
+    interpolant of the mismatch data, which keeps edge integrals against the
+    solution basis exact.  Both solve operators are precomputed, and the
+    free field's is precomposed into the mismatch-space tables the RT
+    backend exposes (``r_table``, ``div_table``, ``vol_table``,
+    ``trace_tables``).
     """
 
     def __init__(self, space: ElementSpace, vol_rule: QuadratureRule,
-                 edge_rules: list[QuadratureRule], edge_normals: list[np.ndarray],
-                 max_degree_boost: int = 6):
+                 edge_rules: list[QuadratureRule], edge_normals: list[np.ndarray]):
         self.space = space
-        self.edge_rules = edge_rules
-        self.n_dof = space.n_dof
-        self._center = space.dof_coords.mean(axis=0)
-        self._scale = math.sqrt(abs(shoelace_area(space.vertices)))
-        self._vol_rule = vol_rule
-        self._edge_normals = [np.asarray(n, dtype=float) for n in edge_normals]
-        self._grad_tab = space.grad(vol_rule.points)
+        pts = vol_rule.points
+        ((_, self.field_degree, ops),) = _constrained_stack(
+            space.degree, space.vertices[None], space.dof_coords[None],
+            np.stack([r.points for r in edge_rules])[None],
+            np.asarray(edge_normals, dtype=float)[None], pts[None], vol_rule.weights[None],
+            space.eval(pts)[None], space.grad(pts)[None], [0])
+        for name, op in ops.items():
+            setattr(self, name, op[0])
 
-        chosen = None
-        for degree in range(space.degree + 1, space.degree + 1 + max_degree_boost + 1):
-            ops = self._build_operators(degree)
-            if self._probe_feasible(ops):
-                chosen = ops
-                break
-        if chosen is None:
-            raise CorrectionError(
-                "no admissible polynomial degree for the correction field "
-                f"on a {len(space.vertices)}-gon"
-            )
-        (self.field_degree, self._exps, self._ncoef, self._basis_at,
-         self._a_tr, self._a_mom, self._interp_ops,
-         self._s_tr, self._s_mom, self._p_tr) = chosen
+    def field_basis(self, points) -> np.ndarray:
+        """The field basis, [P_d]^2 with d = ``field_degree``, at ``points``:
+        shape (npts, n_coef, 2)."""
+        d, u = self.field_degree, (np.atleast_2d(points) - self._center) / self._scale
+        return _rt_span(u, d)[:, : (d + 1) * (d + 2)]
 
-        # moment/divergence tables against the field basis
-        phi = space.eval(vol_rule.points)
-        w = vol_rule.weights
-        self._r_coef = -self._a_mom  # r_sigma = -oint grad(phi) . field
-        db = self._basis_div(vol_rule.points)
-        self._div_coef = np.einsum("q,qd,qm->dm", w, phi, db)
-        self._vol_coef = np.einsum("q,qmx->mx", w, self._basis_at(vol_rule.points))
-        self._trace_coef = [
-            self._basis_at(rule.points) @ nrm
-            for rule, nrm in zip(edge_rules, self._edge_normals)
-        ]
-
-        # the free field is linear in the stacked mismatch data,
-        # coeffs = p_tr @ blockdiag(interp_ops) @ alpha; precomposed, it
-        # yields the same alpha-space tables as the RT backend
-        cols, off = [], 0
-        for op in self._interp_ops:
-            cols.append(self._p_tr[:, off : off + len(op)] @ op)
-            off += len(op)
-        free = np.hstack(cols)  # (ncoef, n_alpha)
-        self.r_table = self._r_coef @ free
-        self.div_table = self._div_coef @ free
-        self.vol_table = free.T @ self._vol_coef
-        self.trace_tables = [tab @ free for tab in self._trace_coef]
-
-    def _build_operators(self, degree: int):
-        exps = _monomial_exponents(degree)
-        ncoef = 2 * len(exps)
-        center, scale = self._center, self._scale
-
-        def basis_at(pts, exps=exps, ncoef=ncoef):
-            u = (np.atleast_2d(pts) - center) / scale
-            mono = np.stack([u[:, 0] ** a * u[:, 1] ** b for a, b in exps], axis=1)
-            out = np.zeros((len(u), ncoef, 2))
-            out[:, 0::2, 0] = mono
-            out[:, 1::2, 1] = mono
-            return out
-
-        # trace rows: pin the degree-d normal trace at d+1 points per edge to
-        # the interpolant through the edge-rule values of the mismatch data
-        t_ext, _ = gauss_legendre_01(degree + 1)
-        rows, interp_ops = [], []
-        for rule, nrm in zip(self.edge_rules, self._edge_normals):
-            npts = len(rule.points)
-            if npts == 1:
-                raise CorrectionError(
-                    "constrained correction needs at least 2 edge points"
-                )
-            tq, _ = gauss_legendre_01(npts)
-            span = rule.points[-1] - rule.points[0]
-            p0 = rule.points[0] - tq[0] * span / (tq[-1] - tq[0])
-            p1 = p0 + span / (tq[-1] - tq[0])
-            pts_ext = p0[None, :] + t_ext[:, None] * (p1 - p0)[None, :]
-            rows.append(basis_at(pts_ext) @ nrm)
-            interp_ops.append(_lagrange_matrix(tq, t_ext))
-        a_tr = np.vstack(rows)
-        a_mom = np.einsum(
-            "q,qdx,qmx->dm", self._vol_rule.weights, self._grad_tab,
-            basis_at(self._vol_rule.points),
-        )
-
-        # minimum-norm solve operators: traces as hard constraints, moments
-        # least-squares rows restricted to the trace null space
-        u_, s_, vt_ = np.linalg.svd(a_tr, full_matrices=True)
-        rank = int((s_ > s_[0] * 1e-12).sum())
-        p_tr = (vt_[:rank].T / s_[:rank]) @ u_[:, :rank].T
-        nullspace = vt_[rank:].T  # (ncoef, nnull)
-        q_ = np.linalg.pinv(a_mom @ nullspace, rcond=1e-12)
-        s_mom = nullspace @ q_
-        s_tr = p_tr - nullspace @ q_ @ (a_mom @ p_tr)
-        return (degree, exps, ncoef, basis_at, a_tr, a_mom, interp_ops,
-                s_tr, s_mom, p_tr)
-
-    def _probe_feasible(self, ops, tol: float = 1e-9) -> bool:
-        """Check that interpolant traces plus zero-sum moments are exactly
-        reachable, with a deterministic random probe."""
-        _, _, _, _, a_tr, a_mom, interp_ops, s_tr, s_mom, _ = ops
-        rng = np.random.default_rng(20240917)
-        for _ in range(3):
-            alpha = [rng.standard_normal((len(r.points), 1)) for r in self.edge_rules]
-            target = rng.standard_normal((self.n_dof, 1))
-            target -= target.mean(axis=0, keepdims=True)
-            b_tr = np.vstack([op @ a for op, a in zip(interp_ops, alpha)])
-            coeffs = s_tr @ b_tr + s_mom @ target
-            if np.abs(a_tr @ coeffs - b_tr).max() > tol:
-                return False
-            if np.abs(a_mom @ coeffs - target).max() > tol:
-                return False
-        return True
-
-    def _basis_div(self, pts):
-        u = (np.atleast_2d(pts) - self._center) / self._scale
-        cols = np.zeros((len(u), self._ncoef))
-        for m, (a, b) in enumerate(self._exps):
-            dx = a * u[:, 0] ** max(a - 1, 0) * u[:, 1] ** b if a else 0.0
-            dy = b * u[:, 0] ** a * u[:, 1] ** max(b - 1, 0) if b else 0.0
-            cols[:, 2 * m] = dx / self._scale
-            cols[:, 2 * m + 1] = dy / self._scale
-        return cols
-
-    def solve(self, alpha: list[np.ndarray], target_r: np.ndarray,
-              compat_tol: float = 1e-10) -> CorrectionField:
+    def solve(self, alpha: list[np.ndarray], target_r: np.ndarray) -> CorrectionField:
         """Field matching boundary traces ``alpha`` and interior moments
         ``oint grad(phi_s) . grad_psi dx = target_r[s]``.
 
-        ``target_r`` must sum to zero over the element (within ``compat_tol``
+        ``target_r`` must sum to zero over the element (within 1e-10
         relative); the induced redistribution vectors are ``-target_r``.
         """
         target_r = np.asarray(target_r, dtype=float)
         if target_r.ndim == 1:
             target_r = target_r[:, None]
-        scale = max(1.0, float(np.abs(target_r).max()))
-        if np.abs(target_r.sum(axis=0)).max() > compat_tol * scale:
-            raise CorrectionError(
-                "incompatible interior moments: they must sum to zero "
-                f"(got {np.abs(target_r.sum(axis=0)).max():.3e})"
-            )
-        b_tr = np.vstack([
-            op @ np.asarray(a, dtype=float)
-            for op, a in zip(self._interp_ops, alpha)
-        ])  # (n_tr, p)
-        coeffs = self._s_tr @ b_tr + self._s_mom @ target_r  # (ncoef, p)
-        res_tr = np.abs(self._a_tr @ coeffs - b_tr).max(initial=0.0)
-        res_mom = np.abs(self._a_mom @ coeffs - target_r).max(initial=0.0)
-        traces = [tab @ coeffs for tab in self._trace_coef]
-        return CorrectionField(
-            traces=traces,
-            alpha=[np.asarray(a, dtype=float) for a in alpha],
-            r_sigma=self._r_coef @ coeffs,
-            div_moments=self._div_coef @ coeffs,
-            volume_integral=coeffs.T @ self._vol_coef,
-            solve_residual=float(max(res_tr, res_mom)),
-        )
+        defect = np.abs(target_r.sum(axis=0)).max()
+        if defect > 1e-10 * max(1.0, float(np.abs(target_r).max())):
+            raise CorrectionError("incompatible interior moments: they must sum to zero "
+                                  f"(got {defect:.3e})")
+        return self._field(alpha, target_r)
 
     def free_field(self, alpha: list[np.ndarray]) -> CorrectionField:
         """Minimum-norm field matching the boundary traces only; its
         redistribution vectors fall out of the solve (generically nonzero),
         the counterpart of the min-norm cardinal members on triangles."""
-        b_tr = np.vstack([
-            op @ np.asarray(a, dtype=float)
-            for op, a in zip(self._interp_ops, alpha)
-        ])
-        coeffs = self._p_tr @ b_tr
-        res_tr = np.abs(self._a_tr @ coeffs - b_tr).max(initial=0.0)
-        traces = [tab @ coeffs for tab in self._trace_coef]
+        return self._field(alpha, None)
+
+    def _field(self, alpha: list[np.ndarray], target_r: np.ndarray | None) -> CorrectionField:
+        # the field with prescribed interior moments, or without (None)
+        alpha = np.asarray(alpha, dtype=float)  # (n_edges, nq, p)
+        b_tr = (self._interp_ops @ alpha).reshape(-1, alpha.shape[-1])
+        if target_r is None:
+            coeffs, res = self._p_tr @ b_tr, 0.0
+        else:
+            coeffs = self._s_tr @ b_tr + self._s_mom @ target_r
+            res = np.abs(self._a_mom @ coeffs - target_r).max(initial=0.0)
         return CorrectionField(
-            traces=traces,
-            alpha=[np.asarray(a, dtype=float) for a in alpha],
+            traces=list(self._trace_coef @ coeffs),
+            alpha=list(alpha),
             r_sigma=self._r_coef @ coeffs,
             div_moments=self._div_coef @ coeffs,
             volume_integral=coeffs.T @ self._vol_coef,
-            solve_residual=float(res_tr),
+            solve_residual=float(max(res, np.abs(self._a_tr @ coeffs - b_tr).max(initial=0.0))),
         )

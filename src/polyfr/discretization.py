@@ -11,10 +11,9 @@ from these.  Both correction backends are linear in the interface mismatch,
 so each group stores its correction as stacked tables acting on the
 mismatch values.  Every group builds its space (one ``SpaceStack`` of its
 family), volume rules (``volume_rules``, padded with zero weights where the
-per-element orders differ), volume tables and incidence traces in one
-stacked pass, and triangle groups their RT tables too; only Neumann groups
-build per-element objects, their backends, and keep none of them past the
-build.  DOFs are element-local (broken space): the global index of local
+per-element orders differ), volume tables, incidence traces and correction
+tables (RT or Neumann) in one stacked pass, with no per-element object.
+DOFs are element-local (broken space): the global index of local
 DOF ``i`` of element ``e`` is ``offset[e] + i``, and every nodal quantity
 (states, residuals, redistribution vectors, entropy variables) is one flat
 (n_dofs, p) array in which element ``e`` owns rows
@@ -41,7 +40,6 @@ import numpy as np
 from . import correction as corr
 from .approximation import (
     SPACES,
-    QuadratureRule,
     SpaceStack,
     UnsupportedSpace,
     edge_rules,
@@ -323,38 +321,20 @@ class Discretization:
         """Correction tables of ``group``, whose volume rules are the stacked
         points ``vol_pts`` with the weights ``group.vol_w``: RT on triangles
         whose edge rule has k+1 points (the RT flux points), Neumann
-        elsewhere."""
-        # the stored edge rules, per element edge by edge
+        elsewhere, each in one stacked pass over the stored edge rules."""
         rows = group.inc_edge.reshape(group.n_elements, group.n_local_edges)
+        vol = (vol_pts, group.vol_w, group.vol_phi, group.vol_grad, group.elem_ids)
         if group.kind == "triangle" and self.nq_edge == self.degree + 1:
             group.correction = "rt"
-            tables = corr.rt_group_tables(
-                self.degree, group.coords, self.edge_pts[rows],
-                vol_pts,
-                group.vol_w, group.vol_phi, group.vol_grad, group.elem_ids,
-            )
-            group.corr_r, group.corr_div, group.corr_vol, group.corr_trace = tables
-            return
-
-        group.correction = "neumann"
-        sign = np.where(group.inc_side == 0, 1.0, -1.0)[:, None]
-        outward = (sign * self.mesh.edge_normal[group.inc_edge]).reshape(rows.shape + (2,))
-        n_real = np.count_nonzero(group.vol_w, axis=1)
-        backends = []
-        for i in range(group.n_elements):
-            m = n_real[i]
-            vol_rule = QuadratureRule(vol_pts[i, :m], group.vol_w[i, :m], self.vol_order)
-            rules = [
-                QuadratureRule(self.edge_pts[k], self.edge_w[k], self.edge_order)
-                for k in rows[i]
-            ]
-            backends.append(corr.NeumannCorrectionBackend(
-                group.spaces[i], vol_rule, rules, list(outward[i])
-            ))
-        group.corr_r = np.stack([b.r_table for b in backends])
-        group.corr_div = np.stack([b.div_table for b in backends])
-        group.corr_vol = np.stack([b.vol_table for b in backends])
-        group.corr_trace = np.stack([np.vstack(b.trace_tables) for b in backends])
+            tables = corr.rt_group_tables(self.degree, group.coords, self.edge_pts[rows], *vol)
+        else:
+            group.correction = "neumann"
+            sign = np.where(group.inc_side == 0, 1.0, -1.0)[:, None]
+            outward = (sign * self.mesh.edge_normal[group.inc_edge]).reshape(rows.shape + (2,))
+            tables = corr.constrained_group_tables(
+                self.degree, group.coords, group.spaces.dof_coords, self.edge_pts[rows], outward,
+                *vol)
+        group.corr_r, group.corr_div, group.corr_vol, group.corr_trace = tables
 
     # ------------------------------------------------------------------
     # state handling

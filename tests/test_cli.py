@@ -335,18 +335,25 @@ def _case_on_mesh_text(tmp_path, mesh_text):
 
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_unbuildable_correction_exits_4(tmp_path, capsys, command):
-    # nearly parallel opposite edges: no field degree passes the
-    # correction backend's feasibility probe at k = 1
-    mesh = {"vertices": [[0, 0], [1, 0], [1 + 1e-6, 1 + 5e-7], [0, 1]],
-            "elements": [[0, 1, 2, 3]]}
-    path = _case_on_mesh_text(tmp_path, json.dumps(mesh))
-    argv = [command, str(path), "--output-dir", str(tmp_path / "o")]
-    if command == "verify":
-        argv += ["--suite", "tadmor"]
-    assert cli.main(argv) == 4
-    err = capsys.readouterr().err
-    assert "config error: unsupported discretization" in err
-    assert "Traceback" not in err
+    # no field degree passes the correction build's feasibility probe at
+    # k = 1 on a quad with nearly parallel opposite edges, nor on a regular
+    # 9-gon; the message names the failing element
+    nonagon = pm.regular_polygon_mesh(9)
+    meshes = {
+        "quad": {"vertices": [[0, 0], [1, 0], [1 + 1e-6, 1 + 5e-7], [0, 1]],
+                 "elements": [[0, 1, 2, 3]]},
+        "9-gon": {"vertices": nonagon.vertices.tolist(), "elements": [list(range(9))]},
+    }
+    for name, mesh in meshes.items():
+        (tmp_path / name).mkdir()
+        path = _case_on_mesh_text(tmp_path / name, json.dumps(mesh))
+        argv = [command, str(path), "--output-dir", str(tmp_path / name / "o")]
+        if command == "verify":
+            argv += ["--suite", "tadmor"]
+        assert cli.main(argv) == 4
+        err = capsys.readouterr().err
+        assert "config error: unsupported discretization: element 0: " in err
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("mesh_text,message", [

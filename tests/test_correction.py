@@ -217,6 +217,6 @@ def test_neumann_traces_reproduce_low_degree_interpolant_on_whole_edge():
         # evaluate the field trace directly via the solve operators
         b_tr = np.vstack([op @ a for op, a in zip(backend._interp_ops, alpha)])
         coeffs = backend._s_tr @ b_tr
-        trace = (backend._basis_at(pts) @ backend._edge_normals[e]) @ coeffs
+        trace = (backend.field_basis(pts) @ backend._edge_normals[e]) @ coeffs
         interp = co._lagrange_matrix(tq, t_new) @ alpha[e]
         assert np.abs(trace - interp).max() <= 1e-10

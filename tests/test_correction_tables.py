@@ -31,6 +31,15 @@ def _skewed_quads():
     return pm.mesh_from_arrays(v, base.elem_vertex_ids.reshape(base.n_elements, -1))
 
 
+def _mixed_quads():
+    # one interior vertex of a 4x4 grid moved: its four quads are skewed,
+    # the others parallelograms, whose trace rows have a lower rank
+    base = pm.structured_quads(4)
+    v = base.vertices.copy()
+    v[np.argmin(np.hypot(v[:, 0] - 0.25, v[:, 1] - 0.25))] += (0.03, -0.02)
+    return pm.mesh_from_arrays(v, base.elem_vertex_ids.reshape(base.n_elements, -1))
+
+
 def _hexagon_ring():
     # a hexagon inside a ring of trapezoids, one of them split into two
     # triangles: three element groups sharing interior edges
@@ -47,6 +56,7 @@ MESHES = {
     "tri-k2": lambda: (pm.structured_triangles(2), 2),
     "quad16": lambda: (pm.load_mesh(CASES / "quad_16.mesh.json"), 1),
     "skew-quad": lambda: (_skewed_quads(), 1),
+    "mixed-quad": lambda: (_mixed_quads(), 1),
     "hexagon": lambda: (pm.load_mesh(CASES / "hexagon.mesh.json"), 1),
     "hexagon-ring": lambda: (_hexagon_ring(), 1),
     "jittered-tri-k1": lambda: (_jittered(pm.structured_triangles(N_CELLS), np.random.default_rng(1)), 1),
@@ -236,16 +246,34 @@ def test_backend_edge_rules_are_edge_quadrature(name):
 
 
 def test_discretization_builds_no_per_element_rt_objects(monkeypatch):
+    # every family's correction tables come from one stacked build per group
     def refuse(*args, **kwargs):
-        raise AssertionError("per-element RT object built")
+        raise AssertionError("per-element correction object built")
 
-    monkeypatch.setattr(co, "RTBasis", refuse)
-    monkeypatch.setattr(co, "RTCorrectionBackend", refuse)
-    for name in ("tri-k1", "tri-k2", "hexagon-ring"):
+    for name in ("RTBasis", "RTCorrectionBackend", "NeumannCorrectionBackend"):
+        monkeypatch.setattr(co, name, refuse)
+    for name in ("tri-k1", "tri-k2", "quad16", "skew-quad", "hexagon", "hexagon-ring"):
         mesh, k = MESHES[name]()
         disc = Discretization(mesh, k)
-        tri = [g for g in disc.groups if g.kind == "triangle"]
-        assert tri and all(g.correction == "rt" for g in tri)
+        for g in disc.groups:
+            assert g.correction == ("rt" if g.kind == "triangle" else "neumann")
+
+
+def test_constrained_build_work_does_not_grow_with_the_mesh(monkeypatch):
+    # one batched SVD per tried field degree, whatever the element count
+    svd, calls = np.linalg.svd, [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    counts = []
+    for n in (4, 8):
+        calls[0] = 0
+        Discretization(pm.structured_quads(n), 1)
+        counts.append(calls[0])
+    assert counts[0] == counts[1] > 0
 
 
 def test_run_path_builds_no_per_element_triangle_spaces(monkeypatch):
@@ -275,31 +303,20 @@ def test_run_path_builds_no_per_element_triangle_spaces(monkeypatch):
 
 
 def test_build_and_error_make_no_per_element_space_calls(monkeypatch):
-    # every family's stacked space serves the build, the incidence traces,
-    # the boosted polygon orders and the error measurement; only the Neumann
-    # backends still evaluate one element's space
-    calls, inside = [], [0]
+    # every family's stacked space serves the build, its correction tables,
+    # the incidence traces, the boosted polygon orders and the error
+    # measurement
+    calls = []
 
     def counted(fn, name):
         def wrapper(self, *args, **kwargs):
-            if not inside[0]:
-                calls.append((type(self).__name__, name))
+            calls.append((type(self).__name__, name))
             return fn(self, *args, **kwargs)
         return wrapper
 
     for cls in (ap.TriangleSpace, ap.QuadSpace, ap.PolygonSpace):
         for name in ("eval", "grad"):
             monkeypatch.setattr(cls, name, counted(getattr(cls, name), name))
-    init = co.NeumannCorrectionBackend.__init__
-
-    def in_backend(self, *args, **kwargs):
-        inside[0] += 1
-        try:
-            init(self, *args, **kwargs)
-        finally:
-            inside[0] -= 1
-
-    monkeypatch.setattr(co.NeumannCorrectionBackend, "__init__", in_backend)
     for name in ("quad16", "hexagon-ring"):
         mesh, k = MESHES[name]()
         disc = Discretization(mesh, k)
