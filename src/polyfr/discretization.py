@@ -104,11 +104,12 @@ class ElementGroup:
     nsigma: np.ndarray | None = None  # (nE, nd, 2): -oint_{dK} phi_s n dgamma
     inc_wsign: np.ndarray | None = None  # (nE, m) inc_w * inc_sign
     # the elements that own a boundary edge, for the boundary-face
-    # residuals: their mesh ids, DOF rows, incidence edge ids (flat, element
-    # by element) and their rows of inc_w and inc_wtrace
+    # residuals: their mesh ids, DOF rows, the boundary rows of their
+    # incidence edges (Discretization.boundary_row, flat, element by
+    # element) and their rows of inc_w and inc_wtrace
     bnd_elems: np.ndarray | None = None  # (nB,)
     bnd_dofs: np.ndarray | None = None  # (nB, nd)
-    bnd_edge: np.ndarray | None = None  # (nB * n_local_edges,)
+    bnd_row: np.ndarray | None = None  # (nB * n_local_edges,)
     bnd_w: np.ndarray | None = None  # (nB, m)
     bnd_wtrace: np.ndarray | None = None  # (nB, m, nd)
     # correction tables acting on the outward mismatch alpha (nE, m, p),
@@ -153,9 +154,14 @@ class Discretization:
         ends = mesh.vertices[mesh.edge_vertices]
         # one Gauss rule for all edges, each bit-identical to edge_quadrature's
         self.edge_pts, self.edge_w = edge_rules(ends[:, 0], ends[:, 1], self.edge_order)
-        # right neighbour, or the left element itself on boundary edges
-        self.edge_other = np.where(mesh.edge_right >= 0, mesh.edge_right, mesh.edge_left)
         self.edge_normal_q = np.repeat(mesh.edge_normal[:, None, :], self.nq_edge, axis=1)
+        # boundary rows of the weights and normals; each edge's row in arrays
+        # of boundary rows (InterfaceFluxes.dbc), one past them if interior
+        bi = mesh.boundary_edge_ids
+        self.boundary_w = self.edge_w.take(bi, axis=0)
+        self.boundary_normal_q = self.edge_normal_q.take(bi, axis=0)
+        self.boundary_row = np.full(mesh.n_edges, len(bi))
+        self.boundary_row[bi] = np.arange(len(bi))
 
     def _volume_orders(self, kind: str, spaces: SpaceStack, ids: np.ndarray) -> np.ndarray:
         """Per-element volume rule orders: ``vol_order``, raised where the
@@ -237,8 +243,9 @@ class Discretization:
         elem_dofs = self.dof_offset[:, None] + np.minimum(
             np.arange(self.nd_max)[None, :], self.n_dof_elem[:, None] - 1
         )
-        # (side, edge, nd_max), left side first
-        self.edge_dofs = elem_dofs[np.stack([mesh.edge_left, self.edge_other])]
+        # (side, edge, nd_max): left element, then right (left on the boundary)
+        right = np.where(mesh.edge_right >= 0, mesh.edge_right, mesh.edge_left)
+        self.edge_dofs = elem_dofs[np.stack([mesh.edge_left, right])]
 
         # basis traces on edges, padded to nd_max: (side, edge, nq_e, nd_max)
         self.edge_phi = np.zeros((2, mesh.n_edges, self.nq_edge, self.nd_max))
@@ -313,7 +320,7 @@ class Discretization:
         on_bnd = np.nonzero((self.mesh.edge_right[rows] < 0).any(axis=1))[0]
         g.bnd_elems = g.elem_ids[on_bnd]
         g.bnd_dofs = g.dof_idx[on_bnd]
-        g.bnd_edge = rows[on_bnd].ravel()
+        g.bnd_row = self.boundary_row[rows[on_bnd]].ravel()
         g.bnd_w = g.inc_w[on_bnd]
         g.bnd_wtrace = g.inc_wtrace[on_bnd]
 
@@ -372,22 +379,22 @@ class Discretization:
         vals = [fn(*(a[g.dof_idx] for a in arrays)) for g in self.groups]
         return np.concatenate(vals)[self._group_rank]
 
-    def edge_traces(self, u: np.ndarray,
-                    boundary: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def edge_traces(self, u: np.ndarray, boundary: np.ndarray | None = None) -> np.ndarray:
         """Element traces of the nodal states ``u`` (n_dofs, p) at the edge
         quadrature points.
 
-        Returns (uL, uR) of shape (n_edges, nq_e, p); rows of uR for
+        Returns the side stack (uL, uR), shape (2, n_edges, nq_e, p), which
+        unpacks as ``uL, uR = disc.edge_traces(u)``; rows of uR for
         boundary edges are the rows of ``boundary`` (per-edge values such as
         :meth:`boundary_values`) or, without it, copies of uL (the element's
         own trace).
         """
         u = np.asarray(u, dtype=float).reshape(self.n_dofs, -1)
         # both sides in one contraction over the side-stacked tables
-        uL, uR = np.einsum("seqd,sedp->seqp", self.edge_phi, u.take(self.edge_dofs, axis=0))
+        u2 = np.einsum("seqd,sedp->seqp", self.edge_phi, u.take(self.edge_dofs, axis=0))
         bi = self.mesh.boundary_edge_ids
-        uR[bi] = (uL if boundary is None else boundary).take(bi, axis=0)
-        return uL, uR
+        u2[1, bi] = (u2[0] if boundary is None else boundary).take(bi, axis=0)
+        return u2
 
     def boundary_values(self, bc: BoundaryData) -> np.ndarray:
         """Dirichlet data at the quadrature points of every boundary edge,

@@ -42,6 +42,9 @@ class ConservationLaw:
     flux_jac: Callable = None  # u (..., p) -> (..., p, p, 2)
     admissible_box: tuple[float, float] = (-5.0, 5.0)
     ec_flux: Callable | None = None  # optional closed-form EC flux
+    # False: wave_speed and max_wave_speed give the same values at every
+    # state (constant-velocity transport), so a solve evaluates them once
+    state_dependent_speeds: bool = True
 
     def random_states(self, rng: np.random.Generator, shape) -> np.ndarray:
         lo, hi = self.admissible_box
@@ -96,7 +99,7 @@ def _transport(a: np.ndarray, name: str, **parts) -> ConservationLaw:
 
     return ConservationLaw(
         name=name, p=1, flux=flux, wave_speed=wave_speed, max_wave_speed=max_speed,
-        flux_jac=flux_jac, **parts,
+        flux_jac=flux_jac, state_dependent_speeds=False, **parts,
     )
 
 
@@ -161,7 +164,6 @@ def burgers_2d() -> ConservationLaw:
         n = np.asarray(n, dtype=float)
         val = (uL * uL + uL * uR + uR * uR) / 6.0 * (n[..., 0] + n[..., 1])
         return val[..., None]
-
 
     def flux_jac(u):
         u0 = np.asarray(u, dtype=float)[..., 0]
@@ -252,33 +254,33 @@ def normal_entropy_flux(law: ConservationLaw, u, n) -> np.ndarray:
     return _dot2(law.entropy_flux(u), np.asarray(n, dtype=float))
 
 
-def _pair(uL, uR) -> np.ndarray:
-    """The two traces stacked on a new leading axis: ``np.stack([uL, uR])``
-    in one concatenate call, without stack's argument handling."""
-    return np.concatenate((np.asarray(uL)[None], np.asarray(uR)[None]))
+def rusanov_speed(law: ConservationLaw, u2: np.ndarray, n) -> np.ndarray:
+    """The Rusanov dissipation speed at the side stack u2 = (uL, uR): the
+    larger wave speed of the two traces, in one law call."""
+    return law.wave_speed(u2, n).max(axis=0)
 
 
-def _central(law: ConservationLaw, u2: np.ndarray, n) -> np.ndarray:
-    # the mean of f(u).n over the stacked traces u2 = (uL, uR): one flux
-    # call for both sides
+def two_point_flux(law: ConservationLaw, kind: str, u2: np.ndarray, n,
+                   speed: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The ``central`` or ``rusanov`` flux at the side stack u2 = (uL, uR)
+    (traces of one shape) and f(u).n of both sides, (2, ..., p), from one
+    flux call.  Rusanov subtracts the spectral-radius dissipation (local
+    Lax-Friedrichs) with ``speed``, by default :func:`rusanov_speed` of u2."""
     f = normal_flux(law, u2, n)
-    return 0.5 * (f[0] + f[1])
+    fhat = 0.5 * (f[0] + f[1])
+    if kind == "rusanov":
+        lam = rusanov_speed(law, u2, n) if speed is None else speed
+        fhat = fhat - 0.5 * lam[..., None] * (u2[1] - u2[0])
+    return fhat, f
 
 
 def central_flux(law: ConservationLaw, uL, uR, n) -> np.ndarray:
-    return _central(law, _pair(uL, uR), n)
+    return two_point_flux(law, "central", np.stack((uL, uR)), n)[0]
 
 
 def rusanov_flux(law: ConservationLaw, uL, uR, n) -> np.ndarray:
-    """Central flux plus spectral-radius dissipation (local Lax-Friedrichs).
-
-    The two traces (of one shape) are stacked once, so the flux and the
-    larger of their wave speeds each take one law call: advection computes
-    its normal speed once, not once per side.
-    """
-    u2 = _pair(uL, uR)
-    lam = law.wave_speed(u2, n).max(axis=0)
-    return _central(law, u2, n) - 0.5 * lam[..., None] * (u2[1] - u2[0])
+    """Central flux plus spectral-radius dissipation, see :func:`two_point_flux`."""
+    return two_point_flux(law, "rusanov", np.stack((uL, uR)), n)[0]
 
 
 def tadmor_ec_flux(law: ConservationLaw, uL, uR, n) -> np.ndarray:

@@ -48,6 +48,7 @@ from .physics import (
     normal_entropy_flux,
     normal_flux,
     numerical_flux,
+    two_point_flux,
 )
 
 VARIANTS = ("dg", "dg-interp", "fr", "fr-strong", "cs", "st")
@@ -93,9 +94,9 @@ class InterfaceFluxes:
     - ``fhat_star`` (n_edges, nq_e, p): the element-side flux, the numerical
       flux on interior edges and the pointwise consistent flux f(u_L).n on
       boundary edges;
-    - ``dbc`` (same shape, None without Dirichlet data): the boundary
-      mismatch fhat(u_L, u_b) - f(u_L).n on boundary rows, zero on interior
-      ones.
+    - ``dbc`` (n_boundary_edges, nq_e, p; None without Dirichlet data): the
+      boundary mismatch fhat(u_L, u_b) - f(u_L).n, boundary rows only, in
+      the order of ``mesh.boundary_edge_ids``.
 
     Computed on first read, then kept: the Dirichlet-coupled flux
     ``fhat_bc`` (boundary rows, None without data), the numerical entropy
@@ -104,28 +105,28 @@ class InterfaceFluxes:
     of dbc.
     """
 
-    def __init__(self, disc: Discretization, law: ConservationLaw, uL, uR,
-                 uL_bnd, n_bnd, fhat_star, fhat_dirichlet, dbc):
+    def __init__(self, disc: Discretization, law: ConservationLaw, u2,
+                 uL_bnd, fhat_star, fhat_dirichlet, dbc_rows):
         self.disc, self.law = disc, law
-        self.uL, self.uR = uL, uR
-        self._uL_bnd, self._n_bnd = uL_bnd, n_bnd  # boundary rows of uL, normals
+        self.uL, self.uR = u2
+        self._uL_bnd = uL_bnd  # boundary rows of uL
         self.fhat_star = fhat_star
-        self.dbc = dbc
+        self._dbc_rows = dbc_rows  # dbc, then a zero row for interior edges
+        self.dbc = None if dbc_rows is None else dbc_rows[:-1]
         self._fhat_dirichlet = fhat_dirichlet  # boundary rows of fhat_bc
 
     def boundary_rows(self, g: ElementGroup) -> np.ndarray:
-        """``dbc`` at the edge points of the group's elements that own a
-        boundary edge, shape (nB, m, p)."""
+        """The boundary mismatch at the edge points of the group's elements
+        that own a boundary edge (zero on interior edges), shape (nB, m, p)."""
         shape = g.bnd_w.shape + (self.dbc.shape[-1],)
-        return self.dbc.take(g.bnd_edge, axis=0).reshape(shape)
+        return self._dbc_rows.take(g.bnd_row, axis=0).reshape(shape)
 
     def boundary_entropy_flux(self) -> float:
         """oint over the domain boundary of g(u_L).n: ``gbal.sum()`` with
         the entropy flux of every interior edge cancelled pairwise (equal
         to it up to round-off)."""
-        w = self.disc.edge_w.take(self.disc.mesh.boundary_edge_ids, axis=0)
-        g = self.law.entropy_flux(self._uL_bnd)
-        return float(np.einsum("eq,eqx,eqx->", w, g, self._n_bnd))
+        g, disc = self.law.entropy_flux(self._uL_bnd), self.disc
+        return float(np.einsum("eq,eqx,eqx->", disc.boundary_w, g, disc.boundary_normal_q))
 
     @cached_property
     def fhat_bc(self) -> np.ndarray | None:
@@ -143,7 +144,7 @@ class InterfaceFluxes:
             self.law, self.fhat_star, self.uL, self.uR, self.disc.edge_normal_q
         )
         ghat[self.disc.mesh.boundary_edge_ids] = normal_entropy_flux(
-            self.law, self._uL_bnd, self._n_bnd
+            self.law, self._uL_bnd, self.disc.boundary_normal_q
         )
         return ghat
 
@@ -171,29 +172,36 @@ class InterfaceFluxes:
         return out
 
 
-def interface_fluxes(disc, law, u, flux_kind, bc=None) -> InterfaceFluxes:
+def interface_fluxes(disc, law, u, flux_kind, bc=None, edge_speed=None) -> InterfaceFluxes:
     """Single-valued interface fluxes of the state ``u`` at the edge points.
 
     The numerical flux is evaluated once over all edges, against the
     Dirichlet data on boundary edges (or the element's own trace without
     data); its boundary rows are then replaced by the element's own flux
-    f(u_L).n.  The entropy flux and the per-element integrals are left to
-    their first read (see :class:`InterfaceFluxes`).
+    f(u_L).n, which the central and Rusanov fluxes evaluate with it.
+    ``edge_speed`` (n_edges, nq_e), if given, is the Rusanov dissipation
+    speed (of a law whose wave speeds do not depend on the state).  The
+    entropy flux and the per-element integrals are left to their first read.
     """
     ub = bc if bc is None or isinstance(bc, np.ndarray) else disc.boundary_values(bc)
-    uL, uR = disc.edge_traces(u, ub)
+    u2 = disc.edge_traces(u, ub)
     nq = disc.edge_normal_q
     bi = disc.mesh.boundary_edge_ids
-    fhat_star = numerical_flux(flux_kind)(law, uL, uR, nq)
-    uL_bnd, n_bnd = uL.take(bi, axis=0), nq.take(bi, axis=0)
-    f_own = normal_flux(law, uL_bnd, n_bnd)
-    fhat_dirichlet = dbc = None
+    uL_bnd = u2[0].take(bi, axis=0)
+    if flux_kind in ("central", "rusanov"):
+        fhat_star, f = two_point_flux(law, flux_kind, u2, nq, edge_speed)
+        f_own = f[0].take(bi, axis=0)
+    else:
+        fhat_star = numerical_flux(flux_kind)(law, u2[0], u2[1], nq)
+        f_own = normal_flux(law, uL_bnd, disc.boundary_normal_q)
+    fhat_dirichlet = dbc_rows = None
     if ub is not None:
         fhat_dirichlet = fhat_star.take(bi, axis=0)
-        dbc = np.zeros(fhat_star.shape)
-        dbc[bi] = fhat_dirichlet - f_own
+        dbc_rows = np.empty((len(bi) + 1,) + f_own.shape[1:])
+        np.subtract(fhat_dirichlet, f_own, out=dbc_rows[:-1])
+        dbc_rows[-1] = 0.0
     fhat_star[bi] = f_own
-    return InterfaceFluxes(disc, law, uL, uR, uL_bnd, n_bnd, fhat_star, fhat_dirichlet, dbc)
+    return InterfaceFluxes(disc, law, u2, uL_bnd, fhat_star, fhat_dirichlet, dbc_rows)
 
 
 def compute_residuals(
@@ -204,11 +212,13 @@ def compute_residuals(
     flux_kind: str = "rusanov",
     bc: BoundaryData | np.ndarray | None = None,
     jump_coeff: float = 0.1,
+    edge_speed: np.ndarray | None = None,
 ) -> ResidualSet:
     """Evaluate one residual variant over the whole mesh.
 
     ``cs`` and ``st`` correct the ``fr`` residuals; ``jump_coeff`` scales
-    the dissipation of ``st``.  The residuals are evaluated at once; the
+    the dissipation of ``st``; ``edge_speed`` is passed to
+    :func:`interface_fluxes`.  The residuals are evaluated at once; the
     accounting of the set's ``edges`` is computed on first read.
     """
     if variant not in VARIANTS:
@@ -219,7 +229,7 @@ def compute_residuals(
     # reshapes: every (nE, m, ...) array below holds the n_local_edges * nq_e
     # edge points of each element, edge by edge.
     p = disc.p
-    edges = interface_fluxes(disc, law, u, flux_kind, bc)
+    edges = interface_fluxes(disc, law, u, flux_kind, bc, edge_speed)
 
     phi = np.zeros((disc.n_dofs, p))
     bphi = np.zeros((disc.n_dofs, p))

@@ -25,6 +25,11 @@ g(u_L).n, equal to the element-by-element sum up to round-off.
 :func:`solve_steady` is the one step loop; ``SolverConfig(max_iters=1)``
 takes a single step.
 
+Once per solve, not per step: the Dirichlet values at the edge points and,
+for a law whose wave speeds do not depend on the state
+(``ConservationLaw.state_dependent_speeds`` False: the advection laws), the
+step coefficient and the Rusanov dissipation speed at the edge points.
+
 Errors against a manufactured solution are measured with one stacked volume
 rule and one stacked space evaluation per element group, for every element
 family.
@@ -39,7 +44,7 @@ import numpy as np
 from . import entropy as entropy_mod
 from .approximation import volume_rules
 from .discretization import BoundaryData, Discretization
-from .physics import ConservationLaw
+from .physics import ConservationLaw, rusanov_speed
 from .residual import assemble_global, compute_residuals
 
 
@@ -117,9 +122,10 @@ def _dt_over_mu(disc: Discretization, law: ConservationLaw, u: np.ndarray,
 
 
 def residual_vector(disc: Discretization, law: ConservationLaw, u: np.ndarray,
-                    config: SolverConfig, bc) -> tuple[np.ndarray, float]:
+                    config: SolverConfig, bc, edge_speed=None) -> tuple[np.ndarray, float]:
     rset = compute_residuals(
-        disc, law, u, config.variant, config.flux, bc, jump_coeff=config.jump_coeff
+        disc, law, u, config.variant, config.flux, bc, jump_coeff=config.jump_coeff,
+        edge_speed=edge_speed,
     )
     R = assemble_global(disc, rset)
     # sum_K (sum <v, Phi> - oint_dK g_hat): the entropy flux of an interior
@@ -139,10 +145,9 @@ def solve_steady(disc: Discretization, law: ConservationLaw,
 
     Convergence is relative to the first residual norm; an absolute floor
     catches exact initial data.  Stagnation (no relative progress over a
-    trailing window) returns the best iterate with a flag.  The per-DOF
-    step coefficient depends on the state only through the wave speeds at
-    the DOFs, so it is rebuilt only on steps where those change: once for
-    advection, every step for Burgers.
+    trailing window) returns the best iterate with a flag.  The step
+    coefficient depends on the state only through the wave speeds at the
+    DOFs: built once for advection, every step for Burgers.
     """
     u = disc.zero_states() if initial is None else np.array(initial, dtype=float)
     if u.ndim == 1:
@@ -151,14 +156,20 @@ def solve_steady(disc: Discretization, law: ConservationLaw,
     mu_col, mu_sum = mu[:, None], mu.sum()
     if isinstance(bc, BoundaryData):
         bc = disc.boundary_values(bc)  # Dirichlet data is state-independent
-    speed_floor = _boundary_wave_speed(disc, law, bc)
+    coef = edge_speed = None
+    if law.state_dependent_speeds:
+        speed_floor = _boundary_wave_speed(disc, law, bc)
+    else:
+        # every DOF has the Dirichlet data's speed already: no floor needed
+        coef = _dt_over_mu(disc, law, u, config, mu)[:, None]
+        if config.flux == "rusanov":
+            edge_speed = rusanov_speed(law, disc.edge_traces(u, bc), disc.edge_normal_q)
     trace = SolveTrace()
 
     best_u, best_res = u, np.inf
     res0 = None
-    speeds = coef = None
     for it in range(config.max_iters):
-        R, gap = residual_vector(disc, law, u, config, bc)
+        R, gap = residual_vector(disc, law, u, config, bc, edge_speed)
         res = float(np.sqrt((mu_col * R * R).sum() / mu_sum))
         trace.res_l2.append(res)
         trace.res_linf.append(float(np.abs(R).max()))
@@ -178,9 +189,7 @@ def solve_steady(disc: Discretization, law: ConservationLaw,
             if abs(trace.res_l2[-w] - res) <= STAGNATION_EPS * trace.res_l2[-w]:
                 trace.stagnated = True
                 break
-        step_speeds = law.max_wave_speed(u)
-        if speeds is None or not np.array_equal(step_speeds, speeds):
-            speeds = step_speeds
+        if law.state_dependent_speeds:
             coef = _dt_over_mu(disc, law, u, config, mu, speed_floor)[:, None]
         u = u - coef * R
         if not np.abs(u).max() <= DIVERGENCE_LIMIT:  # NaN compares false: raises too

@@ -2,8 +2,10 @@
 
 The step gathers rows with ``take``, contracts 2-vectors component by
 component, builds advection fluxes with two ``out=`` multiplies, evaluates
-boundary-face residuals only on elements that own a boundary edge and
-rebuilds the step coefficient only when the wave speeds change.  None of
+boundary-face residuals only on elements that own a boundary edge, takes
+the element's own boundary flux from the two-point flux's normal fluxes and
+builds the step coefficient and the Rusanov edge speed once per solve for a
+law whose wave speeds do not depend on the state.  None of
 that may change a floating-point operation, so every result here must
 equal the plain forms below bit for bit (``np.array_equal``): fancy-index
 gathers, ``(a * b).sum(-1)`` contractions, broadcast products, boundary
@@ -327,15 +329,24 @@ SOLVES = {
     # Burgers from rest: the speeds change on every step
     "burgers-tri": (ph.burgers_2d, "tri-k1", lambda x: 0.5 + 0.0 * x[:, 0], True),
     "burgers-ring": (ph.burgers_2d, "hexagon-ring", lambda x: 0.5 + 0.2 * x[:, 1], True),
+    # the quad path of the benchmark, the exponential entropy at k=2, and a
+    # central flux (an optional fifth entry names the flux)
+    "advection-skewed-quads": (lambda: ph.linear_advection(VELOCITY), "skewed-quads",
+                               lambda x: np.sin(3.0 * x[:, 0] - 2.0 * x[:, 1]), True),
+    "exp-advection-tri-k2": (lambda: ph.exp_advection(EXP_VELOCITY), "tri-k2",
+                             lambda x: np.cos(2.0 * x[:, 0] + x[:, 1]), True),
+    "advection-central": (lambda: ph.linear_advection(VELOCITY), "tri-k1",
+                          lambda x: np.sin(3.0 * x[:, 0] - 2.0 * x[:, 1]), True, "central"),
 }
 
 
 @pytest.mark.parametrize("case", list(SOLVES))
 def test_solve_steady_equals_reference_loop(case):
-    make_law, mesh_name, profile, local_dt = SOLVES[case]
+    make_law, mesh_name, profile, local_dt, *flux = SOLVES[case]
     disc, law = _disc(mesh_name), make_law()
     bc = BoundaryData.from_function(profile)
-    config = sv.SolverConfig(cfl=0.5, max_iters=300, residual_tol=1e-30, local_dt=local_dt)
+    config = sv.SolverConfig(cfl=0.5, max_iters=300, residual_tol=1e-30, local_dt=local_dt,
+                             flux=flux[0] if flux else "rusanov")
     u, trace = sv.solve_steady(disc, law, config, bc)
     u_ref, trace_ref = ref_solve_steady(disc, law, config, bc)
     assert trace.iterations == trace_ref.iterations == 300

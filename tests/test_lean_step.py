@@ -5,8 +5,12 @@ and conservation accounting of a residual set's interface fluxes is computed
 when it is first read, and the entropy-gap monitor telescopes to the domain
 boundary, so an ``fr``/``dg``/``dg-interp``/``fr-strong`` step evaluates no
 edge entropy flux.  The telescoped gap must equal the element-by-element one
-up to round-off.
+up to round-off.  A law whose wave speeds do not depend on the state has
+them evaluated once per solve, and the central and Rusanov fluxes evaluate
+the law's flux on the edge traces once per step, boundary rows included.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -88,3 +92,50 @@ def test_telescoped_gap_equals_element_sum(mesh_name, law_name):
         want = np.einsum("dp,dp->", vn, rset.phi) - rset.edges.gbal.sum()
         scale = max(1.0, float(np.abs(rset.edges.gbal).sum()))
         assert abs(gap - want) <= 1e-14 * scale, variant
+
+
+def _counted(law, names, calls, keep=lambda *args: True):
+    """``law`` with each field in ``names`` counting its calls in ``calls``
+    (those whose arguments ``keep`` accepts)."""
+
+    def wrap(name, fn):
+        def counted(*args):
+            calls[name] += bool(keep(*args))
+            return fn(*args)
+        return counted
+
+    return replace(law, **{name: wrap(name, getattr(law, name)) for name in names})
+
+
+def _ten_steps(law, flux="rusanov"):
+    disc = _disc("tri-k1")
+    bc = BoundaryData.from_function(lambda x: 0.5 + 0.3 * np.sin(3.0 * x[:, 0] - 2.0 * x[:, 1]))
+    cfg = sv.SolverConfig(cfl=0.3, max_iters=10, residual_tol=1e-30, flux=flux)
+    _, trace = sv.solve_steady(disc, law, cfg, bc)
+    assert trace.iterations == 10
+    return trace
+
+
+@pytest.mark.parametrize("law_name", list(LAWS))
+def test_state_independent_speeds_are_evaluated_once_per_solve(law_name):
+    calls = {"max_wave_speed": 0, "wave_speed": 0}
+    law = _counted(LAWS[law_name](), list(calls), calls)
+    trace = _ten_steps(law)
+    if law.state_dependent_speeds:  # burgers: on every step
+        assert min(calls.values()) >= trace.iterations, calls
+    else:
+        assert calls == {"max_wave_speed": 1, "wave_speed": 1}
+
+
+@pytest.mark.parametrize("law_name", ["advection", "burgers"])
+@pytest.mark.parametrize("flux", ["rusanov", "central"])
+def test_edge_flux_is_evaluated_once_per_step(law_name, flux):
+    # on "tri-k1" an element holds 3 DOFs and an edge 2 points, so the
+    # flux calls on edge traces are the ones with 2 points on axis -2
+    disc = _disc("tri-k1")
+    assert disc.nq_edge == 2 and {g.n_dof for g in disc.groups} == {3}
+    calls = {"flux": 0}
+    law = _counted(LAWS[law_name](), ["flux"], calls,
+                   keep=lambda u: np.shape(u)[-2] == disc.nq_edge)
+    trace = _ten_steps(law, flux)
+    assert calls["flux"] == trace.iterations

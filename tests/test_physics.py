@@ -135,3 +135,29 @@ def test_law_registry_and_errors():
             ph.law_by_name(name, params)
     with pytest.raises(ph.UnsupportedLaw):
         ph.linear_advection([0.0, 0.0])
+
+
+@pytest.mark.parametrize("name", list(ph._LAW_BUILDERS))
+def test_state_independent_speed_declaration_is_honest(name):
+    # a solve evaluates the wave speeds of a law that declares them
+    # state-independent once, so they must not move with the state
+    law = ph.law_by_name(name, {"velocity": [0.731, -1.29]} if name != "burgers" else {})
+    rng = np.random.default_rng(91)
+    ang = rng.uniform(0.0, 2.0 * np.pi, (2, 40, 3))
+    n = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    u, w = law.random_states(rng, (2, 40, 3)), law.random_states(rng, (2, 40, 3))
+    same = (np.array_equal(law.max_wave_speed(u), law.max_wave_speed(w))
+            and np.array_equal(law.wave_speed(u, n), law.wave_speed(w, n)))
+    if not law.state_dependent_speeds:
+        assert same
+    if name == "burgers":
+        assert law.state_dependent_speeds and not same
+
+
+def test_hand_built_law_declares_state_dependent_speeds():
+    law = ph.linear_advection([1.0, 0.0])
+    fields = {f: getattr(law, f) for f in ("name", "p", "flux", "entropy", "entropy_vars",
+                                           "entropy_flux", "potential", "wave_speed",
+                                           "max_wave_speed")}
+    assert not law.state_dependent_speeds
+    assert ph.ConservationLaw(**fields).state_dependent_speeds
