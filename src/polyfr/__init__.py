@@ -5,15 +5,7 @@ entropy-conservative correction fields, and executable verification of the
 conservation and entropy identities the discretization is built on.
 """
 
-from .approximation import (
-    ElementSpace,
-    QuadratureRule,
-    build_space,
-    edge_quadrature,
-    interpolate,
-    polygon_moment,
-    volume_quadrature,
-)
+from .approximation import polygon_moment
 from .correction import (
     CorrectionError,
     CorrectionField,

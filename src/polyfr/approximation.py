@@ -15,27 +15,20 @@ coordinates, each built for a whole stack of same-family elements at once
 * ``polygon`` (``PolygonSpaces``): Wachspress coordinates on convex
   polygons, degree 1 only.
 
-A one-element :class:`ElementSpace` (``TriangleSpace``, ``QuadSpace``,
-``PolygonSpace``) is its family's stack of one; it adds only ``contains``.
-``volume_rules`` gives a stack of volume rules, padded with zero weights
-where the per-element orders differ; ``volume_quadrature`` is its stack of
-one.  Quadrature rules promise exactness for all monomials of total degree
-up to ``declared_order``; the promise is checked against analytic polygon
-moments computed independently via the divergence theorem.
+One element is a stack of one: vertices (1, n, 2), points (1, m, 2).
+``edge_rules`` and ``volume_rules`` give stacks of edge and volume rules,
+the latter padded with zero weights where the per-element orders differ.
+Volume rules promise exactness for all monomials of total degree up to
+their order; ``rule_moment_defects`` checks the promise against analytic
+polygon moments computed independently via the divergence theorem.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .mesh import polygon_centroid, shoelace_area
-
-
-class PointOutsideElement(ValueError):
-    pass
 
 
 class UnsupportedSpace(ValueError):
@@ -45,13 +38,6 @@ class UnsupportedSpace(ValueError):
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    points: np.ndarray  # (n, 2) physical coordinates
-    weights: np.ndarray  # (n,), positive
-    declared_order: int
-
 
 def element_kind(n_vertices: int) -> str:
     """The element family of an n-gon: triangle, quad or polygon."""
@@ -72,13 +58,6 @@ def edge_rules(p0, p1, order: int) -> tuple[np.ndarray, np.ndarray]:
     span = p1 - p0
     pts = p0[..., None, :] + t[:, None] * span[..., None, :]
     return pts, w * np.hypot(span[..., 0], span[..., 1])[..., None]
-
-
-def edge_quadrature(p0, p1, order: int) -> QuadratureRule:
-    """Gauss rule on the segment [p0, p1]: the stack of one of
-    :func:`edge_rules`."""
-    pts, w = edge_rules(np.asarray(p0, dtype=float), np.asarray(p1, dtype=float), order)
-    return QuadratureRule(pts, w, order)
 
 
 def triangle_rules(coords: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -161,14 +140,6 @@ def volume_rules(kind: str, coords: np.ndarray, orders) -> tuple[np.ndarray, np.
     return pts, wts
 
 
-def volume_quadrature(coords, order: int, kind: str | None = None) -> QuadratureRule:
-    """Volume rule on one element polygon, exact for total degree <= order:
-    the stack of one of :func:`volume_rules`."""
-    coords = np.asarray(coords, dtype=float)
-    pts, w = volume_rules(kind or element_kind(len(coords)), coords[None], order)
-    return QuadratureRule(pts[0], w[0], order)
-
-
 def polygon_moment(coords, a: int, b: int) -> float:
     """Exact integral of x^a y^b over a polygon via the divergence theorem.
 
@@ -190,8 +161,10 @@ def polygon_moment(coords, a: int, b: int) -> float:
     return total
 
 
-def rule_moment_defects(rule: QuadratureRule, coords) -> float:
-    """Worst scaled exactness defect of a rule over its declared monomials.
+def rule_moment_defects(points, weights, order: int, coords) -> float:
+    """Worst scaled exactness defect of the rule ``points`` (n, 2),
+    ``weights`` (n,) on the polygon ``coords`` over the monomials of total
+    degree <= ``order``.
 
     Defects are scaled by |K| * max|x|^a * max|y|^b so that symmetric
     (vanishing) moments do not inflate the measure.
@@ -201,10 +174,10 @@ def rule_moment_defects(rule: QuadratureRule, coords) -> float:
     mx = max(1e-30, float(np.abs(coords[:, 0]).max()))
     my = max(1e-30, float(np.abs(coords[:, 1]).max()))
     worst = 0.0
-    for a in range(rule.declared_order + 1):
-        for b in range(rule.declared_order + 1 - a):
+    for a in range(order + 1):
+        for b in range(order + 1 - a):
             exact = polygon_moment(coords, a, b)
-            approx = float(np.sum(rule.weights * rule.points[:, 0] ** a * rule.points[:, 1] ** b))
+            approx = float(np.sum(weights * points[:, 0] ** a * points[:, 1] ** b))
             scale = max(abs(exact), area * mx**a * my**b)
             worst = max(worst, abs(approx - exact) / scale)
     return worst
@@ -270,33 +243,17 @@ class SpaceStack:
     Each family provides ``eval``, mapping points (nE, m, 2), row e inside
     element e, to values (nE, m, nd), and ``grad``, mapping them to
     gradients (nE, m, nd, 2); ``dof_coords`` is (nE, nd, 2) and
-    ``sub_triangulation`` the DOF sub-triangles.  ``[i]`` is element i's
-    :class:`ElementSpace` (its ``contains`` is the family's), which shares
-    this stack's per-element arrays (the names in ``_stacked``) instead of
+    ``sub_triangulation`` the DOF sub-triangles.  ``take`` selects elements,
+    sharing the per-element arrays (the names in ``_stacked``) instead of
     building them again.
     """
 
     kind: str
-    element: type  # the family's ElementSpace, the stack of one
     _stacked = ("vertices", "dof_coords")
 
     def __init__(self, coords, degree):
         self.vertices = np.asarray(coords, dtype=float)
         self.degree = int(degree)
-
-    @property
-    def n_dof(self) -> int:
-        return self.dof_coords.shape[1]
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    def __getitem__(self, i) -> "ElementSpace":
-        i = range(len(self))[i]
-        return self.element(self.vertices[i], self.degree, self.take(slice(i, i + 1)))
 
     def take(self, index) -> "SpaceStack":
         """The stack of the elements ``index`` (a slice or index array)."""
@@ -458,13 +415,10 @@ class PolygonSpaces(SpaceStack):
         # the edges whose distances enter vertex i's weight
         self._keep = [[j for j in range(n) if j not in ((i - 1) % n, i)] for i in range(n)]
 
-    def _edge_distances(self, points: np.ndarray) -> np.ndarray:
+    def _weights(self, points: np.ndarray):
         # h[e, p, i] = signed distance of point p to edge line i (positive inside)
         diff = points[:, :, None, :] - self.vertices[:, None, :, :]
-        return (diff * self._inward[:, None, :, :]).sum(-1)
-
-    def _weights(self, points: np.ndarray):
-        h = self._edge_distances(points)
+        h = (diff * self._inward[:, None, :, :]).sum(-1)
         w = np.stack([
             self._corner[:, i, None] * np.prod(h[..., keep], axis=-1)
             for i, keep in enumerate(self._keep)
@@ -486,93 +440,4 @@ class PolygonSpaces(SpaceStack):
         return phi[..., None] * (ratio - mean)
 
 
-class ElementSpace:
-    """One physical element's space: its family's :class:`SpaceStack` of
-    one.  ``eval`` maps points (m, 2) to values (m, n_dof) and ``grad`` to
-    gradients (m, n_dof, 2); each family's subclass adds ``contains``."""
-
-    stack_type: type
-
-    def __init__(self, vertices, degree: int, stack: SpaceStack | None = None):
-        self.vertices = np.asarray(vertices, dtype=float)
-        self.degree = int(degree)
-        self._stack = stack if stack is not None else self.stack_type(self.vertices[None], degree)
-        self.dof_coords = self._stack.dof_coords[0]
-        self.sub_triangulation = self._stack.sub_triangulation
-
-    @property
-    def n_dof(self) -> int:
-        return len(self.dof_coords)
-
-    def eval(self, points):
-        return self._stack.eval(np.atleast_2d(points)[None])[0]
-
-    def grad(self, points):
-        return self._stack.grad(np.atleast_2d(points)[None])[0]
-
-
-class TriangleSpace(ElementSpace):
-    stack_type = TriangleSpaces
-
-    def contains(self, x, tol: float = 1e-10) -> bool:
-        v0, v1, v2 = self.vertices
-        mat = np.stack([v1 - v0, v2 - v0], axis=1)
-        lam = np.linalg.solve(mat, np.asarray(x, dtype=float) - v0)
-        return bool(lam[0] >= -tol and lam[1] >= -tol and lam.sum() <= 1.0 + tol)
-
-
-class QuadSpace(ElementSpace):
-    stack_type = QuadSpaces
-
-    def contains(self, x, tol: float = 1e-10) -> bool:
-        r = self._stack._inverse_map(np.asarray(x, dtype=float)[None, None, :])[0, 0]
-        return bool((r >= -tol).all() and (r <= 1.0 + tol).all())
-
-
-class PolygonSpace(ElementSpace):
-    stack_type = PolygonSpaces
-
-    def contains(self, x, tol: float = 1e-10) -> bool:
-        scale = math.sqrt(abs(shoelace_area(self.vertices)))
-        dist = self._stack._edge_distances(np.asarray(x, dtype=float)[None, None, :])
-        return bool(dist.min() >= -tol * scale)
-
-
-for _one in (TriangleSpace, QuadSpace, PolygonSpace):
-    _one.stack_type.element = _one
-
 SPACES = {"triangle": TriangleSpaces, "quad": QuadSpaces, "polygon": PolygonSpaces}
-
-
-_HEXAGON_ANGLES = 2.0 * math.pi * np.arange(6) / 6
-_REFERENCE_VERTICES = {
-    "triangle": np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-    "quad": np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
-    "polygon": np.stack([np.cos(_HEXAGON_ANGLES), np.sin(_HEXAGON_ANGLES)], axis=1),
-}
-
-
-def build_space(kind: str, degree: int, vertices=None) -> ElementSpace:
-    """Build the Lagrange space of the requested kind and degree.
-
-    Without explicit ``vertices`` the space is bound to the reference element
-    (unit triangle / unit square / regular hexagon).
-    """
-    if kind not in SPACES:
-        raise UnsupportedSpace(f"unknown element kind {kind!r}")
-    vertices = _REFERENCE_VERTICES[kind] if vertices is None else vertices
-    return SPACES[kind].element(np.asarray(vertices, dtype=float), degree)
-
-
-def interpolate(space: ElementSpace, coeffs: np.ndarray, x) -> np.ndarray:
-    """Evaluate the interpolant at a point inside the element.
-
-    ``coeffs`` has shape (n_dof,) or (n_dof, p); the result matches the
-    trailing shape.  Points outside the element (beyond a small tolerance)
-    raise :class:`PointOutsideElement`.
-    """
-    x = np.asarray(x, dtype=float)
-    if not space.contains(x):
-        raise PointOutsideElement(f"point {x} lies outside the element")
-    vals = space.eval(x[None, :])[0]
-    return vals @ np.asarray(coeffs)

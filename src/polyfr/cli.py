@@ -46,7 +46,7 @@ from . import residual as residual_mod
 from .approximation import UnsupportedSpace
 from .correction import CorrectionError
 from .discretization import BoundaryData, Discretization
-from .mesh import Mesh, MeshError, is_int, load_mesh, refine_uniform
+from .mesh import Mesh, MeshError, is_finite_number, is_int, load_mesh, refine_uniform
 from .physics import (
     law_by_name,
     numerical_flux,
@@ -112,13 +112,6 @@ PROFILE_PARAMS = {
 }
 
 
-def _is_finite_number(value) -> bool:
-    try:
-        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
 def _reject_unknown(section: dict, known: tuple, what: str) -> None:
     unknown = sorted(set(section) - set(known))
     if unknown:
@@ -137,7 +130,7 @@ def _profile(profile):
     p = {}
     for key, default in PROFILE_PARAMS[kind].items():
         value = profile.get(key, default)
-        if not _is_finite_number(value):
+        if not is_finite_number(value):
             raise ConfigError(f"{kind} profile parameter {key!r} must be a finite number, "
                               f"got {value!r}")
         p[key] = float(value)
@@ -187,7 +180,7 @@ def load_config(path) -> dict:
     if not isinstance(solver.get("local_dt", True), bool):
         raise ConfigError(f"solver.local_dt must be true or false, got {solver['local_dt']!r}")
     for key in ("cfl", "residual_tol", "jump_coeff"):
-        if key in solver and not _is_finite_number(solver[key]):
+        if key in solver and not is_finite_number(solver[key]):
             raise ConfigError(f"solver.{key} must be a finite number, got {solver[key]!r}")
     try:
         law_by_name(cfg["law"], cfg.get("law_params"))
@@ -346,7 +339,7 @@ def defect_battery(disc: Discretization, law, u, fr,
         if a is None:
             out[key] = None
         elif key == "eq44":
-            out[key] = float(max(0.0, -a.min()))
+            out[key] = float(_worst(max, 0.0, -a.min()))
         elif key == "ck_bdk_min":
             out[key] = float(a.min())
         else:
@@ -356,19 +349,23 @@ def defect_battery(disc: Discretization, law, u, fr,
     return out, arrays
 
 
+def _worst(pick, *values):
+    """``pick`` (``min`` or ``max``) of ``values``, or NaN if one is NaN."""
+    return math.nan if any(math.isnan(v) for v in values) else pick(values)
+
+
 def _merge_defects(acc: dict, defects: dict) -> None:
     # worst case across levels; the element-split margin keeps its minimum
     for key in DEFECT_KEYS:
         known = [x for x in (acc.get(key), defects.get(key)) if x is not None]
-        worst = min if key == "ck_bdk_min" else max
-        acc[key] = worst(known) if known else None
+        acc[key] = _worst(min if key == "ck_bdk_min" else max, *known) if known else None
 
 
 def _check_defects(defects: dict, tol_scale: float) -> None:
     for key, tol in DEFECT_TOLS.items():
         if defects.get(key) is None:
             continue
-        if defects[key] > tol * tol_scale:
+        if not defects[key] <= tol * tol_scale:  # a NaN fails too
             raise InvariantViolation(
                 f"{DEFECT_LABEL[key]} defect {defects[key]:.3e} > tol {tol * tol_scale:.1e}"
             )
@@ -468,10 +465,24 @@ def run(config_path, output_dir=None, seed: int = 0, tol_scale: float = 1.0) -> 
     return report
 
 
+def _strict(obj):
+    """``obj`` with each non-finite float written as its name ("nan", "inf",
+    "-inf"), so that it dumps to strict JSON."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(value) for value in obj]
+    return obj
+
+
+def _dumps(obj, **kwargs) -> str:
+    return json.dumps(_strict(obj), allow_nan=False, sort_keys=True, **kwargs)
+
+
 def _write_report(out_dir: Path, report: dict, per_elem_rows: list[dict]) -> None:
-    (out_dir / "report.json").write_text(
-        json.dumps(report, indent=1, sort_keys=True), encoding="utf-8"
-    )
+    (out_dir / "report.json").write_text(_dumps(report, indent=1), encoding="utf-8")
     with open(out_dir / "levels.csv", "w", newline="", encoding="utf-8") as fh:
         cols = ["level", "n_elements", "h", "l2_error", "linf_error", "order",
                 "entropy_defect_max", "iterations"]
@@ -537,9 +548,8 @@ def verify(config_path, suite: str, seed: int = 0, tol_scale: float = 1.0,
             for name in (n for n in names if n in arrays):
                 if arrays[name] is None:
                     raise InvariantViolation(arrays["degenerate_correction"])
-                prev = worst.get(name, 0.0)
-                worst[name] = (min(prev, float(arrays[name].min())) if name == "eq44"
-                               else max(prev, float(arrays[name].max())))
+                value = float(arrays[name].min() if name == "eq44" else arrays[name].max())
+                worst[name] = _worst(min if name == "eq44" else max, worst.get(name, value), value)
 
     checks = {}
     for name in (n for n in names if n in worst):
@@ -572,16 +582,15 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             report = run(args.config, args.output_dir, args.seed, args.tol_scale)
-            print(json.dumps({"case": report["case"], "defects": report["defects"],
-                              "orders": report["orders"]}, sort_keys=True))
+            print(_dumps({"case": report["case"], "defects": report["defects"],
+                          "orders": report["orders"]}))
             return 0
         report = verify(args.config, args.suite, args.seed, args.tol_scale, args.draws)
         if args.output_dir:
             out = Path(args.output_dir)
             out.mkdir(parents=True, exist_ok=True)
-            (out / f"verify_{args.suite}.json").write_text(
-                json.dumps(report, indent=1, sort_keys=True), encoding="utf-8"
-            )
+            (out / f"verify_{args.suite}.json").write_text(_dumps(report, indent=1),
+                                                          encoding="utf-8")
         for name, chk in report["checks"].items():
             print(f"{'PASS' if chk['pass'] else 'FAIL'} {name}: {chk['value']:.3e} "
                   f"(tol {chk['tol']:.1e})")

@@ -20,8 +20,7 @@ construct such fields:
     tables of a whole triangle group in one stacked pass (batched Gram,
     trace and closure solves and one batched condition check);
     ``RTBasis`` and ``RTCorrectionBackend`` are the same construction for
-    one element, the public per-element API and the stacked build's
-    reference.
+    one element, kept as the stacked build's reference.
 
 ``neumann``
     On arbitrary polygons the field is sought in [P_d]^2, the first members
@@ -44,13 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approximation import (
-    ElementSpace,
-    QuadratureRule,
-    gauss_legendre_01,
-    triangle_rules,
-    volume_quadrature,
-)
+from .approximation import SpaceStack, gauss_legendre_01, triangle_rules
 from .mesh import polygon_centroid, shoelace_area
 
 
@@ -152,10 +145,10 @@ class RTBasis:
             vals = self._raw_eval(self.flux_points[e])  # (npts, n_dim, 2)
             trace_rows.append(vals @ self.edge_normals[e])
         tmat = np.vstack(trace_rows)  # (n_members, n_dim)
-        rule = volume_quadrature(self.vertices, 2 * p + 2, kind="triangle")
-        raw = self._raw_eval(rule.points)
+        pts, w = triangle_rules(self.vertices[None], 2 * p + 2)
+        raw = self._raw_eval(pts[0])
 
-        gram = np.einsum("q,qix,qjx->ij", rule.weights, raw, raw)
+        gram = np.einsum("q,qix,qjx->ij", w[0], raw, raw)
         gram_t = np.linalg.solve(gram, tmat.T)  # (n_dim, n_members)
         tgt = tmat @ gram_t
         cond = np.linalg.cond(tgt)
@@ -230,32 +223,31 @@ class CorrectionField:
 class RTCorrectionBackend:
     """Per-element tables turning interface mismatches into RT correction
     fields: ``r_table``, ``div_table`` (nd, m), ``vol_table`` (m, 2) and
-    ``trace_tables`` (one (nq_e, m) block per local edge).  Requires the
-    edge quadrature points to coincide with the RT flux points (the default
-    Gauss choice)."""
+    ``trace_tables`` (one (nq_e, m) block per local edge), from the
+    element's one-element ``space``, its volume rule ``vol_points`` (nq, 2)
+    and ``vol_w`` (nq,), and its edge rule points ``edge_points`` (one (nq_e, 2)
+    block per local edge).  Requires the edge quadrature points to coincide
+    with the RT flux points (the default Gauss choice)."""
 
-    def __init__(self, basis: RTBasis, space: ElementSpace,
-                 vol_rule: QuadratureRule, edge_rules: list[QuadratureRule]):
+    def __init__(self, basis: RTBasis, space: SpaceStack, vol_points, vol_w, edge_points):
         self.basis = basis
-        self.space = space
         self.n_alpha = basis.n_members
-        grad = space.grad(vol_rule.points)  # (nq, nd, 2)
-        phi = space.eval(vol_rule.points)
-        hval = basis.eval(vol_rule.points)  # (nq, m, 2)
-        hdiv = basis.div(vol_rule.points)  # (nq, m)
-        w = vol_rule.weights
-        self.r_table = -np.einsum("q,qdx,qmx->dm", w, grad, hval)
-        self.div_table = np.einsum("q,qd,qm->dm", w, phi, hdiv)
-        self.vol_table = np.einsum("q,qmx->mx", w, hval)  # (m, 2)
+        grad = space.grad(vol_points[None])[0]  # (nq, nd, 2)
+        phi = space.eval(vol_points[None])[0]
+        hval = basis.eval(vol_points)  # (nq, m, 2)
+        hdiv = basis.div(vol_points)  # (nq, m)
+        self.r_table = -np.einsum("q,qdx,qmx->dm", vol_w, grad, hval)
+        self.div_table = np.einsum("q,qd,qm->dm", vol_w, phi, hdiv)
+        self.vol_table = np.einsum("q,qmx->mx", vol_w, hval)  # (m, 2)
         self.trace_tables = []
-        for e, rule in enumerate(edge_rules):
-            if len(rule.points) != basis.degree + 1 or not np.allclose(
-                rule.points, basis.flux_points[e], atol=1e-12
+        for e, pts in enumerate(edge_points):
+            if len(pts) != basis.degree + 1 or not np.allclose(
+                pts, basis.flux_points[e], atol=1e-12
             ):
                 raise CorrectionError(
                     "edge quadrature points must coincide with the RT flux points"
                 )
-            self.trace_tables.append(basis.normal_trace(e, rule.points))
+            self.trace_tables.append(basis.normal_trace(e, pts))
 
     def field(self, alpha: list[np.ndarray]) -> CorrectionField:
         """Correction field for mismatch values ``alpha[e]`` of shape
@@ -459,18 +451,18 @@ class NeumannCorrectionBackend:
     solution basis exact.  Both solve operators are precomputed, and the
     free field's is precomposed into the mismatch-space tables the RT
     backend exposes (``r_table``, ``div_table``, ``vol_table``,
-    ``trace_tables``).
+    ``trace_tables``).  ``space`` is the element's one-element space,
+    ``vol_points`` (nq, 2) and ``vol_w`` (nq,) its volume rule,
+    ``edge_points`` (n, nq_e, 2) its edge rule points and ``edge_normals``
+    (n, 2) the outward unit normals of its local edges.
     """
 
-    def __init__(self, space: ElementSpace, vol_rule: QuadratureRule,
-                 edge_rules: list[QuadratureRule], edge_normals: list[np.ndarray]):
-        self.space = space
-        pts = vol_rule.points
+    def __init__(self, space: SpaceStack, vol_points, vol_w, edge_points, edge_normals):
+        pts = vol_points[None]
         ((_, self.field_degree, ops),) = _constrained_stack(
-            space.degree, space.vertices[None], space.dof_coords[None],
-            np.stack([r.points for r in edge_rules])[None],
-            np.asarray(edge_normals, dtype=float)[None], pts[None], vol_rule.weights[None],
-            space.eval(pts)[None], space.grad(pts)[None], [0])
+            space.degree, space.vertices, space.dof_coords, np.asarray(edge_points)[None],
+            np.asarray(edge_normals, dtype=float)[None], pts, vol_w[None],
+            space.eval(pts), space.grad(pts), [0])
         for name, op in ops.items():
             setattr(self, name, op[0])
 

@@ -152,7 +152,7 @@ class Discretization:
     def _build_edges(self) -> None:
         mesh = self.mesh
         ends = mesh.vertices[mesh.edge_vertices]
-        # one Gauss rule for all edges, each bit-identical to edge_quadrature's
+        # one Gauss rule per edge, built for all edges at once
         self.edge_pts, self.edge_w = edge_rules(ends[:, 0], ends[:, 1], self.edge_order)
         self.edge_normal_q = np.repeat(mesh.edge_normal[:, None, :], self.nq_edge, axis=1)
         # boundary rows of the weights and normals; each edge's row in arrays

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approximation import ElementSpace
+from .approximation import SpaceStack
 from .mesh import Mesh, MeshError
 
 
@@ -67,9 +67,9 @@ class DofGraph:
     elements: list[ElementDofGraph]
 
 
-def element_dof_graph(elem_id: int, space: ElementSpace) -> ElementDofGraph:
-    coords = space.dof_coords
-    subtris = space.sub_triangulation
+def element_dof_graph(elem_id: int, coords: np.ndarray, subtris) -> ElementDofGraph:
+    """The DOF graph of element ``elem_id`` with DOF points ``coords``
+    (n_dof, 2) joined by the sub-triangles ``subtris``."""
     n_dof = len(coords)
     scale = float(np.ptp(coords, axis=0).max())
 
@@ -125,8 +125,10 @@ def element_dof_graph(elem_id: int, space: ElementSpace) -> ElementDofGraph:
     return graph
 
 
-def build_dof_graph(mesh: Mesh, spaces: list[ElementSpace]) -> DofGraph:
-    """Build per-element DOF graphs for a mesh, one space per element."""
-    if len(spaces) != mesh.n_elements:
+def build_dof_graph(mesh: Mesh, spaces: SpaceStack) -> DofGraph:
+    """Build per-element DOF graphs for a mesh from the stacked space of all
+    its elements."""
+    if len(spaces.dof_coords) != mesh.n_elements:
         raise ValueError("need one element space per mesh element")
-    return DofGraph([element_dof_graph(e, sp) for e, sp in enumerate(spaces)])
+    return DofGraph([element_dof_graph(e, c, spaces.sub_triangulation)
+                     for e, c in enumerate(spaces.dof_coords)])

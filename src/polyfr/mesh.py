@@ -117,6 +117,14 @@ def is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def is_finite_number(value) -> bool:
+    """True for a finite Python int or float, False for bools and everything else."""
+    try:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def mesh_from_arrays(vertices, element_vertices, boundary=None) -> Mesh:
     """Build a Mesh with full topology from raw vertex/element arrays.
 

@@ -23,6 +23,8 @@ from typing import Callable
 
 import numpy as np
 
+from .mesh import is_finite_number
+
 
 class UnsupportedLaw(ValueError):
     pass
@@ -219,11 +221,26 @@ def exp_advection(a) -> ConservationLaw:
     )
 
 
+def _velocity(name: str, params: dict) -> list:
+    """The ``velocity`` parameter of the law ``name``: exactly two finite
+    numbers, not booleans (default (1, 0)); anything else raises
+    ``UnsupportedLaw``."""
+    a = params.get("velocity", [1.0, 0.0])
+    try:
+        ok = len(a) == 2 and all(is_finite_number(x) for x in a)
+    except TypeError:  # not a sequence
+        ok = False
+    if not ok:
+        raise UnsupportedLaw(f"law {name!r} parameter 'velocity' must be two finite numbers, "
+                             f"got {a!r}")
+    return a
+
+
 # each law's parameters and the function that makes it
 _LAW_BUILDERS = {
-    "advection": (("velocity",), lambda p: linear_advection(p.get("velocity", [1.0, 0.0]))),
+    "advection": (("velocity",), lambda p: linear_advection(_velocity("advection", p))),
     "burgers": ((), lambda p: burgers_2d()),
-    "exp-advection": (("velocity",), lambda p: exp_advection(p.get("velocity", [1.0, 0.0]))),
+    "exp-advection": (("velocity",), lambda p: exp_advection(_velocity("exp-advection", p))),
 }
 
 

@@ -11,27 +11,29 @@ RNG = np.random.default_rng(101)
 CASES = Path(__file__).resolve().parent.parent / "cases"
 
 UNIT_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+_ANG = 2.0 * np.pi * np.arange(6) / 6
+HEXAGON = np.stack([np.cos(_ANG), np.sin(_ANG)], axis=1)
+REFERENCE = {"triangle": UNIT_TRI, "quad": UNIT_SQUARE, "polygon": HEXAGON}
+
+
+def _one(kind, k, vertices):
+    return ap.SPACES[kind](np.asarray(vertices, dtype=float)[None], k)  # a stack of one
 
 
 @pytest.mark.parametrize("k,n_dof", [(1, 3), (2, 6), (3, 10)])
 def test_triangle_dof_counts(k, n_dof):
-    sp = ap.build_space("triangle", k)
-    assert sp.n_dof == n_dof == (k + 1) * (k + 2) // 2
+    sp = _one("triangle", k, UNIT_TRI)
+    assert sp.dof_coords.shape == (1, n_dof, 2) and n_dof == (k + 1) * (k + 2) // 2
 
 
 def test_hexagon_wachspress_dofs_and_partition_of_unity():
-    sp = ap.build_space("polygon", 1)
-    assert sp.n_dof == 6
-    # random interior points of the regular hexagon
-    pts = []
-    while len(pts) < 50:
-        x = RNG.uniform(-1, 1, 2)
-        if sp.contains(x, tol=-0.02):
-            pts.append(x)
-    pts = np.array(pts)
-    vals = sp.eval(pts)
+    sp = _one("polygon", 1, HEXAGON)
+    assert sp.dof_coords.shape == (1, 6, 2)
+    pts = _interior_points(HEXAGON[None], RNG, m=50)
+    vals = sp.eval(pts)[0]
     assert np.abs(vals.sum(axis=1) - 1.0).max() <= 1e-13
-    assert np.abs(sp.grad(pts).sum(axis=1)).max() <= 1e-12
+    assert np.abs(sp.grad(pts)[0].sum(axis=1)).max() <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -39,29 +41,28 @@ def test_hexagon_wachspress_dofs_and_partition_of_unity():
     [("triangle", 1), ("triangle", 2), ("triangle", 3), ("quad", 1), ("quad", 2), ("quad", 3), ("polygon", 1)],
 )
 def test_space_invariants(kind, k):
-    sp = ap.build_space(kind, k)
+    sp = _one(kind, k, REFERENCE[kind])
     # Lagrange property at the nodes
-    assert np.abs(sp.eval(sp.dof_coords) - np.eye(sp.n_dof)).max() <= 1e-12
-    pts = 0.05 + 0.4 * RNG.random((30, 2))
+    nodes = sp.dof_coords
+    assert np.abs(sp.eval(nodes)[0] - np.eye(nodes.shape[1])).max() <= 1e-12
+    pts = 0.05 + 0.4 * RNG.random((1, 30, 2))
     if kind == "polygon":
         pts = pts - 0.25
-    vals, grads = sp.eval(pts), sp.grad(pts)
+    vals, grads = sp.eval(pts)[0], sp.grad(pts)[0]
     assert np.abs(vals.sum(axis=1) - 1.0).max() <= 1e-13
     assert np.abs(grads.sum(axis=1)).max() <= 1e-12
     # gradients against central differences
     h = 1e-6
     for axis, dv in ((0, [h, 0.0]), (1, [0.0, h])):
-        fd = (sp.eval(pts + dv) - sp.eval(pts - dv)) / (2 * h)
+        fd = (sp.eval(pts + dv)[0] - sp.eval(pts - dv)[0]) / (2 * h)
         assert np.abs(fd - grads[:, :, axis]).max() <= 1e-6
 
 
 def test_unsupported_spaces_rejected():
     with pytest.raises(ap.UnsupportedSpace):
-        ap.build_space("polygon", 2)
+        _one("polygon", 2, HEXAGON)
     with pytest.raises(ap.UnsupportedSpace):
-        ap.build_space("triangle", 4)
-    with pytest.raises(ap.UnsupportedSpace):
-        ap.build_space("pentagon", 1)
+        _one("triangle", 4, UNIT_TRI)
     for k in (0, 4):
         with pytest.raises(ap.UnsupportedSpace):
             ap.TriangleSpaces(np.stack([UNIT_TRI, UNIT_TRI + 1.0]), k)
@@ -110,19 +111,24 @@ def test_stacked_spaces_equal_per_element_spaces(k, mesh_name):
     pts = np.einsum("emv,evx->emx", lam, coords)  # interior points
     stack = ap.TriangleSpaces(coords, k)
     vals, grads = stack.eval(pts), stack.grad(pts)
-    assert len(stack) == len(coords) and stack.dof_coords.shape == vals.shape[:1] + (vals.shape[2], 2)
-    for e, (c, x) in enumerate(zip(coords, pts)):
-        for space in (ap.TriangleSpace(c, k), stack[e]):
-            assert np.array_equal(space.eval(x), vals[e])
-            assert np.array_equal(space.grad(x), grads[e])
-            assert np.array_equal(space.dof_coords, stack.dof_coords[e])
-    assert np.array_equal(stack[-1].eval(pts[-1]), vals[-1])
-    with pytest.raises(IndexError):
-        stack[len(coords)]
+    assert stack.dof_coords.shape == vals.shape[:1] + (vals.shape[2], 2)
+    _assert_rows_are_stacks_of_one(stack, pts, vals, grads)
     if k <= 2:  # an independent reference for the shared arithmetic
         ref_vals, ref_grads = _barycentric_lagrange(coords, pts, k)
         assert np.abs(vals - ref_vals).max() <= 1e-13 * np.abs(ref_vals).max()
         assert np.abs(grads - ref_grads).max() <= 1e-13 * np.abs(ref_grads).max()
+
+
+def _assert_rows_are_stacks_of_one(stack, pts, vals, grads):
+    # each element's own stack of one, built anew or taken from the stack,
+    # gives its row bit for bit
+    for e, (c, x) in enumerate(zip(stack.vertices, pts)):
+        for one in (type(stack)(c[None], stack.degree), stack.take(slice(e, e + 1))):
+            assert np.array_equal(one.eval(x[None])[0], vals[e])
+            assert np.array_equal(one.grad(x[None])[0], grads[e])
+            assert np.array_equal(one.dof_coords[0], stack.dof_coords[e])
+    rows = np.array([len(pts) - 1, 0])
+    assert np.array_equal(stack.take(rows).eval(pts[rows]), vals[rows])
 
 
 def _family_stacks(name, k):
@@ -155,16 +161,8 @@ def test_stacked_quad_and_polygon_spaces_equal_per_element_spaces(name, k):
         stack = ap.SPACES[ap.element_kind(n)](coords, k)
         pts = _interior_points(coords, rng)
         vals, grads = stack.eval(pts), stack.grad(pts)
-        assert len(stack) == len(coords) and len(list(stack)) == len(coords)
-        assert stack.dof_coords.shape == (len(coords), stack.n_dof, 2) == vals.shape[:1] + (vals.shape[2], 2)
-        for e, (c, x) in enumerate(zip(coords, pts)):
-            for space in (ap.build_space(ap.element_kind(n), k, c), stack[e]):
-                assert np.array_equal(space.eval(x), vals[e])
-                assert np.array_equal(space.grad(x), grads[e])
-                assert np.array_equal(space.dof_coords, stack.dof_coords[e])
-        assert np.array_equal(stack[-1].eval(pts[-1]), vals[-1])
-        with pytest.raises(IndexError):
-            stack[len(coords)]
+        assert stack.dof_coords.shape == (len(coords), vals.shape[2], 2)
+        _assert_rows_are_stacks_of_one(stack, pts, vals, grads)
 
 
 @pytest.mark.parametrize("name,k", FAMILY_CASES)
@@ -173,7 +171,7 @@ def test_stacked_spaces_are_lagrange_and_linearly_precise(name, k):
     for n, coords in _family_stacks(name, k):
         stack = ap.SPACES[ap.element_kind(n)](coords, k)
         nodes = stack.dof_coords
-        assert np.abs(stack.eval(nodes) - np.eye(stack.n_dof)).max() <= 1e-13
+        assert np.abs(stack.eval(nodes) - np.eye(nodes.shape[1])).max() <= 1e-13
         pts = _interior_points(coords, rng)
         vals, grads = stack.eval(pts), stack.grad(pts)
         assert np.abs(vals.sum(axis=2) - 1.0).max() <= 1e-13
@@ -238,21 +236,21 @@ def test_stack_degree_and_convexity_checks():
 # ---------------------------------------------------------------------------
 
 def test_order2_rule_integrates_xy_on_unit_triangle():
-    rule = ap.volume_quadrature(UNIT_TRI, 2)
-    val = float(np.sum(rule.weights * rule.points[:, 0] * rule.points[:, 1]))
+    (pts,), (w,) = ap.volume_rules("triangle", UNIT_TRI[None], 2)
+    val = float(np.sum(w * pts[:, 0] * pts[:, 1]))
     assert abs(val - 1.0 / 24.0) <= 1e-14
 
 
 def test_weights_sum_to_area_for_random_quad():
     coords = np.array([[0, 0], [1.3, 0.2], [1.1, 1.0], [-0.1, 0.8]])
-    rule = ap.volume_quadrature(coords, 3)
-    assert abs(rule.weights.sum() - pm.shoelace_area(coords)) <= 1e-13
+    _, (w,) = ap.volume_rules("quad", coords[None], 3)
+    assert abs(w.sum() - pm.shoelace_area(coords)) <= 1e-13
 
 
 def test_hexagon_rule_matches_analytic_moment():
     coords = pm.regular_polygon_mesh(6).element_coords(0)
-    rule = ap.volume_quadrature(coords, 4)
-    got = float(np.sum(rule.weights * rule.points[:, 0] ** 2))
+    (pts,), (w,) = ap.volume_rules("polygon", coords[None], 4)
+    got = float(np.sum(w * pts[:, 0] ** 2))
     assert abs(got - ap.polygon_moment(coords, 2, 0)) <= 1e-13
 
 
@@ -267,9 +265,9 @@ def test_stacked_triangle_rules_equal_per_element_rules(order):
     pts, wts = ap.triangle_rules(coords, order)
     assert pts.shape[0] == wts.shape[0] == 128
     for c, x, w in zip(coords, pts, wts):
-        rule = ap.volume_quadrature(c, order, kind="triangle")
-        assert np.array_equal(rule.points, x)
-        assert np.array_equal(rule.weights, w)
+        (x1,), (w1,) = ap.triangle_rules(c[None], order)
+        assert np.array_equal(x1, x)
+        assert np.array_equal(w1, w)
 
 
 def _hexagon_stack(rng, n=5):
@@ -295,10 +293,10 @@ def test_volume_rules_equal_per_element_rules(kind):
     pts, wts = ap.volume_rules(kind, coords, orders)
     padded = 0
     for c, order, x, w in zip(coords, orders, pts, wts):
-        rule = ap.volume_quadrature(c, order, kind=kind)
-        m = len(rule.weights)
-        assert np.array_equal(rule.points, x[:m])
-        assert np.array_equal(rule.weights, w[:m])
+        (x1,), (w1,) = ap.volume_rules(kind, c[None], order)
+        m = len(w1)
+        assert np.array_equal(x1, x[:m])
+        assert np.array_equal(w1, w[:m])
         # padded slots: zero weight at a copy of the last point (inside)
         assert (w[m:] == 0.0).all() and (x[m:] == x[m - 1]).all()
         padded += len(w) - m
@@ -307,8 +305,8 @@ def test_volume_rules_equal_per_element_rules(kind):
     pts, wts = ap.volume_rules(kind, coords, 4)
     assert (wts > 0).all()
     for c, x, w in zip(coords, pts, wts):
-        rule = ap.volume_quadrature(c, 4, kind=kind)
-        assert np.array_equal(rule.points, x) and np.array_equal(rule.weights, w)
+        (x1,), (w1,) = ap.volume_rules(kind, c[None], 4)
+        assert np.array_equal(x1, x) and np.array_equal(w1, w)
 
 
 @pytest.mark.parametrize(
@@ -321,54 +319,54 @@ def test_volume_rules_equal_per_element_rules(kind):
 )
 @pytest.mark.parametrize("order", [1, 2, 4, 6])
 def test_volume_rule_exactness_against_divergence_moments(coords, kind, order):
-    rule = ap.volume_quadrature(coords, order, kind=kind)
-    assert (rule.weights > 0).all()
-    assert ap.rule_moment_defects(rule, coords) <= 1e-12
+    (pts,), (w,) = ap.volume_rules(kind, coords[None], order)
+    assert (w > 0).all()
+    assert ap.rule_moment_defects(pts, w, order, coords) <= 1e-12
 
 
 def test_edge_rule_order3_integrates_cubic_on_length_two_edge():
-    rule = ap.edge_quadrature([0.0, 0.0], [2.0, 0.0], 3)
-    got = float(np.sum(rule.weights * rule.points[:, 0] ** 3))
+    (pts,), (w,) = ap.edge_rules(np.array([[0.0, 0.0]]), np.array([[2.0, 0.0]]), 3)
+    got = float(np.sum(w * pts[:, 0] ** 3))
     assert abs(got - 4.0) <= 1e-13  # integral of s^3 over [0, 2]
-    assert abs(rule.weights.sum() - 2.0) <= 1e-14
+    assert abs(w.sum() - 2.0) <= 1e-14
 
 
 def test_edge_rule_points_symmetric_about_midpoint():
-    rule = ap.edge_quadrature([0.0, 0.0], [1.0, 1.0], 5)
+    (pts,), _ = ap.edge_rules(np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]]), 5)
     mid = np.array([0.5, 0.5])
-    mirrored = 2 * mid - rule.points[::-1]
-    assert np.abs(mirrored - rule.points).max() <= 1e-14
+    mirrored = 2 * mid - pts[::-1]
+    assert np.abs(mirrored - pts).max() <= 1e-14
 
 
 # ---------------------------------------------------------------------------
-# interpolation
+# interpolation: nodal values times the basis at points of the element
 # ---------------------------------------------------------------------------
 
 def test_interpolate_constant_everywhere():
-    sp = ap.build_space("triangle", 2)
-    coeffs = np.full(sp.n_dof, 3.25)
-    for x in (UNIT_TRI.mean(axis=0), [0.1, 0.2], [0.3, 0.3]):
-        assert abs(ap.interpolate(sp, coeffs, x) - 3.25) <= 1e-13
+    sp = _one("triangle", 2, UNIT_TRI)
+    coeffs = np.full(sp.dof_coords.shape[1], 3.25)
+    pts = np.array([UNIT_TRI.mean(axis=0), [0.1, 0.2], [0.3, 0.3]])
+    assert np.abs(sp.eval(pts[None])[0] @ coeffs - 3.25).max() <= 1e-13
 
 
 def test_interpolate_linear_field_at_centroid():
-    sp = ap.build_space("triangle", 1)
-    coeffs = sp.dof_coords[:, 0] + 2 * sp.dof_coords[:, 1]
+    sp = _one("triangle", 1, UNIT_TRI)
+    nodes = sp.dof_coords[0]
+    coeffs = nodes[:, 0] + 2 * nodes[:, 1]
     c = UNIT_TRI.mean(axis=0)
-    assert abs(ap.interpolate(sp, coeffs, c) - (c[0] + 2 * c[1])) <= 1e-14
+    assert abs(sp.eval(c[None, None])[0, 0] @ coeffs - (c[0] + 2 * c[1])) <= 1e-14
 
 
 def test_p2_reproduces_quadratic_at_random_points():
-    sp = ap.build_space("triangle", 2)
-    coeffs = sp.dof_coords[:, 0] ** 2
-    for _ in range(20):
-        x = RNG.random(2) * 0.4 + 0.05
-        assert abs(ap.interpolate(sp, coeffs, x) - x[0] ** 2) <= 1e-12
+    sp = _one("triangle", 2, UNIT_TRI)
+    coeffs = sp.dof_coords[0, :, 0] ** 2
+    pts = RNG.random((20, 2)) * 0.4 + 0.05
+    assert np.abs(sp.eval(pts[None])[0] @ coeffs - pts[:, 0] ** 2).max() <= 1e-12
 
 
 @pytest.mark.parametrize("kind,k", [("triangle", 1), ("triangle", 3), ("polygon", 1)])
 def test_interpolation_exact_on_matching_polynomials(kind, k):
-    sp = ap.build_space(kind, k)
+    sp = _one(kind, k, REFERENCE[kind])
     # random polynomial of total degree <= min(k, 1 for polygons)
     deg = 1 if kind == "polygon" else k
     cexp = [(a, b) for a in range(deg + 1) for b in range(deg + 1 - a)]
@@ -376,14 +374,8 @@ def test_interpolation_exact_on_matching_polynomials(kind, k):
     poly = lambda pts: sum(
         c * pts[:, 0] ** a * pts[:, 1] ** b for c, (a, b) in zip(cs, cexp)
     )
-    coeffs = poly(sp.dof_coords)
+    coeffs = poly(sp.dof_coords[0])
     pts = RNG.random((15, 2)) * 0.3 + 0.05
     if kind == "polygon":
         pts = pts - 0.2
-    assert np.abs(sp.eval(pts) @ coeffs - poly(pts)).max() <= 1e-12
-
-
-def test_point_outside_element_rejected():
-    sp = ap.build_space("triangle", 1)
-    with pytest.raises(ap.PointOutsideElement):
-        ap.interpolate(sp, np.zeros(3), [2.0, 2.0])
+    assert np.abs(sp.eval(pts[None])[0] @ coeffs - poly(pts)).max() <= 1e-12

@@ -249,13 +249,22 @@ BAD_CONFIGS = {
     "misspelt-law-parameter": {"law": "advection", "law_params": {"velocty": [0, 1]}},
     "burgers-law-parameter": {"law_params": {"velocity": [0, 1]}},
     "removed-correction-key": {"correction": "auto"},
+    # the transport velocity: exactly two finite JSON numbers, not booleans
+    "nan-velocity": {"law": "advection", "law_params": {"velocity": [float("nan"), 0]}},
+    "infinite-velocity": {"law": "advection", "law_params": {"velocity": [float("inf"), 0]}},
+    "boolean-velocity": {"law": "advection", "law_params": {"velocity": [True, 0]}},
+    "three-component-velocity": {"law": "advection", "law_params": {"velocity": [1, 0, 5]}},
+    "number-velocity": {"law": "advection", "law_params": {"velocity": 1.0}},
+    "string-exp-advection-velocity": {"law": "exp-advection",
+                                      "law_params": {"velocity": ["1", 0]}},
 }
 
-# the unknown key each of those configs must name
-UNKNOWN_KEYS = {
+# the key each of those configs must name: an unknown key, or a bad value's
+NAMED_KEYS = {
     "misspelt-top-level-key": "flx", "misspelt-solver-key": "max_iter",
     "misspelt-study-key": "levls", "misspelt-law-parameter": "velocty",
     "burgers-law-parameter": "velocity", "removed-correction-key": "correction",
+    **{key: "velocity" for key in BAD_CONFIGS if key.endswith("-velocity")},
 }
 
 
@@ -279,8 +288,8 @@ def test_config_errors_exit_4(tmp_path, capsys, command, key):
     assert cli.main(argv) == 4
     err = capsys.readouterr().err
     assert "config error" in err
-    if key in UNKNOWN_KEYS:
-        assert f"'{UNKNOWN_KEYS[key]}'" in err
+    if key in NAMED_KEYS:
+        assert f"'{NAMED_KEYS[key]}'" in err
 
 
 BAD_ARGUMENTS = {
@@ -419,6 +428,80 @@ def test_merged_defects_keep_negative_level_values():
     assert acc["eq5"] == 2e-15
     assert acc["ck_bdk_min"] == 0.2
     assert acc["eq32"] is None
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-strict JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_merged_and_checked_defects_keep_a_nan():
+    for levels in (({"eq5": 1e-15}, {"eq5": math.nan}), ({"eq5": math.nan}, {"eq5": 1e-15})):
+        acc = {}
+        for defects in levels:
+            cli._merge_defects(acc, defects)
+        assert math.isnan(acc["eq5"])
+    with pytest.raises(cli.InvariantViolation, match=r"Eq\. \(5\)"):
+        cli._check_defects({"eq5": math.nan}, 1.0)
+
+
+def test_run_with_a_nan_defect_exits_3_and_writes_strict_json(tmp_path, capsys, monkeypatch):
+    path = _write_case(tmp_path)
+    battery = cli.defect_battery
+
+    def nan_eq5(*args, **kwargs):
+        defects, arrays = battery(*args, **kwargs)
+        return {**defects, "eq5": math.nan}, arrays
+
+    monkeypatch.setattr(cli, "defect_battery", nan_eq5)
+    assert cli.main(["run", str(path), "--output-dir", str(tmp_path / "o")]) == 3
+    assert "Eq. (5) conservation defect nan" in capsys.readouterr().err
+    report = _strict_json((tmp_path / "o" / "report.json").read_text(encoding="utf-8"))
+    assert report["defects"]["eq5"] == "nan" == report["levels"][0]["defects"]["eq5"]
+
+
+def test_verify_nan_check_value_fails(tmp_path, capsys, monkeypatch):
+    # a NaN in the first draw only: later finite draws must not hide it
+    path = _write_case(tmp_path, law="burgers", law_params={})
+    checks, draws = cli.state_checks, []
+
+    def nan_first_draw(*args, **kwargs):
+        arrays = checks(*args, **kwargs)
+        if not draws:
+            arrays["eq5[fr]"][0] = math.nan
+        draws.append(1)
+        return arrays
+
+    monkeypatch.setattr(cli, "state_checks", nan_first_draw)
+    argv = ["verify", str(path), "--suite", "conservation", "--draws", "2",
+            "--output-dir", str(tmp_path / "v")]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert len(draws) == 2
+    assert "FAIL eq5[fr]: nan" in out and "suite conservation FAILED" in out
+    report = _strict_json((tmp_path / "v" / "verify_conservation.json").read_text(encoding="utf-8"))
+    assert report["checks"]["eq5[fr]"]["value"] == "nan"
+    assert report["checks"]["eq5[fr]"]["pass"] is False and report["passed"] is False
+    assert all(c["pass"] for name, c in report["checks"].items() if name != "eq5[fr]")
+
+
+def test_verify_eq44_reports_the_smallest_margin(monkeypatch):
+    # the value is the smallest margin over all draws, not floored at zero
+    checks, margins = cli.state_checks, []
+
+    def spy(*args, **kwargs):
+        arrays = checks(*args, **kwargs)
+        margins.append(arrays["eq44"].copy())
+        return arrays
+
+    monkeypatch.setattr(cli, "state_checks", spy)
+    report = cli.verify(CASES / "burgers_verify.json", "entropy-st", n_draws=3)
+    want = min(float(m.min()) for m in margins)
+    assert len(margins) == 3 and want > 0.0
+    assert report["checks"]["eq44"]["value"] == want
+    assert report["checks"]["eq44"]["pass"]
 
 
 def test_degenerate_entropy_correction_is_reported(tmp_path, capsys, monkeypatch):

@@ -14,14 +14,12 @@ TRI = np.array([[0.1, 0.0], [1.3, 0.2], [0.3, 1.1]])
 
 
 def _edge_rules(coords, order):
-    n = len(coords)
-    rules, normals = [], []
-    for i in range(n):
-        v0, v1 = coords[i], coords[(i + 1) % n]
-        rules.append(ap.edge_quadrature(v0, v1, order))
-        t = v1 - v0
-        normals.append(np.array([t[1], -t[0]]) / np.hypot(*t))
-    return rules, normals
+    """Points (n, nq, 2) and weights (n, nq) of the element's edge rules,
+    and the outward unit normals (n, 2) of its edges."""
+    ahead = np.roll(coords, -1, axis=0)
+    pts, w = ap.edge_rules(coords, ahead, order)
+    t = ahead - coords
+    return pts, w, np.stack([t[:, 1], -t[:, 0]], axis=1) / np.hypot(t[:, 0], t[:, 1])[:, None]
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -78,17 +76,17 @@ def test_rt_requires_triangle_and_supported_order():
 
 
 def _rt_backend(k):
-    sp = ap.TriangleSpace(TRI, k)
-    vol = ap.volume_quadrature(TRI, 2 * k)
-    rules, _ = _edge_rules(TRI, 2 * k + 1)
-    basis = co.RTBasis(k, TRI, flux_points=[r.points for r in rules])
-    return co.RTCorrectionBackend(basis, sp, vol, rules), sp, vol, rules
+    sp = ap.TriangleSpaces(TRI[None], k)
+    (vol_pts,), (vol_w,) = ap.volume_rules("triangle", TRI[None], 2 * k)
+    edge_pts, _, _ = _edge_rules(TRI, 2 * k + 1)
+    basis = co.RTBasis(k, TRI, flux_points=list(edge_pts))
+    return co.RTCorrectionBackend(basis, sp, vol_pts, vol_w, edge_pts), sp, (vol_pts, vol_w), edge_pts
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_rt_field_zero_mismatch_gives_zero_field(k):
-    backend, sp, _, rules = _rt_backend(k)
-    alpha = [np.zeros((len(r.points), 1)) for r in rules]
+    backend, sp, _, edge_pts = _rt_backend(k)
+    alpha = [np.zeros((len(pts), 1)) for pts in edge_pts]
     fld = backend.field(alpha)
     assert fld.trace_defect() == 0.0
     assert np.abs(fld.r_sigma).max() == 0.0
@@ -97,16 +95,16 @@ def test_rt_field_zero_mismatch_gives_zero_field(k):
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_rt_field_matches_trace_and_requadrature_oracle(k):
-    backend, sp, vol, rules = _rt_backend(k)
-    alpha = [RNG.normal(size=(len(r.points), 1)) for r in rules]
+    backend, sp, (vol_pts, vol_w), edge_pts = _rt_backend(k)
+    alpha = [RNG.normal(size=(len(pts), 1)) for pts in edge_pts]
     fld = backend.field(alpha)
     assert fld.trace_defect() <= 1e-12
     assert fld.r_sum() <= 1e-12 * fld.scale()
     # independent re-quadrature of r_sigma from pointwise field values
     coeff = np.vstack(alpha)
-    field_at = np.einsum("qmx,mp->qpx", backend.basis.eval(vol.points), coeff)
-    grads = sp.grad(vol.points)
-    r_oracle = -np.einsum("q,qdx,qpx->dp", vol.weights, grads, field_at)
+    field_at = np.einsum("qmx,mp->qpx", backend.basis.eval(vol_pts), coeff)
+    grads = sp.grad(vol_pts[None])[0]
+    r_oracle = -np.einsum("q,qdx,qpx->dp", vol_w, grads, field_at)
     assert np.abs(r_oracle - fld.r_sigma).max() <= 1e-12
 
 
@@ -137,16 +135,17 @@ def test_admissibility_flags_corrupted_trace():
 
 def _neumann_backend(coords, k, vol_order=None):
     kind = ap.element_kind(len(coords))
-    sp = ap.build_space(kind, k, coords)
+    sp = ap.SPACES[kind](coords[None], k)
     order = vol_order if vol_order is not None else (24 if kind == "polygon" else 2 * k + 12)
-    vol = ap.volume_quadrature(coords, order, kind=kind)
-    rules, normals = _edge_rules(coords, 2 * k + 1)
-    return co.NeumannCorrectionBackend(sp, vol, rules, normals), sp, vol, rules
+    (vol_pts,), (vol_w,) = ap.volume_rules(kind, coords[None], order)
+    edge_pts, edge_w, normals = _edge_rules(coords, 2 * k + 1)
+    backend = co.NeumannCorrectionBackend(sp, vol_pts, vol_w, edge_pts, normals)
+    return backend, sp, edge_pts, edge_w
 
 
 def test_neumann_zero_data_gives_zero_field():
-    backend, _, _, rules = _neumann_backend(TRI, 1)
-    alpha = [np.zeros((len(r.points), 1)) for r in rules]
+    backend, _, edge_pts, _ = _neumann_backend(TRI, 1)
+    alpha = [np.zeros((len(pts), 1)) for pts in edge_pts]
     fld = backend.solve(alpha, np.zeros((3, 1)))
     assert fld.trace_defect() <= 1e-14
     assert np.abs(fld.r_sigma).max() <= 1e-14
@@ -156,8 +155,8 @@ def test_neumann_zero_data_gives_zero_field():
 def test_neumann_constant_trace_has_zero_moment_sum():
     # gradients of the linear basis sum to zero, so prescribing any constant
     # normal trace leaves the moment sum at zero automatically
-    backend, _, _, rules = _neumann_backend(TRI, 1)
-    alpha = [np.ones((len(r.points), 1)) for r in rules]
+    backend, _, edge_pts, _ = _neumann_backend(TRI, 1)
+    alpha = [np.ones((len(pts), 1)) for pts in edge_pts]
     fld = backend.solve(alpha, np.zeros((3, 1)))
     assert fld.trace_defect() <= 1e-12
     assert abs(float(fld.r_sigma.sum())) <= 1e-12
@@ -173,9 +172,9 @@ def test_neumann_constant_trace_has_zero_moment_sum():
     ],
 )
 def test_neumann_random_compatible_targets(coords, k):
-    backend, sp, vol, rules = _neumann_backend(coords, k)
-    alpha = [RNG.normal(size=(len(r.points), 1)) for r in rules]
-    target = RNG.normal(size=(sp.n_dof, 1))
+    backend, sp, edge_pts, edge_w = _neumann_backend(coords, k)
+    alpha = [RNG.normal(size=(len(pts), 1)) for pts in edge_pts]
+    target = RNG.normal(size=(sp.dof_coords.shape[1], 1))
     target -= target.mean(axis=0, keepdims=True)
     fld = backend.solve(alpha, target)
     scale = max(1.0, float(np.abs(target).max()))
@@ -185,16 +184,16 @@ def test_neumann_random_compatible_targets(coords, k):
     assert np.abs(fld.r_sigma + target).max() <= 1e-9 * scale
     # independent re-quadrature: moments recomputed from the divergence form
     bnd = np.zeros_like(fld.r_sigma)
-    for e, rule in enumerate(rules):
-        phi = sp.eval(rule.points)
-        bnd += np.einsum("q,qd,qp->dp", rule.weights, phi, fld.traces[e])
+    for e, (pts, w) in enumerate(zip(edge_pts, edge_w)):
+        phi = sp.eval(pts[None])[0]
+        bnd += np.einsum("q,qd,qp->dp", w, phi, fld.traces[e])
     assert np.abs(fld.div_moments - bnd - fld.r_sigma).max() <= 5e-9 * scale
 
 
 def test_neumann_incompatible_targets_rejected():
-    backend, sp, _, rules = _neumann_backend(TRI, 1)
-    alpha = [np.zeros((len(r.points), 1)) for r in rules]
-    bad = np.ones((sp.n_dof, 1))
+    backend, sp, edge_pts, _ = _neumann_backend(TRI, 1)
+    alpha = [np.zeros((len(pts), 1)) for pts in edge_pts]
+    bad = np.ones((sp.dof_coords.shape[1], 1))
     with pytest.raises(co.CorrectionError, match="sum to zero"):
         backend.solve(alpha, bad)
 
@@ -203,15 +202,15 @@ def test_neumann_traces_reproduce_low_degree_interpolant_on_whole_edge():
     # the constrained trace equals the interpolant through the edge-point
     # data everywhere on the edge, not only at the constraint points
     coords = pm.regular_polygon_mesh(6).element_coords(0)
-    backend, sp, _, rules = _neumann_backend(coords, 1)
-    alpha = [RNG.normal(size=(len(r.points), 1)) for r in rules]
+    backend, _, edge_pts, _ = _neumann_backend(coords, 1)
+    alpha = [RNG.normal(size=(len(pts), 1)) for pts in edge_pts]
     fld = backend.solve(alpha, np.zeros((6, 1)))
-    for e, rule in enumerate(rules):
-        npts = len(rule.points)
+    for e, rule_pts in enumerate(edge_pts):
+        npts = len(rule_pts)
         tq, _ = ap.gauss_legendre_01(npts)
         t_new = np.linspace(0.15, 0.85, 5)
-        span = rule.points[-1] - rule.points[0]
-        p0 = rule.points[0] - tq[0] * span / (tq[-1] - tq[0])
+        span = rule_pts[-1] - rule_pts[0]
+        p0 = rule_pts[0] - tq[0] * span / (tq[-1] - tq[0])
         p1 = p0 + span / (tq[-1] - tq[0])
         pts = p0[None, :] + t_new[:, None] * (p1 - p0)[None, :]
         # evaluate the field trace directly via the solve operators

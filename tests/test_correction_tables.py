@@ -2,8 +2,9 @@
 table-driven residuals against the per-element formula, and the table-driven
 admissibility defects against the per-element fields.  The per-element
 references (``RTBasis``/``RTCorrectionBackend`` on RT groups,
-``NeumannCorrectionBackend`` elsewhere) are built here, from per-element edge
-and volume rules; a ``Discretization`` keeps no per-element objects."""
+``NeumannCorrectionBackend`` elsewhere) are built here, each from its
+element's space, edge rules and volume rule as stacks of one; a
+``Discretization`` keeps no per-element objects."""
 
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from polyfr import correction as co
 from polyfr import mesh as pm
 from polyfr import physics as ph
 from polyfr import residual as rs
-from polyfr.approximation import edge_quadrature, volume_quadrature
+from polyfr.approximation import edge_rules, volume_rules
 from polyfr.discretization import Discretization
 from polyfr.solver import manufactured_error
 from test_mesh_properties import N_CELLS, _jittered
@@ -73,21 +74,20 @@ def _reference_backends(disc, g):
     mesh = disc.mesh
     refs = []
     orders = disc._volume_orders(g.kind, g.spaces, g.elem_ids)
-    for eid, space, order in zip(g.elem_ids, g.spaces, orders):
+    for loc, (eid, order) in enumerate(zip(g.elem_ids, orders)):
         coords = mesh.element_coords(eid)
         edge_ids = mesh.element_edges(eid)
-        rules = [
-            edge_quadrature(*mesh.vertices[mesh.edge_vertices[k]], disc.edge_order)
-            for k in edge_ids
-        ]
-        vol = volume_quadrature(coords, order, kind=g.kind)
+        ends = mesh.vertices[mesh.edge_vertices[edge_ids]]
+        edge_pts, _ = edge_rules(ends[:, 0], ends[:, 1], disc.edge_order)  # (n, nq, 2)
+        (vol_pts,), (vol_w,) = volume_rules(g.kind, coords[None], order)
+        space = g.spaces.take(slice(loc, loc + 1))
         if g.correction == "rt":
-            basis = co.RTBasis(disc.degree, coords, flux_points=[r.points for r in rules])
-            refs.append(co.RTCorrectionBackend(basis, space, vol, rules))
+            basis = co.RTBasis(disc.degree, coords, flux_points=list(edge_pts))
+            refs.append(co.RTCorrectionBackend(basis, space, vol_pts, vol_w, edge_pts))
         else:
             normals = [(1.0 if mesh.edge_left[k] == eid else -1.0) * mesh.edge_normal[k]
                        for k in edge_ids]
-            refs.append(co.NeumannCorrectionBackend(space, vol, rules, normals))
+            refs.append(co.NeumannCorrectionBackend(space, vol_pts, vol_w, edge_pts, normals))
     # an empty reference list would make every per-element check vacuous
     assert len(refs) == g.n_elements > 0
     return refs
@@ -218,11 +218,11 @@ def test_nsigma_matches_per_element_edge_loop(name):
             want = np.zeros((g.n_dof, 2))
             for edge_id in mesh.element_edges(eid):
                 ends = mesh.vertices[mesh.edge_vertices[edge_id]]
-                rule = edge_quadrature(*ends, disc.edge_order)
+                pts, w = edge_rules(ends[None, 0], ends[None, 1], disc.edge_order)
                 sign = 1.0 if mesh.edge_left[edge_id] == eid else -1.0
-                phi = g.spaces[loc].eval(rule.points)
+                phi = g.spaces.take(slice(loc, loc + 1)).eval(pts)
                 want -= sign * np.einsum(
-                    "q,qd,x->dx", rule.weights, phi, mesh.edge_normal[edge_id]
+                    "q,qd,x->dx", w[0], phi[0], mesh.edge_normal[edge_id]
                 )
             assert np.abs(g.nsigma[loc] - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -240,9 +240,9 @@ def test_backend_edge_rules_are_edge_quadrature(name):
             assert np.array_equal(rows[loc], edge_ids)
             for edge_id in edge_ids:
                 ends = mesh.vertices[mesh.edge_vertices[edge_id]]
-                want = edge_quadrature(*ends, disc.edge_order)
-                assert np.array_equal(disc.edge_pts[edge_id], want.points)
-                assert np.array_equal(disc.edge_w[edge_id], want.weights)
+                (pts,), (w,) = edge_rules(ends[None, 0], ends[None, 1], disc.edge_order)
+                assert np.array_equal(disc.edge_pts[edge_id], pts)
+                assert np.array_equal(disc.edge_w[edge_id], w)
 
 
 def test_discretization_builds_no_per_element_rt_objects(monkeypatch):
@@ -276,54 +276,45 @@ def test_constrained_build_work_does_not_grow_with_the_mesh(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+def _count_space_builds(monkeypatch):
+    """Count the spaces each family builds, keyed by family."""
+    counts = dict.fromkeys(ap.SPACES, 0)
+    for kind, cls in ap.SPACES.items():
+        def counted(self, *args, _init=cls.__init__, _kind=kind, **kwargs):
+            counts[_kind] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return counts
+
+
 def test_run_path_builds_no_per_element_triangle_spaces(monkeypatch):
     # one stacked P_k space per triangle group serves the build, its
     # incidence traces and the error measurement
-    counts = {"stacks": 0, "elements": 0}
-
-    def counting(cls, key):
-        init = cls.__init__
-
-        def counted(self, *args, **kwargs):
-            counts[key] += 1
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "__init__", counted)
-
-    counting(ap.TriangleSpaces, "stacks")
-    counting(ap.TriangleSpace, "elements")
+    counts = _count_space_builds(monkeypatch)
     mesh = pm.structured_triangles(8)
     for k in (1, 2, 3):
-        counts.update(stacks=0, elements=0)
+        counts.update(dict.fromkeys(counts, 0))
         disc = Discretization(mesh, k)
         u = disc.interpolate_function(lambda x: x[:, 0] * x[:, 1])
         manufactured_error(disc, u, lambda x: x[:, 0] * x[:, 1])
         assert len(disc.groups) == 1
-        assert counts == {"stacks": 1, "elements": 0}
+        assert counts == {"triangle": 1, "quad": 0, "polygon": 0}
 
 
 def test_build_and_error_make_no_per_element_space_calls(monkeypatch):
-    # every family's stacked space serves the build, its correction tables,
-    # the incidence traces, the boosted polygon orders and the error
-    # measurement
-    calls = []
-
-    def counted(fn, name):
-        def wrapper(self, *args, **kwargs):
-            calls.append((type(self).__name__, name))
-            return fn(self, *args, **kwargs)
-        return wrapper
-
-    for cls in (ap.TriangleSpace, ap.QuadSpace, ap.PolygonSpace):
-        for name in ("eval", "grad"):
-            monkeypatch.setattr(cls, name, counted(getattr(cls, name), name))
+    # every family's stacked space, one per group, serves the build, its
+    # correction tables, the incidence traces, the boosted polygon orders
+    # and the error measurement
+    counts = _count_space_builds(monkeypatch)
     for name in ("quad16", "hexagon-ring"):
+        counts.update(dict.fromkeys(counts, 0))
         mesh, k = MESHES[name]()
         disc = Discretization(mesh, k)
         u = disc.interpolate_function(lambda x: x[:, 0] * x[:, 1])
         manufactured_error(disc, u, lambda x: x[:, 0] * x[:, 1])
         assert any(g.correction == "neumann" for g in disc.groups)
-        assert calls == []
+        assert counts == {kind: sum(g.kind == kind for g in disc.groups) for kind in counts}
 
 
 def test_singular_dual_matrix_names_the_element():
@@ -333,9 +324,7 @@ def test_singular_dual_matrix_names_the_element():
     (g,) = [g for g in disc.groups if g.kind == "triangle"]
     rows = g.inc_edge.reshape(g.n_elements, g.n_local_edges)
     flux_points = disc.edge_pts[rows].copy()  # (nE, 3, k+1, 2)
-    vol_pts = np.stack([
-        volume_quadrature(c, disc.vol_order, kind="triangle").points for c in g.coords
-    ])
+    vol_pts, _ = volume_rules("triangle", g.coords, disc.vol_order)
     args = (g.vol_w, g.vol_phi, g.vol_grad, g.elem_ids)
     tables = co.rt_group_tables(k, g.coords, flux_points, vol_pts, *args)
     for got, want in zip(tables, (g.corr_r, g.corr_div, g.corr_vol, g.corr_trace)):

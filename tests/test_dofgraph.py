@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -9,36 +7,46 @@ from polyfr import mesh as pm
 from polyfr.discretization import Discretization
 
 
+_ANG = 2.0 * np.pi * np.arange(6) / 6
+REFERENCE = {
+    "triangle": np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+    "quad": np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+    "polygon": np.stack([np.cos(_ANG), np.sin(_ANG)], axis=1),
+}
+
+
+def _reference_graph(kind, k):
+    """The DOF graph of the reference element's stack of one, and its DOF points."""
+    sp = ap.SPACES[kind](REFERENCE[kind][None], k)
+    return dg.element_dof_graph(0, sp.dof_coords[0], sp.sub_triangulation), sp.dof_coords[0]
+
+
 def test_p1_triangle_graph_counts():
-    sp = ap.build_space("triangle", 1)
-    g = dg.element_dof_graph(0, sp)
+    g, _ = _reference_graph("triangle", 1)
     assert len(g.dof_coords) == 3
     assert len(g.dof_edges) == 3
     assert len(g.sub_triangles) == 1
 
 
 def test_p2_triangle_layout_and_graph():
-    sp = ap.build_space("triangle", 2)
-    g = dg.element_dof_graph(0, sp)
+    g, nodes = _reference_graph("triangle", 2)
     assert len(g.dof_coords) == 6
     # corners first, then edge midpoints
-    assert np.allclose(sp.dof_coords[:3], [[0, 0], [1, 0], [0, 1]])
-    assert np.allclose(sp.dof_coords[3:], [[0.5, 0], [0.5, 0.5], [0, 0.5]])
+    assert np.allclose(nodes[:3], [[0, 0], [1, 0], [0, 1]])
+    assert np.allclose(nodes[3:], [[0.5, 0], [0.5, 0.5], [0, 0.5]])
     assert len(g.sub_triangles) == 4
 
 
 @pytest.mark.parametrize("kind,k", [("triangle", 1), ("triangle", 2), ("triangle", 3),
                                     ("quad", 1), ("quad", 2), ("polygon", 1)])
 def test_dual_cell_closure(kind, k):
-    sp = ap.build_space(kind, k)
-    g = dg.element_dof_graph(0, sp)
-    scale = float(np.ptp(sp.dof_coords, axis=0).max())
+    g, nodes = _reference_graph(kind, k)
+    scale = float(np.ptp(nodes, axis=0).max())
     assert g.closure_defects().max() <= 1e-13 * scale
 
 
 def test_orientation_signs_antisymmetric():
-    sp = ap.build_space("triangle", 2)
-    g = dg.element_dof_graph(0, sp)
+    g, _ = _reference_graph("triangle", 2)
     for a, b in g.dof_edges:
         assert a < b and g.edge_index(a, b) == g.edge_index(b, a) is not None
         assert np.allclose(g.cv_normal(a, b), -g.cv_normal(b, a))
@@ -78,12 +86,9 @@ def test_nsigma_reference_triangle_hand_values():
 
 
 def test_degenerate_subtriangle_rejected():
-    space = SimpleNamespace(
-        dof_coords=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
-        sub_triangulation=[(0, 1, 2)],
-    )
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(pm.MeshError, match="collinear"):
-        dg.element_dof_graph(0, space)
+        dg.element_dof_graph(0, nodes, [(0, 1, 2)])
 
 
 def test_build_dof_graph_over_mesh():

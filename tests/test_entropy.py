@@ -8,7 +8,7 @@ from polyfr import entropy as en
 from polyfr import mesh as pm
 from polyfr import physics as ph
 from polyfr import residual as rs
-from polyfr.approximation import volume_quadrature
+from polyfr.approximation import edge_rules, volume_rules
 from polyfr.discretization import BoundaryData, Discretization
 from test_correction_tables import _hexagon_ring, _reference_backends, _skewed_quads
 from test_mesh_properties import N_CELLS, _jittered
@@ -234,10 +234,10 @@ def _rt_field_misfit(disc, g, loc, alpha, target):
         normal = (1.0 if mesh.edge_left[k] == eid else -1.0) * mesh.edge_normal[k]
         span = co._rt_span((disc.edge_pts[k] - center) / scale, disc.degree)
         rows.append(span @ normal)  # (nq, n_dim)
-    vol = volume_quadrature(coords, disc.vol_order, kind="triangle")
-    span = co._rt_span((vol.points - center) / scale, disc.degree)  # (nq, n_dim, 2)
-    grad = g.spaces[loc].grad(vol.points)  # (nq, nd, 2)
-    moments = np.einsum("q,qdx,qix->di", vol.weights, grad, span)
+    vol_pts, vol_w = volume_rules("triangle", coords[None], disc.vol_order)
+    span = co._rt_span((vol_pts[0] - center) / scale, disc.degree)  # (nq, n_dim, 2)
+    grad = g.spaces.take(slice(loc, loc + 1)).grad(vol_pts)[0]  # (nq, nd, 2)
+    moments = np.einsum("q,qdx,qix->di", vol_w[0], grad, span)
     mat = np.vstack(rows + [moments])
     rhs = np.vstack([alpha, target])
     coef, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
@@ -314,45 +314,46 @@ def _slope(rows, term):
 
 def _reference_error_decomposition(disc, law, u, rset, vol_order, edge_order, ref_boost=6):
     """The decomposition terms element by element: per-element rules, spaces
-    and edge loops (the per-element form of ``error_decomposition``)."""
-    from polyfr.approximation import edge_quadrature, volume_quadrature
-
+    and edge loops (the per-element form of ``error_decomposition``), each
+    a stack of one."""
     mesh = disc.mesh
     terms = {t: np.zeros(mesh.n_elements) for t in ("sur1", "sur2", "sur3", "bo", "co")}
     vn = en.entropy_nodes(disc, law, u)
     for eid in range(mesh.n_elements):
         g = disc.groups[disc.elem_group[eid]]
         loc = disc.elem_local[eid]
-        space, dofs = g.spaces[loc], g.dof_idx[loc]
+        space, dofs = g.spaces.take(slice(loc, loc + 1)), g.dof_idx[loc]
         U, V = u[dofs], vn[dofs]
         F = law.flux(U)
-        coords = mesh.element_coords(eid)
+        coords = mesh.element_coords(eid)[None]
+
+        def basis(pts):  # values and gradients at the points (nq, 2)
+            return space.eval(pts[None])[0], space.grad(pts[None])[0]
 
         def div_vf(pts):
-            val, grad = space.eval(pts), space.grad(pts)
+            val, grad = basis(pts)
             return (np.einsum("qdx,dp,qt,tpx->q", grad, V, val, F)
                     + np.einsum("qd,dp,qtx,tpx->q", val, V, grad, F))
 
-        lo = volume_quadrature(coords, vol_order, kind=g.kind)
-        hi = volume_quadrature(coords, vol_order + ref_boost, kind=g.kind)
-        terms["sur1"][eid] = (np.dot(lo.weights, div_vf(lo.points))
-                              - np.dot(hi.weights, div_vf(hi.points)))
-        val, grad = space.eval(hi.points), space.grad(hi.points)
+        (lo_pts,), (lo_w,) = volume_rules(g.kind, coords, vol_order)
+        (hi_pts,), (hi_w,) = volume_rules(g.kind, coords, vol_order + ref_boost)
+        terms["sur1"][eid] = np.dot(lo_w, div_vf(lo_pts)) - np.dot(hi_w, div_vf(hi_pts))
+        val, grad = basis(hi_pts)
         uq = val @ U
         du = np.einsum("qdx,dp->qpx", grad, U)
         divf_pt = np.einsum("qipx,qpx->qi", law.flux_jac(uq), du)
         v_gap = val @ V - law.entropy_vars(uq)
-        terms["sur2"][eid] = np.einsum("q,qp,qp->", hi.weights, v_gap, divf_pt)
+        terms["sur2"][eid] = np.einsum("q,qp,qp->", hi_w, v_gap, divf_pt)
         divfh = np.einsum("qdx,dpx->qp", grad, F)
-        terms["sur3"][eid] = np.einsum("q,qp,qp->", hi.weights, val @ V, divfh - divf_pt)
+        terms["sur3"][eid] = np.einsum("q,qp,qp->", hi_w, val @ V, divfh - divf_pt)
         for edge_id in mesh.element_edges(eid):
             sgn = 1.0 if mesh.edge_left[edge_id] == eid else -1.0
-            v0, v1 = mesh.vertices[mesh.edge_vertices[edge_id]]
-            for rule, s in ((edge_quadrature(v0, v1, edge_order), 1.0),
-                            (edge_quadrature(v0, v1, edge_order + ref_boost), -1.0)):
-                val = space.eval(rule.points)
+            v0, v1 = mesh.vertices[mesh.edge_vertices[edge_id]][:, None]
+            for order, s in ((edge_order, 1.0), (edge_order + ref_boost, -1.0)):
+                (pts,), (w,) = edge_rules(v0, v1, order)
+                val = space.eval(pts[None])[0]
                 flux = ph.normal_flux(law, val @ U, sgn * mesh.edge_normal[edge_id])
-                terms["bo"][eid] += s * np.dot(rule.weights, np.einsum("qp,qp->q", val @ V, flux))
+                terms["bo"][eid] += s * np.dot(w, np.einsum("qp,qp->q", val @ V, flux))
         terms["co"][eid] = np.einsum("dp,dp->", V, rset.r_sigma[dofs])
     return terms
 

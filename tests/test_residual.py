@@ -215,8 +215,8 @@ def _geometric_pair_flux(disc, split):
     closed-form normals against those graphs on the way."""
     g = disc.groups[0]
     ref = np.zeros((g.n_elements, g.n_dof, g.n_dof, 2))
-    for e, space in enumerate(g.spaces):
-        graph = dg.element_dof_graph(e, space)
+    for e, nodes in enumerate(g.spaces.dof_coords):
+        graph = dg.element_dof_graph(e, nodes, g.spaces.sub_triangulation)
         for a in range(g.n_dof):
             for b in range(g.n_dof):
                 if a != b:
