@@ -13,7 +13,7 @@ from .correction import (
     RTBasis,
     RTCorrectionBackend,
 )
-from .discretization import BoundaryData, Discretization
+from .discretization import Discretization
 from .dofgraph import DofGraph, build_dof_graph, element_dof_graph
 from .entropy import (
     appendix_decomposition,

@@ -415,22 +415,29 @@ class PolygonSpaces(SpaceStack):
         # the edges whose distances enter vertex i's weight
         self._keep = [[j for j in range(n) if j not in ((i - 1) % n, i)] for i in range(n)]
 
-    def _weights(self, points: np.ndarray):
-        # h[e, p, i] = signed distance of point p to edge line i (positive inside)
-        diff = points[:, :, None, :] - self.vertices[:, None, :, :]
-        h = (diff * self._inward[:, None, :, :]).sum(-1)
-        w = np.stack([
+    def _weights(self, h: np.ndarray) -> np.ndarray:
+        # vertex i's weight: its corner sine times the distances h to the
+        # edge lines that do not meet at vertex i
+        return np.stack([
             self._corner[:, i, None] * np.prod(h[..., keep], axis=-1)
             for i, keep in enumerate(self._keep)
         ], axis=-1)
-        return w, h
+
+    def _distances(self, points: np.ndarray) -> np.ndarray:
+        # h[e, p, i] = signed distance of point p to edge line i (positive inside)
+        diff = points[:, :, None, :] - self.vertices[:, None, :, :]
+        return (diff * self._inward[:, None, :, :]).sum(-1)
 
     def eval(self, points):
-        w, _ = self._weights(points)
+        w = self._weights(self._distances(points))
         return w / w.sum(axis=-1, keepdims=True)
 
     def grad(self, points):
-        w, h = self._weights(points)
+        # the log-derivative form below divides by the distances; on an edge
+        # line, where one is zero, a distance of 1e-200 gives the finite limit
+        h = self._distances(points)
+        h = np.where(h == 0.0, 1e-200, h)
+        w = self._weights(h)
         phi = w / w.sum(axis=-1, keepdims=True)
         ratio = np.stack([
             (self._inward[:, None, keep, :] / h[..., keep, None]).sum(axis=-2)

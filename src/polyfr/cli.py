@@ -21,8 +21,9 @@ Both commands reject a negative ``--seed`` and a non-finite or non-positive
 reject a ``cfl``, ``residual_tol`` or ``jump_coeff`` that is not a finite
 JSON number, a ``residual_tol`` that is not positive and a negative
 ``jump_coeff``; the config, its ``solver`` and ``study`` sections, the law's
-parameters and an analytic profile reject keys they do not know.  All are
-config errors (exit 4).
+parameters and an analytic profile reject keys they do not know, and a
+``mesh`` that is not a string or ``law_params`` that is not an object.  All
+are config errors (exit 4).
 
 Every check has one name and one tolerance, in ``CHECK_TOLS``; ``run``'s
 report and ``verify``'s suites reduce the same per-state arrays of
@@ -45,7 +46,7 @@ from . import entropy as entropy_mod
 from . import residual as residual_mod
 from .approximation import UnsupportedSpace
 from .correction import CorrectionError
-from .discretization import BoundaryData, Discretization
+from .discretization import Discretization
 from .mesh import Mesh, MeshError, is_finite_number, is_int, load_mesh, refine_uniform
 from .physics import (
     law_by_name,
@@ -123,7 +124,7 @@ def _profile(profile):
     values; a spec that is not an object naming a known profile with finite
     numeric parameters is a config error."""
     kind = profile.get("profile") if isinstance(profile, dict) else None
-    if kind not in PROFILE_PARAMS:
+    if not isinstance(kind, str) or kind not in PROFILE_PARAMS:
         raise ConfigError(f"unknown analytic profile {profile!r}; expected an object "
                           f"with 'profile' one of {tuple(PROFILE_PARAMS)}")
     _reject_unknown(profile, ("profile", *PROFILE_PARAMS[kind]), f"{kind} profile parameter")
@@ -155,6 +156,8 @@ def load_config(path) -> dict:
     for key in ("mesh", "law", "degree"):
         if key not in cfg:
             raise ConfigError(f"config misses required key {key!r}")
+    if not isinstance(cfg["mesh"], str):
+        raise ConfigError(f"'mesh' must be a path string, got {cfg['mesh']!r}")
     variant = cfg.get("variant", "fr")
     if variant not in residual_mod.VARIANTS:
         raise ConfigError(
@@ -171,6 +174,8 @@ def load_config(path) -> dict:
     study, solver = cfg.get("study", {}), cfg.get("solver", {})
     if not isinstance(study, dict) or not isinstance(solver, dict):
         raise ConfigError("'study' and 'solver' must be JSON objects")
+    if not isinstance(cfg.get("law_params", {}), (dict, type(None))):
+        raise ConfigError(f"'law_params' must be a JSON object, got {cfg['law_params']!r}")
     _reject_unknown(study, STUDY_KEYS, "study key")
     _reject_unknown(solver, SOLVER_KEYS, "solver key")
     for name, value in (("study.levels", study.get("levels", 1)),
@@ -387,13 +392,13 @@ def run(config_path, output_dir=None, seed: int = 0, tol_scale: float = 1.0) -> 
     out_dir = Path(output_dir or Path(config_path).parent / "out")
     out_dir.mkdir(parents=True, exist_ok=True)
     law = law_by_name(cfg["law"], cfg.get("law_params"))
-    bc = BoundaryData(cfg["profiles"]["boundary"])
+    profiles = cfg["profiles"]["boundary"]
     solver_cfg = _solver_config(cfg)
     exact, initial_field = cfg["profiles"]["exact"], cfg["profiles"]["initial"]
     levels = cfg.get("study", {}).get("levels", 1)
 
     mesh = load_mesh(_mesh_path(cfg, config_path))
-    missing = sorted(set(mesh.boundary_tags.values()) - set(bc.profiles))
+    missing = sorted(set(mesh.boundary_tags.values()) - set(profiles))
     if missing:
         raise ConfigError(f"no boundary data for mesh tags {missing}")
     report = {
@@ -416,6 +421,7 @@ def run(config_path, output_dir=None, seed: int = 0, tol_scale: float = 1.0) -> 
         disc = _build_disc(cfg, mesh)
         phase["build_s"] = time.perf_counter() - t
         initial = disc.interpolate_function(initial_field) if initial_field is not None else None
+        bc = disc.boundary_values(profiles)
         t = time.perf_counter()
         u, trace = solve_steady(disc, law, solver_cfg, bc, initial=initial)
         phase["solve_s"] = time.perf_counter() - t

@@ -49,31 +49,6 @@ from .approximation import (
 from .mesh import Mesh
 
 
-class BoundaryDataError(KeyError):
-    pass
-
-
-class BoundaryData:
-    """Dirichlet data per boundary tag: ``profiles[tag]`` maps an (m, 2)
-    point array to (m, p) state values."""
-
-    def __init__(self, profiles: dict[str, Callable], p: int = 1):
-        self.profiles = dict(profiles)
-        self.p = p
-
-    @classmethod
-    def from_function(cls, fn: Callable, tags=("boundary",), p: int = 1):
-        return cls({tag: fn for tag in tags}, p=p)
-
-    def evaluate(self, tag: str, points: np.ndarray) -> np.ndarray:
-        if tag not in self.profiles:
-            raise BoundaryDataError(f"no boundary data for tag {tag!r}")
-        vals = np.asarray(self.profiles[tag](np.atleast_2d(points)), dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        return vals
-
-
 @dataclass
 class ElementGroup:
     kind: str
@@ -134,11 +109,9 @@ class Discretization:
         degree: int,
         vol_order: int | None = None,
         edge_order: int | None = None,
-        p: int = 1,
     ):
         self.mesh = mesh
         self.degree = int(degree)
-        self.p = int(p)
         self.vol_order = vol_order if vol_order is not None else 2 * self.degree
         self.edge_order = edge_order if edge_order is not None else 2 * self.degree + 1
         self.nq_edge = max(1, math.ceil((self.edge_order + 1) / 2))
@@ -346,9 +319,6 @@ class Discretization:
     # ------------------------------------------------------------------
     # state handling
     # ------------------------------------------------------------------
-    def zero_states(self) -> np.ndarray:
-        return np.zeros((self.n_dofs, self.p))
-
     def dof_coords(self) -> np.ndarray:
         coords = np.zeros((self.n_dofs, 2))
         for g in self.groups:
@@ -358,17 +328,10 @@ class Discretization:
     def interpolate_function(self, fn: Callable) -> np.ndarray:
         """Nodal states from a callable mapping (m, 2) points to (m,) or
         (m, p) values."""
-        pts = self.dof_coords()
-        vals = np.asarray(fn(pts), dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        return vals
+        return np.asarray(fn(self.dof_coords()), dtype=float).reshape(self.n_dofs, -1)
 
     def element_states(self, u: np.ndarray) -> list[np.ndarray]:
         """Per-group nodal state arrays of shape (nE, nd, p)."""
-        u = np.asarray(u, dtype=float)
-        if u.ndim == 1:
-            u = u[:, None]
         return [u.take(g.dof_idx, axis=0) for g in self.groups]
 
     def element_reduce(self, fn: Callable, *arrays: np.ndarray) -> np.ndarray:
@@ -389,17 +352,23 @@ class Discretization:
         :meth:`boundary_values`) or, without it, copies of uL (the element's
         own trace).
         """
-        u = np.asarray(u, dtype=float).reshape(self.n_dofs, -1)
         # both sides in one contraction over the side-stacked tables
         u2 = np.einsum("seqd,sedp->seqp", self.edge_phi, u.take(self.edge_dofs, axis=0))
         bi = self.mesh.boundary_edge_ids
         u2[1, bi] = (u2[0] if boundary is None else boundary).take(bi, axis=0)
         return u2
 
-    def boundary_values(self, bc: BoundaryData) -> np.ndarray:
-        """Dirichlet data at the quadrature points of every boundary edge,
-        shape (n_edges, nq_e, p); non-boundary rows are zero."""
-        out = np.zeros((self.mesh.n_edges, self.nq_edge, bc.p))
-        for eid, tag in self.mesh.boundary_tags.items():
-            out[eid] = bc.evaluate(tag, self.edge_pts[eid])
+    def boundary_values(self, profiles: dict[str, Callable]) -> np.ndarray:
+        """Dirichlet data at the edge points, shape (n_edges, nq_e, p), zero
+        off the boundary: ``profiles[tag]`` maps (m, 2) points to (m,) or
+        (m, p) values, evaluated edge by edge.  A boundary tag without a
+        profile is a ``ValueError``."""
+        tags = self.mesh.boundary_tags
+        missing = sorted(set(tags.values()) - set(profiles))
+        if missing:
+            raise ValueError(f"no boundary data for tags {missing}")
+        rows = [np.asarray(profiles[tag](self.edge_pts[eid]), dtype=float).reshape(self.nq_edge, -1)
+                for eid, tag in tags.items()]
+        out = np.zeros((self.mesh.n_edges, self.nq_edge, rows[0].shape[1]))
+        out[list(tags)] = rows
         return out

@@ -58,7 +58,7 @@ def _pairing(disc: Discretization, v: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def entropy_nodes(disc: Discretization, law: ConservationLaw, u: np.ndarray) -> np.ndarray:
     """Nodal entropy variables, shape (n_dofs, p) like the residual arrays."""
-    return law.entropy_vars(np.asarray(u, dtype=float).reshape(disc.n_dofs, -1))
+    return law.entropy_vars(u)
 
 
 def tau_all(disc: Discretization, law: ConservationLaw, u: np.ndarray,
@@ -184,7 +184,6 @@ def error_decomposition(disc: Discretization, law: ConservationLaw, u: np.ndarra
     edge_order = edge_order if edge_order is not None else k + 1
     mesh = disc.mesh
     terms = EntropyErrorTerms(*(np.zeros(mesh.n_elements) for _ in range(5)))
-    u = np.asarray(u, dtype=float).reshape(disc.n_dofs, -1)
     vn = entropy_nodes(disc, law, u)
 
     for g in disc.groups:

@@ -132,7 +132,8 @@ def mesh_from_arrays(vertices, element_vertices, boundary=None) -> Mesh:
     ``boundary`` an optional sequence of
     ``((v0, v1), tag)`` entries.  Elements are normalized to counter-clockwise
     orientation.  Raises :class:`MeshError` on non-numeric (strings, bools)
-    or non-finite coordinates, non-integer or out-of-range indices,
+    or non-finite coordinates, empty or non-array element lists, rows or boundary
+    edges, boundary edges without two ids, non-integer or out-of-range indices,
     degenerate (zero-area) elements, edges shared by more than two elements,
     or hanging-node style non-conforming interfaces.
     """
@@ -154,7 +155,10 @@ def mesh_from_arrays(vertices, element_vertices, boundary=None) -> Mesh:
     if len(bad):
         raise MeshError(f"vertex {bad[0]} has a non-finite coordinate")
 
-    rows = [list(raw) for raw in element_vertices]
+    element_vertices = _items(element_vertices, "elements")
+    if not element_vertices:
+        raise MeshError("elements must not be empty")
+    rows = [_items(raw, f"element {e}") for e, raw in enumerate(element_vertices)]
     for e, ids in enumerate(rows):
         wrong = [v for v in ids if not is_int(v)]
         if wrong:
@@ -165,15 +169,26 @@ def mesh_from_arrays(vertices, element_vertices, boundary=None) -> Mesh:
     ptr = np.concatenate([[0], np.cumsum([len(ids) for ids in rows], dtype=np.int64)])
     flat = np.array([v for ids in rows for v in ids], dtype=np.int64)
     pairs, tags = [], []
-    for i, (pair, tag) in enumerate(boundary or []):
+    for i, (edge, tag) in enumerate(boundary or []):
+        pair = _items(edge, f"boundary entry {i}'s edge")
+        if len(pair) != 2:
+            raise MeshError(f"boundary entry {i} must name two vertex ids, got {edge!r}")
         if not (is_int(pair[0]) and is_int(pair[1])):
-            raise MeshError(f"boundary entry {i} has a non-integer vertex id in {pair!r}")
+            raise MeshError(f"boundary entry {i} has a non-integer vertex id in {edge!r}")
         if not (0 <= pair[0] < len(vertices) and 0 <= pair[1] < len(vertices)):
             # no edge has it, whatever the key min * n + max would match
             raise MeshError(f"boundary entry references unknown edge {tuple(sorted(pair))}")
         pairs.append((pair[0], pair[1]))
         tags.append(str(tag))
     return _build_mesh(vertices, ptr, flat, np.array(pairs, dtype=np.int64).reshape(-1, 2), tags)
+
+
+def _items(seq, what: str) -> list:
+    """The items of the array ``seq``, or a :class:`MeshError` naming ``what``."""
+    try:
+        return list(seq)
+    except TypeError:
+        raise MeshError(f"{what} must be an array, got {seq!r}") from None
 
 
 def _pair_keys(a: np.ndarray, b: np.ndarray, n_vert: int) -> np.ndarray:
@@ -317,10 +332,10 @@ def mesh_from_dict(doc: dict) -> Mesh:
     boundary = None
     if "boundary" in doc:
         boundary = []
-        for item in doc["boundary"]:
-            if "edge" not in item or "tag" not in item:
-                raise MeshError("boundary entries must carry 'edge' and 'tag'")
-            boundary.append(((item["edge"][0], item["edge"][1]), item["tag"]))
+        for i, item in enumerate(_items(doc["boundary"], "'boundary'")):
+            if not isinstance(item, dict) or "edge" not in item or "tag" not in item:
+                raise MeshError(f"boundary entry {i} must be an object with 'edge' and 'tag'")
+            boundary.append((item["edge"], item["tag"]))
     return mesh_from_arrays(doc["vertices"], doc["elements"], boundary)
 
 

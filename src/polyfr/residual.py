@@ -41,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .discretization import BoundaryData, Discretization, ElementGroup
+from .discretization import Discretization, ElementGroup
 from .physics import (
     ConservationLaw,
     entropy_numerical_flux,
@@ -173,7 +173,9 @@ class InterfaceFluxes:
 
 
 def interface_fluxes(disc, law, u, flux_kind, bc=None, edge_speed=None) -> InterfaceFluxes:
-    """Single-valued interface fluxes of the state ``u`` at the edge points.
+    """Single-valued interface fluxes of the state ``u`` at the edge points,
+    with the Dirichlet values ``bc`` (n_edges, nq_e, p; see
+    :meth:`Discretization.boundary_values`) or None.
 
     The numerical flux is evaluated once over all edges, against the
     Dirichlet data on boundary edges (or the element's own trace without
@@ -183,8 +185,7 @@ def interface_fluxes(disc, law, u, flux_kind, bc=None, edge_speed=None) -> Inter
     speed (of a law whose wave speeds do not depend on the state).  The
     entropy flux and the per-element integrals are left to their first read.
     """
-    ub = bc if bc is None or isinstance(bc, np.ndarray) else disc.boundary_values(bc)
-    u2 = disc.edge_traces(u, ub)
+    u2 = disc.edge_traces(u, bc)
     nq = disc.edge_normal_q
     bi = disc.mesh.boundary_edge_ids
     uL_bnd = u2[0].take(bi, axis=0)
@@ -195,7 +196,7 @@ def interface_fluxes(disc, law, u, flux_kind, bc=None, edge_speed=None) -> Inter
         fhat_star = numerical_flux(flux_kind)(law, u2[0], u2[1], nq)
         f_own = normal_flux(law, uL_bnd, disc.boundary_normal_q)
     fhat_dirichlet = dbc_rows = None
-    if ub is not None:
+    if bc is not None:
         fhat_dirichlet = fhat_star.take(bi, axis=0)
         dbc_rows = np.empty((len(bi) + 1,) + f_own.shape[1:])
         np.subtract(fhat_dirichlet, f_own, out=dbc_rows[:-1])
@@ -210,16 +211,18 @@ def compute_residuals(
     u: np.ndarray,
     variant: str = "fr",
     flux_kind: str = "rusanov",
-    bc: BoundaryData | np.ndarray | None = None,
+    bc: np.ndarray | None = None,
     jump_coeff: float = 0.1,
     edge_speed: np.ndarray | None = None,
 ) -> ResidualSet:
     """Evaluate one residual variant over the whole mesh.
 
-    ``cs`` and ``st`` correct the ``fr`` residuals; ``jump_coeff`` scales
-    the dissipation of ``st``; ``edge_speed`` is passed to
-    :func:`interface_fluxes`.  The residuals are evaluated at once; the
-    accounting of the set's ``edges`` is computed on first read.
+    ``u`` is the (n_dofs, p) state and ``bc`` its Dirichlet values or None,
+    as in :func:`interface_fluxes`.  ``cs`` and ``st`` correct the ``fr``
+    residuals; ``jump_coeff`` scales the dissipation of ``st``;
+    ``edge_speed`` is passed to :func:`interface_fluxes`.  The residuals
+    are evaluated at once; the accounting of the set's ``edges`` is
+    computed on first read.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown residual variant {variant!r}")
@@ -228,7 +231,7 @@ def compute_residuals(
     # Incidence rows are element-ordered, so per-element edge sums are
     # reshapes: every (nE, m, ...) array below holds the n_local_edges * nq_e
     # edge points of each element, edge by edge.
-    p = disc.p
+    p = law.p
     edges = interface_fluxes(disc, law, u, flux_kind, bc, edge_speed)
 
     phi = np.zeros((disc.n_dofs, p))
@@ -324,7 +327,7 @@ def global_identity_check(
     u: np.ndarray,
     v: np.ndarray,
     rset: ResidualSet,
-    bc: BoundaryData | np.ndarray | None = None,
+    bc: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """Defect of the broken-test-field accounting identity.
 
@@ -416,7 +419,7 @@ def flux_split(disc: Discretization, law: ConservationLaw, u: np.ndarray,
     (g,) = disc.groups  # one family: its element axis is the mesh's
     fb = np.einsum("emd,emp->edp", g.inc_wtrace, _outward(g, rset.edges.fhat_star))
     rho = rset.phi[g.dof_idx] - fb
-    F = law.flux(np.asarray(u, dtype=float).reshape(disc.n_dofs, -1)[g.dof_idx])
+    F = law.flux(u[g.dof_idx])
     fh_int = np.einsum("eq,eqd,edpx->epx", g.vol_w, g.vol_phi, F)
     fh_int += np.einsum("emp,emx->epx", rset.alpha[0], g.corr_vol)
 
@@ -493,7 +496,7 @@ def lipschitz_hypothesis_probe(
     worst = 0.0
     const_res = 0.0
     for _ in range(n_samples):
-        u = rng.uniform(-bound, bound, size=(disc.n_dofs, disc.p))
+        u = rng.uniform(-bound, bound, size=(disc.n_dofs, law.p))
         rset = compute_residuals(disc, law, u, variant, flux_kind)
         mags = disc.element_reduce(lambda x: np.abs(x).max(axis=(1, 2)), rset.phi)
         for eid, idx in enumerate(patches):

@@ -25,9 +25,9 @@ g(u_L).n, equal to the element-by-element sum up to round-off.
 :func:`solve_steady` is the one step loop; ``SolverConfig(max_iters=1)``
 takes a single step.
 
-Once per solve, not per step: the Dirichlet values at the edge points and,
-for a law whose wave speeds do not depend on the state
-(``ConservationLaw.state_dependent_speeds`` False: the advection laws), the
+The caller evaluates the Dirichlet values at the edge points once.  Once per
+solve, not per step, for a law whose wave speeds do not depend on the state
+(``ConservationLaw.state_dependent_speeds`` False: the advection laws): the
 step coefficient and the Rusanov dissipation speed at the edge points.
 
 Errors against a manufactured solution are measured with one stacked volume
@@ -43,7 +43,7 @@ import numpy as np
 
 from . import entropy as entropy_mod
 from .approximation import volume_rules
-from .discretization import BoundaryData, Discretization
+from .discretization import Discretization
 from .physics import ConservationLaw, rusanov_speed
 from .residual import assemble_global, compute_residuals
 
@@ -139,7 +139,7 @@ def residual_vector(disc: Discretization, law: ConservationLaw, u: np.ndarray,
 
 
 def solve_steady(disc: Discretization, law: ConservationLaw,
-                 config: SolverConfig, bc: BoundaryData,
+                 config: SolverConfig, bc: np.ndarray | None,
                  initial: np.ndarray | None = None) -> tuple[np.ndarray, SolveTrace]:
     """March the accumulated residual to (relative) tolerance or give up.
 
@@ -147,15 +147,13 @@ def solve_steady(disc: Discretization, law: ConservationLaw,
     catches exact initial data.  Stagnation (no relative progress over a
     trailing window) returns the best iterate with a flag.  The step
     coefficient depends on the state only through the wave speeds at the
-    DOFs: built once for advection, every step for Burgers.
+    DOFs: built once for advection, every step for Burgers.  ``bc`` is the
+    Dirichlet values at the edge points (:meth:`Discretization.boundary_values`)
+    or None; ``initial`` an (n_dofs, p) state, zero if None.
     """
-    u = disc.zero_states() if initial is None else np.array(initial, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None]
+    u = np.zeros((disc.n_dofs, law.p)) if initial is None else np.array(initial, dtype=float)
     mu = lumped_measures(disc)
     mu_col, mu_sum = mu[:, None], mu.sum()
-    if isinstance(bc, BoundaryData):
-        bc = disc.boundary_values(bc)  # Dirichlet data is state-independent
     coef = edge_speed = None
     if law.state_dependent_speeds:
         speed_floor = _boundary_wave_speed(disc, law, bc)
@@ -204,7 +202,6 @@ def manufactured_error(disc: Discretization, u: np.ndarray, exact,
     measured with volume quadrature of order 2k+2 by default: one stacked
     rule and one stacked space evaluation per element group."""
     order = order if order is not None else 2 * disc.degree + 2
-    u = np.asarray(u, dtype=float).reshape(disc.n_dofs, -1)
     # per-element squared L2 and max errors, one stacked evaluation per group
     sq = np.zeros(disc.mesh.n_elements)
     worst = np.zeros(disc.mesh.n_elements)

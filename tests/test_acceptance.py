@@ -23,7 +23,7 @@ from polyfr import mesh as pm
 from polyfr import physics as ph
 from polyfr import residual as rs
 from polyfr import solver as sv
-from polyfr.discretization import BoundaryData, Discretization
+from polyfr.discretization import Discretization
 from test_mesh_properties import N_CELLS, _jittered
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
@@ -213,17 +213,17 @@ EXACT = lambda pts: np.sin(-math.pi * pts[:, 0] + 2 * math.pi * pts[:, 1])
 
 def _order_study(k, ns, cfl=0.8, tol=1e-9):
     law = ph.linear_advection([1.0, 0.5])
-    bc = BoundaryData.from_function(EXACT)
     errors, defects, hs = [], [], []
     for n in ns:
         mesh = pm.structured_triangles(n)
         disc = Discretization(mesh, k)
+        bc = disc.boundary_values({"boundary": EXACT})
         cfg = sv.SolverConfig(cfl=cfl, max_iters=60000, residual_tol=tol)
         u0 = disc.interpolate_function(EXACT)
         u, trace = sv.solve_steady(disc, law, cfg, bc, initial=u0)
         assert trace.converged, f"solver failed to converge at n={n}, k={k}"
         l2, _ = sv.manufactured_error(disc, u, EXACT)
-        fr = rs.compute_residuals(disc, law, u, "fr", "rusanov", disc.boundary_values(bc))
+        fr = rs.compute_residuals(disc, law, u, "fr", "rusanov", bc)
         defect = float(np.abs(en.entropy_error(disc, law, u, fr)).max())
         errors.append(l2)
         defects.append(defect)
@@ -251,7 +251,7 @@ def test_criterion_8_linear_exactness():
     law = ph.linear_advection([1.0, 0.0])
     mesh = pm.structured_triangles(4)  # 32 elements
     disc = Discretization(mesh, 1)
-    bc = BoundaryData.from_function(lambda pts: pts[:, 1])
+    bc = disc.boundary_values({"boundary": lambda pts: pts[:, 1]})
     cfg = sv.SolverConfig(cfl=0.8, max_iters=10000, residual_tol=1e-12)
     u, trace = sv.solve_steady(disc, law, cfg, bc)
     l2, _ = sv.manufactured_error(disc, u, lambda pts: pts[:, 1])

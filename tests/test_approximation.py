@@ -201,6 +201,23 @@ def test_wachspress_linearly_precise_on_unequal_edges():
     assert disc._volume_orders("polygon", g.spaces, g.elem_ids).max() < 40
 
 
+def test_wachspress_gradient_finite_on_edges():
+    # the gradient's log-derivative form divides by the distance to each edge
+    # line; on an edge (vertices included) the gradient is its finite limit
+    pentagon = np.array([[0, 0], [2, 0], [3, 1], [1.5, 2.5], [-0.5, 1]], dtype=float)
+    stack = ap.PolygonSpaces(pentagon[None], 1)
+    ahead = np.roll(pentagon, -1, axis=0)
+    t = ahead - pentagon
+    inward = np.stack([-t[:, 1], t[:, 0]], axis=1) / np.hypot(t[:, 0], t[:, 1])[:, None]
+    s = np.array([0.0, 0.1, 0.37, 0.5, 0.9])[:, None, None]
+    on_edge = (pentagon + s * t).reshape(1, -1, 2)
+    inside = (pentagon + s * t + 1e-9 * inward).reshape(1, -1, 2)
+    grad = stack.grad(on_edge)
+    assert np.isfinite(grad).all()
+    assert np.abs(grad - stack.grad(inside)).max() <= 1e-6
+    assert np.isfinite(stack.grad(np.array([[[1.0, 0.0]]]))).all()
+
+
 def test_boosted_order_cap_raises():
     # a corner of nearly 180 degrees (vertex 0 of a regular hexagon pulled to
     # 1 % of its height above the chord of its neighbours): no order up to

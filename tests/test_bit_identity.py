@@ -24,7 +24,7 @@ from polyfr import mesh as pm
 from polyfr import physics as ph
 from polyfr import residual as rs
 from polyfr import solver as sv
-from polyfr.discretization import BoundaryData, Discretization
+from polyfr.discretization import Discretization
 from test_correction_tables import _hexagon_ring, _skewed_quads
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
@@ -116,7 +116,7 @@ def ref_interface_fluxes(disc, law, u, flux_kind, bc):
 
 def ref_compute_residuals(disc, law, u, variant, flux_kind, bc):
     base = "fr" if variant in ("cs", "st") else variant
-    n_elem, p = disc.mesh.n_elements, disc.p
+    n_elem, p = disc.mesh.n_elements, law.p
     fhat_star, fhat_bc, ghat = ref_interface_fluxes(disc, law, u, flux_kind, bc)
     if fhat_bc is not None:
         dbc = fhat_bc - fhat_star
@@ -183,9 +183,8 @@ def ref_dt_over_mu(disc, law, u, config, mu, speed_floor=0.0):
 
 def ref_solve_steady(disc, law, config, bc, initial=None):
     """The pseudo-time loop with ``_dt_over_mu`` called on every step."""
-    u = disc.zero_states() if initial is None else np.array(initial, dtype=float)
+    u = np.zeros((disc.n_dofs, law.p)) if initial is None else np.array(initial, dtype=float)
     mu = sv.lumped_measures(disc)
-    bc = disc.boundary_values(bc)
     floor = sv._boundary_wave_speed(disc, law, bc)
     trace = sv.SolveTrace()
     best_u, best_res, res0 = u, np.inf, None
@@ -344,7 +343,7 @@ SOLVES = {
 def test_solve_steady_equals_reference_loop(case):
     make_law, mesh_name, profile, local_dt, *flux = SOLVES[case]
     disc, law = _disc(mesh_name), make_law()
-    bc = BoundaryData.from_function(profile)
+    bc = disc.boundary_values({"boundary": profile})
     config = sv.SolverConfig(cfl=0.5, max_iters=300, residual_tol=1e-30, local_dt=local_dt,
                              flux=flux[0] if flux else "rusanov")
     u, trace = sv.solve_steady(disc, law, config, bc)

@@ -257,6 +257,12 @@ BAD_CONFIGS = {
     "number-velocity": {"law": "advection", "law_params": {"velocity": 1.0}},
     "string-exp-advection-velocity": {"law": "exp-advection",
                                       "law_params": {"velocity": ["1", 0]}},
+    # values of the wrong JSON type
+    "list-law-params": {"law": "advection", "law_params": ["velocity"]},
+    "number-mesh": {"mesh": 5},
+    "null-mesh": {"mesh": None},
+    "list-profile-name": {"boundary": {"boundary": {"profile": ["sine"]}}},
+    "object-profile-name": {"exact": {"profile": {"profile": "sine"}}},
 }
 
 # the key each of those configs must name: an unknown key, or a bad value's
@@ -265,6 +271,8 @@ NAMED_KEYS = {
     "misspelt-study-key": "levls", "misspelt-law-parameter": "velocty",
     "burgers-law-parameter": "velocity", "removed-correction-key": "correction",
     **{key: "velocity" for key in BAD_CONFIGS if key.endswith("-velocity")},
+    "list-law-params": "law_params", "number-mesh": "mesh", "null-mesh": "mesh",
+    "list-profile-name": "profile", "object-profile-name": "profile",
 }
 
 
@@ -337,6 +345,19 @@ def test_unconverged_run_warns_and_flags_report(tmp_path, capsys):
     assert report["levels"][0]["converged"] is False
 
 
+def test_diverging_run_exits_2(tmp_path, capsys):
+    # fr at k = 2 on quads has growing modes: the sine case on the 16-quad
+    # mesh at CFL 0.8 diverges after 6,411 steps
+    path = _edited_shipped_case(
+        tmp_path, "advection_sine_k1.json", mesh=str(CASES / "quad_16.mesh.json"), degree=2,
+        solver={"cfl": 0.8, "max_iters": 40000, "residual_tol": 1e-10},
+    )
+    assert cli.main(["run", str(path), "--output-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "solver divergence: pseudo-time iteration diverged after 6411 steps" in err
+    assert "Traceback" not in err
+
+
 def _case_on_mesh_text(tmp_path, mesh_text):
     (tmp_path / "m.json").write_text(mesh_text, encoding="utf-8")
     return _edited_shipped_case(tmp_path, "burgers_verify.json", mesh=str(tmp_path / "m.json"))
@@ -376,6 +397,20 @@ def test_unbuildable_correction_exits_4(tmp_path, capsys, command):
      "vertex 2 has a non-numeric coordinate True"),
     ('{"vertices": [[0, 0], [2, 0], [0, 1]], "elements": [[0, 1, 1180591620717411303424]]}',
      "element 0 references a missing vertex 1180591620717411303424"),
+    # parts of the document of the wrong JSON type
+    ('{"vertices": [[0, 0], [1, 0], [0, 1]], "elements": 5}',
+     "elements must be an array, got 5"),
+    ('{"vertices": [[0, 0], [1, 0], [0, 1]], "elements": []}',
+     "elements must not be empty"),
+    ('{"vertices": [[0, 0], [1, 0], [0, 1], [1, 1]], "elements": [5, [0, 2, 3]]}',
+     "element 0 must be an array, got 5"),
+    ('{"vertices": [[0, 0], [1, 0], [0, 1]], "elements": [[0, 1, 2]], "boundary": 3}',
+     "'boundary' must be an array, got 3"),
+    ('{"vertices": [[0, 0], [1, 0], [0, 1]], "elements": [[0, 1, 2]], "boundary": [5]}',
+     "boundary entry 0 must be an object with 'edge' and 'tag'"),
+    ('{"vertices": [[0, 0], [1, 0], [0, 1]], "elements": [[0, 1, 2]], '
+     '"boundary": [{"edge": [0], "tag": "b"}]}',
+     "boundary entry 0 must name two vertex ids, got [0]"),
 ])
 def test_bad_mesh_document_exits_4(tmp_path, capsys, mesh_text, message):
     path = _case_on_mesh_text(tmp_path, mesh_text)

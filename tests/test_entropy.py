@@ -9,7 +9,7 @@ from polyfr import mesh as pm
 from polyfr import physics as ph
 from polyfr import residual as rs
 from polyfr.approximation import edge_rules, volume_rules
-from polyfr.discretization import BoundaryData, Discretization
+from polyfr.discretization import Discretization
 from test_correction_tables import _hexagon_ring, _reference_backends, _skewed_quads
 from test_mesh_properties import N_CELLS, _jittered
 
@@ -50,7 +50,7 @@ def test_entropy_error_stable_under_quadrature_refinement():
     for vol_order, edge_order in ((2, 3), (8, 11)):
         disc = Discretization(mesh, 1, vol_order=vol_order, edge_order=edge_order)
         u = disc.interpolate_function(lambda pts: 0.4 + 1.3 * pts[:, 0] - 0.7 * pts[:, 1])
-        bc = BoundaryData.from_function(lambda pts: 0.4 + 1.3 * pts[:, 0] - 0.7 * pts[:, 1])
+        bc = disc.boundary_values({"boundary": lambda pts: 0.4 + 1.3 * pts[:, 0] - 0.7 * pts[:, 1]})
         fr = rs.compute_residuals(disc, law, u, "fr", "central", bc)
         vals.append(en.entropy_error(disc, law, u, fr))
     assert np.abs(vals[0] - vals[1]).max() <= 1e-11
@@ -185,7 +185,7 @@ def test_fr_entropy_condition_zero_correction_case():
     disc = Discretization(mesh, 1)
     fn = lambda pts: 0.2 + pts[:, 0] - 0.5 * pts[:, 1]
     u = disc.interpolate_function(fn)
-    bc = BoundaryData.from_function(fn)
+    bc = disc.boundary_values({"boundary": fn})
     fr = rs.compute_residuals(disc, law, u, "fr", "central", bc)
     assert np.abs(fr.r_sigma).max() <= 1e-13
     rep = en.fr_entropy_condition_check(disc, law, u, fr, bc=bc)
@@ -482,7 +482,7 @@ def test_element_split_boundary_part_vanishes_for_continuous_traces():
     for name, mesh in SPLIT_MESHES.items():
         disc = Discretization(mesh, 1)
         u = disc.interpolate_function(fn)
-        bc = BoundaryData.from_function(fn)
+        bc = disc.boundary_values({"boundary": fn})
         fr = rs.compute_residuals(disc, law, u, "fr", "tadmor_ec", bc)
         rep = en.appendix_decomposition(disc, law, u, fr)
         assert np.abs(rep.b_dk).max() <= 1e-13, name

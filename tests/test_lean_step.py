@@ -20,7 +20,7 @@ from polyfr import mesh as pm
 from polyfr import physics as ph
 from polyfr import residual as rs
 from polyfr import solver as sv
-from polyfr.discretization import BoundaryData, Discretization
+from polyfr.discretization import Discretization
 from test_bit_identity import LAWS, MESHES, _disc
 
 ACCOUNTING = ("fhat_bc", "ghat", "bflux_int", "gbal", "bres_rhs")
@@ -53,7 +53,7 @@ def test_step_evaluates_entropy_flux_only_for_entropy_variants(monkeypatch, vari
     calls = _count_entropy_work(monkeypatch)
     law = ph.burgers_2d()
     disc = Discretization(pm.structured_triangles(2), 1)
-    bc = BoundaryData.from_function(lambda pts: np.full(len(pts), 0.5))
+    bc = disc.boundary_values({"boundary": lambda pts: np.full(len(pts), 0.5)})
     u0 = 0.5 + 0.3 * np.random.default_rng(4).normal(size=(disc.n_dofs, 1))
     cfg = sv.SolverConfig(cfl=0.3, max_iters=10, residual_tol=1e-30, variant=variant)
     _, trace = sv.solve_steady(disc, law, cfg, bc, initial=u0)
@@ -109,7 +109,8 @@ def _counted(law, names, calls, keep=lambda *args: True):
 
 def _ten_steps(law, flux="rusanov"):
     disc = _disc("tri-k1")
-    bc = BoundaryData.from_function(lambda x: 0.5 + 0.3 * np.sin(3.0 * x[:, 0] - 2.0 * x[:, 1]))
+    bc = disc.boundary_values(
+        {"boundary": lambda x: 0.5 + 0.3 * np.sin(3.0 * x[:, 0] - 2.0 * x[:, 1])})
     cfg = sv.SolverConfig(cfl=0.3, max_iters=10, residual_tol=1e-30, flux=flux)
     _, trace = sv.solve_steady(disc, law, cfg, bc)
     assert trace.iterations == 10

@@ -178,12 +178,18 @@ def _near_square(eps):
 NEAR_TRAPEZOID = [[0.6949417, 0.37310211], [1.0, 0.33333333],
                   [1.0, 0.66666667], [0.64491802, 0.71294232]]
 
+# element 5 of _jittered(pm.structured_quads(3), np.random.default_rng(21720)),
+# which the invariant property test can draw at k = 3: its edges 1 (x = 1)
+# and 3 are 0.005 degrees off parallel; rounded to 8 digits it builds
+JITTERED_QUAD = [[0.6335871610293955, 0.2994631163334675], [1.0, 0.3333333333333333],
+                 [1.0, 0.6666666666666666], [0.6335511545640751, 0.7140235745297572]]
+
 
 @pytest.mark.xfail(raises=CorrectionError, strict=True,
                    reason="nearly parallel opposite edges: the trace solve is nearly singular")
 @pytest.mark.parametrize("coords,k", [
     (_near_square(1e-6), 1), (_near_square(1e-5), 2), (_near_square(1e-4), 3),
-    (NEAR_TRAPEZOID, 3),
+    (NEAR_TRAPEZOID, 3), (JITTERED_QUAD, 3),
 ])
 def test_nearly_parallel_quad_edges_build(coords, k):
     # on a quad with parallel opposite edges the normal-trace rows of the

@@ -19,7 +19,7 @@ EXPORTS = {
     "CorrectionError", "CorrectionField", "NeumannCorrectionBackend", "RTBasis",
     "RTCorrectionBackend",
     # discretization and DOF graphs
-    "BoundaryData", "Discretization", "DofGraph", "build_dof_graph", "element_dof_graph",
+    "Discretization", "DofGraph", "build_dof_graph", "element_dof_graph",
     # residuals
     "ResidualSet", "assemble_global", "compute_residuals", "correction_defects",
     "element_conservation_defects", "flux_split", "global_identity_check",

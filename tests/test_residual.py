@@ -8,7 +8,7 @@ from polyfr import entropy as en
 from polyfr import mesh as pm
 from polyfr import physics as ph
 from polyfr import residual as rs
-from polyfr.discretization import BoundaryData, Discretization
+from polyfr.discretization import Discretization
 from test_mesh_properties import N_CELLS, _jittered
 
 RNG = np.random.default_rng(31)
@@ -53,12 +53,25 @@ def test_constant_state_zero_residual_on_triangles():
         assert np.abs(rset.boundary_phi).max() <= 1e-13, variant
 
 
+def test_boundary_values_take_p_from_the_profiles():
+    disc = Discretization(pm.two_triangle_square(), 1)
+    ub = disc.boundary_values({"boundary": lambda pts: np.stack([pts[:, 0], -pts[:, 1]], axis=1)})
+    bi = disc.mesh.boundary_edge_ids
+    assert ub.shape == (disc.mesh.n_edges, disc.nq_edge, 2)
+    assert np.array_equal(ub[bi, :, 0], disc.edge_pts[bi, :, 0])
+    assert np.array_equal(ub[bi, :, 1], -disc.edge_pts[bi, :, 1])
+    assert not ub[disc.mesh.interior_edge_ids].any()
+    # a tag without a profile is named
+    with pytest.raises(ValueError, match="no boundary data for tags \\['boundary'\\]"):
+        disc.boundary_values({"inflow": lambda pts: pts[:, 0]})
+
+
 def test_exact_linear_steady_state_annihilates_residuals():
     law = ph.linear_advection([1.0, 0.0])
     mesh = pm.structured_triangles(3)
     disc = Discretization(mesh, 1)
     u = disc.interpolate_function(lambda pts: pts[:, 1])
-    bc = BoundaryData.from_function(lambda pts: pts[:, 1])
+    bc = disc.boundary_values({"boundary": lambda pts: pts[:, 1]})
     for variant in ("dg", "fr", "fr-strong"):
         rset = rs.compute_residuals(disc, law, u, variant, "rusanov", bc)
         assert np.abs(rset.phi).max() <= 1e-12
@@ -100,7 +113,7 @@ def test_zero_correction_reduces_fr_to_reference():
     disc = Discretization(mesh, 1)
     fn = lambda pts: 0.3 + 1.7 * pts[:, 0] - 0.6 * pts[:, 1]
     u = disc.interpolate_function(fn)
-    bc = BoundaryData.from_function(fn)
+    bc = disc.boundary_values({"boundary": fn})
     fr = rs.compute_residuals(disc, law, u, "fr", "central", bc)
     assert np.abs(fr.r_sigma).max() <= 1e-13
     ref = rs.compute_residuals(disc, law, u, "dg-interp", "central", bc)
@@ -113,14 +126,14 @@ def test_boundary_residual_vanishes_on_matching_data_and_outflow():
     disc = Discretization(mesh, 1)
     fn = lambda pts: np.sin(pts[:, 1])
     u = disc.interpolate_function(fn)
-    bc = BoundaryData.from_function(fn)
+    bc = disc.boundary_values({"boundary": fn})
     rset = rs.compute_residuals(disc, law, u, "dg", "rusanov", bc)
     # matching Dirichlet data: the interpolated trace equals the data at the
     # quadrature points only where u^h is exact; use exact-linear data instead
     fn_lin = lambda pts: pts[:, 1]
     u = disc.interpolate_function(fn_lin)
     rset = rs.compute_residuals(
-        disc, law, u, "dg", "rusanov", BoundaryData.from_function(fn_lin)
+        disc, law, u, "dg", "rusanov", disc.boundary_values({"boundary": fn_lin})
     )
     assert np.abs(rset.boundary_phi).max() <= 1e-13
 

@@ -5,7 +5,7 @@ from polyfr import mesh as pm
 from polyfr import physics as ph
 from polyfr import residual as rs
 from polyfr import solver as sv
-from polyfr.discretization import BoundaryData, Discretization
+from polyfr.discretization import Discretization
 
 LINEAR = lambda pts: pts[:, 1]
 
@@ -14,7 +14,7 @@ def _advection_setup(n=4, k=1):
     mesh = pm.structured_triangles(n)
     disc = Discretization(mesh, k)
     law = ph.linear_advection([1.0, 0.0])
-    bc = BoundaryData.from_function(LINEAR)
+    bc = disc.boundary_values({"boundary": LINEAR})
     return disc, law, bc
 
 
@@ -45,7 +45,7 @@ def test_constant_state_with_matching_dirichlet_is_fixed_point():
     mesh = pm.structured_quads(2)
     disc = Discretization(mesh, 1)
     law = ph.burgers_2d()
-    bc = BoundaryData.from_function(lambda pts: np.full(len(pts), 1.2))
+    bc = disc.boundary_values({"boundary": lambda pts: np.full(len(pts), 1.2)})
     u = np.full((disc.n_dofs, 1), 1.2)
     u2, _ = sv.solve_steady(disc, law, sv.SolverConfig(max_iters=1), bc, initial=u)
     assert np.abs(u2 - u).max() <= 1e-13
@@ -54,8 +54,8 @@ def test_constant_state_with_matching_dirichlet_is_fixed_point():
 def test_burgers_step_from_rest_is_finite():
     # the zero state has wave speed 0; the step takes the boundary data's
     disc = Discretization(pm.structured_quads(2), 1)
-    bc = BoundaryData.from_function(lambda pts: np.full(len(pts), 0.5))
-    u0 = disc.zero_states()
+    bc = disc.boundary_values({"boundary": lambda pts: np.full(len(pts), 0.5)})
+    u0 = np.zeros((disc.n_dofs, 1))
     u, trace = sv.solve_steady(disc, ph.burgers_2d(), sv.SolverConfig(max_iters=1), bc,
                                initial=u0)
     assert trace.res_linf[0] > 0.0
@@ -87,7 +87,7 @@ def test_residual_norm_drops_over_first_steps():
     mesh = pm.two_triangle_square()
     disc = Discretization(mesh, 1)
     law = ph.linear_advection([1.0, 0.0])
-    bc = BoundaryData.from_function(LINEAR)
+    bc = disc.boundary_values({"boundary": LINEAR})
     rng = np.random.default_rng(8)
     u = rng.normal(size=(disc.n_dofs, 1))
     cfg = sv.SolverConfig(cfl=0.3, max_iters=10, residual_tol=1e-30)
@@ -123,7 +123,7 @@ def test_entropy_balance_monitored_for_cs_variant():
     law = ph.burgers_2d()
     mesh = pm.structured_triangles(2)
     disc = Discretization(mesh, 1)
-    bc = BoundaryData.from_function(lambda pts: np.full(len(pts), 0.5))
+    bc = disc.boundary_values({"boundary": lambda pts: np.full(len(pts), 0.5)})
     cfg = sv.SolverConfig(cfl=0.3, max_iters=5, residual_tol=1e-30, variant="cs")
     rng = np.random.default_rng(10)
     u0 = 0.3 * rng.normal(size=(disc.n_dofs, 1))
@@ -136,7 +136,7 @@ def test_st_variant_entropy_gap_nonnegative_along_iteration():
     law = ph.burgers_2d()
     mesh = pm.structured_triangles(2)
     disc = Discretization(mesh, 1)
-    bc = BoundaryData.from_function(lambda pts: np.full(len(pts), 0.5))
+    bc = disc.boundary_values({"boundary": lambda pts: np.full(len(pts), 0.5)})
     cfg = sv.SolverConfig(cfl=0.3, max_iters=5, residual_tol=1e-30, variant="st")
     rng = np.random.default_rng(11)
     u0 = 0.3 * rng.normal(size=(disc.n_dofs, 1))
@@ -146,10 +146,23 @@ def test_st_variant_entropy_gap_nonnegative_along_iteration():
 
 def test_divergence_guard_raises():
     disc, law, bc = _advection_setup()
-    u = disc.zero_states()
+    u = np.zeros((disc.n_dofs, 1))
     u[0] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(sv.SolverDiverged):
         sv.solve_steady(disc, law, sv.SolverConfig(max_iters=1), bc, initial=u)
+
+
+def test_stagnated_solve_returns_best_iterate(monkeypatch):
+    # a residual that never changes stagnates after one window of steps; the
+    # solve returns its best iterate, the first, not the last
+    disc, law, bc = _advection_setup()
+    R = np.full((disc.n_dofs, 1), 0.25)
+    monkeypatch.setattr(sv, "residual_vector", lambda *args, **kwargs: (R, 0.0))
+    u0 = disc.interpolate_function(LINEAR)
+    u, trace = sv.solve_steady(disc, law, sv.SolverConfig(max_iters=1000), bc, initial=u0)
+    assert trace.stagnated and not trace.converged
+    assert trace.iterations == sv.STAGNATION_WINDOW == 200
+    assert np.array_equal(u, u0)
 
 
 def test_determinism_bitwise():
@@ -178,7 +191,7 @@ def test_manufactured_error_exact_for_matching_polynomial():
 def test_manufactured_error_zero_fields():
     mesh = pm.two_triangle_square()
     disc = Discretization(mesh, 1)
-    l2, linf = sv.manufactured_error(disc, disc.zero_states(), lambda pts: 0.0 * pts[:, 0])
+    l2, linf = sv.manufactured_error(disc, np.zeros((disc.n_dofs, 1)), lambda pts: 0.0 * pts[:, 0])
     assert l2 == 0.0 and linf == 0.0
 
 
