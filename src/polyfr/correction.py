@@ -16,11 +16,19 @@ construct such fields:
     L2-smallest RT field of the requested order with unit normal trace at
     one edge flux point and zero at the others.  Flux points coincide with
     the Gauss points of the edge quadrature, so the trace condition holds
-    exactly at the quadrature points.  ``rt_group_tables`` builds the
-    tables of a whole triangle group in one stacked pass (batched Gram,
-    trace and closure solves and one batched condition check);
-    ``RTBasis`` and ``RTCorrectionBackend`` are the same construction for
-    one element, kept as the stacked build's reference.
+    exactly at the quadrature points.  RT spaces are invariant under the
+    contravariant Piola map ``psi -> jac @ psi / det`` of the affine map
+    from the reference triangle, so every element spans its RT_k with the
+    Piola images of one L2-orthonormal reference span (the raw span
+    through the Cholesky factor of its reference Gram, cached per order).
+    ``rt_group_tables`` builds a whole triangle group's tables from it in
+    one stacked pass with no per-element quadrature: each Gram matrix is
+    the reference Gram tensors weighted by the metric ``jac^T jac``, the
+    closure solves and the dual-matrix eigenvalue check are batched, and
+    the volume tables are fixed reference matrices times each element's
+    closure coefficients.  ``RTBasis`` and ``RTCorrectionBackend`` are the
+    same construction for one element, with the Gram matrix from the
+    element's own quadrature rule, kept as the stacked build's reference.
 
 ``neumann``
     On arbitrary polygons the field is sought in [P_d]^2, the first members
@@ -38,13 +46,14 @@ construct such fields:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .approximation import SpaceStack, gauss_legendre_01, triangle_rules
-from .mesh import polygon_centroid, shoelace_area
+from .approximation import SpaceStack, gauss_legendre_01, triangle_node_layout, triangle_rules
+from .mesh import shoelace_area
 
 
 class CorrectionError(ValueError):
@@ -99,6 +108,86 @@ def _rt_span_div(u: np.ndarray, p: int) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
+# The reference triangle.  Span members are evaluated in its coordinates
+# centred at the centroid and scaled by sqrt(area), as the physical spans are.
+_REF_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+def _reference_local(xhat: np.ndarray) -> np.ndarray:
+    return (xhat - 1.0 / 3.0) * math.sqrt(2.0)
+
+
+@functools.cache
+def _reference_span(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The L2-orthonormal RT_p span psi of the reference triangle: the matrix
+    ``orth`` (n_dim, n_dim) that takes the raw span members to it (the
+    inverse transposed Cholesky factor of their Gram), and its Gram tensors
+    ``int psi_i[a] psi_j[b] dx`` as a (4, n_dim**2) array, row 2a+b."""
+    pts, w = triangle_rules(_REF_TRIANGLE[None], 2 * p + 2)
+    raw = _rt_span(_reference_local(pts[0]), p)
+    orth = np.linalg.inv(np.linalg.cholesky(np.einsum("q,qix,qjx->ij", w[0], raw, raw))).T
+    psi = np.einsum("qix,ij->qjx", raw, orth)
+    return orth, np.einsum("q,qia,qjb->abij", w[0], psi, psi).reshape(4, -1)
+
+
+def _reference_members(xhat: np.ndarray, p: int) -> np.ndarray:
+    """The orthonormal span at reference points (..., npts, 2): shape
+    (..., npts, n_dim, 2)."""
+    orth, _ = _reference_span(p)
+    return (_rt_span(_reference_local(xhat), p).swapaxes(-1, -2) @ orth).swapaxes(-1, -2)
+
+
+def _reference_div(xhat: np.ndarray, p: int) -> np.ndarray:
+    """Reference divergences (..., npts, n_dim) of the orthonormal span."""
+    orth, _ = _reference_span(p)
+    return _rt_span_div(_reference_local(xhat), p) * math.sqrt(2.0) @ orth
+
+
+@functools.cache
+def _reference_tables(p: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The orthonormal span's integrals against the reference P_p basis under
+    the reference volume rule of ``order``: ``-int grad(phi_d) . psi_i`` and
+    ``int phi_d div(psi_i)``, each (nd, n_dim), and ``int psi_i`` (n_dim, 2).
+    The basis is the Lagrange basis at ``TriangleSpaces``' equispaced nodes."""
+    pts, w = triangle_rules(_REF_TRIANGLE[None], order)
+    x, w = pts[0], w[0]
+
+    def monomials(u, da, db):  # the P_p monomials, differentiated da times in x, db in y
+        return np.stack([math.perm(a, da) * math.perm(b, db) * u[:, 0] ** max(a - da, 0)
+                         * u[:, 1] ** max(b - db, 0) for a, b in _monomial_exponents(p)], axis=-1)
+
+    lagrange = np.linalg.inv(monomials(triangle_node_layout(p)[0], 0, 0))
+    grad = np.stack([monomials(x, 1, 0), monomials(x, 0, 1)], axis=-1).swapaxes(1, 2) @ lagrange
+    psi = _reference_members(x, p)
+    return (-np.einsum("q,qxd,qix->di", w, grad, psi),
+            np.einsum("q,qd,qi->di", w, monomials(x, 0, 0) @ lagrange, _reference_div(x, p)),
+            np.einsum("q,qix->ix", w, psi))
+
+
+def _cardinal_coeffs(gram: np.ndarray, tmat: np.ndarray, elem_ids) -> np.ndarray:
+    """The L2-smallest closure ``G^-1 T^T (T G^-1 T^T)^-1`` of a stack of
+    Gram matrices ``gram`` (nE, n_dim, n_dim) and trace functionals ``tmat``
+    (nE, m, n_dim): (nE, n_dim, m).  The dual matrix ``T G^-1 T^T`` is SPD
+    when the functionals are independent; one whose symmetric part has a
+    non-positive eigenvalue or an eigenvalue ratio above 1e12 raises
+    ``CorrectionError`` naming the first such element by its id in
+    ``elem_ids``."""
+    gram_t = np.linalg.solve(gram, tmat.mT)  # (nE, n_dim, m)
+    dual = tmat @ gram_t
+    eig = np.linalg.eigvalsh(0.5 * (dual + dual.mT))
+    cond = np.full(len(eig), np.inf)
+    pos = eig[:, 0] > 0
+    cond[pos] = eig[pos, -1] / eig[pos, 0]
+    bad = ~(cond <= 1e12)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise CorrectionError(
+            f"element {elem_ids[i]}: singular dual-functional matrix (cond {cond[i]:.2e}); "
+            "choose different flux points"
+        )
+    return gram_t @ np.linalg.solve(dual, np.eye(dual.shape[-1]))
+
+
 class RTBasis:
     """Cardinal Raviart-Thomas basis of order ``p`` on a physical triangle.
 
@@ -119,8 +208,11 @@ class RTBasis:
         self.vertices = np.asarray(vertices, dtype=float)
         if len(self.vertices) != 3:
             raise CorrectionError("Raviart-Thomas correction bases need a triangle")
-        self._center = polygon_centroid(self.vertices)
-        self._scale = math.sqrt(abs(shoelace_area(self.vertices)))
+        # the affine map x = origin + jac @ xhat from the reference triangle
+        self._origin = self.vertices[0]
+        self._jac = (self.vertices[1:] - self._origin).T
+        self._det = float(np.linalg.det(self._jac))
+        self._inv = np.linalg.inv(self._jac)
         self.n_members = 3 * (p + 1)
 
         self.edge_normals = []
@@ -145,29 +237,23 @@ class RTBasis:
             vals = self._raw_eval(self.flux_points[e])  # (npts, n_dim, 2)
             trace_rows.append(vals @ self.edge_normals[e])
         tmat = np.vstack(trace_rows)  # (n_members, n_dim)
+        # the element's own Gram rule, independent of rt_group_tables'
+        # reference Gram tensors
         pts, w = triangle_rules(self.vertices[None], 2 * p + 2)
         raw = self._raw_eval(pts[0])
+        gram = np.einsum("q,qix,qjx->ij", np.abs(w[0]), raw, raw)
+        self._coeffs = _cardinal_coeffs(gram[None], tmat[None], [0])[0]
 
-        gram = np.einsum("q,qix,qjx->ij", w[0], raw, raw)
-        gram_t = np.linalg.solve(gram, tmat.T)  # (n_dim, n_members)
-        tgt = tmat @ gram_t
-        cond = np.linalg.cond(tgt)
-        if not np.isfinite(cond) or cond > 1e12:
-            raise CorrectionError(
-                f"singular dual-functional matrix (cond {cond:.2e}); "
-                "choose different flux points"
-            )
-        self._coeffs = gram_t @ np.linalg.solve(tgt, np.eye(self.n_members))
-
-    # raw (non-cardinal) span evaluation -----------------------------------
-    def _local(self, points):
-        return (np.atleast_2d(points) - self._center) / self._scale
+    # raw (non-cardinal) span evaluation: the contravariant Piola images
+    # jac @ psi / det of the reference triangle's orthonormal span ---------
+    def _reference(self, points):
+        return (np.atleast_2d(points) - self._origin) @ self._inv.T
 
     def _raw_eval(self, points) -> np.ndarray:
-        return _rt_span(self._local(points), self.degree)  # (npts, n_dim, 2)
+        return _reference_members(self._reference(points), self.degree) @ self._jac.T / self._det
 
     def _raw_div(self, points) -> np.ndarray:
-        return _rt_span_div(self._local(points), self.degree) / self._scale
+        return _reference_div(self._reference(points), self.degree) / self._det
 
     # public member evaluation ----------------------------------------------
     def eval(self, points) -> np.ndarray:
@@ -263,66 +349,50 @@ class RTCorrectionBackend:
         )
 
 
-def rt_group_tables(p: int, coords: np.ndarray, flux_points: np.ndarray,
-                    vol_points: np.ndarray, vol_w: np.ndarray, vol_phi: np.ndarray,
-                    vol_grad: np.ndarray, elem_ids: np.ndarray):
+def rt_group_tables(p: int, coords: np.ndarray, flux_points: np.ndarray, vol_order: int,
+                    elem_ids: np.ndarray):
     """The RT correction tables of a stack of triangles in one pass.
 
     ``coords`` (nE, 3, 2) are the vertices, ``flux_points`` (nE, 3, p+1, 2)
-    the flux (edge quadrature) points of each local edge, and ``vol_points``
-    (nE, nq, 2), ``vol_w``, ``vol_phi`` (nE, nq, nd) and ``vol_grad``
-    (nE, nq, nd, 2) the volume rule and basis tables.  Each element gets the
-    members of ``RTBasis`` and the tables of ``RTCorrectionBackend``, with
-    the Gram, trace and closure solves batched; returns (r, div, vol, trace)
-    of shapes (nE, nd, m), (nE, nd, m), (nE, m, 2) and (nE, m, m).  A
-    singular dual-functional matrix raises ``CorrectionError`` naming the
-    first such element by its id in ``elem_ids``.
+    the flux (edge quadrature) points of each local edge, and ``vol_order``
+    the order of the group's volume rule, the reference triangle's rule
+    mapped to each element.  Each element's members are the contravariant
+    Piola images ``jac @ psi / det`` of the reference triangle's orthonormal
+    RT_p span psi, closed as ``RTBasis`` closes them, so its Gram matrix is
+    the reference Gram tensors weighted by the metric ``jac^T jac`` and its
+    tables are fixed reference matrices times its closure coefficients.
+    Returns (r, div, vol, trace) of shapes (nE, nd, m), (nE, nd, m),
+    (nE, m, 2) and (nE, m, m).  A singular dual-functional matrix raises
+    ``CorrectionError`` naming the first such element by its id in
+    ``elem_ids``.
     """
     if not 1 <= p <= 3:
         raise CorrectionError(f"Raviart-Thomas order {p} not supported")
     n_elem = len(coords)
-    center = polygon_centroid(coords)[:, None, :]
-    scale = np.sqrt(np.abs(shoelace_area(coords)))[:, None, None]
+    orth, gram_ref = _reference_span(p)
+    r_ref, div_ref, vol_ref = _reference_tables(p, vol_order)
+    # the affine maps x = coords[:, 0] + jac @ xhat from the reference triangle
+    jac = (coords[:, 1:] - coords[:, :1]).mT
+    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    xhat = (flux_points.reshape(n_elem, -1, 2) - coords[:, :1]) @ np.linalg.inv(jac).mT
 
-    def local(points):
-        return (points - center) / scale
-
-    # trace functionals: normal components at the flux points, edge by edge
+    # trace functionals n . (jac @ psi) / det = psi . (jac^T n / det), the
+    # outward normals pulled back, one per member
     tang = np.roll(coords, -1, axis=1) - coords
-    length = np.hypot(tang[..., 0], tang[..., 1])
-    normals = np.stack([tang[..., 1], -tang[..., 0]], axis=-1) / length[..., None]
-    normals = np.repeat(normals, p + 1, axis=1)  # (nE, m, 2), one per member
-    flux_span = _rt_span(local(flux_points.reshape(n_elem, -1, 2)), p)
-    tmat = np.einsum("emix,emx->emi", flux_span, normals)  # (nE, m, n_dim)
+    normals = np.stack([tang[..., 1], -tang[..., 0]], axis=-1)
+    normals /= np.hypot(tang[..., 0], tang[..., 1])[..., None]
+    pulled = np.repeat(normals @ jac / det[:, None, None], p + 1, axis=1)  # (nE, m, 2)
+    raw = _rt_span(_reference_local(xhat), p)  # (nE, m, n_dim, 2)
+    tmat = (raw[..., 0] * pulled[..., :1] + raw[..., 1] * pulled[..., 1:]) @ orth
 
-    # L2-smallest closure: coeffs = G^-1 T^T (T G^-1 T^T)^-1
-    gram_pts, gram_w = triangle_rules(coords, 2 * p + 2)
-    raw = _rt_span(local(gram_pts), p)
-    gram = np.einsum("eq,eqix,eqjx->eij", gram_w, raw, raw)
-    gram_t = np.linalg.solve(gram, tmat.transpose(0, 2, 1))  # (nE, n_dim, m)
-    tgt = tmat @ gram_t
-    cond = np.linalg.cond(tgt)
-    bad = ~(np.isfinite(cond) & (cond <= 1e12))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise CorrectionError(
-            f"element {elem_ids[i]}: singular dual-functional matrix (cond {cond[i]:.2e}); "
-            "choose different flux points"
-        )
-    coeffs = gram_t @ np.linalg.solve(tgt, np.eye(tgt.shape[-1]))  # (nE, n_dim, m)
-
-    # members at the volume and flux points, contracted as the backend does
-    def members(span):  # (nE, npts, n_dim, 2) -> (nE, npts, m, 2)
-        return np.swapaxes(np.swapaxes(span, -1, -2) @ coeffs[:, None], -1, -2)
-
-    vol_local = local(vol_points)
-    hval = members(_rt_span(vol_local, p))
-    hdiv = (_rt_span_div(vol_local, p) / scale) @ coeffs  # (nE, nq, m)
-    r = -np.einsum("eq,eqdx,eqmx->edm", vol_w, vol_grad, hval)
-    div = np.einsum("eq,eqd,eqm->edm", vol_w, vol_phi, hdiv)
-    vol = np.einsum("eq,eqmx->emx", vol_w, hval)
-    trace = np.einsum("enmx,enx->enm", members(flux_span), normals)
-    return r, div, vol, trace
+    # the Gram matrix int (jac psi_i) . (jac psi_j) / det^2 dx
+    metric = (jac.mT @ jac).reshape(n_elem, 4)
+    gram = (metric @ gram_ref / np.abs(det)[:, None]).reshape(n_elem, tmat.shape[2], -1)
+    coeffs = _cardinal_coeffs(gram, tmat, elem_ids)  # (nE, n_dim, m)
+    # under the mapped rule (det times the reference weights) the integrands
+    # grad(phi) . (jac psi) / det and phi div(psi) / det give the reference
+    # tables, and the field integral is jac times the reference one
+    return r_ref @ coeffs, div_ref @ coeffs, coeffs.mT @ vol_ref @ jac.mT, tmat @ coeffs
 
 
 def _constrained_stack(k, coords, dof_coords, edge_pts, normals, vol_points,
@@ -426,8 +496,12 @@ def constrained_group_tables(k: int, coords: np.ndarray, dof_coords: np.ndarray,
 
     ``dof_coords`` (nE, nd, 2) are the DOF points of the degree-``k``
     spaces, ``edge_pts`` (nE, n, nq, 2) the edge rule points and ``normals``
-    (nE, n, 2) the outward unit normals of each local edge; the other
-    arguments are ``rt_group_tables``'."""
+    (nE, n, 2) the outward unit normals of each local edge, ``vol_points``
+    (nE, nq, 2), ``vol_w``, ``vol_phi`` (nE, nq, nd) and ``vol_grad``
+    (nE, nq, nd, 2) the volume rule and basis tables; returns (r, div, vol,
+    trace) in ``rt_group_tables``' shapes, and an element that passes the
+    probe at no degree raises ``CorrectionError`` naming its id in
+    ``elem_ids``."""
     n_elem, n_edge, nq = edge_pts.shape[:3]
     m = n_edge * nq
     r, div = np.empty((2, n_elem, vol_phi.shape[-1], m))

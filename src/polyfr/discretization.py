@@ -303,17 +303,19 @@ class Discretization:
         whose edge rule has k+1 points (the RT flux points), Neumann
         elsewhere, each in one stacked pass over the stored edge rules."""
         rows = group.inc_edge.reshape(group.n_elements, group.n_local_edges)
-        vol = (vol_pts, group.vol_w, group.vol_phi, group.vol_grad, group.elem_ids)
         if group.kind == "triangle" and self.nq_edge == self.degree + 1:
+            # a triangle group's volume rule is the reference rule of
+            # vol_order, mapped to each element
             group.correction = "rt"
-            tables = corr.rt_group_tables(self.degree, group.coords, self.edge_pts[rows], *vol)
+            tables = corr.rt_group_tables(self.degree, group.coords, self.edge_pts[rows],
+                                          self.vol_order, group.elem_ids)
         else:
             group.correction = "neumann"
             sign = np.where(group.inc_side == 0, 1.0, -1.0)[:, None]
             outward = (sign * self.mesh.edge_normal[group.inc_edge]).reshape(rows.shape + (2,))
             tables = corr.constrained_group_tables(
                 self.degree, group.coords, group.spaces.dof_coords, self.edge_pts[rows], outward,
-                *vol)
+                vol_pts, group.vol_w, group.vol_phi, group.vol_grad, group.elem_ids)
         group.corr_r, group.corr_div, group.corr_vol, group.corr_trace = tables
 
     # ------------------------------------------------------------------

@@ -324,12 +324,57 @@ def test_singular_dual_matrix_names_the_element():
     (g,) = [g for g in disc.groups if g.kind == "triangle"]
     rows = g.inc_edge.reshape(g.n_elements, g.n_local_edges)
     flux_points = disc.edge_pts[rows].copy()  # (nE, 3, k+1, 2)
-    vol_pts, _ = volume_rules("triangle", g.coords, disc.vol_order)
-    args = (g.vol_w, g.vol_phi, g.vol_grad, g.elem_ids)
-    tables = co.rt_group_tables(k, g.coords, flux_points, vol_pts, *args)
+    tables = co.rt_group_tables(k, g.coords, flux_points, disc.vol_order, g.elem_ids)
     for got, want in zip(tables, (g.corr_r, g.corr_div, g.corr_vol, g.corr_trace)):
         assert np.array_equal(got, want)
     # two coinciding flux points on one edge: two equal trace functionals
     flux_points[1, 2, 1] = flux_points[1, 2, 0]
     with pytest.raises(co.CorrectionError, match=f"element {g.elem_ids[1]}: singular"):
-        co.rt_group_tables(k, g.coords, flux_points, vol_pts, *args)
+        co.rt_group_tables(k, g.coords, flux_points, disc.vol_order, g.elem_ids)
+
+
+@pytest.mark.parametrize("name", ["jittered-tri-k1", "jittered-tri-k2", "jittered-tri-k3"])
+def test_near_coincident_flux_points_name_the_element(name):
+    # the jittered meshes build with no element flagged; a flux point moved
+    # to within 1e-7 of the edge's length of its neighbour is flagged by the
+    # eigenvalue ratio (about 1e14), and within 1e-9 by a ratio or a
+    # non-positive eigenvalue
+    mesh, k = MESHES[name]()
+    disc = Discretization(mesh, k)
+    (g,) = disc.groups
+    loc = 7
+    for offset in (1e-7, 1e-9):
+        flux_points = disc.edge_pts[g.inc_edge.reshape(g.n_elements, 3)].copy()
+        near, ahead = flux_points[loc, 1, :2]
+        flux_points[loc, 1, 1] = near + offset * (ahead - near)
+        with pytest.raises(co.CorrectionError, match=f"element {g.elem_ids[loc]}: singular"):
+            co.rt_group_tables(k, g.coords, flux_points, disc.vol_order, g.elem_ids)
+
+
+def test_rt_build_work_does_not_grow_with_the_mesh(monkeypatch):
+    # per element, the RT build evaluates the span at its 3(k+1) flux points
+    # and builds no quadrature rule: the reference triangle's span, Gram
+    # tensors and volume tables are built once per (k, volume order)
+    rules, span, calls = co.triangle_rules, co._rt_span, {"rules": 0, "points": 0}
+
+    def counted_rules(*args, **kwargs):
+        calls["rules"] += 1
+        return rules(*args, **kwargs)
+
+    def counted_span(u, p):
+        calls["points"] += u[..., 0].size
+        return span(u, p)
+
+    for k in (1, 2, 3):
+        Discretization(pm.structured_triangles(1), k)  # the reference tables of k
+        monkeypatch.setattr(co, "triangle_rules", counted_rules)
+        monkeypatch.setattr(co, "_rt_span", counted_span)
+        points = []
+        for n in (4, 8):
+            calls.update(rules=0, points=0)
+            disc = Discretization(pm.structured_triangles(n), k)
+            assert [g.correction for g in disc.groups] == ["rt"]
+            assert calls["rules"] == 0
+            points.append(calls["points"])
+        assert 0 < points[1] - points[0] <= 3 * (k + 1) * (2 * 8**2 - 2 * 4**2)
+        monkeypatch.undo()

@@ -199,6 +199,15 @@ def test_nearly_parallel_quad_edges_build(coords, k):
     Discretization(pm.mesh_from_arrays(np.array(coords), [[0, 1, 2, 3]]), k)
 
 
+@pytest.mark.xfail(raises=CorrectionError, strict=True,
+                   reason="element 5 (JITTERED_QUAD) has nearly parallel opposite edges")
+def test_perturbed_quad_draw_builds():
+    # the draw (family "quads", seed 21720, k = 3) of cases() built directly:
+    # the derandomized draws of test_invariants_on_perturbed_meshes change
+    # with any edit of its body, and today's miss this mesh
+    Discretization(_jittered(pm.structured_quads(N_CELLS), np.random.default_rng(21720)), 3)
+
+
 @pytest.mark.xfail(raises=AssertionError, strict=True,
                    reason="nearly parallel opposite edges: fr-strong applies the nearly "
                           "singular trace solve's round-off (eq5 3.9e-10, eq21 6.2e-10)")
