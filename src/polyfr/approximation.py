@@ -236,6 +236,24 @@ def quad_node_layout(k: int) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
 # element spaces
 # ---------------------------------------------------------------------------
 
+def monomial_exponents(degree: int) -> list[tuple[int, int]]:
+    """The exponents (a, b) of the monomials x^a y^b of total degree up to
+    ``degree``, degree by degree, each with a falling."""
+    return [(a, d - a) for d in range(degree + 1) for a in range(d, -1, -1)]
+
+
+def lagrange_values(nodes: np.ndarray, t) -> np.ndarray:
+    """Values of the 1D Lagrange basis through ``nodes`` at the points ``t``:
+    shape t.shape + (len(nodes),)."""
+    n = len(nodes)
+    vals = np.ones(np.shape(t) + (n,))
+    for i in range(n):
+        for j in range(n):
+            if j != i:
+                vals[..., i] *= (t - nodes[j]) / (nodes[i] - nodes[j])
+    return vals
+
+
 class SpaceStack:
     """Lagrange-type bases bound to a stack of physical elements of one
     family, vertices (nE, n, 2).
@@ -282,9 +300,7 @@ class TriangleSpaces(SpaceStack):
         self.dof_coords = v0 + fractions[:, :1] * (v1 - v0) + fractions[:, 1:] * (v2 - v0)
         self._center = polygon_centroid(self.vertices)
         self._scale = np.sqrt(np.abs(shoelace_area(self.vertices)))
-        self._exponents = [
-            (a, b) for d in range(degree + 1) for a in range(d, -1, -1) for b in [d - a]
-        ]
+        self._exponents = monomial_exponents(degree)
         vmat = self._monomials(self.dof_coords)
         self._coeffs = np.linalg.solve(vmat, np.eye(vmat.shape[-1]))
 
@@ -330,13 +346,8 @@ class QuadSpaces(SpaceStack):
         # values and derivatives (t.shape + (k+1,)) of the 1D Lagrange basis
         nodes = self._nodes_1d
         n = len(nodes)
-        vals = np.ones(t.shape + (n,))
         ders = np.zeros(t.shape + (n,))
         for i in range(n):
-            for j in range(n):
-                if j == i:
-                    continue
-                vals[..., i] *= (t - nodes[j]) / (nodes[i] - nodes[j])
             for m in range(n):
                 if m == i:
                     continue
@@ -346,7 +357,7 @@ class QuadSpaces(SpaceStack):
                         continue
                     term *= (t - nodes[j]) / (nodes[i] - nodes[j])
                 ders[..., i] += term
-        return vals, ders
+        return lagrange_values(nodes, t), ders
 
     def _inverse_map(self, points: np.ndarray) -> np.ndarray:
         # Newton on the bilinear maps; each element stops once the residual

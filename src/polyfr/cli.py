@@ -239,52 +239,51 @@ def _build_disc(cfg: dict, mesh: Mesh) -> Discretization:
         raise ConfigError(f"unsupported discretization: {exc}") from exc
 
 
-def _element_split_checks(disc: Discretization, law, u, fr, vn) -> dict:
-    """Per-element element-split checks: the stability margin c_K - b_dK
-    (``ck_bdk_min``), |c_K - c_K on the median-dual normals| (``ck_two_way``)
-    and the largest gap between the reassembled pairwise fluxes and the
-    residual (``eq54_reassembly``), with ``vn`` the entropy variables of
-    ``u``.  Empty off linear triangles, where the pairwise flux splitting
-    does not exist."""
+def _element_split_checks(fr) -> dict:
+    """Per-element element-split checks of the ``fr`` residual set ``fr``:
+    the stability margin c_K - b_dK (``ck_bdk_min``), |c_K - c_K on the
+    median-dual normals| (``ck_two_way``) and the largest gap between the
+    reassembled pairwise fluxes and the residual (``eq54_reassembly``).
+    Empty off linear triangles, where the pairwise flux splitting does not
+    exist."""
+    disc = fr.edges.disc
     if disc.degree != 1 or any(g.kind != "triangle" for g in disc.groups):
         return {}
-    split = residual_mod.flux_split(disc, law, u, fr)
-    rep = entropy_mod.appendix_decomposition(disc, law, u, fr, split, vn)
+    split = residual_mod.flux_split(fr)
+    rep = entropy_mod.appendix_decomposition(fr, split)
     gap = split.fb + split.pair_flux.sum(axis=2) - fr.phi[disc.groups[0].dof_idx]
     return {"ck_bdk_min": rep.stability_margin, "ck_two_way": np.abs(rep.c_k - rep.c_k_graph),
             "eq54_reassembly": np.abs(gap).max(axis=(1, 2))}
 
 
-def state_checks(disc: Discretization, law, u, fr, bc=None, jump_coeff: float = 0.1,
-                 names=DEFECT_KEYS, v=None) -> dict:
-    """The arrays of the checks ``names`` at the state ``u`` with ``fr``
+def state_checks(fr, jump_coeff: float = 0.1, names=DEFECT_KEYS, v=None) -> dict:
+    """The arrays of the checks ``names`` at the state of the ``fr``
     residual set ``fr`` (the element-split checks come as one set of three).
 
     Arrays are per element, except ``tadmor_max`` (per interior edge),
     ``eq26`` (per DOF) and ``eq31`` (one value, for the broken test field
     ``v``).  ``eq5[variant]``/``eq6[variant]`` are the conservation defects
-    of that variant, built from ``fr`` or with the boundary data ``bc``
-    (plain ``eq5``/``eq6``: of ``fr``); ``eq44`` is the signed margin of
-    ``st`` at ``jump_coeff``.  Element-split checks are left out off linear
-    triangles.  A check that needs a degenerate entropy correction maps to
-    None, with the reason under ``degenerate_correction``.  The entropy
-    variables of ``u`` are evaluated once, for every check that reads them.
+    of that variant, built from ``fr`` or from the inputs it was evaluated
+    from, its Dirichlet data included (plain ``eq5``/``eq6``: of ``fr``);
+    ``eq44`` is the signed margin of ``st`` at ``jump_coeff``.
+    Element-split checks are left out off linear triangles.  A check that
+    needs a degenerate entropy correction maps to None, with the reason
+    under ``degenerate_correction``.  The entropy variables of the state are
+    evaluated once, for every check that reads them.
     """
+    edges = fr.edges
+    disc = edges.disc
     sets = {"fr": fr}
-    vn = entropy_mod.entropy_nodes(disc, law, u)
 
     def rset(variant):
         if variant not in sets:
             if variant == "cs":
-                sets[variant] = entropy_mod.cs_residuals(disc, law, u, fr, vn)
+                sets[variant] = entropy_mod.cs_residuals(fr)
             elif variant == "st":
-                cs = rset("cs")
-                sets[variant] = entropy_mod.st_residuals(
-                    disc, law, u, cs, jump_coeff=jump_coeff, vn=vn
-                )
+                sets[variant] = entropy_mod.st_residuals(rset("cs"), jump_coeff=jump_coeff)
             else:
                 sets[variant] = residual_mod.compute_residuals(
-                    disc, law, u, variant, fr.flux_kind, bc
+                    disc, edges.law, edges.u, variant, edges.flux_kind, edges.bc
                 )
         return sets[variant]
 
@@ -295,30 +294,29 @@ def state_checks(disc: Discretization, law, u, fr, bc=None, jump_coeff: float = 
         key, _, variant = name.rstrip("]").partition("[")
         try:
             if key == "eq5":
-                out[name] = residual_mod.element_conservation_defects(disc, rset(variant or "fr"))
+                out[name] = residual_mod.element_conservation_defects(rset(variant or "fr"))
             elif key == "eq6":
-                out[name] = residual_mod.boundary_conservation_defects(disc, rset(variant or "fr"))
+                out[name] = residual_mod.boundary_conservation_defects(rset(variant or "fr"))
             elif key in ("eq21", "eq27"):
-                out["eq21"], out["eq27"] = residual_mod.correction_defects(disc, fr)
+                out["eq21"], out["eq27"] = residual_mod.correction_defects(fr)
             elif key == "eq32":
-                out[name] = np.abs(entropy_mod.entropy_error(disc, law, u, rset("cs"), vn))
+                out[name] = np.abs(entropy_mod.entropy_error(rset("cs")))
             elif key == "eq44":
-                out[name] = -entropy_mod.entropy_error(disc, law, u, rset("st"), vn)
+                out[name] = -entropy_mod.entropy_error(rset("st"))
             elif key == "tau_sum":
                 tau = rset("cs").phi - fr.phi
                 out[name] = np.abs(disc.element_reduce(lambda t: t.sum(axis=1), tau))
             elif key == "tadmor_max":
-                e, ii = fr.edges, disc.mesh.interior_edge_ids
-                out[name] = tadmor_edge_check(
-                    law, e.uL[ii], e.uR[ii], disc.edge_normal_q[ii], e.fhat_star[ii]
-                )
+                ii = disc.mesh.interior_edge_ids
+                out[name] = tadmor_edge_check(edges.law, edges.uL[ii], edges.uR[ii],
+                                              disc.edge_normal_q[ii], edges.fhat_star[ii])
             elif key == "eq26":
                 out[name] = np.abs(fr.phi - rset("dg-interp").phi - fr.r_sigma)
             elif key == "eq31":
-                d, sc = residual_mod.global_identity_check(disc, law, u, v, fr, bc)
+                d, sc = residual_mod.global_identity_check(fr, v)
                 out[name] = np.array(d / sc)
             elif key in ELEMENT_SPLIT_CHECKS:
-                out.update(_element_split_checks(disc, law, u, fr, vn))
+                out.update(_element_split_checks(fr))
         except entropy_mod.DegenerateEntropyCorrection as exc:
             # a constant-state element with nonzero entropy error admits no
             # mean-deviation correction: the check is not evaluable
@@ -327,17 +325,16 @@ def state_checks(disc: Discretization, law, u, fr, bc=None, jump_coeff: float = 
     return out
 
 
-def defect_battery(disc: Discretization, law, u, fr,
-                   jump_coeff: float = 0.1) -> tuple[dict, dict]:
-    """Invariant defects evaluated at one state, keyed as in the report, and
-    the :func:`state_checks` arrays they reduce.
+def defect_battery(fr, jump_coeff: float = 0.1) -> tuple[dict, dict]:
+    """Invariant defects evaluated at the state of the ``fr`` residual set
+    ``fr``, keyed as in the report, and the :func:`state_checks` arrays they
+    reduce.
 
-    ``fr`` is the ``fr`` residual set of ``u``; ``jump_coeff`` is the ``st``
-    dissipation scale the eq44 margin is measured for.  Each defect is the
-    worst entry of its array (for eq44 the negative part of the smallest
-    margin).
+    ``jump_coeff`` is the ``st`` dissipation scale the eq44 margin is
+    measured for.  Each defect is the worst entry of its array (for eq44 the
+    negative part of the smallest margin).
     """
-    arrays = state_checks(disc, law, u, fr, jump_coeff=jump_coeff)
+    arrays = state_checks(fr, jump_coeff=jump_coeff)
     out = {}
     for key in DEFECT_KEYS:
         a = arrays.get(key)
@@ -446,10 +443,10 @@ def run(config_path, output_dir=None, seed: int = 0, tol_scale: float = 1.0) -> 
             entry["linf_error"] = linf
             errors.append(l2)
         fr = residual_mod.compute_residuals(disc, law, u, "fr", solver_cfg.flux, bc)
-        e_fr = entropy_mod.entropy_error(disc, law, u, fr)
+        e_fr = entropy_mod.entropy_error(fr)
         entry["entropy_defect_max"] = float(np.abs(e_fr).max())
         t = time.perf_counter()
-        defects, arrays = defect_battery(disc, law, u, fr, solver_cfg.jump_coeff)
+        defects, arrays = defect_battery(fr, solver_cfg.jump_coeff)
         phase["battery_s"] = time.perf_counter() - t
         entry["defects"] = defects
         report["levels"].append(entry)
@@ -550,7 +547,7 @@ def verify(config_path, suite: str, seed: int = 0, tol_scale: float = 1.0,
             bc = rng.uniform(lo, hi, size=(mesh.n_edges, disc.nq_edge, law.p))
             v = rng.normal(size=(disc.n_dofs, law.p)) if "eq31" in names else None
             fr = residual_mod.compute_residuals(disc, law, u, "fr", flux_kind, bc)
-            arrays = state_checks(disc, law, u, fr, bc, jump_coeff, names, v)
+            arrays = state_checks(fr, jump_coeff, names, v)
             for name in (n for n in names if n in arrays):
                 if arrays[name] is None:
                     raise InvariantViolation(arrays["degenerate_correction"])

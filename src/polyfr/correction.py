@@ -52,7 +52,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approximation import SpaceStack, gauss_legendre_01, triangle_node_layout, triangle_rules
+from .approximation import (
+    SpaceStack,
+    gauss_legendre_01,
+    lagrange_values,
+    monomial_exponents,
+    triangle_node_layout,
+    triangle_rules,
+)
 from .mesh import shoelace_area
 
 
@@ -64,33 +71,18 @@ class CorrectionError(ValueError):
 # Raviart-Thomas cardinal bases on triangles
 # ---------------------------------------------------------------------------
 
-def _monomial_exponents(degree: int) -> list[tuple[int, int]]:
-    return [(a, d - a) for d in range(degree + 1) for a in range(d, -1, -1)]
-
-
-def _lagrange_matrix(nodes: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Cardinal Lagrange evaluation matrix: (len(targets), len(nodes))."""
-    out = np.ones((len(targets), len(nodes)))
-    for i in range(len(nodes)):
-        for j in range(len(nodes)):
-            if j != i:
-                out[:, i] *= (targets - nodes[j]) / (nodes[i] - nodes[j])
-    return out
-
-
 def _rt_span(u: np.ndarray, p: int) -> np.ndarray:
     """Raw RT_p span members at local points ``u`` (..., npts, 2), shape
     (..., npts, n_dim, 2): [P_p]^2 column pairs, then x * homogeneous(P_p)."""
     x, y = u[..., 0], u[..., 1]
-    zero = np.zeros_like(x)
-    cols = []
-    for a, b in _monomial_exponents(p):
-        mono = x**a * y**b
-        cols.append(np.stack([mono, zero], axis=-1))
-        cols.append(np.stack([zero, mono], axis=-1))
-    for a in range(p, -1, -1):
-        cols.append(u * (x**a * y ** (p - a))[..., None])
-    return np.stack(cols, axis=-2)
+    exponents = monomial_exponents(p)
+    n = 2 * len(exponents)
+    out = np.zeros(u.shape[:-1] + (n + p + 1, 2))
+    for i, (a, b) in enumerate(exponents):
+        out[..., 2 * i, 0] = out[..., 2 * i + 1, 1] = x**a * y**b
+    for i, a in enumerate(range(p, -1, -1)):
+        out[..., n + i, :] = u * (x**a * y ** (p - a))[..., None]
+    return out
 
 
 def _rt_span_div(u: np.ndarray, p: int) -> np.ndarray:
@@ -99,7 +91,7 @@ def _rt_span_div(u: np.ndarray, p: int) -> np.ndarray:
     x, y = u[..., 0], u[..., 1]
     zero = np.zeros_like(x)
     cols = []
-    for a, b in _monomial_exponents(p):
+    for a, b in monomial_exponents(p):
         cols.append(a * x ** max(a - 1, 0) * y**b if a else zero)
         cols.append(b * x**a * y ** max(b - 1, 0) if b else zero)
     for a in range(p, -1, -1):
@@ -154,7 +146,7 @@ def _reference_tables(p: int, order: int) -> tuple[np.ndarray, np.ndarray, np.nd
 
     def monomials(u, da, db):  # the P_p monomials, differentiated da times in x, db in y
         return np.stack([math.perm(a, da) * math.perm(b, db) * u[:, 0] ** max(a - da, 0)
-                         * u[:, 1] ** max(b - db, 0) for a, b in _monomial_exponents(p)], axis=-1)
+                         * u[:, 1] ** max(b - db, 0) for a, b in monomial_exponents(p)], axis=-1)
 
     lagrange = np.linalg.inv(monomials(triangle_node_layout(p)[0], 0, 0))
     grad = np.stack([monomials(x, 1, 0), monomials(x, 0, 1)], axis=-1).swapaxes(1, 2) @ lagrange
@@ -433,7 +425,7 @@ def _constrained_stack(k, coords, dof_coords, edge_pts, normals, vol_points,
     for degree in range(k + 1, k + 8):  # field degrees k+1 ... k+7, lowest first
         n_c = (degree + 1) * (degree + 2)
         t_ext, _ = gauss_legendre_01(degree + 1)
-        interp = _lagrange_matrix(tq, t_ext)
+        interp = lagrange_values(tq, t_ext)
         ext = p0[todo, :, None] + t_ext[:, None] * (p1 - p0)[todo, :, None]
         a_tr = normal_trace(ext, todo, degree).reshape(len(todo), -1, n_c)
         vol_basis = _rt_span(vol_u[todo], degree)[..., :n_c, :]

@@ -56,7 +56,6 @@ class ElementGroup:
     elem_ids: np.ndarray  # (nE,) mesh element ids
     coords: np.ndarray  # (nE, n_local_edges, 2) vertices, counter-clockwise
     spaces: SpaceStack
-    areas: np.ndarray
     perimeters: np.ndarray
     diameters: np.ndarray
     vol_w: np.ndarray  # (nE, nq)
@@ -253,7 +252,6 @@ class Discretization:
             elem_ids=ids,
             coords=coords,
             spaces=spaces,
-            areas=areas,
             perimeters=perims,
             diameters=diams,
             vol_w=vol_w,

@@ -17,6 +17,11 @@ error decomposition of the entropy defect, the interface dissipation
 functional, and the element-split diagnostics of linear triangles: one
 array pass over the mesh that takes per-edge jump and potential-flux
 integrals once and gathers them to the elements.
+
+Every function here takes a residual set and reads the state, the law, the
+discretization and the entropy variables of the state from the set's
+``edges`` (:class:`polyfr.residual.InterfaceFluxes`), which evaluates the
+entropy variables on first read and keeps them for every set of that state.
 """
 
 from __future__ import annotations
@@ -39,16 +44,10 @@ class DegenerateEntropyCorrection(ValueError):
 # entropy error and the conservative correction
 # ---------------------------------------------------------------------------
 
-def entropy_error(disc: Discretization, law: ConservationLaw, u: np.ndarray,
-                  rset: ResidualSet, vn: np.ndarray | None = None) -> np.ndarray:
-    """Per-element entropy error of a residual set, shape (n_elem,).
-
-    A caller that already holds ``entropy_nodes(disc, law, u)`` passes it
-    as ``vn``, here and to :func:`tau_all`, :func:`cs_residuals`,
-    :func:`st_residuals` and :func:`appendix_decomposition`.
-    """
-    vn = entropy_nodes(disc, law, u) if vn is None else vn
-    return rset.edges.gbal - _pairing(disc, vn, rset.phi)
+def entropy_error(rset: ResidualSet) -> np.ndarray:
+    """Per-element entropy error of a residual set, shape (n_elem,)."""
+    edges = rset.edges
+    return edges.gbal - _pairing(edges.disc, edges.vn, rset.phi)
 
 
 def _pairing(disc: Discretization, v: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -61,10 +60,9 @@ def entropy_nodes(disc: Discretization, law: ConservationLaw, u: np.ndarray) -> 
     return law.entropy_vars(u)
 
 
-def tau_all(disc: Discretization, law: ConservationLaw, u: np.ndarray,
-            e_values: np.ndarray, vn: np.ndarray | None = None) -> np.ndarray:
-    """Batched conservative corrections, shape (n_dofs, p)."""
-    vn = entropy_nodes(disc, law, u) if vn is None else vn
+def tau_all(disc: Discretization, vn: np.ndarray, e_values: np.ndarray) -> np.ndarray:
+    """Batched conservative corrections of the per-element entropy errors
+    ``e_values`` at the entropy variables ``vn``, shape (n_dofs, p)."""
     tau = np.zeros_like(vn)
     for g in disc.groups:
         v = vn[g.dof_idx]
@@ -85,20 +83,18 @@ def tau_all(disc: Discretization, law: ConservationLaw, u: np.ndarray,
     return tau
 
 
-def cs_residuals(disc: Discretization, law: ConservationLaw, u: np.ndarray,
-                 fr_set: ResidualSet, vn: np.ndarray | None = None) -> ResidualSet:
+def cs_residuals(fr_set: ResidualSet) -> ResidualSet:
     """Entropy-conservative variant: residuals plus the tau correction."""
-    vn = entropy_nodes(disc, law, u) if vn is None else vn
-    tau = tau_all(disc, law, u, entropy_error(disc, law, u, fr_set, vn), vn)
+    edges = fr_set.edges
+    tau = tau_all(edges.disc, edges.vn, entropy_error(fr_set))
     return replace(fr_set, variant="cs", phi=fr_set.phi + tau)
 
 
-def st_residuals(disc: Discretization, law: ConservationLaw, u: np.ndarray,
-                 cs_set: ResidualSet, jump_coeff: float = 0.1,
-                 vn: np.ndarray | None = None) -> ResidualSet:
+def st_residuals(cs_set: ResidualSet, jump_coeff: float = 0.1) -> ResidualSet:
     """Entropy-dissipative variant: add delta * (v_s - v_mean) with
     delta = jump_coeff * h_K * max wave speed >= 0."""
-    vn = entropy_nodes(disc, law, u) if vn is None else vn
+    edges = cs_set.edges
+    disc, law, u, vn = edges.disc, edges.law, edges.u, edges.vn
     psi = np.zeros_like(vn)
     for g, U in zip(disc.groups, disc.element_states(u)):
         v = vn[g.dof_idx]
@@ -109,10 +105,7 @@ def st_residuals(disc: Discretization, law: ConservationLaw, u: np.ndarray,
     return replace(cs_set, variant="st", phi=cs_set.phi + psi)
 
 
-def fr_entropy_condition_check(disc: Discretization, law: ConservationLaw,
-                               u: np.ndarray, fr_set: ResidualSet,
-                               flux_kind: str | None = None,
-                               bc=None) -> dict[str, np.ndarray]:
+def fr_entropy_condition_check(fr_set: ResidualSet) -> dict[str, np.ndarray]:
     """Margin of the no-correction entropy-stability condition.
 
     Computes sum_s <v_s, r_s> - E_ref per element, where E_ref is the
@@ -120,12 +113,12 @@ def fr_entropy_condition_check(disc: Discretization, law: ConservationLaw,
     equals sum_s <v_s, Phi_s> - oint g_hat, so nonnegative values mean the
     plain reconstruction is already entropy stable on that element.
     """
-    kind = flux_kind or fr_set.flux_kind
-    ref = compute_residuals(disc, law, u, "dg-interp", kind, bc)
-    e_ref = entropy_error(disc, law, u, ref)
-    vn = entropy_nodes(disc, law, u)
+    edges = fr_set.edges
+    disc, vn = edges.disc, edges.vn
+    ref = compute_residuals(disc, edges.law, edges.u, "dg-interp", edges.flux_kind, edges.bc)
+    e_ref = entropy_error(ref)
     margin = _pairing(disc, vn, fr_set.r_sigma) - e_ref
-    direct = _pairing(disc, vn, fr_set.phi) - fr_set.edges.gbal
+    direct = _pairing(disc, vn, fr_set.phi) - edges.gbal
     return {"margin": margin, "direct": direct, "e_reference": e_ref}
 
 
@@ -150,7 +143,7 @@ def entropy_conservative_residuals(disc: Discretization, law: ConservationLaw,
     certifies that any traces with zero-sum moments are reachable.
     """
     ref = compute_residuals(disc, law, u, "dg-interp", flux_kind, bc)
-    tau = tau_all(disc, law, u, entropy_error(disc, law, u, ref))
+    tau = tau_all(disc, ref.edges.vn, entropy_error(ref))
     return replace(ref, variant="fr", phi=ref.phi + tau, r_sigma=tau)
 
 
@@ -167,8 +160,7 @@ class EntropyErrorTerms:
     co: np.ndarray  # correction pairing sum_s <v_s, r_s>
 
 
-def error_decomposition(disc: Discretization, law: ConservationLaw, u: np.ndarray,
-                        rset: ResidualSet, vol_order: int | None = None,
+def error_decomposition(rset: ResidualSet, vol_order: int | None = None,
                         edge_order: int | None = None,
                         ref_boost: int = 6) -> EntropyErrorTerms:
     """Per-element smoothness terms of the entropy defect.
@@ -179,12 +171,13 @@ def error_decomposition(disc: Discretization, law: ConservationLaw, u: np.ndarra
     reference rules.  The correction term reuses the redistribution vectors
     of the supplied residual set.  Each element group is one stacked pass.
     """
+    edges = rset.edges
+    disc, law, u, vn = edges.disc, edges.law, edges.u, edges.vn
     k = disc.degree
     vol_order = vol_order if vol_order is not None else k
     edge_order = edge_order if edge_order is not None else k + 1
     mesh = disc.mesh
     terms = EntropyErrorTerms(*(np.zeros(mesh.n_elements) for _ in range(5)))
-    vn = entropy_nodes(disc, law, u)
 
     for g in disc.groups:
         U, V = u[g.dof_idx], vn[g.dof_idx]  # (nE, nd, p)
@@ -245,10 +238,8 @@ class ElementSplitReport:
         return self.c_k - self.b_dk
 
 
-def appendix_decomposition(disc: Discretization, law: ConservationLaw,
-                           u: np.ndarray, rset: ResidualSet,
-                           split: FluxSplit | None = None,
-                           vn: np.ndarray | None = None) -> ElementSplitReport:
+def appendix_decomposition(rset: ResidualSet,
+                           split: FluxSplit | None = None) -> ElementSplitReport:
     """Per-element (n_elem,) element/boundary split of the entropy-stability
     functional on linear triangles.
 
@@ -260,10 +251,11 @@ def appendix_decomposition(disc: Discretization, law: ConservationLaw,
     when the entropy flux averages the interpolated potential.
     """
     if split is None:
-        split = flux_split(disc, law, u, rset)
+        split = flux_split(rset)
+    edges = rset.edges
+    disc, vnodes = edges.disc, edges.vn
     (g,) = disc.groups  # flux_split admits only the linear-triangle family
-    vnodes = entropy_nodes(disc, law, u) if vn is None else vn
-    pot = law.potential(vnodes)  # (n_dofs, 2) nodal potential
+    pot = edges.law.potential(vnodes)  # (n_dofs, 2) nodal potential
     ve, theta = vnodes[g.dof_idx], pot[g.dof_idx]
     # sums over a < b of products of antisymmetric pairs: halved sums over
     # all (a, b); the potential's is paired with twice the dual normals
@@ -276,7 +268,7 @@ def appendix_decomposition(disc: Discretization, law: ConservationLaw,
     # from them the jump functional D_e and the potential-average flux G_e
     vL, vR = disc.edge_traces(vnodes)
     tL, tR = disc.edge_traces(pot)
-    vf = np.einsum("eq,seqp,eqp->es", disc.edge_w, np.stack([vL, vR]), rset.edges.fhat_star)
+    vf = np.einsum("eq,seqp,eqp->es", disc.edge_w, np.stack([vL, vR]), edges.fhat_star)
     tn = np.einsum("eq,seqx,eqx->es", disc.edge_w, np.stack([tL, tR]), disc.edge_normal_q)
     jump = 0.5 * (vf[:, 1] - vf[:, 0] - (tn[:, 1] - tn[:, 0]))
     gpot = 0.5 * (vf.sum(axis=1) - tn.sum(axis=1))

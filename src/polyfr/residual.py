@@ -29,9 +29,12 @@ boundary-face residuals oint phi (f_hat(u, u_b) - f(u).n).
 
 One evaluation of a state gives one :class:`ResidualSet`: the distributed
 residuals and, as its ``edges``, the :class:`InterfaceFluxes` they were
-evaluated from.  The conservation and entropy checks read the single-valued
-flux and its accounting from ``edges``; the ``cs``/``st`` corrections change
-the residuals only and share the ``edges`` of the set they correct.
+evaluated from, which record the inputs of the evaluation (discretization,
+law, state, Dirichlet data and flux kind).  Every check and correction takes
+the set alone and reads those inputs, the single-valued flux, its accounting
+and the state's entropy variables from ``edges``; the ``cs``/``st``
+corrections change the residuals only and share the ``edges`` of the set
+they correct.
 """
 
 from __future__ import annotations
@@ -60,14 +63,14 @@ class ResidualSet:
     evaluated from.
 
     A pseudo-time step applies ``phi`` and ``boundary_phi`` only.  The
-    single-valued flux and the conservation and entropy accounting are read
-    from ``edges`` (see :class:`InterfaceFluxes`, which computes the
-    accounting on first read); the ``cs``/``st`` corrections change the
-    residuals only, so a corrected set shares the ``edges`` of its base.
+    inputs of the evaluation, the single-valued flux and the conservation
+    and entropy accounting are read from ``edges`` (see
+    :class:`InterfaceFluxes`, which computes the accounting on first read);
+    the ``cs``/``st`` corrections change the residuals only, so a corrected
+    set shares the ``edges`` of its base.
     """
 
     variant: str
-    flux_kind: str
     # nodal fields are flat per-DOF arrays (n_dofs, p): element e owns rows
     # disc.dof_offset[e] : disc.dof_offset[e] + nd
     phi: np.ndarray  # (n_dofs, p) element residuals Phi_sigma^K
@@ -85,7 +88,12 @@ def _outward(g: ElementGroup, fhat_star: np.ndarray) -> np.ndarray:
 
 
 class InterfaceFluxes:
-    """The single-valued interface fluxes of one state and their accounting.
+    """The single-valued interface fluxes of one state, the inputs they were
+    evaluated from and their accounting.
+
+    The inputs, held by reference (iterates are never written in place):
+    ``disc``, ``law``, the (n_dofs, p) state ``u``, its Dirichlet values
+    ``bc`` (None without data) and the numerical ``flux_kind``.
 
     Evaluated at once, because the residuals apply them:
 
@@ -98,16 +106,16 @@ class InterfaceFluxes:
       boundary mismatch fhat(u_L, u_b) - f(u_L).n, boundary rows only, in
       the order of ``mesh.boundary_edge_ids``.
 
-    Computed on first read, then kept: the Dirichlet-coupled flux
-    ``fhat_bc`` (boundary rows, None without data), the numerical entropy
-    flux ``ghat`` (boundary rows: g(u_L).n), and per element the boundary
-    integrals ``bflux_int`` of fhat_star, ``gbal`` of ghat and ``bres_rhs``
-    of dbc.
+    Computed on first read, then kept: the nodal entropy variables ``vn``
+    of u (n_dofs, p), the Dirichlet-coupled flux ``fhat_bc`` (boundary rows,
+    None without data), the numerical entropy flux ``ghat`` (boundary rows:
+    g(u_L).n), and per element the boundary integrals ``bflux_int`` of
+    fhat_star, ``gbal`` of ghat and ``bres_rhs`` of dbc.
     """
 
-    def __init__(self, disc: Discretization, law: ConservationLaw, u2,
-                 uL_bnd, fhat_star, fhat_dirichlet, dbc_rows):
-        self.disc, self.law = disc, law
+    def __init__(self, disc: Discretization, law: ConservationLaw, u, bc, flux_kind,
+                 u2, uL_bnd, fhat_star, fhat_dirichlet, dbc_rows):
+        self.disc, self.law, self.u, self.bc, self.flux_kind = disc, law, u, bc, flux_kind
         self.uL, self.uR = u2
         self._uL_bnd = uL_bnd  # boundary rows of uL
         self.fhat_star = fhat_star
@@ -127,6 +135,10 @@ class InterfaceFluxes:
         to it up to round-off)."""
         g, disc = self.law.entropy_flux(self._uL_bnd), self.disc
         return float(np.einsum("eq,eqx,eqx->", disc.boundary_w, g, disc.boundary_normal_q))
+
+    @cached_property
+    def vn(self) -> np.ndarray:
+        return _entropy.entropy_nodes(self.disc, self.law, self.u)
 
     @cached_property
     def fhat_bc(self) -> np.ndarray | None:
@@ -183,7 +195,9 @@ def interface_fluxes(disc, law, u, flux_kind, bc=None, edge_speed=None) -> Inter
     f(u_L).n, which the central and Rusanov fluxes evaluate with it.
     ``edge_speed`` (n_edges, nq_e), if given, is the Rusanov dissipation
     speed (of a law whose wave speeds do not depend on the state).  The
-    entropy flux and the per-element integrals are left to their first read.
+    result records ``u``, ``bc`` and ``flux_kind``; the entropy variables,
+    the entropy flux and the per-element integrals are left to their first
+    read.
     """
     u2 = disc.edge_traces(u, bc)
     nq = disc.edge_normal_q
@@ -202,7 +216,8 @@ def interface_fluxes(disc, law, u, flux_kind, bc=None, edge_speed=None) -> Inter
         np.subtract(fhat_dirichlet, f_own, out=dbc_rows[:-1])
         dbc_rows[-1] = 0.0
     fhat_star[bi] = f_own
-    return InterfaceFluxes(disc, law, u2, uL_bnd, fhat_star, fhat_dirichlet, dbc_rows)
+    return InterfaceFluxes(disc, law, u, bc, flux_kind, u2, uL_bnd, fhat_star, fhat_dirichlet,
+                           dbc_rows)
 
 
 def compute_residuals(
@@ -221,8 +236,8 @@ def compute_residuals(
     as in :func:`interface_fluxes`.  ``cs`` and ``st`` correct the ``fr``
     residuals; ``jump_coeff`` scales the dissipation of ``st``;
     ``edge_speed`` is passed to :func:`interface_fluxes`.  The residuals
-    are evaluated at once; the accounting of the set's ``edges`` is
-    computed on first read.
+    are evaluated at once; the set's ``edges`` record the inputs, and their
+    accounting is computed on first read.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown residual variant {variant!r}")
@@ -274,7 +289,6 @@ def compute_residuals(
 
     out = ResidualSet(
         variant=base,
-        flux_kind=flux_kind,
         phi=phi,
         boundary_phi=bphi,
         r_sigma=r_all,
@@ -282,12 +296,9 @@ def compute_residuals(
         edges=edges,
     )
     if variant != base:
-        from . import entropy as _entropy
-
-        vn = _entropy.entropy_nodes(disc, law, u)
-        out = _entropy.cs_residuals(disc, law, u, out, vn)
+        out = _entropy.cs_residuals(out)
         if variant == "st":
-            out = _entropy.st_residuals(disc, law, u, out, jump_coeff=jump_coeff, vn=vn)
+            out = _entropy.st_residuals(out, jump_coeff=jump_coeff)
     return out
 
 
@@ -301,18 +312,18 @@ def _sum_defects(disc: Discretization, phi: np.ndarray, want: np.ndarray) -> np.
     return np.abs(total - want).max(axis=1) / scale
 
 
-def element_conservation_defects(disc: Discretization, rset: ResidualSet) -> np.ndarray:
+def element_conservation_defects(rset: ResidualSet) -> np.ndarray:
     """Per-element defect of (sum of residuals - boundary flux integral),
     scaled by max(1, per-element residual magnitude)."""
-    return _sum_defects(disc, rset.phi, rset.edges.bflux_int)
+    return _sum_defects(rset.edges.disc, rset.phi, rset.edges.bflux_int)
 
 
-def boundary_conservation_defects(disc: Discretization, rset: ResidualSet) -> np.ndarray:
+def boundary_conservation_defects(rset: ResidualSet) -> np.ndarray:
     """The element defect's counterpart for the boundary-face residuals."""
-    return _sum_defects(disc, rset.boundary_phi, rset.edges.bres_rhs)
+    return _sum_defects(rset.edges.disc, rset.boundary_phi, rset.edges.bres_rhs)
 
 
-def assemble_global(disc: Discretization, rset: ResidualSet) -> np.ndarray:
+def assemble_global(rset: ResidualSet) -> np.ndarray:
     """Accumulated per-DOF residual (element plus boundary contributions)."""
     return rset.phi + rset.boundary_phi
 
@@ -321,14 +332,7 @@ def assemble_global(disc: Discretization, rset: ResidualSet) -> np.ndarray:
 # global discrete accounting identity
 # ---------------------------------------------------------------------------
 
-def global_identity_check(
-    disc: Discretization,
-    law: ConservationLaw,
-    u: np.ndarray,
-    v: np.ndarray,
-    rset: ResidualSet,
-    bc: np.ndarray | None = None,
-) -> tuple[float, float]:
+def global_identity_check(rset: ResidualSet, v: np.ndarray) -> tuple[float, float]:
     """Defect of the broken-test-field accounting identity.
 
     For any broken field v^h, the accumulated residual pairing
@@ -338,11 +342,13 @@ def global_identity_check(
     boundary), and the intra-element redistribution differences against the
     pointwise-flux reference residuals.  Returns (defect, scale).
     """
+    edges = rset.edges
+    disc, law, u = edges.disc, edges.law, edges.u
     v = np.asarray(v, dtype=float).reshape(disc.n_dofs, -1)
     lhs = float(np.sum(v * (rset.phi + rset.boundary_phi)))
 
     ref = rset if rset.variant == "dg" else compute_residuals(
-        disc, law, u, "dg", rset.flux_kind, bc
+        disc, law, u, "dg", edges.flux_kind, edges.bc
     )
 
     vol = 0.0
@@ -356,7 +362,6 @@ def global_identity_check(
     vL, vR = disc.edge_traces(v)
     bi = disc.mesh.boundary_edge_ids
     vR[bi] = 0.0  # single-sided on the domain boundary
-    edges = rset.edges
     edge_term = float(
         np.einsum("eq,eqp->", disc.edge_w, (vL - vR) * edges.fhat_star)
     )
@@ -404,8 +409,7 @@ class FluxSplit:
     dual_normals: np.ndarray  # (nE, nd, nd, 2): median-dual normal from a to b
 
 
-def flux_split(disc: Discretization, law: ConservationLaw, u: np.ndarray,
-               rset: ResidualSet) -> FluxSplit:
+def flux_split(rset: ResidualSet) -> FluxSplit:
     """Split linear-triangle residuals into pairwise DOF fluxes.
 
     With rho_s = Phi_s - oint phi_s f_hat, the splitting
@@ -414,6 +418,7 @@ def flux_split(disc: Discretization, law: ConservationLaw, u: np.ndarray,
     integration-by-parts form it reduces to the volume integral of the
     reconstructed flux contracted with the median-dual interface normals.
     """
+    disc, law, u = rset.edges.disc, rset.edges.law, rset.edges.u
     if disc.degree != 1 or any(g.kind != "triangle" for g in disc.groups):
         raise ValueError("residual splitting is implemented for linear triangles")
     (g,) = disc.groups  # one family: its element axis is the mesh's
@@ -438,7 +443,7 @@ def flux_split(disc: Discretization, law: ConservationLaw, u: np.ndarray,
     )
 
 
-def correction_defects(disc: Discretization, rset: ResidualSet) -> tuple[np.ndarray, np.ndarray]:
+def correction_defects(rset: ResidualSet) -> tuple[np.ndarray, np.ndarray]:
     """Per-element admissibility defects of the correction behind ``rset``.
 
     eq21 is the largest normal-trace mismatch |trace - alpha| at the edge
@@ -446,6 +451,7 @@ def correction_defects(disc: Discretization, rset: ResidualSet) -> tuple[np.ndar
     by max(1, |alpha|, |r_sigma|).  Both read the group tables the residual
     evaluation applies.  Returns (eq21, eq27), each of shape (n_elem,).
     """
+    disc = rset.edges.disc
     eq21 = np.zeros(disc.mesh.n_elements)
     eq27 = np.zeros(disc.mesh.n_elements)
     for g, alpha in zip(disc.groups, rset.alpha):
@@ -508,3 +514,7 @@ def lipschitz_hypothesis_probe(
             else:
                 const_res = max(const_res, mag)
     return {"constant": worst, "constant_state_residual": const_res}
+
+
+# imported last: the entropy module imports this one, whatever is imported first
+from . import entropy as _entropy  # noqa: E402

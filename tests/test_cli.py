@@ -448,8 +448,8 @@ def test_run_eq44_uses_configured_jump_coeff(tmp_path, monkeypatch):
 
     disc, law, bc, u = solved[0]
     fr = rs.compute_residuals(disc, law, u, "fr", "rusanov", bc)
-    st = st_residuals(disc, law, u, en.cs_residuals(disc, law, u, fr), jump_coeff=0.5)
-    margin = -en.entropy_error(disc, law, u, st)
+    st = st_residuals(en.cs_residuals(fr), jump_coeff=0.5)
+    margin = -en.entropy_error(st)
     assert report["levels"][0]["defects"]["eq44"] == max(0.0, -float(margin.min()))
 
 
@@ -549,7 +549,7 @@ def test_degenerate_entropy_correction_is_reported(tmp_path, capsys, monkeypatch
     disc = cli._build_disc(cli.load_config(path), pm.structured_triangles(2))
     law = cli.law_by_name("burgers")
     u = law.random_states(np.random.default_rng(0), disc.n_dofs).reshape(-1, 1)
-    defects, arrays = cli.defect_battery(disc, law, u, rs.compute_residuals(disc, law, u))
+    defects, arrays = cli.defect_battery(rs.compute_residuals(disc, law, u))
     assert arrays["eq32"] is None and arrays["eq5"].shape == (disc.mesh.n_elements,)
     assert defects["eq32"] is None and defects["eq44"] is None
     assert "constant state" in defects["degenerate_correction"]
@@ -579,9 +579,28 @@ def test_element_split_checks_are_one_array_pass(monkeypatch):
     monkeypatch.setattr(en, "flux_split", counted("flux_split", en.flux_split))
     monkeypatch.setattr(en, "appendix_decomposition",
                         counted("appendix_decomposition", en.appendix_decomposition))
-    arrays = cli.state_checks(disc, law, u, fr, names=cli.ELEMENT_SPLIT_CHECKS)
+    arrays = cli.state_checks(fr, names=cli.ELEMENT_SPLIT_CHECKS)
     assert calls == {"flux_split": 1, "appendix_decomposition": 1}
     assert all(arrays[name].shape == (disc.mesh.n_elements,) for name in cli.ELEMENT_SPLIT_CHECKS)
+
+
+def test_state_checks_derive_sets_with_the_dirichlet_data():
+    # every set state_checks derives from fr carries fr's Dirichlet data:
+    # its eq5/eq6 arrays equal those of sets built directly with it
+    disc = cli.Discretization(pm.structured_triangles(4), 1)
+    law = cli.law_by_name("burgers")
+    rng = np.random.default_rng(8)
+    u = law.random_states(rng, disc.n_dofs).reshape(-1, 1)
+    bc = rng.uniform(*law.admissible_box, size=(disc.mesh.n_edges, disc.nq_edge, 1))
+    fr = rs.compute_residuals(disc, law, u, "fr", "central", bc)
+    arrays = cli.state_checks(fr, 0.3, cli.SUITE_CHECKS["conservation"])
+    without = rs.boundary_conservation_defects(rs.compute_residuals(disc, law, u, "dg", "central"))
+    for variant in ("dg", "fr", "fr-strong", "cs", "st"):
+        rset = rs.compute_residuals(disc, law, u, variant, "central", bc, jump_coeff=0.3)
+        assert np.array_equal(arrays[f"eq5[{variant}]"], rs.element_conservation_defects(rset))
+        eq6 = rs.boundary_conservation_defects(rset)
+        assert np.array_equal(arrays[f"eq6[{variant}]"], eq6)
+        assert not np.array_equal(eq6, without), variant
 
 
 def test_battery_evaluates_entropy_nodes_once(monkeypatch):
@@ -590,8 +609,7 @@ def test_battery_evaluates_entropy_nodes_once(monkeypatch):
     disc = cli.Discretization(pm.structured_triangles(8), 1)
     law = cli.law_by_name("burgers")
     u = law.random_states(np.random.default_rng(6), disc.n_dofs).reshape(-1, 1)
-    fr = rs.compute_residuals(disc, law, u)
-    want, _ = cli.defect_battery(disc, law, u, fr)
+    want, _ = cli.defect_battery(rs.compute_residuals(disc, law, u))
     calls = []
 
     def counted(*args, **kwargs):
@@ -600,7 +618,7 @@ def test_battery_evaluates_entropy_nodes_once(monkeypatch):
 
     entropy_nodes = en.entropy_nodes
     monkeypatch.setattr(en, "entropy_nodes", counted)
-    defects, _ = cli.defect_battery(disc, law, u, fr)
+    defects, _ = cli.defect_battery(rs.compute_residuals(disc, law, u))
     assert len(calls) == 1
     assert defects == want
 

@@ -195,7 +195,7 @@ def test_correction_defects_match_reference_fields(name):
     u = law.random_states(rng, disc.n_dofs).reshape(disc.n_dofs, 1)
     bc = rng.uniform(-2, 2, size=(mesh.n_edges, disc.nq_edge, 1))
     fr = rs.compute_residuals(disc, law, u, "fr", "rusanov", bc)
-    eq21, eq27 = rs.correction_defects(disc, fr)
+    eq21, eq27 = rs.correction_defects(fr)
     for g, alpha in zip(disc.groups, fr.alpha):
         backends = _reference_backends(disc, g)
         for loc, (eid, backend) in enumerate(zip(g.elem_ids, backends)):

@@ -65,14 +65,27 @@ def test_step_evaluates_entropy_flux_only_for_entropy_variants(monkeypatch, vari
         assert calls == {"entropy_numerical_flux": 0, "gbal": 0}
 
 
-def test_accounting_is_computed_once_and_shared_with_corrected_sets():
+def test_accounting_is_computed_once_and_shared_with_corrected_sets(monkeypatch):
+    # the fr, cs and st sets of one state share one record: its accounting
+    # and its entropy variables, each computed once
+    calls = []
+    entropy_nodes = en.entropy_nodes
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return entropy_nodes(*args, **kwargs)
+
+    monkeypatch.setattr(en, "entropy_nodes", counted)
     disc, law = _disc("tri-k2"), LAWS["burgers"]()
     u = law.random_states(np.random.default_rng(5), disc.n_dofs).reshape(disc.n_dofs, 1)
     fr = rs.compute_residuals(disc, law, u, "fr", "rusanov")
-    cs = en.cs_residuals(disc, law, u, fr)
-    assert cs.edges is fr.edges
-    for name in ACCOUNTING:
+    assert not calls and fr.edges.u is u
+    cs = en.cs_residuals(fr)
+    st = en.st_residuals(cs)
+    assert cs.edges is fr.edges and st.edges is fr.edges
+    for name in ACCOUNTING + ("vn",):
         assert getattr(cs.edges, name) is getattr(fr.edges, name), name
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("law_name", list(LAWS))

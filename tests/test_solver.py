@@ -110,7 +110,7 @@ def test_mass_evolution_tracks_boundary_flux_with_uniform_step():
     dtau = float((coef * mu)[0])
     assert np.allclose(coef * mu, dtau)  # uniform step
     rset = rs.compute_residuals(disc, law, u, cfg.variant, cfg.flux, bvals)
-    R = rs.assemble_global(disc, rset)
+    R = rs.assemble_global(rset)
     u2 = u - coef[:, None] * R
     dmass = float((mu[:, None] * (u2 - u)).sum())
     boundary_flow = 0.0
