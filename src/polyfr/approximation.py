@@ -31,6 +31,9 @@ import numpy as np
 from .mesh import polygon_centroid, shoelace_area
 
 
+MAX_DEGREE = 3  # of the triangle and quad spaces and of the RT_k corrections
+
+
 class UnsupportedSpace(ValueError):
     pass
 
@@ -292,7 +295,7 @@ class TriangleSpaces(SpaceStack):
     _stacked = ("vertices", "dof_coords", "_center", "_scale", "_coeffs")
 
     def __init__(self, coords, degree):
-        if not 1 <= degree <= 3:
+        if not 1 <= degree <= MAX_DEGREE:
             raise UnsupportedSpace(f"triangle degree {degree} not supported")
         super().__init__(coords, degree)
         fractions, self.sub_triangulation = triangle_node_layout(degree)
@@ -334,7 +337,7 @@ class QuadSpaces(SpaceStack):
     kind = "quad"
 
     def __init__(self, coords, degree):
-        if not 1 <= degree <= 3:
+        if not 1 <= degree <= MAX_DEGREE:
             raise UnsupportedSpace(f"quad degree {degree} not supported")
         super().__init__(coords, degree)
         fractions, self.sub_triangulation = quad_node_layout(degree)

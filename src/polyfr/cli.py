@@ -263,13 +263,13 @@ def state_checks(fr, jump_coeff: float = 0.1, names=DEFECT_KEYS, v=None) -> dict
     Arrays are per element, except ``tadmor_max`` (per interior edge),
     ``eq26`` (per DOF) and ``eq31`` (one value, for the broken test field
     ``v``).  ``eq5[variant]``/``eq6[variant]`` are the conservation defects
-    of that variant, built from ``fr`` or from the inputs it was evaluated
-    from, its Dirichlet data included (plain ``eq5``/``eq6``: of ``fr``);
-    ``eq44`` is the signed margin of ``st`` at ``jump_coeff``.
-    Element-split checks are left out off linear triangles.  A check that
-    needs a degenerate entropy correction maps to None, with the reason
-    under ``degenerate_correction``.  The entropy variables of the state are
-    evaluated once, for every check that reads them.
+    of that variant, built on ``fr``'s record ``fr.edges``, its Dirichlet
+    data included (plain ``eq5``/``eq6``: of ``fr``); ``eq44`` is the signed
+    margin of ``st`` at ``jump_coeff``.  Element-split checks are left out
+    off linear triangles.  A check that needs a degenerate entropy
+    correction maps to None, with the reason under
+    ``degenerate_correction``.  Every set and check shares the one
+    evaluation of the state's interface fluxes and entropy variables.
     """
     edges = fr.edges
     disc = edges.disc
@@ -282,9 +282,7 @@ def state_checks(fr, jump_coeff: float = 0.1, names=DEFECT_KEYS, v=None) -> dict
             elif variant == "st":
                 sets[variant] = entropy_mod.st_residuals(rset("cs"), jump_coeff=jump_coeff)
             else:
-                sets[variant] = residual_mod.compute_residuals(
-                    disc, edges.law, edges.u, variant, edges.flux_kind, edges.bc
-                )
+                sets[variant] = residual_mod.residuals_on(edges, variant)
         return sets[variant]
 
     out = {}
@@ -539,8 +537,10 @@ def verify(config_path, suite: str, seed: int = 0, tol_scale: float = 1.0,
         uL, uR = law.random_states(rng, 1000), law.random_states(rng, 1000)
         ang = rng.uniform(0, 2 * np.pi, 1000)
         nrm = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        worst["ec_abs"] = float(np.abs(tadmor_edge_check(law, uL, uR, nrm, tadmor_ec_flux)).max())
-        worst["rusanov_sign"] = float(tadmor_edge_check(law, uL, uR, nrm, rusanov_flux).max())
+        ec = tadmor_edge_check(law, uL, uR, nrm, tadmor_ec_flux(law, uL, uR, nrm))
+        rus = tadmor_edge_check(law, uL, uR, nrm, rusanov_flux(law, uL, uR, nrm))
+        worst["ec_abs"] = float(np.abs(ec).max())
+        worst["rusanov_sign"] = float(rus.max())
     else:
         for _ in range(draws):
             u = law.random_states(rng, disc.n_dofs).reshape(disc.n_dofs, law.p)

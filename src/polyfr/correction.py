@@ -53,6 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approximation import (
+    MAX_DEGREE,
     SpaceStack,
     gauss_legendre_01,
     lagrange_values,
@@ -194,7 +195,7 @@ class RTBasis:
     """
 
     def __init__(self, p: int, vertices, flux_points: list[np.ndarray] | None = None):
-        if not 1 <= p <= 3:
+        if not 1 <= p <= MAX_DEGREE:
             raise CorrectionError(f"Raviart-Thomas order {p} not supported")
         self.degree = p
         self.vertices = np.asarray(vertices, dtype=float)
@@ -358,7 +359,7 @@ def rt_group_tables(p: int, coords: np.ndarray, flux_points: np.ndarray, vol_ord
     ``CorrectionError`` naming the first such element by its id in
     ``elem_ids``.
     """
-    if not 1 <= p <= 3:
+    if not 1 <= p <= MAX_DEGREE:
         raise CorrectionError(f"Raviart-Thomas order {p} not supported")
     n_elem = len(coords)
     orth, gram_ref = _reference_span(p)

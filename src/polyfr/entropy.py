@@ -33,7 +33,7 @@ import numpy as np
 from .approximation import edge_rules, volume_rules
 from .discretization import Discretization
 from .physics import ConservationLaw, normal_flux
-from .residual import FluxSplit, ResidualSet, compute_residuals, flux_split
+from .residual import FluxSplit, ResidualSet, compute_residuals, flux_split, residuals_on
 
 
 class DegenerateEntropyCorrection(ValueError):
@@ -109,13 +109,14 @@ def fr_entropy_condition_check(fr_set: ResidualSet) -> dict[str, np.ndarray]:
     """Margin of the no-correction entropy-stability condition.
 
     Computes sum_s <v_s, r_s> - E_ref per element, where E_ref is the
-    entropy error of the interpolated-flux reference residuals; the margin
-    equals sum_s <v_s, Phi_s> - oint g_hat, so nonnegative values mean the
-    plain reconstruction is already entropy stable on that element.
+    entropy error of the interpolated-flux reference residuals, built on the
+    set's own record (its interface fluxes and entropy variables); the
+    margin equals sum_s <v_s, Phi_s> - oint g_hat, so nonnegative values
+    mean the plain reconstruction is already entropy stable on that element.
     """
     edges = fr_set.edges
     disc, vn = edges.disc, edges.vn
-    ref = compute_residuals(disc, edges.law, edges.u, "dg-interp", edges.flux_kind, edges.bc)
+    ref = residuals_on(edges, "dg-interp")
     e_ref = entropy_error(ref)
     margin = _pairing(disc, vn, fr_set.r_sigma) - e_ref
     direct = _pairing(disc, vn, fr_set.phi) - edges.gbal

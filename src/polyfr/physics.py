@@ -352,13 +352,12 @@ def entropy_numerical_flux(law: ConservationLaw, fhat, uL, uR, n) -> np.ndarray:
 
 
 def tadmor_edge_check(law: ConservationLaw, uL, uR, n, fhat) -> np.ndarray:
-    """Edge dissipation functional <[v], f_hat> - [theta].n.
+    """Edge dissipation functional <[v], f_hat> - [theta].n of the flux
+    values ``fhat`` at the state pairs (uL, uR) and normals n.
 
     The jump convention is (right minus left): zero marks an entropy-
     conservative flux, negative values an entropy-stable one.
     """
-    if callable(fhat):
-        fhat = fhat(law, uL, uR, n)
     dv = law.entropy_vars(uR) - law.entropy_vars(uL)
     dth = _dot2(
         law.potential(law.entropy_vars(uR)) - law.potential(law.entropy_vars(uL)),

@@ -27,14 +27,14 @@ on domain-boundary edges the element-side flux is the pointwise consistent
 flux f(u).n, and the weak Dirichlet coupling lives entirely in the
 boundary-face residuals oint phi (f_hat(u, u_b) - f(u).n).
 
-One evaluation of a state gives one :class:`ResidualSet`: the distributed
-residuals and, as its ``edges``, the :class:`InterfaceFluxes` they were
-evaluated from, which record the inputs of the evaluation (discretization,
-law, state, Dirichlet data and flux kind).  Every check and correction takes
-the set alone and reads those inputs, the single-valued flux, its accounting
-and the state's entropy variables from ``edges``; the ``cs``/``st``
-corrections change the residuals only and share the ``edges`` of the set
-they correct.
+A state's interface fluxes are evaluated once, as one
+:class:`InterfaceFluxes` record of the inputs (discretization, law, state,
+Dirichlet data and flux kind); :func:`residuals_on` distributes them as any
+variant's :class:`ResidualSet`, which keeps the record as its ``edges``.
+Every check and correction takes a set alone and reads those inputs, the
+single-valued flux, its accounting and the state's entropy variables from
+``edges``; a check that needs another variant of the state, and the
+``cs``/``st`` corrections, share the ``edges`` of the set they are given.
 """
 
 from __future__ import annotations
@@ -92,8 +92,8 @@ class InterfaceFluxes:
     evaluated from and their accounting.
 
     The inputs, held by reference (iterates are never written in place):
-    ``disc``, ``law``, the (n_dofs, p) state ``u``, its Dirichlet values
-    ``bc`` (None without data) and the numerical ``flux_kind``.
+    ``disc``, ``law``, the (n_dofs, p) state ``u`` and the numerical
+    ``flux_kind``; the Dirichlet data enter as ``uR`` and ``dbc`` below.
 
     Evaluated at once, because the residuals apply them:
 
@@ -113,9 +113,9 @@ class InterfaceFluxes:
     fhat_star, ``gbal`` of ghat and ``bres_rhs`` of dbc.
     """
 
-    def __init__(self, disc: Discretization, law: ConservationLaw, u, bc, flux_kind,
+    def __init__(self, disc: Discretization, law: ConservationLaw, u, flux_kind,
                  u2, uL_bnd, fhat_star, fhat_dirichlet, dbc_rows):
-        self.disc, self.law, self.u, self.bc, self.flux_kind = disc, law, u, bc, flux_kind
+        self.disc, self.law, self.u, self.flux_kind = disc, law, u, flux_kind
         self.uL, self.uR = u2
         self._uL_bnd = uL_bnd  # boundary rows of uL
         self.fhat_star = fhat_star
@@ -195,7 +195,7 @@ def interface_fluxes(disc, law, u, flux_kind, bc=None, edge_speed=None) -> Inter
     f(u_L).n, which the central and Rusanov fluxes evaluate with it.
     ``edge_speed`` (n_edges, nq_e), if given, is the Rusanov dissipation
     speed (of a law whose wave speeds do not depend on the state).  The
-    result records ``u``, ``bc`` and ``flux_kind``; the entropy variables,
+    result records ``u`` and ``flux_kind``; the entropy variables,
     the entropy flux and the per-element integrals are left to their first
     read.
     """
@@ -216,7 +216,7 @@ def interface_fluxes(disc, law, u, flux_kind, bc=None, edge_speed=None) -> Inter
         np.subtract(fhat_dirichlet, f_own, out=dbc_rows[:-1])
         dbc_rows[-1] = 0.0
     fhat_star[bi] = f_own
-    return InterfaceFluxes(disc, law, u, bc, flux_kind, u2, uL_bnd, fhat_star, fhat_dirichlet,
+    return InterfaceFluxes(disc, law, u, flux_kind, u2, uL_bnd, fhat_star, fhat_dirichlet,
                            dbc_rows)
 
 
@@ -230,25 +230,29 @@ def compute_residuals(
     jump_coeff: float = 0.1,
     edge_speed: np.ndarray | None = None,
 ) -> ResidualSet:
-    """Evaluate one residual variant over the whole mesh.
+    """One residual variant of the (n_dofs, p) state ``u`` with Dirichlet
+    values ``bc`` (or None): :func:`residuals_on` a fresh
+    :func:`interface_fluxes` record, which ``edge_speed`` is passed to.
+    """
+    return residuals_on(interface_fluxes(disc, law, u, flux_kind, bc, edge_speed), variant,
+                        jump_coeff)
 
-    ``u`` is the (n_dofs, p) state and ``bc`` its Dirichlet values or None,
-    as in :func:`interface_fluxes`.  ``cs`` and ``st`` correct the ``fr``
-    residuals; ``jump_coeff`` scales the dissipation of ``st``;
-    ``edge_speed`` is passed to :func:`interface_fluxes`.  The residuals
-    are evaluated at once; the set's ``edges`` record the inputs, and their
-    accounting is computed on first read.
+
+def residuals_on(edges: InterfaceFluxes, variant: str, jump_coeff: float = 0.1) -> ResidualSet:
+    """One residual variant of the state recorded by ``edges``, which the
+    set shares with every other variant of that state.  ``cs`` and ``st``
+    correct the ``fr`` residuals; ``jump_coeff`` scales the dissipation of
+    ``st``.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown residual variant {variant!r}")
     base = "fr" if variant in ("cs", "st") else variant
+    disc, law, u = edges.disc, edges.law, edges.u
 
     # Incidence rows are element-ordered, so per-element edge sums are
     # reshapes: every (nE, m, ...) array below holds the n_local_edges * nq_e
     # edge points of each element, edge by edge.
     p = law.p
-    edges = interface_fluxes(disc, law, u, flux_kind, bc, edge_speed)
-
     phi = np.zeros((disc.n_dofs, p))
     bphi = np.zeros((disc.n_dofs, p))
     r_all = np.zeros((disc.n_dofs, p))
@@ -347,9 +351,7 @@ def global_identity_check(rset: ResidualSet, v: np.ndarray) -> tuple[float, floa
     v = np.asarray(v, dtype=float).reshape(disc.n_dofs, -1)
     lhs = float(np.sum(v * (rset.phi + rset.boundary_phi)))
 
-    ref = rset if rset.variant == "dg" else compute_residuals(
-        disc, law, u, "dg", edges.flux_kind, edges.bc
-    )
+    ref = rset if rset.variant == "dg" else residuals_on(edges, "dg")
 
     vol = 0.0
     for g, U in zip(disc.groups, disc.element_states(u)):

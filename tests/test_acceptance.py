@@ -195,8 +195,9 @@ def test_criterion_6_interface_dissipation_diagnostics():
     uR = law.random_states(rng, 1000)
     ang = rng.uniform(0, 2 * np.pi, 1000)
     nrm = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    ec = float(np.abs(ph.tadmor_edge_check(law, uL, uR, nrm, ph.tadmor_ec_flux)).max())
-    rus = float(ph.tadmor_edge_check(law, uL, uR, nrm, ph.rusanov_flux).max())
+    ec = ph.tadmor_edge_check(law, uL, uR, nrm, ph.tadmor_ec_flux(law, uL, uR, nrm))
+    rus = ph.tadmor_edge_check(law, uL, uR, nrm, ph.rusanov_flux(law, uL, uR, nrm))
+    ec, rus = float(np.abs(ec).max()), float(rus.max())
 
     ok = reass <= 1e-11 and nsig <= 1e-10 and ec <= 1e-12 and rus <= 0.0 and ck_gap <= 1e-10
     _report(6, "interface dissipation diagnostics", ok,

@@ -286,21 +286,27 @@ def test_compute_residuals_equal_reference(mesh_name, law_name):
     u = law.random_states(rng, disc.n_dofs).reshape(disc.n_dofs, law.p)
     lo, hi = law.admissible_box
     bc = rng.uniform(lo, hi, size=(disc.mesh.n_edges, disc.nq_edge, law.p))
-    for variant in rs.VARIANTS:
-        for flux_kind in ph.FLUX_KINDS:
-            for data in (None, bc):
-                got = rs.compute_residuals(disc, law, u, variant, flux_kind, data)
+    for flux_kind in ph.FLUX_KINDS:
+        for data in (None, bc):
+            # sets derived on an fr set's record equal fresh evaluations
+            fr = rs.compute_residuals(disc, law, u, "fr", flux_kind, data)
+            for variant in rs.VARIANTS:
                 want = ref_compute_residuals(disc, law, u, variant, flux_kind, data)
-                assert (got.variant, got.edges.flux_kind) == (want.variant, want.edges.flux_kind)
-                for name in ("phi", "boundary_phi", "r_sigma"):
-                    assert np.array_equal(getattr(got, name), getattr(want, name)), (
-                        variant, flux_kind, name)
-                assert len(got.alpha) == len(want.alpha)
-                assert all(np.array_equal(x, y) for x, y in zip(got.alpha, want.alpha))
-                for name in EDGE_FIELDS:
-                    a, b = getattr(got.edges, name), getattr(want.edges, name)
-                    assert (a is None) == (b is None), name
-                    assert b is None or np.array_equal(a, b), (variant, flux_kind, name)
+                derived = rs.residuals_on(fr.edges, variant)
+                assert derived.edges is fr.edges
+                for got in (rs.compute_residuals(disc, law, u, variant, flux_kind, data),
+                            derived):
+                    assert (got.variant, got.edges.flux_kind) == (want.variant,
+                                                                  want.edges.flux_kind)
+                    for name in ("phi", "boundary_phi", "r_sigma"):
+                        assert np.array_equal(getattr(got, name), getattr(want, name)), (
+                            variant, flux_kind, name)
+                    assert len(got.alpha) == len(want.alpha)
+                    assert all(np.array_equal(x, y) for x, y in zip(got.alpha, want.alpha))
+                    for name in EDGE_FIELDS:
+                        a, b = getattr(got.edges, name), getattr(want.edges, name)
+                        assert (a is None) == (b is None), name
+                        assert b is None or np.array_equal(a, b), (variant, flux_kind, name)
 
 
 # ---------------------------------------------------------------------------

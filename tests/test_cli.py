@@ -623,6 +623,35 @@ def test_battery_evaluates_entropy_nodes_once(monkeypatch):
     assert defects == want
 
 
+@pytest.mark.parametrize("suite", ["conservation", "identities"])
+def test_state_checks_derive_sets_on_the_fr_record(monkeypatch, suite):
+    # the dg, dg-interp and fr-strong sets of a suite, and the dg reference
+    # of eq31, share fr's interface fluxes: none is evaluated again
+    disc = cli.Discretization(pm.structured_triangles(4), 1)
+    law = cli.law_by_name("burgers")
+    rng = np.random.default_rng(9)
+    u = law.random_states(rng, disc.n_dofs).reshape(-1, 1)
+    bc = rng.uniform(*law.admissible_box, size=(disc.mesh.n_edges, disc.nq_edge, 1))
+    v = rng.normal(size=(disc.n_dofs, 1))
+    dg_interp = rs.compute_residuals(disc, law, u, "dg-interp", "rusanov", bc)
+    fr = rs.compute_residuals(disc, law, u, "fr", "rusanov", bc)
+    calls = {"interface_fluxes": 0, "entropy_nodes": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(rs, "interface_fluxes", counted("interface_fluxes", rs.interface_fluxes))
+    monkeypatch.setattr(en, "entropy_nodes", counted("entropy_nodes", en.entropy_nodes))
+    arrays = cli.state_checks(fr, 0.1, cli.SUITE_CHECKS[suite], v)
+    assert calls == {"interface_fluxes": 0, "entropy_nodes": 1}
+    assert set(cli.SUITE_CHECKS[suite]) <= set(arrays)
+    if suite == "identities":
+        assert np.array_equal(arrays["eq26"], np.abs(fr.phi - dg_interp.phi - fr.r_sigma))
+
+
 # a regular hexagon with vertex 0 pulled to 1 % of its height above the
 # chord of its neighbours: a corner of nearly 180 degrees, on which the
 # boosted volume quadrature never reaches its integration-by-parts bound

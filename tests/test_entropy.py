@@ -192,6 +192,28 @@ def test_fr_entropy_condition_zero_correction_case():
     assert np.abs(rep["margin"] + rep["e_reference"]).max() <= 1e-12
 
 
+def test_fr_entropy_condition_check_reuses_the_sets_record(monkeypatch):
+    # the dg-interp reference is built on the fr set's own record: no second
+    # interface-flux evaluation and one evaluation of the entropy variables
+    law = ph.burgers_2d()
+    disc, u, bc = _setup(pm.structured_triangles(4), 1, law, seed=3)
+    want = en.entropy_error(rs.compute_residuals(disc, law, u, "dg-interp", "rusanov", bc))
+    fr = rs.compute_residuals(disc, law, u, "fr", "rusanov", bc)
+    calls = {"interface_fluxes": 0, "entropy_nodes": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(rs, "interface_fluxes", counted("interface_fluxes", rs.interface_fluxes))
+    monkeypatch.setattr(en, "entropy_nodes", counted("entropy_nodes", en.entropy_nodes))
+    rep = en.fr_entropy_condition_check(fr)
+    assert calls == {"interface_fluxes": 0, "entropy_nodes": 1}
+    assert np.array_equal(rep["e_reference"], want)
+
+
 # ---------------------------------------------------------------------------
 # entropy-conservative correction through prescribed moments
 # ---------------------------------------------------------------------------
